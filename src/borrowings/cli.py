@@ -326,7 +326,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
     with open(out, "w", encoding="utf-8", newline="\n") as stream:
         save_model(model, stream)
-    status = "converged" if diag.converged else "stopped at the iteration cap"
+    if diag.converged:
+        status = "converged"
+    elif diag.stalled:
+        status = "stalled"
+    else:
+        status = "stopped at the iteration cap"
     print(
         f"trained {diag.iterations} iterations ({status}), "
         f"final objective {diag.final_objective:.6f}, "

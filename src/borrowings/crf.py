@@ -10,13 +10,24 @@ and all inference (partition function, marginals, decoding) runs in log
 space.  Training minimizes the negative conditional log-likelihood plus
 c1*||w||_1 + (c2/2)*||w||_2^2 with the quasi-Newton routines in
 `optim`; the L1 term is handled exactly by the orthant-wise variant.
+
+A batch of sequences (a training corpus, or the headlines being tagged)
+is encoded once into flat arrays, as in CRFsuite: one entry per
+(token, indexed attribute) pair with its attribute id, its value and
+its global token index, plus the token offset of every sequence.
+Emissions for all tokens then take one `np.bincount` per label, and so
+does the state gradient.  Sequences of equal length form a bucket, and
+forward-backward and Viterbi run over a whole bucket at once, looping
+over time steps only.  Buckets are visited in ascending length order,
+which fixes the order of every sum.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +45,11 @@ from .errors import ConfigError, ValidationError
 from .features import AttributeVector, FeatureConfig, FeatureIndex, windowed_attributes
 
 DivergenceError = optim.DivergenceError
+
+# Headlines encoded at once by `tag`: enough for full length buckets,
+# while the flat encoding (about 1 KB per token with the default
+# features) stays a few MB however large the corpus is.
+_TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
 _FORMAT_VERSION = 1
@@ -85,6 +101,7 @@ class TrainDiagnostics:
 
     iterations: int
     converged: bool
+    stalled: bool
     line_search_failed: bool
     final_objective: float
     objective_trace: tuple[float, ...]
@@ -136,125 +153,204 @@ def n_parameters(n_features: int, n_labels: int) -> int:
     return n_features * n_labels + n_labels * n_labels + 2 * n_labels
 
 
-# --- encoded instances -------------------------------------------------------
+# --- flat encoding -----------------------------------------------------------
 
-@dataclass
-class EncodedInstance:
-    """One headline as (attribute id, value, position) triples.
+@dataclass(frozen=True)
+class Encoding:
+    """A batch of sequences as one flat list of attribute entries.
 
-    `pos` maps each triple to its token position; `gold` holds tag ids
-    when the instance is used for training.
+    Entry k gives attribute `ids[k]` the value `vals[k]` at global token
+    `token[k]`; entries appear in token order.  Sequence i covers the
+    tokens `offsets[i]:offsets[i + 1]`.  Each array in `buckets` holds
+    the global token indices of all sequences of one length, one row
+    per sequence in input order; buckets ascend by length.
     """
 
     ids: np.ndarray
     vals: np.ndarray
-    pos: np.ndarray
-    n: int
-    gold: np.ndarray | None = None
+    token: np.ndarray
+    offsets: np.ndarray
+    buckets: tuple[np.ndarray, ...]
+
+    @property
+    def n_tokens(self) -> int:
+        return int(self.offsets[-1])
 
 
-def _encode_attrs(
-    vecs: Sequence[AttributeVector], index: FeatureIndex
-) -> EncodedInstance:
-    ids: list[int] = []
-    vals: list[float] = []
-    pos: list[int] = []
-    for t, vec in enumerate(vecs):
-        for name, value in vec.items():
-            i = index.get(name)
-            if i is not None:
-                ids.append(i)
-                vals.append(value)
-                pos.append(t)
-    return EncodedInstance(
-        ids=np.array(ids, dtype=np.int64),
-        vals=np.array(vals, dtype=float),
-        pos=np.array(pos, dtype=np.int64),
-        n=len(vecs),
+def encode_attributes(
+    sequences: Iterable[Sequence[AttributeVector]],
+    lookup: Callable[[str], int | None],
+) -> Encoding:
+    """Flat encoding of attribute sequences.
+
+    `lookup` maps an attribute name to its id, or to None for attributes
+    that are dropped.
+    """
+    ids = array("q")
+    vals = array("d")
+    per_token = array("q")
+    seq_lengths = array("q")
+    for vecs in sequences:
+        seq_lengths.append(len(vecs))
+        for vec in vecs:
+            before = len(ids)
+            for name, value in vec.items():
+                i = lookup(name)
+                if i is not None:
+                    ids.append(i)
+                    vals.append(value)
+            per_token.append(len(ids) - before)
+    lengths = np.frombuffer(seq_lengths, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    buckets = tuple(
+        offsets[:-1][lengths == n][:, None] + np.arange(n)
+        for n in np.flatnonzero(np.bincount(lengths)).tolist()
+    )
+    return Encoding(
+        ids=np.frombuffer(ids, dtype=np.int64),
+        vals=np.frombuffer(vals, dtype=float),
+        token=np.repeat(
+            np.arange(offsets[-1]), np.frombuffer(per_token, dtype=np.int64)
+        ),
+        offsets=offsets,
+        buckets=buckets,
     )
 
 
-def _emissions(inst: EncodedInstance, state: np.ndarray) -> np.ndarray:
-    e = np.zeros((inst.n, state.shape[1]))
-    if inst.ids.size:
-        np.add.at(e, inst.pos, inst.vals[:, None] * state[inst.ids])
+def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
+    """(n_tokens, L) emission scores, summed in entry order per token."""
+    e = np.empty((enc.n_tokens, state.shape[1]))
+    scaled = np.empty(enc.ids.size)
+    for label in range(state.shape[1]):
+        _scaled_gather(state[:, label], enc.ids, enc.vals, out=scaled)
+        e[:, label] = np.bincount(enc.token, weights=scaled, minlength=enc.n_tokens)
     return e
 
 
-# --- log-space inference -----------------------------------------------------
+def _scatter_state(enc: Encoding, residual: np.ndarray, g_state: np.ndarray) -> None:
+    """g_state[a, l] = sum of v * residual[token, l] over entries (a, v, token)."""
+    scaled = np.empty(enc.ids.size)
+    for label in range(g_state.shape[1]):
+        _scaled_gather(residual[:, label], enc.token, enc.vals, out=scaled)
+        g_state[:, label] = np.bincount(
+            enc.ids, weights=scaled, minlength=g_state.shape[0]
+        )
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+
+def _scaled_gather(
+    column: np.ndarray, index: np.ndarray, vals: np.ndarray, out: np.ndarray
+) -> None:
+    """out = vals * column[index], in one entry-sized buffer."""
+    # Indices come from the encoding and are in range; mode="raise"
+    # would make take() allocate a second buffer.
+    np.take(column, index, out=out, mode="clip")
+    out *= vals
+
+
+def _path_counts(
+    paths: np.ndarray, offsets: np.ndarray, n_labels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transition, start and end counts of flat per-token tag paths."""
+    first = offsets[:-1]
+    inner = np.ones(len(paths), dtype=bool)
+    inner[first] = False
+    t = np.flatnonzero(inner)
+    transition = np.bincount(
+        paths[t - 1] * n_labels + paths[t], minlength=n_labels * n_labels
+    ).reshape(n_labels, n_labels)
+    start = np.bincount(paths[first], minlength=n_labels)
+    end = np.bincount(paths[offsets[1:] - 1], minlength=n_labels)
+    return transition.astype(float), start.astype(float), end.astype(float)
+
+
+def _path_score(
+    e: np.ndarray,
+    paths: np.ndarray,
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray],
+    transition: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+) -> float:
+    """Summed scores of the paths whose `_path_counts` are `counts`."""
+    n_transition, n_start, n_end = counts
+    score = np.take_along_axis(e, paths[:, None], axis=1).sum()
+    score += np.sum(n_transition * transition)
+    score += np.dot(n_start, start) + np.dot(n_end, end)
+    return float(score)
+
+
+# --- log-space inference over one bucket -------------------------------------
+#
+# Every helper below takes the (B, n, L) emissions of B sequences of the
+# same length n and loops over time steps only.
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
 def _forward(
     e: np.ndarray, transition: np.ndarray, start: np.ndarray, end: np.ndarray
-) -> tuple[np.ndarray, float]:
-    n, _ = e.shape
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward log scores alpha (B, n, L) and log Z per sequence (B,)."""
     alpha = np.empty_like(e)
-    alpha[0] = start + e[0]
-    for t in range(1, n):
-        scores = alpha[t - 1][:, None] + transition
-        m = scores.max(axis=0)
-        alpha[t] = e[t] + m + np.log(np.exp(scores - m).sum(axis=0))
-    log_z = _logsumexp(alpha[n - 1] + end)
-    return alpha, log_z
+    alpha[:, 0] = start + e[:, 0]
+    for t in range(1, e.shape[1]):
+        scores = alpha[:, t - 1, :, None] + transition
+        alpha[:, t] = e[:, t] + _logsumexp(scores, axis=1)
+    return alpha, _logsumexp(alpha[:, -1] + end, axis=1)
 
 
 def _backward(
     e: np.ndarray, transition: np.ndarray, end: np.ndarray
 ) -> np.ndarray:
-    n, _ = e.shape
+    """Backward log scores beta (B, n, L)."""
     beta = np.empty_like(e)
-    beta[n - 1] = end
-    for t in range(n - 2, -1, -1):
-        scores = transition + (e[t + 1] + beta[t + 1])[None, :]
-        m = scores.max(axis=1)
-        beta[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+    beta[:, -1] = end
+    for t in range(e.shape[1] - 2, -1, -1):
+        scores = transition + (e[:, t + 1] + beta[:, t + 1])[:, None, :]
+        beta[:, t] = _logsumexp(scores, axis=2)
     return beta
-
-
-def _gold_score(
-    inst_e: np.ndarray,
-    gold: np.ndarray,
-    transition: np.ndarray,
-    start: np.ndarray,
-    end: np.ndarray,
-) -> float:
-    n = inst_e.shape[0]
-    score = start[gold[0]] + end[gold[n - 1]]
-    score += inst_e[np.arange(n), gold].sum()
-    score += transition[gold[:-1], gold[1:]].sum()
-    return float(score)
 
 
 def _viterbi_ids(
     e: np.ndarray, transition: np.ndarray, start: np.ndarray, end: np.ndarray
 ) -> np.ndarray:
-    n, n_labels = e.shape
-    delta = start + e[0]
-    backpointers = np.empty((n, n_labels), dtype=np.int64)
+    """Best tag ids (B, n) per sequence."""
+    n_seq, n, n_labels = e.shape
+    seq = np.arange(n_seq)
+    labels = np.arange(n_labels)
+    delta = start + e[:, 0]
+    backpointers = np.empty((n_seq, n, n_labels), dtype=np.int64)
     for t in range(1, n):
-        scores = delta[:, None] + transition
+        scores = delta[:, :, None] + transition
         # argmax returns the first (lowest-index) maximizer, which is
         # exactly the documented tie-break.
-        best_prev = scores.argmax(axis=0)
-        backpointers[t] = best_prev
-        delta = scores[best_prev, np.arange(n_labels)] + e[t]
-    path = np.empty(n, dtype=np.int64)
-    path[n - 1] = int(np.argmax(delta + end))
+        best_prev = scores.argmax(axis=1)
+        backpointers[:, t] = best_prev
+        delta = scores[seq[:, None], best_prev, labels] + e[:, t]
+    path = np.empty((n_seq, n), dtype=np.int64)
+    path[:, -1] = np.argmax(delta + end, axis=1)
     for t in range(n - 1, 0, -1):
-        path[t - 1] = backpointers[t, path[t]]
+        path[:, t - 1] = backpointers[seq, t, path[:, t]]
     return path
 
 
 # --- model-level operations --------------------------------------------------
 
-def _model_emissions(model: CrfModel, attrs: Sequence[AttributeVector]) -> np.ndarray:
+def _decode(model: CrfModel, enc: Encoding) -> np.ndarray:
+    """Best tag id of every token, bucket by bucket."""
+    e = _emissions(enc, model.state)
+    paths = np.empty(enc.n_tokens, dtype=np.int64)
+    for rows in enc.buckets:
+        paths[rows] = _viterbi_ids(e[rows], model.transition, model.start, model.end)
+    return paths
+
+
+def _encode_one(model: CrfModel, attrs: Sequence[AttributeVector]) -> Encoding:
     if not attrs:
         raise ValidationError("attribute sequence must be non-empty")
-    return _emissions(_encode_attrs(attrs, model.index), model.state)
+    return encode_attributes([attrs], model.index.get)
 
 
 def score_sequence(
@@ -265,44 +361,49 @@ def score_sequence(
         raise ValidationError(
             f"{len(attrs)} attribute vectors but {len(y)} tags"
         )
-    e = _model_emissions(model, attrs)
+    enc = _encode_one(model, attrs)
     gold = np.array([model.alphabet.index(tag) for tag in y], dtype=np.int64)
-    return _gold_score(e, gold, model.transition, model.start, model.end)
+    counts = _path_counts(gold, enc.offsets, model.n_labels)
+    e = _emissions(enc, model.state)
+    return _path_score(e, gold, counts, model.transition, model.start, model.end)
 
 
 def log_partition(model: CrfModel, attrs: Sequence[AttributeVector]) -> float:
     """log of the summed exponentiated scores of all tag sequences."""
-    e = _model_emissions(model, attrs)
-    _, log_z = _forward(e, model.transition, model.start, model.end)
-    return log_z
+    e = _emissions(_encode_one(model, attrs), model.state)
+    _, log_z = _forward(e[None], model.transition, model.start, model.end)
+    return float(log_z[0])
 
 
 def viterbi(model: CrfModel, attrs: Sequence[AttributeVector]) -> list[str]:
     """Highest-scoring tag sequence, lower tag index winning ties."""
-    e = _model_emissions(model, attrs)
-    path = _viterbi_ids(e, model.transition, model.start, model.end)
+    path = _decode(model, _encode_one(model, attrs))
     return [model.alphabet.tags[i] for i in path]
 
 
 # --- training objective ------------------------------------------------------
 
 class TrainingSet:
-    """Encoded instances plus the parameter layout they train against."""
+    """Flat-encoded corpus with gold tags and the parameter layout."""
 
     def __init__(
         self,
-        instances: Sequence[EncodedInstance],
+        encoding: Encoding,
+        gold: np.ndarray,
         n_features: int,
         n_labels: int,
     ) -> None:
-        if not instances:
+        if len(encoding.offsets) < 2:
             raise ValidationError("training set must contain at least one instance")
-        for inst in instances:
-            if inst.gold is None:
-                raise ValidationError("training instances need gold tags")
-        self.instances = list(instances)
+        if gold.shape != (encoding.n_tokens,):
+            raise ValidationError(
+                f"expected {encoding.n_tokens} gold tags, got {gold.shape}"
+            )
+        self.encoding = encoding
+        self.gold = gold
         self.n_features = n_features
         self.n_labels = n_labels
+        self.empirical = _path_counts(gold, encoding.offsets, n_labels)
 
     @property
     def n_parameters(self) -> int:
@@ -312,66 +413,58 @@ class TrainingSet:
         """Negative log-likelihood plus (c2/2)||w||^2, with its gradient.
 
         The gradient is expected feature counts under the model minus
-        empirical counts, plus c2*w.  Instances are accumulated in list
-        order so results are bit-reproducible.
+        empirical counts, plus c2*w.  Sequences are processed in buckets
+        of equal length, in ascending length order, and every sum runs
+        in a fixed order, so results are bit-reproducible.
         """
         if weights.shape != (self.n_parameters,):
             raise ValidationError(
                 f"expected {self.n_parameters} weights, got {weights.shape}"
             )
+        enc = self.encoding
         state, transition, start, end = _unpack(
             weights, self.n_features, self.n_labels
         )
-        grad = np.zeros_like(weights)
+        e = _emissions(enc, state)
+        # Unary marginals, turned into residuals once the gold one-hot
+        # is subtracted below.
+        marginal = np.empty_like(e)
+        pair = np.zeros_like(transition)
+        log_z = 0.0
+        for rows in enc.buckets:
+            e_b = e[rows]
+            alpha, log_z_b = _forward(e_b, transition, start, end)
+            beta = _backward(e_b, transition, end)
+            shift = log_z_b[:, None, None]
+            marginal[rows] = np.exp(alpha + beta - shift)
+            if rows.shape[1] > 1:
+                pair += np.exp(
+                    alpha[:, :-1, :, None]
+                    + transition
+                    + (e_b[:, 1:] + beta[:, 1:])[:, :, None, :]
+                    - shift[..., None]
+                ).sum(axis=(0, 1))
+            log_z += log_z_b.sum()
+        n_transition, n_start, n_end = self.empirical
+        value = float(
+            log_z
+            - _path_score(e, self.gold, self.empirical, transition, start, end)
+        )
+        grad = np.empty_like(weights)
         g_state, g_transition, g_start, g_end = _unpack(
             grad, self.n_features, self.n_labels
         )
-        value = 0.0
-        for inst in self.instances:
-            value += self._accumulate(
-                inst, state, transition, start, end,
-                g_state, g_transition, g_start, g_end,
-            )
+        g_transition[:] = pair - n_transition
+        g_start[:] = marginal[enc.offsets[:-1]].sum(axis=0) - n_start
+        g_end[:] = marginal[enc.offsets[1:] - 1].sum(axis=0) - n_end
+        marginal[np.arange(enc.n_tokens), self.gold] -= 1.0
+        _scatter_state(enc, marginal, g_state)
         if c2 > 0:
             value += 0.5 * c2 * float(np.dot(weights, weights))
             grad += c2 * weights
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise DivergenceError("objective diverged to a non-finite value")
         return value, grad
-
-    def _accumulate(
-        self,
-        inst: EncodedInstance,
-        state: np.ndarray,
-        transition: np.ndarray,
-        start: np.ndarray,
-        end: np.ndarray,
-        g_state: np.ndarray,
-        g_transition: np.ndarray,
-        g_start: np.ndarray,
-        g_end: np.ndarray,
-    ) -> float:
-        e = _emissions(inst, state)
-        alpha, log_z = _forward(e, transition, start, end)
-        beta = _backward(e, transition, end)
-        gold = inst.gold
-        # Unary marginals with the empirical one-hot already subtracted.
-        residual = np.exp(alpha + beta - log_z)
-        residual[np.arange(inst.n), gold] -= 1.0
-        if inst.ids.size:
-            np.add.at(g_state, inst.ids, inst.vals[:, None] * residual[inst.pos])
-        if inst.n > 1:
-            pair = np.exp(
-                alpha[:-1, :, None]
-                + transition[None, :, :]
-                + (e[1:] + beta[1:])[:, None, :]
-                - log_z
-            ).sum(axis=0)
-            g_transition += pair
-            np.subtract.at(g_transition, (gold[:-1], gold[1:]), 1.0)
-        g_start += residual[0]
-        g_end += residual[inst.n - 1]
-        return log_z - _gold_score(e, gold, transition, start, end)
 
 
 def nll_and_gradient(
@@ -394,21 +487,20 @@ def encode_training_set(
     """
     alphabet = alphabet_for(ignore_other)
     index = FeatureIndex()
-    instances: list[EncodedInstance] = []
+    enc = encode_attributes(
+        (windowed_attributes(h, config, embeddings) for h in corpus), index.add
+    )
+    index.freeze()
+    gold: list[int] = []
     for headline in corpus:
-        vecs = windowed_attributes(headline, config, embeddings)
-        for vec in vecs:
-            for name in vec:
-                index.add(name)
-        inst = _encode_attrs(vecs, index)
         spans = headline.spans
         if ignore_other:
             spans = tuple(s for s in spans if s.label == "ENG")
-        tags = spans_to_bio(spans, len(headline))
-        inst.gold = np.array([alphabet.index(t) for t in tags], dtype=np.int64)
-        instances.append(inst)
-    index.freeze()
-    return TrainingSet(instances, len(index), len(alphabet)), index, alphabet
+        gold.extend(alphabet.index(t) for t in spans_to_bio(spans, len(headline)))
+    dataset = TrainingSet(
+        enc, np.array(gold, dtype=np.int64), len(index), len(alphabet)
+    )
+    return dataset, index, alphabet
 
 
 def train(
@@ -453,6 +545,7 @@ def train(
         diagnostics=TrainDiagnostics(
             iterations=result.iterations,
             converged=result.converged,
+            stalled=result.stalled,
             line_search_failed=result.line_search_failed,
             final_objective=result.value,
             objective_trace=result.trace,
@@ -476,13 +569,18 @@ def tag(
             "model uses the embedding family; an embedding table is required"
         )
     tagged: list[Headline] = []
-    for headline in corpus:
-        vecs = windowed_attributes(headline, model.feature_config, embeddings)
-        e = _emissions(_encode_attrs(vecs, model.index), model.state)
-        path = _viterbi_ids(e, model.transition, model.start, model.end)
-        tags = [model.alphabet.tags[i] for i in path]
-        spans = tuple(bio_to_spans(tags))
-        tagged.append(dataclasses.replace(headline, spans=spans))
+    for first in range(0, len(corpus), _TAG_CHUNK):
+        chunk = corpus.headlines[first : first + _TAG_CHUNK]
+        enc = encode_attributes(
+            (windowed_attributes(h, model.feature_config, embeddings) for h in chunk),
+            model.index.get,
+        )
+        tags = [model.alphabet.tags[i] for i in _decode(model, enc).tolist()]
+        bounds = enc.offsets.tolist()
+        tagged.extend(
+            dataclasses.replace(headline, spans=tuple(bio_to_spans(tags[lo:hi])))
+            for headline, lo, hi in zip(chunk, bounds, bounds[1:])
+        )
     return Corpus(corpus.name, tuple(tagged))
 
 

@@ -35,6 +35,8 @@ class DivergenceError(ArithmeticError):
 class OptimResult:
     """Final iterate plus convergence diagnostics.
 
+    `stalled` means the orthant-wise restriction left no coordinate to
+    move along, so the run stopped without meeting the convergence test.
     `trace` holds the full objective (smooth part plus L1 penalty) at
     the start point and after every accepted iteration.
     """
@@ -43,6 +45,7 @@ class OptimResult:
     value: float
     iterations: int
     converged: bool
+    stalled: bool
     line_search_failed: bool
     trace: tuple[float, ...]
 
@@ -99,7 +102,9 @@ def minimize(
     Stops when the relative improvement of the full objective over the
     last `period` accepted iterations falls below `delta`, or after
     `max_iterations` iterations.  A failed line search returns the best
-    iterate found with `line_search_failed` set.
+    iterate found with `line_search_failed` set; a search direction that
+    the orthant restriction zeroes entirely stops the run with `stalled`
+    set.
     """
     if l1 < 0:
         raise ValueError("l1 penalty must be >= 0")
@@ -111,6 +116,7 @@ def minimize(
     y_list: list[np.ndarray] = []
     rho_list: list[float] = []
     converged = False
+    stalled = False
     failed = False
     iterations = 0
     for iteration in range(1, max_iterations + 1):
@@ -123,6 +129,11 @@ def minimize(
             # Orthant-wise step: keep only coordinates that descend.
             direction = np.where(direction * pg < 0, direction, 0.0)
             orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
+        if not np.any(direction):
+            # A zero step would pass the Armijo test with equality and
+            # count as progress; no step here can lower the objective.
+            stalled = True
+            break
         step = 1.0 if s_list else 1.0 / np.linalg.norm(direction)
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
@@ -176,6 +187,7 @@ def minimize(
         value=obj,
         iterations=iterations,
         converged=converged,
+        stalled=stalled,
         line_search_failed=failed,
         trace=tuple(trace),
     )

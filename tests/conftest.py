@@ -180,6 +180,92 @@ def dp_best_path_min_index(e, transition, start, end) -> list[int]:
     return path[::-1]
 
 
+# --- per-headline reference objective ---------------------------------------
+
+def _reference_forward(e, transition, start, end):
+    n, _ = e.shape
+    alpha = np.empty_like(e)
+    alpha[0] = start + e[0]
+    for t in range(1, n):
+        scores = alpha[t - 1][:, None] + transition
+        m = scores.max(axis=0)
+        alpha[t] = e[t] + m + np.log(np.exp(scores - m).sum(axis=0))
+    last = alpha[n - 1] + end
+    m = np.max(last)
+    return alpha, float(m + np.log(np.sum(np.exp(last - m))))
+
+
+def _reference_backward(e, transition, end):
+    n, _ = e.shape
+    beta = np.empty_like(e)
+    beta[n - 1] = end
+    for t in range(n - 2, -1, -1):
+        scores = transition + (e[t + 1] + beta[t + 1])[None, :]
+        m = scores.max(axis=1)
+        beta[t] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+    return beta
+
+
+def _reference_accumulate(
+    ids, vals, pos, gold, state, transition, start, end,
+    g_state, g_transition, g_start, g_end,
+):
+    """One headline's NLL, adding its gradient into the g_* arrays."""
+    n = len(gold)
+    e = np.zeros((n, state.shape[1]))
+    if ids.size:
+        np.add.at(e, pos, vals[:, None] * state[ids])
+    alpha, log_z = _reference_forward(e, transition, start, end)
+    beta = _reference_backward(e, transition, end)
+    # Unary marginals with the empirical one-hot already subtracted.
+    residual = np.exp(alpha + beta - log_z)
+    residual[np.arange(n), gold] -= 1.0
+    if ids.size:
+        np.add.at(g_state, ids, vals[:, None] * residual[pos])
+    if n > 1:
+        pair = np.exp(
+            alpha[:-1, :, None]
+            + transition[None, :, :]
+            + (e[1:] + beta[1:])[:, None, :]
+            - log_z
+        ).sum(axis=0)
+        g_transition += pair
+        np.subtract.at(g_transition, (gold[:-1], gold[1:]), 1.0)
+    g_start += residual[0]
+    g_end += residual[n - 1]
+    gold_score = start[gold[0]] + end[gold[n - 1]]
+    gold_score += e[np.arange(n), gold].sum()
+    gold_score += transition[gold[:-1], gold[1:]].sum()
+    return log_z - float(gold_score)
+
+
+def reference_nll_and_gradient(dataset, weights, c2):
+    """TrainingSet.nll_and_gradient computed one headline at a time."""
+    k, l = dataset.n_features, dataset.n_labels
+    state = weights[: k * l].reshape(k, l)
+    transition = weights[k * l : k * l + l * l].reshape(l, l)
+    start = weights[k * l + l * l : k * l + l * l + l]
+    end = weights[k * l + l * l + l :]
+    grad = np.zeros_like(weights)
+    g_state = grad[: k * l].reshape(k, l)
+    g_transition = grad[k * l : k * l + l * l].reshape(l, l)
+    g_start = grad[k * l + l * l : k * l + l * l + l]
+    g_end = grad[k * l + l * l + l :]
+    enc = dataset.encoding
+    value = 0.0
+    for lo, hi in zip(enc.offsets[:-1], enc.offsets[1:]):
+        a, b = np.searchsorted(enc.token, [lo, hi])
+        value += _reference_accumulate(
+            enc.ids[a:b], enc.vals[a:b], enc.token[a:b] - lo, dataset.gold[lo:hi],
+            state, transition, start, end,
+            g_state, g_transition, g_start, g_end,
+        )
+    if c2 > 0:
+        value += 0.5 * c2 * float(np.dot(weights, weights))
+        grad += c2 * weights
+    return value, grad
+
+
 def model_from_matrices(e, transition, start, end) -> tuple[CrfModel, list[dict]]:
     """Model whose emissions for the returned attrs equal `e` exactly."""
     n, n_labels = e.shape

@@ -162,6 +162,23 @@ class TestTrainTagEval:
         assert p1.read_bytes() == p2.read_bytes()
         capsys.readouterr()
 
+    def test_stalled_run_is_not_reported_as_converged(
+        self, corpora, tmp_path, capsys, monkeypatch
+    ):
+        # An uphill search direction is zeroed entirely by the orthant
+        # mask, so the optimizer stalls on its first iteration.
+        from borrowings import optim
+
+        monkeypatch.setattr(optim, "_two_loop", lambda grad, *pairs: grad.copy())
+        model = tmp_path / "model.crf"
+        assert run([
+            "train", "--train", str(corpora / "train.tsv"),
+            "-o", str(model), "--c1", "0.1",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "trained 0 iterations (stalled)" in err
+        assert "converged" not in err
+
     def test_train_requires_a_training_corpus(self, capsys):
         assert run(["train", "-o", "ignored.crf"]) == 1
         assert "training corpus is required" in capsys.readouterr().err

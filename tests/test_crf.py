@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from borrowings import crf
 from borrowings.corpus import (
     ENG_ALPHABET,
     FULL_ALPHABET,
@@ -11,15 +13,18 @@ from borrowings.corpus import (
     Headline,
     LabeledSpan,
     Token,
+    bio_to_spans,
 )
 from borrowings.crf import (
     CrfModel,
     DivergenceError,
+    TrainingSet,
     ModelDimensionError,
     ModelFormatError,
     ModelTruncatedError,
     ModelVersionError,
     TrainConfig,
+    encode_attributes,
     encode_training_set,
     load_model,
     log_partition,
@@ -32,7 +37,7 @@ from borrowings.crf import (
 )
 from borrowings.errors import ConfigError, ValidationError
 from borrowings.evaluation import evaluate
-from borrowings.features import FeatureConfig
+from borrowings.features import FeatureConfig, windowed_attributes
 from conftest import (
     alphabet_of_size,
     brute_best_path,
@@ -40,6 +45,7 @@ from conftest import (
     dp_best_path_min_index,
     enumerate_scores,
     model_from_matrices,
+    reference_nll_and_gradient,
     synthetic_corpus,
 )
 
@@ -211,7 +217,7 @@ class TestObjective:
     def test_zero_weights_uniform_value(self):
         dataset, index, alphabet = encode_small()
         value, grad = dataset.nll_and_gradient(np.zeros(dataset.n_parameters), 0.0)
-        expected = sum(inst.n * math.log(len(alphabet)) for inst in dataset.instances)
+        expected = dataset.encoding.n_tokens * math.log(len(alphabet))
         assert value == pytest.approx(expected)
         assert grad.shape == (n_parameters(len(index), len(alphabet)),)
 
@@ -265,6 +271,195 @@ class TestObjective:
             dataset.nll_and_gradient(w, 0.0)
 
 
+def indexed_lookup(n_features):
+    """Lookup for attributes `a<k>`: ids below n_features, others dropped."""
+    return lambda name: int(name[1:]) if int(name[1:]) < n_features else None
+
+
+@st.composite
+def flat_training_sets(draw):
+    """(TrainingSet, weights, c2) over mixed lengths and sparse attributes."""
+    n_labels = draw(st.sampled_from([3, 5]))
+    n_features = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        lengths.append(1)
+    attribute = st.tuples(
+        st.integers(0, n_features + 1),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    sequences = [
+        [dict((f"a{k}", v) for k, v in draw(st.lists(attribute, max_size=4)))
+         for _ in range(n)]
+        for n in lengths
+    ]
+    if draw(st.booleans()):
+        # A headline none of whose attributes is indexed.
+        sequences.insert(
+            draw(st.integers(0, len(sequences))),
+            [{f"a{n_features}": 1.0}, {}, {f"a{n_features + 1}": -0.5}],
+        )
+    enc = encode_attributes(sequences, indexed_lookup(n_features))
+    gold = np.array(
+        draw(st.lists(
+            st.integers(0, n_labels - 1),
+            min_size=enc.n_tokens, max_size=enc.n_tokens,
+        )),
+        dtype=np.int64,
+    )
+    dataset = TrainingSet(enc, gold, n_features, n_labels)
+    scale = draw(st.sampled_from([0.01, 0.5, 2.0, 8.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.normal(scale=scale, size=dataset.n_parameters)
+    c2 = draw(st.sampled_from([0.0, 0.3]))
+    return dataset, weights, c2
+
+
+def mixed_length_dataset(n_labels=5, n_features=4, seed=21):
+    """Lengths 1 to 5, some tokens without attributes, random gold."""
+    rng = np.random.default_rng(seed)
+    lengths = [3, 1, 5, 3, 2, 1, 4]
+    sequences = [
+        [
+            {f"a{k}": float(rng.normal()) for k in rng.choice(
+                n_features + 1, size=int(rng.integers(0, 3)), replace=False
+            )}
+            for _ in range(n)
+        ]
+        for n in lengths
+    ]
+    enc = encode_attributes(sequences, indexed_lookup(n_features))
+    gold = rng.integers(0, n_labels, size=enc.n_tokens)
+    return TrainingSet(enc, gold, n_features, n_labels)
+
+
+class TestFlatEncoding:
+    def test_layout(self):
+        enc = encode_attributes(
+            [[{"a0": 1.0, "zz": 5.0}, {"a1": 2.0}], [{}], [{"a1": 3.0}, {"a0": 4.0}]],
+            {"a0": 0, "a1": 1}.get,
+        )
+        assert enc.ids.tolist() == [0, 1, 1, 0]
+        assert enc.vals.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert enc.token.tolist() == [0, 1, 3, 4]
+        assert enc.offsets.tolist() == [0, 2, 3, 5]
+        assert enc.n_tokens == 5
+        # Ascending length; equal lengths keep input order.
+        assert [b.tolist() for b in enc.buckets] == [[[2]], [[0, 1], [3, 4]]]
+
+    def test_emissions_match_scatter_add_exactly(self):
+        dataset, _, _ = encode_small()
+        rng = np.random.default_rng(22)
+        state = rng.normal(size=(dataset.n_features, dataset.n_labels))
+        enc = dataset.encoding
+        expected = np.zeros((enc.n_tokens, dataset.n_labels))
+        np.add.at(expected, enc.token, enc.vals[:, None] * state[enc.ids])
+        assert np.array_equal(crf._emissions(enc, state), expected)
+
+    def test_gold_length_must_match(self):
+        enc = encode_attributes([[{}, {}]], {}.get)
+        with pytest.raises(ValidationError, match="gold tags"):
+            TrainingSet(enc, np.zeros(3, dtype=np.int64), 1, 3)
+
+
+class TestBatchedObjective:
+    @settings(max_examples=80, deadline=None)
+    @given(flat_training_sets())
+    def test_matches_per_headline_oracle(self, case):
+        dataset, weights, c2 = case
+        value, grad = dataset.nll_and_gradient(weights, c2)
+        ref_value, ref_grad = reference_nll_and_gradient(dataset, weights, c2)
+        assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+
+    def test_matches_oracle_on_a_corpus(self):
+        dataset, _, _ = encode_small(n=40, seed=23)
+        rng = np.random.default_rng(24)
+        for scale in (0.0, 0.3, 3.0):
+            w = rng.normal(scale=scale, size=dataset.n_parameters)
+            value, grad = dataset.nll_and_gradient(w, 0.1)
+            ref_value, ref_grad = reference_nll_and_gradient(dataset, w, 0.1)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+
+    def test_repeated_evaluations_are_bit_identical(self):
+        dataset, _, _ = encode_small()
+        w = np.random.default_rng(25).normal(scale=0.5, size=dataset.n_parameters)
+        first_value, first_grad = dataset.nll_and_gradient(w, 0.2)
+        second_value, second_grad = dataset.nll_and_gradient(w, 0.2)
+        assert first_value == second_value
+        assert np.array_equal(first_grad, second_grad)
+
+    def test_gradient_matches_finite_differences_on_mixed_lengths(self):
+        dataset = mixed_length_dataset()
+        rng = np.random.default_rng(26)
+        w = rng.normal(scale=0.5, size=dataset.n_parameters)
+        _, grad = dataset.nll_and_gradient(w, 0.0)
+        h = 1e-5
+        for i in range(dataset.n_parameters):
+            wp = w.copy()
+            wp[i] += h
+            wm = w.copy()
+            wm[i] -= h
+            fd = (
+                dataset.nll_and_gradient(wp, 0.0)[0]
+                - dataset.nll_and_gradient(wm, 0.0)[0]
+            ) / (2 * h)
+            denom = max(abs(grad[i]), abs(fd), 1e-2)
+            assert abs(grad[i] - fd) / denom < 1e-6
+
+
+def split_model(lengths, e, transition, start, end):
+    """Model with one attribute per token, and its per-sequence attrs."""
+    model, attrs = model_from_matrices(e, transition, start, end)
+    bounds = np.cumsum([0, *lengths]).tolist()
+    return model, [attrs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestBucketedViterbi:
+    def test_matches_oracles_per_sequence(self):
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            n_labels = int(rng.integers(2, 6))
+            lengths = rng.integers(1, 6, size=int(rng.integers(1, 8))).tolist()
+            e, t, s, end = random_matrices(rng, sum(lengths), n_labels, scale=2.0)
+            model, seqs = split_model(lengths, e, t, s, end)
+            enc = encode_attributes(seqs, model.index.get)
+            paths = crf._decode(model, enc)
+            for lo, hi in zip(enc.offsets[:-1], enc.offsets[1:]):
+                best_path, _ = brute_best_path(e[lo:hi], t, s, end)
+                assert paths[lo:hi].tolist() == list(best_path)
+
+    def test_forced_ties_break_toward_lower_index(self):
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            n_labels = int(rng.integers(2, 4))
+            lengths = rng.integers(1, 6, size=int(rng.integers(2, 8))).tolist()
+            e = rng.integers(0, 2, size=(sum(lengths), n_labels)).astype(float)
+            t = rng.integers(0, 2, size=(n_labels, n_labels)).astype(float)
+            s = rng.integers(0, 2, size=n_labels).astype(float)
+            end = rng.integers(0, 2, size=n_labels).astype(float)
+            model, seqs = split_model(lengths, e, t, s, end)
+            enc = encode_attributes(seqs, model.index.get)
+            paths = crf._decode(model, enc)
+            for lo, hi in zip(enc.offsets[:-1], enc.offsets[1:]):
+                assert paths[lo:hi].tolist() == dp_best_path_min_index(
+                    e[lo:hi], t, s, end
+                )
+
+    @pytest.mark.parametrize("chunk", [7, 512])
+    def test_tag_matches_per_headline_viterbi(
+        self, trained, small_corpus_module, chunk, monkeypatch
+    ):
+        monkeypatch.setattr(crf, "_TAG_CHUNK", chunk)
+        predicted = tag(trained, small_corpus_module)
+        assert len(predicted) == len(small_corpus_module)
+        for headline, out in zip(small_corpus_module, predicted):
+            attrs = windowed_attributes(headline, trained.feature_config)
+            expected = tuple(bio_to_spans(viterbi(trained, attrs)))
+            assert out.spans == expected
+
+
 class TestEncodeTrainingSet:
     def test_full_alphabet_and_gold_ids(self):
         h = Headline(
@@ -277,7 +472,7 @@ class TestEncodeTrainingSet:
         )
         assert alphabet == FULL_ALPHABET
         assert index.frozen
-        gold = dataset.instances[0].gold
+        gold = dataset.gold
         assert [alphabet.tags[i] for i in gold] == ["B-ENG", "I-ENG", "B-OTHER"]
 
     def test_ignore_other_drops_spans_and_tags(self):
@@ -290,7 +485,7 @@ class TestEncodeTrainingSet:
             Corpus("c", (h,)), FeatureConfig(), ignore_other=True
         )
         assert alphabet == ENG_ALPHABET
-        gold = dataset.instances[0].gold
+        gold = dataset.gold
         assert [alphabet.tags[i] for i in gold] == ["O", "B-ENG"]
 
     def test_empty_corpus_rejected(self):

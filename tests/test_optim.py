@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from borrowings import optim
 from borrowings.optim import DivergenceError, minimize
 
 
@@ -103,6 +104,46 @@ class TestL1:
         result = minimize(quadratic(a), np.zeros(1), l1=0.5, delta=1e-12)
         x = result.x[0]
         assert result.value == pytest.approx(0.5 * (x - 2.0) ** 2 + 0.5 * abs(x))
+
+
+def squared_distance_to_three(x):
+    d = x - 3.0
+    return float(np.dot(d, d)), 2.0 * d
+
+
+class TestStall:
+    """An orthant mask that zeroes the whole direction is a stall."""
+
+    def test_uphill_direction_after_curvature_pairs(self, monkeypatch):
+        two_loop = optim._two_loop
+
+        def uphill_once_pairs_exist(grad, s_list, y_list, rho_list):
+            if s_list:
+                return grad.copy()
+            return two_loop(grad, s_list, y_list, rho_list)
+
+        monkeypatch.setattr(optim, "_two_loop", uphill_once_pairs_exist)
+        result = minimize(squared_distance_to_three, np.zeros(1), l1=0.1, period=5)
+        assert result.stalled
+        assert not result.converged
+        assert not result.line_search_failed
+        assert result.iterations == 1
+        assert len(result.trace) == 2
+
+    def test_uphill_first_direction(self, monkeypatch):
+        # Without curvature pairs the step is 1/||d||, infinite for d = 0.
+        monkeypatch.setattr(optim, "_two_loop", lambda grad, *pairs: grad.copy())
+        result = minimize(squared_distance_to_three, np.zeros(1), l1=0.1, period=5)
+        assert result.stalled
+        assert not result.converged
+        assert not result.line_search_failed
+        assert result.iterations == 0
+        assert np.array_equal(result.x, np.zeros(1))
+
+    def test_normal_runs_do_not_stall(self):
+        result = minimize(quadratic([3.0, -1.0]), np.zeros(2), l1=0.1, delta=1e-10)
+        assert result.converged
+        assert not result.stalled
 
 
 class TestDivergenceHandling:
