@@ -330,6 +330,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         status = "converged"
     elif diag.stalled:
         status = "stalled"
+    elif diag.line_search_failed:
+        status = "line search failed"
     else:
         status = "stopped at the iteration cap"
     print(
@@ -402,10 +404,17 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
     _write_text(out, render_tune_tsv(result))
     sys.stdout.write(render_tune_text(result))
-    failures = sum(1 for r in result.results if r.failed)
+    failed = [r for r in result.results if r.failed]
+    for r in failed:
+        point = r.point
+        print(
+            f"failed: c1={point.c1} c2={point.c2} scaling={point.scaling} "
+            f"embedding={point.embedding_name}: {r.error}",
+            file=sys.stderr,
+        )
     best = result.best.point
     print(
-        f"swept {len(result.results)} grid points ({failures} failed); "
+        f"swept {len(result.results)} grid points ({len(failed)} failed); "
         f"best c1={best.c1} c2={best.c2} scaling={best.scaling} "
         f"embedding={best.embedding_name}",
         file=sys.stderr,
@@ -434,9 +443,11 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     )
     _write_text(out, render_ablation_tsv(result))
     sys.stdout.write(render_ablation_text(result))
-    failures = sum(1 for r in result.rows if r.failed)
+    failed = [r for r in result.rows if r.failed]
+    for r in failed:
+        print(f"failed: {r.name}: {r.error}", file=sys.stderr)
     print(
-        f"ablated {len(result.rows) - 1} families ({failures} failed runs)",
+        f"ablated {len(result.rows) - 1} families ({len(failed)} failed runs)",
         file=sys.stderr,
     )
     return 0

@@ -20,14 +20,28 @@ does the state gradient.  Sequences of equal length form a bucket, and
 forward-backward and Viterbi run over a whole bucket at once, looping
 over time steps only.  Buckets are visited in ascending length order,
 which fixes the order of every sum.
+
+Corpora are encoded without building any windowed attribute name per
+token.  The base names of each token type (`features.base_attributes`)
+are built once per call, and the ids a type contributes at each window
+slot, with or without the quotation attribute, are resolved once, the
+first time a window visits that cell, and then copied for every later
+visit.  Training resolves cells by adding the prefixed names to a fresh
+index; because cells are resolved in the order the windowed vectors
+list their names, ids are numbered exactly as if every name were added
+one by one.  Tagging resolves cells only against the attributes whose
+weight row is nonzero: an attribute whose weights are all zero adds
+exactly 0.0 to every emission, so dropping it leaves every score and
+path bit-identical while the encoding holds far fewer entries.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -42,13 +56,28 @@ from .corpus import (
 )
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, ValidationError
-from .features import AttributeVector, FeatureConfig, FeatureIndex, windowed_attributes
+from .features import (
+    BOS,
+    EOS,
+    QUOTATION,
+    AttributeVector,
+    FeatureConfig,
+    FeatureIndex,
+    base_attributes,
+    embedding_names,
+    embedding_values,
+    offset_prefix,
+    quoted_tokens,
+)
 
 DivergenceError = optim.DivergenceError
 
 # Headlines encoded at once by `tag`: enough for full length buckets,
-# while the flat encoding (about 1 KB per token with the default
-# features) stays a few MB however large the corpus is.
+# while the flat encoding stays a few MB however large the corpus is.
+# An entry takes 32 bytes (id, value, token, one scratch value).  With
+# the default features a token has about 50 windowed attributes, at
+# most 1.6 KB; only the weighted ones are encoded, about 20 per token
+# (0.7 KB) for a model trained with c1 = 0.05.
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
@@ -200,6 +229,12 @@ def encode_attributes(
                     ids.append(i)
                     vals.append(value)
             per_token.append(len(ids) - before)
+    return _flat_encoding(ids, vals, per_token, seq_lengths)
+
+
+def _flat_encoding(
+    ids: array, vals: array, per_token: array, seq_lengths: array
+) -> Encoding:
     lengths = np.frombuffer(seq_lengths, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     buckets = tuple(
@@ -215,6 +250,169 @@ def encode_attributes(
         offsets=offsets,
         buckets=buckets,
     )
+
+
+# --- interned window encoding ------------------------------------------------
+#
+# A resolver maps window slot k (offset k - radius) and a list of base
+# attribute names to their ids there, with None for names it drops.
+
+_Resolver = Callable[[int, Sequence[str]], list]
+
+
+class _Type:
+    """A token type's base attributes and its resolved window cells.
+
+    Cell 2k + q holds the (ids, vals) entries the type contributes at
+    window slot k, with the quotation attribute if q is 1.
+    """
+
+    __slots__ = ("before", "after", "embedding", "cells")
+
+    def __init__(
+        self, before: tuple, after: tuple, embedding: list, width: int
+    ) -> None:
+        self.before = before
+        self.after = after
+        self.embedding = embedding
+        self.cells: list = [None] * (2 * width)
+
+
+def _encode_windows(
+    headlines: Sequence[Headline],
+    config: FeatureConfig,
+    embeddings: EmbeddingTable | None,
+    resolve: _Resolver,
+    known: Container[str] | None = None,
+) -> Encoding:
+    """Flat encoding of the windowed attributes of `headlines`.
+
+    The entries are those of `encode_attributes` over
+    `windowed_attributes`, in the same order, with the ids `resolve`
+    gives.  Base names are built once per token type, and every cell of
+    a type is resolved once, when a window first visits it, so `resolve`
+    sees the names in the order the windowed vectors list them.  When
+    `known` is given, base names outside it, which `resolve` would drop
+    at every slot, are dropped as soon as a type is first seen.
+    """
+    radius = config.window_radius
+    width = 2 * radius + 1
+    emb_names = embedding_names(embeddings.dim) if embeddings is not None else ()
+
+    def resolve_cell(typ: _Type, k: int, quoted: bool) -> tuple[list, list]:
+        if quoted:
+            names = typ.before + (QUOTATION,) + typ.after
+        else:
+            names = typ.before + typ.after
+        ids = [i for i in resolve(k, names) if i is not None]
+        vals = [1.0] * len(ids)
+        if k == radius and typ.embedding:
+            for i, v in zip(resolve(k, emb_names), typ.embedding):
+                if i is not None:
+                    ids.append(i)
+                    vals.append(v)
+        return ids, vals
+
+    # A type that occurs once uses each of its cells once, so it is not
+    # kept in `types`, and its cells are freed with its headline.
+    counts = Counter(
+        (token.text, token.pos) for headline in headlines for token in headline.tokens
+    )
+    types: dict[tuple[str, str | None], _Type] = {}
+    bos = [_Type((BOS,), (), [], width)] * radius
+    eos = [_Type((EOS,), (), [], width)] * radius
+    unquoted = [False] * radius
+    ids = array("q")
+    vals = array("d")
+    per_token = array("q")
+    seq_lengths = array("q")
+    for headline in headlines:
+        row = bos.copy()
+        for token in headline.tokens:
+            typ = types.get((token.text, token.pos))
+            if typ is None:
+                before, after = base_attributes(token.text, token.pos, config)
+                if known is not None:
+                    before = tuple(name for name in before if name in known)
+                    after = tuple(name for name in after if name in known)
+                emb = (
+                    embedding_values(token.text, config, embeddings)
+                    if config.embedding
+                    else []
+                )
+                typ = _Type(before, after, emb, width)
+                if counts[token.text, token.pos] > 1:
+                    types[token.text, token.pos] = typ
+            row.append(typ)
+        row += eos
+        quoted = unquoted + quoted_tokens(headline, config) + unquoted
+        seq_lengths.append(len(headline))
+        for t in range(len(headline)):
+            start = len(ids)
+            for k in range(width):
+                j = t + k
+                typ = row[j]
+                q = quoted[j]
+                cell = typ.cells[2 * k + q]
+                if cell is None:
+                    cell = typ.cells[2 * k + q] = resolve_cell(typ, k, q)
+                ids.extend(cell[0])
+                vals.extend(cell[1])
+            per_token.append(len(ids) - start)
+    return _flat_encoding(ids, vals, per_token, seq_lengths)
+
+
+def _indexing(index: FeatureIndex, radius: int) -> _Resolver:
+    """Resolver that adds every prefixed name to `index`."""
+    prefixes = [offset_prefix(k - radius) for k in range(2 * radius + 1)]
+    add = index.add
+
+    def resolve(k: int, names: Sequence[str]) -> list:
+        prefix = prefixes[k]
+        return [add(prefix + name) for name in names]
+
+    return resolve
+
+
+def _weighted(model: CrfModel) -> tuple[_Resolver, set[str]]:
+    """Resolver to the model's attributes whose weight row is nonzero.
+
+    Every other attribute would add exactly 0.0 to each emission, since
+    attribute values are finite, so dropping it changes no score.  Also
+    returns the base names the resolver knows at some slot.
+    """
+    radius = model.feature_config.window_radius
+    slots = {offset_prefix(k - radius): k for k in range(2 * radius + 1)}
+    tables: list[dict[str, int]] = [{} for _ in slots]
+    for i in np.flatnonzero(model.state.any(axis=1)).tolist():
+        name = model.index.name(i)
+        cut = name.find("]") + 1
+        k = slots.get(name[:cut])
+        if k is not None:
+            tables[k][name[cut:]] = i
+
+    def resolve(k: int, names: Sequence[str]) -> list:
+        table = tables[k]
+        return [table.get(name) for name in names]
+
+    return resolve, set().union(*tables)
+
+
+def index_corpus(
+    corpus: Corpus,
+    config: FeatureConfig,
+    embeddings: EmbeddingTable | None = None,
+) -> tuple[Encoding, FeatureIndex]:
+    """Flat encoding of a corpus, with the frozen index it assigns.
+
+    Ids follow the order in which names first appear in the windowed
+    vectors.
+    """
+    index = FeatureIndex()
+    enc = _encode_windows(
+        corpus.headlines, config, embeddings, _indexing(index, config.window_radius)
+    )
+    return enc, index.freeze()
 
 
 def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
@@ -486,11 +684,7 @@ def encode_training_set(
     the three-tag alphabet is used.
     """
     alphabet = alphabet_for(ignore_other)
-    index = FeatureIndex()
-    enc = encode_attributes(
-        (windowed_attributes(h, config, embeddings) for h in corpus), index.add
-    )
-    index.freeze()
+    enc, index = index_corpus(corpus, config, embeddings)
     gold: list[int] = []
     for headline in corpus:
         spans = headline.spans
@@ -568,12 +762,12 @@ def tag(
         raise ConfigError(
             "model uses the embedding family; an embedding table is required"
         )
+    resolve, known = _weighted(model)
     tagged: list[Headline] = []
     for first in range(0, len(corpus), _TAG_CHUNK):
         chunk = corpus.headlines[first : first + _TAG_CHUNK]
-        enc = encode_attributes(
-            (windowed_attributes(h, model.feature_config, embeddings) for h in chunk),
-            model.index.get,
+        enc = _encode_windows(
+            chunk, model.feature_config, embeddings, resolve, known
         )
         tags = [model.alphabet.tags[i] for i in _decode(model, enc).tolist()]
         bounds = enc.offsets.tolist()
@@ -638,16 +832,19 @@ class _Reader:
     def __init__(self, stream: IO[str]) -> None:
         self.lines = stream.read().split("\n")
         self.pos = 0
+        # A trailing newline yields one final empty chunk, not a line.
+        self.end = len(self.lines) - (self.lines[-1] == "")
+
+    def next_lines(self, count: int, context: str) -> list[str]:
+        end = self.pos + count
+        if end > self.end:
+            raise ModelTruncatedError(f"model file ends inside {context}")
+        block = self.lines[self.pos : end]
+        self.pos = end
+        return block
 
     def next_line(self, context: str) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelTruncatedError(f"model file ends inside {context}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        if self.pos == len(self.lines) and line == "":
-            # A trailing newline yields one final empty chunk, not a line.
-            raise ModelTruncatedError(f"model file ends inside {context}")
-        return line
+        return self.next_lines(1, context)[0]
 
 
 def _parse_floats(
@@ -741,10 +938,12 @@ def load_model(stream: IO[str]) -> CrfModel:
         )
     if reader.next_line("attribute names") != "attribute_names":
         raise ModelFormatError("missing attribute_names section")
-    names = [reader.next_line("attribute names") for _ in range(n_features)]
-    if len(set(names)) != len(names):
-        raise ModelFormatError("duplicate attribute names")
-    index = FeatureIndex.from_names(names)
+    try:
+        index = FeatureIndex.from_names(
+            reader.next_lines(n_features, "attribute names")
+        )
+    except ConfigError:
+        raise ModelFormatError("duplicate attribute names") from None
     sw_parts = reader.next_line("state weight count").split("\t")
     if sw_parts[0] != "state_weights" or len(sw_parts) != 2:
         raise ModelFormatError("missing state_weights section")

@@ -1,12 +1,22 @@
 """Token attribute extraction and the windowed feature representation.
 
-An attribute vector is an ordered mapping from attribute name to a
-finite value, realized as a dict.  Ten independently switchable
-families contribute attributes; a position's final vector is the union
-of its neighbors' attributes within a symmetric window, each name
-prefixed with the originating offset (`[-2]`, `[-1]`, `[0]`, `[+1]`,
-`[+2]`).  Offsets outside the headline contribute a single `[o]BOS` or
-`[o]EOS` attribute.  Embedding attributes are emitted at offset 0 only.
+Ten independently switchable families describe a token.  All but two
+depend only on the token's type, its (text, POS) pair:
+`base_attributes` gives a type's binary attribute names in family
+order, split where the quotation attribute goes.  The quotation flag
+depends on the token's place in its headline (`quotation_flags` marks
+a whole headline at once), and the scaled embedding components
+(`embedding_values`, named `emb0`, `emb1`, ...) are emitted at the
+centre of the window only.
+
+The dict view builds on the same functions.  An attribute vector is an
+ordered mapping from attribute name to a finite value.  A position's
+windowed vector (`windowed_attributes`) is the union of its neighbors'
+attributes within a symmetric window, each name prefixed with the
+originating offset (`[-2]`, `[-1]`, `[0]`, `[+1]`, `[+2]`).  Offsets
+outside the headline contribute a single `[o]BOS` or `[o]EOS`
+attribute.  The CRF encodes corpora from the base names directly,
+without building these dicts; see `crf`.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .corpus import Corpus, Headline
+from .corpus import Corpus, Headline, Token
 from .embeddings import EmbeddingTable
 from .errors import ConfigError
 
@@ -149,45 +159,79 @@ def _is_title(text: str) -> bool:
     return all(not ch.isupper() for ch in text[1:])
 
 
+QUOTATION = "quot=1"
+BOS = "BOS"
+EOS = "EOS"
+
+
+def base_attributes(
+    text: str, pos: str | None, config: FeatureConfig
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Binary attribute names of a token type, before and after `quot=1`.
+
+    Names come in family order.  A trigram that occurs twice in the
+    token is named once, at its first occurrence.
+    """
+    before: list[str] = []
+    if config.bias:
+        before.append("bias")
+    if config.token:
+        before.append(f"w={text}")
+    if config.uppercase and _is_upper(text):
+        before.append("upper=1")
+    if config.titlecase and _is_title(text):
+        before.append("title=1")
+    if config.char_trigram:
+        before.extend(dict.fromkeys(f"tri={gram}" for gram in char_trigrams(text)))
+    after: list[str] = []
+    if config.suffix3:
+        after.append(f"suf3={text[-3:]}")
+    if config.pos and pos is not None:
+        after.append(f"pos={pos}")
+    if config.shape:
+        after.append(f"shape={word_shape(text)}")
+    return tuple(before), tuple(after)
+
+
+def embedding_names(dim: int) -> tuple[str, ...]:
+    return tuple(f"emb{i}" for i in range(dim))
+
+
+def embedding_values(
+    text: str, config: FeatureConfig, embeddings: EmbeddingTable | None
+) -> list[float]:
+    """The token's embedding components times the configured scaling."""
+    if embeddings is None:
+        raise ConfigError(
+            "embedding family is enabled but no embedding table was given"
+        )
+    scale = config.embedding_scaling
+    return [float(component) * scale for component in embeddings.lookup(text)]
+
+
 def _extract(
-    headline: Headline,
-    t: int,
+    token: Token,
+    quoted: bool,
     config: FeatureConfig,
     embeddings: EmbeddingTable | None,
     emit_embedding: bool,
 ) -> AttributeVector:
-    token = headline.tokens[t]
-    text = token.text
-    attrs: AttributeVector = {}
-    if config.bias:
-        attrs["bias"] = 1.0
-    if config.token:
-        attrs[f"w={text}"] = 1.0
-    if config.uppercase and _is_upper(text):
-        attrs["upper=1"] = 1.0
-    if config.titlecase and _is_title(text):
-        attrs["title=1"] = 1.0
-    if config.char_trigram:
-        for gram in char_trigrams(text):
-            attrs[f"tri={gram}"] = 1.0
-    if config.quotation and quotation_flag(headline, t):
-        attrs["quot=1"] = 1.0
-    if config.suffix3:
-        attrs[f"suf3={text[-3:]}"] = 1.0
-    if config.pos and token.pos is not None:
-        attrs[f"pos={token.pos}"] = 1.0
-    if config.shape:
-        attrs[f"shape={word_shape(text)}"] = 1.0
+    before, after = base_attributes(token.text, token.pos, config)
+    attrs = dict.fromkeys(before, 1.0)
+    if quoted:
+        attrs[QUOTATION] = 1.0
+    attrs.update(dict.fromkeys(after, 1.0))
     if config.embedding and emit_embedding:
-        if embeddings is None:
-            raise ConfigError(
-                "embedding family is enabled but no embedding table was given"
-            )
-        vec = embeddings.lookup(text)
-        scale = config.embedding_scaling
-        for i, component in enumerate(vec):
-            attrs[f"emb{i}"] = float(component) * scale
+        values = embedding_values(token.text, config, embeddings)
+        attrs.update(zip(embedding_names(len(values)), values))
     return attrs
+
+
+def quoted_tokens(headline: Headline, config: FeatureConfig) -> list[bool]:
+    """Which tokens get `quot=1`: none when the family is off."""
+    if config.quotation:
+        return quotation_flags(headline)
+    return [False] * len(headline)
 
 
 def extract_token_attributes(
@@ -197,10 +241,12 @@ def extract_token_attributes(
     embeddings: EmbeddingTable | None = None,
 ) -> AttributeVector:
     """Attribute vector of a single token, before windowing."""
-    return _extract(headline, t, config, embeddings, emit_embedding=True)
+    quoted = quoted_tokens(headline, config)[t]
+    return _extract(headline.tokens[t], quoted, config, embeddings, True)
 
 
-def _offset_prefix(offset: int) -> str:
+def offset_prefix(offset: int) -> str:
+    """The prefix that marks attributes of the neighbor at `offset`."""
     return "[0]" if offset == 0 else f"[{offset:+d}]"
 
 
@@ -212,14 +258,15 @@ def windowed_attributes(
     """Window-expanded attribute vectors for every position."""
     n = len(headline)
     radius = config.window_radius
+    quoted = quoted_tokens(headline, config)
     center = [
-        _extract(headline, t, config, embeddings, emit_embedding=True)
-        for t in range(n)
+        _extract(token, q, config, embeddings, emit_embedding=True)
+        for token, q in zip(headline.tokens, quoted)
     ]
     if config.embedding:
         neighbor = [
-            _extract(headline, t, config, embeddings, emit_embedding=False)
-            for t in range(n)
+            _extract(token, q, config, embeddings, emit_embedding=False)
+            for token, q in zip(headline.tokens, quoted)
         ]
     else:
         neighbor = center
@@ -227,12 +274,12 @@ def windowed_attributes(
     for t in range(n):
         vec: AttributeVector = {}
         for offset in range(-radius, radius + 1):
-            prefix = _offset_prefix(offset)
+            prefix = offset_prefix(offset)
             j = t + offset
             if j < 0:
-                vec[f"{prefix}BOS"] = 1.0
+                vec[prefix + BOS] = 1.0
             elif j >= n:
-                vec[f"{prefix}EOS"] = 1.0
+                vec[prefix + EOS] = 1.0
             else:
                 source = center[j] if offset == 0 else neighbor[j]
                 for name, value in source.items():
@@ -283,9 +330,12 @@ class FeatureIndex:
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "FeatureIndex":
+        """Frozen index giving each name its position; names must be distinct."""
         index = cls()
-        for name in names:
-            index.add(name)
+        index._names = list(names)
+        index._ids = dict(zip(index._names, range(len(index._names))))
+        if len(index._ids) != len(index._names):
+            raise ConfigError("duplicate attribute names")
         return index.freeze()
 
 
@@ -295,9 +345,8 @@ def build_index(
     embeddings: EmbeddingTable | None = None,
 ) -> FeatureIndex:
     """Frozen index over every attribute the corpus produces."""
-    index = FeatureIndex()
-    for headline in corpus:
-        for vec in windowed_attributes(headline, config, embeddings):
-            for name in vec:
-                index.add(name)
-    return index.freeze()
+    # The encoder that assigns ids lives with the flat encoding in `crf`,
+    # which imports this module.
+    from .crf import index_corpus
+
+    return index_corpus(corpus, config, embeddings)[1]

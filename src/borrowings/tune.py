@@ -130,9 +130,11 @@ def grid_search(
     """Train and score every grid point, ranking by dev ENG F1.
 
     Ties rank by smaller c1, then c2, then scaling, then embedding list
-    order.  A failed training marks its point failed (ranked last)
-    without aborting the sweep.  The grid's embedding dimension decides
-    whether the embedding family is on, overriding `config`.
+    order.  A point whose training, tagging or scoring raises a
+    ValueError or ArithmeticError (bad data or config, divergence) is
+    marked failed, with the error, and ranked last; the sweep goes on.
+    The grid's embedding dimension decides whether the embedding family
+    is on, overriding `config`.
     """
     points = [
         (c1, c2, scaling, idx, table)
@@ -160,7 +162,9 @@ def grid_search(
             predicted = tag(model, dev_corpus, table)
             report = evaluate(dev_corpus, predicted, ignore_other=True)
             iterations = model.diagnostics.iterations
-        except Exception as exc:  # a single bad point must not kill the sweep
+        except (ValueError, ArithmeticError) as exc:
+            # ValidationError, ConfigError and DivergenceError fail only
+            # this point; anything else is a bug and aborts the sweep.
             return GridResult(point=point, report=None, iterations=0, error=str(exc))
         return GridResult(point=point, report=report, iterations=iterations)
 
@@ -234,7 +238,7 @@ def ablate(
             )
             report = evaluate(dev_corpus, predicted, ignore_other=True)
             iterations = model.diagnostics.iterations
-        except Exception as exc:
+        except (ValueError, ArithmeticError) as exc:  # as in grid_search
             return AblationRow(name=name, report=None, iterations=0, error=str(exc))
         return AblationRow(name=name, report=report, iterations=iterations)
 

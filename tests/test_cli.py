@@ -2,6 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from borrowings.cli import run
@@ -178,6 +179,29 @@ class TestTrainTagEval:
         err = capsys.readouterr().err
         assert "trained 0 iterations (stalled)" in err
         assert "converged" not in err
+
+    def test_failed_line_search_is_not_reported_as_the_cap(
+        self, corpora, tmp_path, capsys, monkeypatch
+    ):
+        from borrowings import optim
+
+        def failing(fun, x0, **kwargs):
+            value = fun(x0)[0]
+            return optim.OptimResult(
+                x=np.array(x0, dtype=float), value=value, iterations=0,
+                converged=False, stalled=False, line_search_failed=True,
+                trace=(value,),
+            )
+
+        monkeypatch.setattr(optim, "minimize", failing)
+        model = tmp_path / "model.crf"
+        assert run([
+            "train", "--train", str(corpora / "train.tsv"), "-o", str(model),
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "warning: line search failed" in err
+        assert "trained 0 iterations (line search failed)" in err
+        assert "iteration cap" not in err
 
     def test_train_requires_a_training_corpus(self, capsys):
         assert run(["train", "-o", "ignored.crf"]) == 1
@@ -416,6 +440,36 @@ class TestTuneCommand:
         assert "swept 2 grid points (0 failed)" in captured.err
         assert "best c1=" in captured.err
 
+    def test_failed_point_error_is_reported(
+        self, corpora, tmp_path, capsys, monkeypatch
+    ):
+        from borrowings import tune
+
+        real_train = tune.train
+
+        def flaky(corpus, cfg, table, tc, **kwargs):
+            if tc.c1 == 0.1:
+                raise ValueError("synthetic failure")
+            return real_train(corpus, cfg, table, tc, **kwargs)
+
+        monkeypatch.setattr(tune, "train", flaky)
+        out = tmp_path / "tune.tsv"
+        assert run(
+            ["tune", "--train", str(corpora / "train.tsv"),
+             "--dev", str(corpora / "apply.tsv"), "-o", str(out),
+             "--c1-values", "0.0,0.1", "--c2-values", "0.05",
+             "--scaling-values", "1.0", "--max-iterations", "10"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert (
+            "failed: c1=0.1 c2=0.05 scaling=1.0 embedding=none: synthetic failure"
+            in captured.err
+        )
+        assert "swept 2 grid points (1 failed)" in captured.err
+        table = out.read_text(encoding="utf-8").splitlines()
+        assert table[2].split("\t")[4:7] == ["failed", "failed", "failed"]
+        assert "synthetic failure" not in captured.out + "\n".join(table)
+
     def test_missing_dev_corpus(self, corpora, capsys, tmp_path):
         assert run(
             ["tune", "--train", str(corpora / "train.tsv"),
@@ -438,6 +492,29 @@ class TestAblateCommand:
         assert len(lines) == 11  # header + all + nine families
         assert lines[1].startswith("all\t")
         assert "ablated 9 families" in captured.err
+
+    def test_failed_variant_error_is_reported(
+        self, corpora, tmp_path, capsys, monkeypatch
+    ):
+        from borrowings import tune
+
+        real_train = tune.train
+
+        def flaky(corpus, cfg, table, tc, **kwargs):
+            if not cfg.shape:
+                raise ArithmeticError("synthetic divergence")
+            return real_train(corpus, cfg, table, tc, **kwargs)
+
+        monkeypatch.setattr(tune, "train", flaky)
+        out = tmp_path / "ablation.tsv"
+        assert run(
+            ["ablate", "--train", str(corpora / "train.tsv"),
+             "--dev", str(corpora / "apply.tsv"),
+             "-o", str(out), "--max-iterations", "5"]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "failed: -shape: synthetic divergence" in err
+        assert "ablated 9 families (1 failed runs)" in err
 
 
 def test_console_script_round_trip(tmp_path):

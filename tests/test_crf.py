@@ -695,6 +695,27 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO("".join(lines[: header_at + 1]) + half))
 
+    def test_end_inside_attribute_names_is_truncation(self, trained):
+        text, _ = self.roundtrip(trained)
+        lines = text.splitlines(keepends=True)
+        first = lines.index("attribute_names\n") + 1
+        last = first + trained.n_features
+        for keep in (first, first + 1, last - 1, last):
+            cut = "".join(lines[:keep])
+            with pytest.raises(ModelTruncatedError):
+                load_model(io.StringIO(cut))
+            # Without its final newline the last name still counts as a line.
+            with pytest.raises(ModelTruncatedError):
+                load_model(io.StringIO(cut.rstrip("\n")))
+
+    def test_duplicate_attribute_names_rejected(self, trained):
+        text, _ = self.roundtrip(trained)
+        lines = text.splitlines(keepends=True)
+        first = lines.index("attribute_names\n") + 1
+        lines[first + 2] = lines[first]
+        with pytest.raises(ModelFormatError, match="duplicate attribute names"):
+            load_model(io.StringIO("".join(lines)))
+
     def test_missing_trailer_is_truncation(self, trained):
         text, _ = self.roundtrip(trained)
         trimmed = text[: text.rindex("end_of_model")]

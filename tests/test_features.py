@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from borrowings.corpus import Headline, Token
+from borrowings.crf import encode_training_set
 from borrowings.embeddings import EmbeddingTable
 from borrowings.errors import ConfigError
 from borrowings.features import (
@@ -286,6 +287,22 @@ class TestFeatureIndex:
         assert index.add("a") == 0  # existing names still resolve
         with pytest.raises(ConfigError):
             index.add("new")
+
+    def test_from_names_rejects_duplicates(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            FeatureIndex.from_names(["a", "b", "a"])
+
+    def test_build_index_matches_training_and_oracle(self):
+        corpus = synthetic_corpus(12, seed=7)
+        config = FeatureConfig()
+        _, trained_index, _ = encode_training_set(corpus, config)
+        oracle = FeatureIndex()
+        for h in corpus:
+            for vec in windowed_attributes(h, config):
+                for name in vec:
+                    oracle.add(name)
+        names = build_index(corpus, config).names()
+        assert names == trained_index.names() == oracle.names()
 
     def test_build_index_deterministic(self):
         corpus = synthetic_corpus(8, seed=6)

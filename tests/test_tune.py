@@ -218,6 +218,22 @@ class TestGridSearch:
         assert bad.eng_f1 == 0.0
         assert result.ranked[-1] is bad
 
+    def test_unexpected_errors_abort_the_sweep(
+        self, train_corpus, dev_corpus, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("a bug, not a bad grid point")
+
+        monkeypatch.setattr(tune, "train", broken)
+        grid = GridSpec(c1_values=(0.0,), c2_values=(0.01,), scaling_values=(1.0,))
+        with pytest.raises(RuntimeError, match="a bug"):
+            grid_search(
+                train_corpus, dev_corpus, FeatureConfig(), grid,
+                quick(max_iterations=10),
+            )
+        with pytest.raises(RuntimeError, match="a bug"):
+            ablate(train_corpus, dev_corpus, FeatureConfig(), quick())
+
 
 class TestTuneRendering:
     def test_tsv_layout(self, small_sweep):
