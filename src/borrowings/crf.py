@@ -29,10 +29,8 @@ first time a window visits that cell, and then copied for every later
 visit.  Training resolves cells by adding the prefixed names to a fresh
 index; because cells are resolved in the order the windowed vectors
 list their names, ids are numbered exactly as if every name were added
-one by one.  Tagging resolves cells only against the attributes whose
-weight row is nonzero: an attribute whose weights are all zero adds
-exactly 0.0 to every emission, so dropping it leaves every score and
-path bit-identical while the encoding holds far fewer entries.
+one by one.  Tagging resolves cells by looking the prefixed names up in
+the model's index and drops the names it does not know.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import dataclasses
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Container, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -76,8 +74,8 @@ DivergenceError = optim.DivergenceError
 # while the flat encoding stays a few MB however large the corpus is.
 # An entry takes 32 bytes (id, value, token, one scratch value).  With
 # the default features a token has about 50 windowed attributes, at
-# most 1.6 KB; only the weighted ones are encoded, about 20 per token
-# (0.7 KB) for a model trained with c1 = 0.05.
+# most 1.6 KB; only the indexed ones are encoded, about 47 per token on
+# open-vocabulary news feeds.
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
@@ -283,7 +281,6 @@ def _encode_windows(
     config: FeatureConfig,
     embeddings: EmbeddingTable | None,
     resolve: _Resolver,
-    known: Container[str] | None = None,
 ) -> Encoding:
     """Flat encoding of the windowed attributes of `headlines`.
 
@@ -291,9 +288,7 @@ def _encode_windows(
     `windowed_attributes`, in the same order, with the ids `resolve`
     gives.  Base names are built once per token type, and every cell of
     a type is resolved once, when a window first visits it, so `resolve`
-    sees the names in the order the windowed vectors list them.  When
-    `known` is given, base names outside it, which `resolve` would drop
-    at every slot, are dropped as soon as a type is first seen.
+    sees the names in the order the windowed vectors list them.
     """
     radius = config.window_radius
     width = 2 * radius + 1
@@ -332,9 +327,6 @@ def _encode_windows(
             typ = types.get((token.text, token.pos))
             if typ is None:
                 before, after = base_attributes(token.text, token.pos, config)
-                if known is not None:
-                    before = tuple(name for name in before if name in known)
-                    after = tuple(name for name in after if name in known)
                 emb = (
                     embedding_values(token.text, config, embeddings)
                     if config.embedding
@@ -362,40 +354,15 @@ def _encode_windows(
     return _flat_encoding(ids, vals, per_token, seq_lengths)
 
 
-def _indexing(index: FeatureIndex, radius: int) -> _Resolver:
-    """Resolver that adds every prefixed name to `index`."""
+def _resolver(lookup: Callable[[str], int | None], radius: int) -> _Resolver:
+    """Resolver that passes every prefixed name to `lookup`."""
     prefixes = [offset_prefix(k - radius) for k in range(2 * radius + 1)]
-    add = index.add
 
     def resolve(k: int, names: Sequence[str]) -> list:
         prefix = prefixes[k]
-        return [add(prefix + name) for name in names]
+        return [lookup(prefix + name) for name in names]
 
     return resolve
-
-
-def _weighted(model: CrfModel) -> tuple[_Resolver, set[str]]:
-    """Resolver to the model's attributes whose weight row is nonzero.
-
-    Every other attribute would add exactly 0.0 to each emission, since
-    attribute values are finite, so dropping it changes no score.  Also
-    returns the base names the resolver knows at some slot.
-    """
-    radius = model.feature_config.window_radius
-    slots = {offset_prefix(k - radius): k for k in range(2 * radius + 1)}
-    tables: list[dict[str, int]] = [{} for _ in slots]
-    for i in np.flatnonzero(model.state.any(axis=1)).tolist():
-        name = model.index.name(i)
-        cut = name.find("]") + 1
-        k = slots.get(name[:cut])
-        if k is not None:
-            tables[k][name[cut:]] = i
-
-    def resolve(k: int, names: Sequence[str]) -> list:
-        table = tables[k]
-        return [table.get(name) for name in names]
-
-    return resolve, set().union(*tables)
 
 
 def index_corpus(
@@ -409,9 +376,8 @@ def index_corpus(
     vectors.
     """
     index = FeatureIndex()
-    enc = _encode_windows(
-        corpus.headlines, config, embeddings, _indexing(index, config.window_radius)
-    )
+    resolve = _resolver(index.add, config.window_radius)
+    enc = _encode_windows(corpus.headlines, config, embeddings, resolve)
     return enc, index.freeze()
 
 
@@ -762,13 +728,11 @@ def tag(
         raise ConfigError(
             "model uses the embedding family; an embedding table is required"
         )
-    resolve, known = _weighted(model)
+    resolve = _resolver(model.index.get, model.feature_config.window_radius)
     tagged: list[Headline] = []
     for first in range(0, len(corpus), _TAG_CHUNK):
         chunk = corpus.headlines[first : first + _TAG_CHUNK]
-        enc = _encode_windows(
-            chunk, model.feature_config, embeddings, resolve, known
-        )
+        enc = _encode_windows(chunk, model.feature_config, embeddings, resolve)
         tags = [model.alphabet.tags[i] for i in _decode(model, enc).tolist()]
         bounds = enc.offsets.tolist()
         tagged.extend(

@@ -144,10 +144,6 @@ def quotation_flags(headline: Headline) -> list[bool]:
     return flags
 
 
-def quotation_flag(headline: Headline, t: int) -> bool:
-    return quotation_flags(headline)[t]
-
-
 def _is_upper(text: str) -> bool:
     cased = [ch for ch in text if ch.isalpha()]
     return bool(cased) and all(not ch.islower() for ch in cased)

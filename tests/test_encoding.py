@@ -3,8 +3,7 @@
 `encode_attributes` over `windowed_attributes` spells out every
 windowed attribute name; the interned encoder behind
 `encode_training_set`, `build_index` and `tag` never builds them.  The
-two must agree entry for entry when training, and on every emission
-bit when tagging.
+two must agree entry for entry, when training and when tagging.
 """
 
 import numpy as np
@@ -175,10 +174,9 @@ class TestTaggingEncoding:
         config, table = config_and_table
         model = random_model(corpus, config, table, seed, zero_share)
         expected = oracle(feed, config, table, model.index.get)
-        got = crf._encode_windows(
-            feed.headlines, config, table, *crf._weighted(model)
-        )
-        assert got.ids.size <= expected.ids.size
+        resolve = crf._resolver(model.index.get, config.window_radius)
+        got = crf._encode_windows(feed.headlines, config, table, resolve)
+        assert_same_encoding(got, expected)
         e_got = crf._emissions(got, model.state)
         e_expected = crf._emissions(expected, model.state)
         assert e_got.tobytes() == e_expected.tobytes()
@@ -189,15 +187,3 @@ class TestTaggingEncoding:
         predicted = tag(model, feed, table)
         for headline, lo, hi in zip(predicted, bounds, bounds[1:]):
             assert headline.spans == tuple(bio_to_spans(tags[lo:hi]))
-
-    def test_only_weighted_attributes_are_encoded(self):
-        corpus = synthetic_corpus(30, seed=43)
-        config = FeatureConfig()
-        model = random_model(corpus, config, None, seed=44, zero_share=0.8)
-        enc = crf._encode_windows(
-            corpus.headlines, config, None, *crf._weighted(model)
-        )
-        weighted = model.state.any(axis=1)
-        assert weighted[enc.ids].all()
-        full = oracle(corpus, config, None, model.index.get)
-        assert np.array_equal(np.sort(enc.ids), np.sort(full.ids[weighted[full.ids]]))

@@ -14,7 +14,6 @@ from borrowings.features import (
     build_index,
     char_trigrams,
     extract_token_attributes,
-    quotation_flag,
     quotation_flags,
     windowed_attributes,
     word_shape,
@@ -76,8 +75,8 @@ class TestQuotation:
 
     def test_quotation_flag_single_position(self):
         h = headline("'", "big", "'")
-        assert quotation_flag(h, 1) is True
-        assert quotation_flag(h, 0) is False
+        assert quotation_flags(h)[1] is True
+        assert quotation_flags(h)[0] is False
 
 
 class TestExtract:
