@@ -13,16 +13,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import Corpus, corpus_stats, read_corpus, render_stats, write_corpus
-from .crf import TrainConfig, load_model, save_model, tag, train
+from .crf import (
+    TYPE_PARSERS,
+    TrainConfig,
+    field_parsers,
+    load_model,
+    save_model,
+    tag,
+    train,
+)
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, ValidationError
 from .evaluation import evaluate, render_report_text, render_report_tsv
-from .features import FAMILIES, FeatureConfig
+from .features import FeatureConfig
 from .ingest import FeedItem, items_to_corpus, parse_rss
 from .tune import (
     GridSpec,
@@ -37,7 +45,11 @@ from .tune import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every setting a subcommand can take, file- or flag-sourced."""
+    """Every setting a subcommand can take, file- or flag-sourced.
+
+    The feature and training keys are the fields of `features` and
+    `training`.
+    """
 
     train_corpus: str | None = None
     dev_corpus: str | None = None
@@ -46,70 +58,17 @@ class RunConfig:
     model: str | None = None
     output_dir: str | None = None
     ignore_other: bool = False
-    # feature families and extraction knobs
-    bias: bool = True
-    token: bool = True
-    uppercase: bool = True
-    titlecase: bool = True
-    char_trigram: bool = True
-    quotation: bool = True
-    suffix3: bool = True
-    pos: bool = True
-    shape: bool = True
-    embedding: bool = False
-    window_radius: int = 2
-    embedding_scaling: float = 1.0
-    # training
-    c1: float = 0.0
-    c2: float = 0.0
-    delta: float = 1e-3
-    period: int = 10
-    max_iterations: int = 1000
-    lbfgs_memory: int = 6
     # grid search
-    c1_values: tuple[float, ...] = (0.01, 0.05, 0.1, 0.5, 1.0)
-    c2_values: tuple[float, ...] = (0.01, 0.05, 0.1, 0.5, 1.0)
-    scaling_values: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
+    c1_values: tuple[float, ...] = GridSpec.c1_values
+    c2_values: tuple[float, ...] = GridSpec.c2_values
+    scaling_values: tuple[float, ...] = GridSpec.scaling_values
     embedding_tables: tuple[str, ...] = ("none",)
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            **{family: getattr(self, family) for family in FAMILIES},
-            window_radius=self.window_radius,
-            embedding_scaling=self.embedding_scaling,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            c1=self.c1,
-            c2=self.c2,
-            delta=self.delta,
-            period=self.period,
-            max_iterations=self.max_iterations,
-            lbfgs_memory=self.lbfgs_memory,
-        )
+    features: FeatureConfig = field(default_factory=FeatureConfig)
+    training: TrainConfig = field(default_factory=TrainConfig)
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValidationError(f"expected true or false, got {raw!r}")
-
-
-def _parse_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"expected an integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(f"expected a number, got {raw!r}") from None
+_parse_int = TYPE_PARSERS["int"]
+_parse_float = TYPE_PARSERS["float"]
 
 
 def _parse_path(raw: str) -> str | None:
@@ -138,15 +97,12 @@ _PATH_KEYS = (
     "model",
     "output_dir",
 )
-_BOOL_KEYS = ("ignore_other", *FAMILIES)
-_INT_KEYS = ("window_radius", "period", "max_iterations", "lbfgs_memory")
-_FLOAT_KEYS = ("embedding_scaling", "c1", "c2", "delta")
 
 _KEY_PARSERS: dict[str, Callable[[str], object]] = {
     **{key: _parse_path for key in _PATH_KEYS},
-    **{key: _parse_bool for key in _BOOL_KEYS},
-    **{key: _parse_int for key in _INT_KEYS},
-    **{key: _parse_float for key in _FLOAT_KEYS},
+    "ignore_other": TYPE_PARSERS["bool"],
+    **field_parsers(FeatureConfig),
+    **field_parsers(TrainConfig),
     "c1_values": _parse_float_list,
     "c2_values": _parse_float_list,
     "scaling_values": _parse_float_list,
@@ -205,7 +161,15 @@ def build_run_config(
                 file=sys.stderr,
             )
         merged[key] = value
-    return RunConfig(**merged)
+    features = _settings(FeatureConfig, merged)
+    training = _settings(TrainConfig, merged)
+    return RunConfig(features=features, training=training, **merged)
+
+
+def _settings(cls: type, values: dict[str, object]) -> object:
+    """`cls` built from the `values` that name its fields, taken out of `values`."""
+    names = [f.name for f in fields(cls) if f.name in values]
+    return cls(**{name: values.pop(name) for name in names})
 
 
 def _require_file(path: str | None, what: str) -> str:
@@ -228,6 +192,10 @@ def _load_table(path: str, what: str) -> EmbeddingTable:
         return load_embeddings(stream, name=Path(path).stem)
 
 
+def _embedding_table(config: RunConfig, used: bool) -> EmbeddingTable | None:
+    return _load_table(config.embeddings, "embeddings file") if used else None
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
         stream.write(text)
@@ -244,12 +212,10 @@ def _output_path(
 
 
 def _flag_values(args: argparse.Namespace) -> dict[str, object]:
-    skip = {"command", "handler", "config", "output", "jobs", "format", "set_name",
-            "rss", "corpus", "gold", "pred"}
     return {
         key: value
         for key, value in vars(args).items()
-        if key not in skip and value is not None
+        if key in _KEY_PARSERS and value is not None
     }
 
 
@@ -295,21 +261,14 @@ def _progress_logger(iteration: int, objective: float) -> None:
 
 def _train_model(config: RunConfig):
     corpus = _read_corpus_file(config.train_corpus, "training corpus")
-    feature_config = config.feature_config()
-    table = None
-    if feature_config.embedding:
-        table = _load_table(
-            _require_file(config.embeddings, "embeddings file"), "embeddings file"
-        )
-    model = train(
+    return train(
         corpus,
-        feature_config,
-        table,
-        config.train_config(),
+        config.features,
+        _embedding_table(config, config.features.embedding),
+        config.training,
         ignore_other=config.ignore_other,
         progress=_progress_logger,
     )
-    return model
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -349,11 +308,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     with open(args.model, encoding="utf-8") as stream:
         model = load_model(stream)
     corpus = _read_corpus_file(args.corpus, "corpus")
-    table = None
-    if model.feature_config.embedding:
-        table = _load_table(
-            _require_file(config.embeddings, "embeddings file"), "embeddings file"
-        )
+    table = _embedding_table(config, model.feature_config.embedding)
     predicted = tag(model, corpus, table)
     with open(args.output, "w", encoding="utf-8", newline="\n") as stream:
         write_corpus(predicted, stream)
@@ -397,9 +352,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     result = grid_search(
         train_corpus,
         dev_corpus,
-        config.feature_config(),
+        config.features,
         _grid_spec(config),
-        config.train_config(),
+        config.training,
         jobs=args.jobs,
     )
     _write_text(out, render_tune_tsv(result))
@@ -427,18 +382,12 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     out = _output_path(args.output, config, "ablation.tsv", "results output path")
     train_corpus = _read_corpus_file(config.train_corpus, "training corpus")
     dev_corpus = _read_corpus_file(config.dev_corpus, "development corpus")
-    feature_config = config.feature_config()
-    table = None
-    if feature_config.embedding:
-        table = _load_table(
-            _require_file(config.embeddings, "embeddings file"), "embeddings file"
-        )
     result = ablate(
         train_corpus,
         dev_corpus,
-        feature_config,
-        config.train_config(),
-        embeddings=table,
+        config.features,
+        config.training,
+        embeddings=_embedding_table(config, config.features.embedding),
         jobs=args.jobs,
     )
     _write_text(out, render_ablation_tsv(result))

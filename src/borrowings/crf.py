@@ -36,6 +36,7 @@ the model's index and drops the names it does not know.
 from __future__ import annotations
 
 import dataclasses
+import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -110,10 +111,10 @@ class TrainConfig:
     lbfgs_memory: int = 6
 
     def __post_init__(self) -> None:
-        if self.c1 < 0 or self.c2 < 0:
-            raise ConfigError("c1 and c2 must be >= 0")
-        if not self.delta > 0:
-            raise ConfigError("delta must be > 0")
+        if not (0 <= self.c1 < math.inf and 0 <= self.c2 < math.inf):
+            raise ConfigError("c1 and c2 must be finite and >= 0")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta must be finite and > 0")
         if self.period < 1:
             raise ConfigError("period must be >= 1")
         if self.max_iterations < 1:
@@ -158,12 +159,6 @@ class CrfModel:
 
 
 # --- parameter vector layout -------------------------------------------------
-
-def _pack(
-    state: np.ndarray, transition: np.ndarray, start: np.ndarray, end: np.ndarray
-) -> np.ndarray:
-    return np.concatenate([state.ravel(), transition.ravel(), start, end])
-
 
 def _unpack(
     weights: np.ndarray, n_features: int, n_labels: int
@@ -748,6 +743,38 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw == "true":
+        return True
+    if raw == "false":
+        return False
+    raise ValidationError(f"expected true or false, got {raw!r}")
+
+
+def _parse_int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"expected an integer, got {raw!r}") from None
+
+
+def _parse_float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValidationError(f"expected a number, got {raw!r}") from None
+
+
+# Parsers of `key=value` settings, in config files and in the model
+# file's config lines, by the declared type of the dataclass field.
+TYPE_PARSERS = {"bool": _parse_bool, "int": _parse_int, "float": _parse_float}
+
+
+def field_parsers(cls: type) -> dict[str, Callable[[str], object]]:
+    """Value parser of every field of a settings dataclass, by its type."""
+    return {f.name: TYPE_PARSERS[f.type] for f in dataclasses.fields(cls)}
+
+
 def _config_echo(config: object) -> str:
     parts = []
     for f in dataclasses.fields(config):
@@ -807,6 +834,10 @@ class _Reader:
         self.pos = end
         return block
 
+    def peek_lines(self, count: int) -> list[str]:
+        """Up to `count` next lines, left unread."""
+        return self.lines[self.pos : min(self.pos + count, self.end)]
+
     def next_line(self, context: str) -> str:
         return self.next_lines(1, context)[0]
 
@@ -833,21 +864,16 @@ def _parse_config_echo(line: str, prefix: str, cls: type) -> object:
     parts = line.split("\t")
     if not parts or parts[0] != prefix:
         raise ModelFormatError(f"expected {prefix} line, got {line!r}")
-    field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+    parsers = field_parsers(cls)
     kwargs: dict[str, object] = {}
     for part in parts[1:]:
         name, _, raw = part.partition("=")
-        if name not in field_types:
+        if name not in parsers:
             raise ModelFormatError(f"unknown {prefix} field {name!r}")
-        kind = field_types[name]
-        if kind == "bool":
-            if raw not in ("true", "false"):
-                raise ModelFormatError(f"bad boolean {raw!r} for {name}")
-            kwargs[name] = raw == "true"
-        elif kind == "int":
-            kwargs[name] = int(raw)
-        else:
-            kwargs[name] = float(raw)
+        try:
+            kwargs[name] = parsers[name](raw)
+        except ValidationError as exc:
+            raise ModelFormatError(f"bad {prefix} field {name!r}: {exc}") from None
     try:
         return cls(**kwargs)
     except (TypeError, ConfigError) as exc:
@@ -920,26 +946,35 @@ def load_model(stream: IO[str]) -> CrfModel:
             f"declared {declared} state weights for a "
             f"{n_features}x{n_labels} weight matrix"
         )
-    state = np.zeros((n_features, n_labels))
-    for _ in range(declared):
-        line = reader.next_line("state weights")
-        if line == "end_of_model":
-            raise ModelDimensionError(
-                f"fewer state weight lines than the declared {declared}"
-            )
+    # Lines are checked in file order before the count is, so a bad line
+    # or an early end_of_model is reported ahead of a truncated file.
+    present = reader.peek_lines(declared)
+    tag_ids = {tag_name: i for i, tag_name in enumerate(alphabet.tags)}
+    rows, cols, weights = [], [], []
+    for line in present:
         fields = line.split("\t")
         if len(fields) != 3:
+            if line == "end_of_model":
+                raise ModelDimensionError(
+                    f"fewer state weight lines than the declared {declared}"
+                )
             raise ModelFormatError("state weight line needs name, tag, weight")
         name, tag_name, raw = fields
         row = index.get(name)
         if row is None:
             raise ModelDimensionError(f"state weight for unknown attribute {name!r}")
-        if tag_name not in alphabet:
+        col = tag_ids.get(tag_name)
+        if col is None:
             raise ModelDimensionError(f"state weight for unknown tag {tag_name!r}")
         try:
-            state[row, alphabet.index(tag_name)] = float(raw)
+            weights.append(float(raw))
         except ValueError:
             raise ModelFormatError("non-numeric state weight") from None
+        rows.append(row)
+        cols.append(col)
+    reader.next_lines(declared, "state weights")
+    state = np.zeros((n_features, n_labels))
+    state[rows, cols] = weights
     trailer = reader.next_line("trailer")
     if trailer != "end_of_model":
         if len(trailer.split("\t")) == 3:

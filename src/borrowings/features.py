@@ -21,6 +21,7 @@ without building these dicts; see `crf`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -64,8 +65,8 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.window_radius < 0:
             raise ConfigError("window_radius must be >= 0")
-        if not self.embedding_scaling > 0:
-            raise ConfigError("embedding_scaling must be positive")
+        if not 0 < self.embedding_scaling < math.inf:
+            raise ConfigError("embedding_scaling must be finite and positive")
         if not self.enabled_families():
             raise ConfigError("at least one attribute family must be enabled")
 

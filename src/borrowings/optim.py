@@ -106,7 +106,7 @@ def minimize(
     the orthant restriction zeroes entirely stops the run with `stalled`
     set.
     """
-    if l1 < 0:
+    if not l1 >= 0:
         raise ValueError("l1 penalty must be >= 0")
     x = np.array(x0, dtype=float)
     f, grad = _evaluate(fun, x)

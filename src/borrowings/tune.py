@@ -1,18 +1,23 @@
 """Grid-search hyperparameter tuning and one-at-a-time feature ablation.
 
 Both harnesses train on the training corpus, score ENG span F1 on the
-development corpus, and ignore OTHER spans throughout.  Grid points run
-independently (optionally in parallel) and results are merged in
-grid-enumeration order, so output is deterministic for any job count.
+development corpus, and ignore OTHER spans throughout.  Each distinct
+configuration is trained once, even when several grid points name it:
+without an embedding table the scaling value changes nothing, so the
+points that differ only in scaling share one run.  Runs are independent
+(optionally in parallel) and results are merged in enumeration order,
+so output is deterministic for any job count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .crf import TrainConfig, tag, train
 from .corpus import Corpus
@@ -41,10 +46,10 @@ class GridSpec:
             raise ConfigError("grid value lists must be non-empty")
         if not self.embedding_tables:
             raise ConfigError("embedding table list must be non-empty")
-        if any(v < 0 for v in self.c1_values + self.c2_values):
-            raise ConfigError("c1 and c2 grid values must be >= 0")
-        if any(not v > 0 for v in self.scaling_values):
-            raise ConfigError("scaling grid values must be positive")
+        if not all(0 <= v < math.inf for v in self.c1_values + self.c2_values):
+            raise ConfigError("c1 and c2 grid values must be finite and >= 0")
+        if not all(0 < v < math.inf for v in self.scaling_values):
+            raise ConfigError("scaling grid values must be finite and positive")
 
     def size(self) -> int:
         return (
@@ -108,15 +113,38 @@ class TuneResult:
         return self.ranked[0]
 
 
-def _run_points(
-    runner: Callable,
-    points: Sequence,
-    jobs: int,
-) -> list:
-    if jobs <= 1:
-        return [runner(point) for point in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(runner, points))
+# One training run: feature config, embedding table, optimizer settings.
+_Job = tuple[FeatureConfig, EmbeddingTable | None, TrainConfig]
+
+
+def _run_jobs(
+    train_corpus: Corpus, dev_corpus: Corpus, jobs: Sequence[_Job], workers: int
+) -> list[tuple[EvalReport | None, int, str | None]]:
+    """(dev report, iterations, error) of every job, in job order.
+
+    Each distinct job is trained, tagged and scored once.  A run that
+    raises a ValueError or ArithmeticError fails alone, with no report;
+    any other exception is a bug and aborts every run.
+    """
+
+    def run(job: _Job) -> tuple[EvalReport | None, int, str | None]:
+        config, table, train_config = job
+        try:
+            model = train(train_corpus, config, table, train_config, ignore_other=True)
+            predicted = tag(model, dev_corpus, table)
+            report = evaluate(dev_corpus, predicted, ignore_other=True)
+        except (ValueError, ArithmeticError) as exc:
+            return None, 0, str(exc)
+        return report, model.diagnostics.iterations, None
+
+    distinct = list(dict.fromkeys(jobs))
+    if workers <= 1:
+        outcomes = [run(job) for job in distinct]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run, distinct))
+    by_job = dict(zip(distinct, outcomes))
+    return [by_job[job] for job in jobs]
 
 
 def grid_search(
@@ -136,39 +164,23 @@ def grid_search(
     The grid's embedding dimension decides whether the embedding family
     is on, overriding `config`.
     """
-    points = [
-        (c1, c2, scaling, idx, table)
-        for c1 in grid.c1_values
-        for c2 in grid.c2_values
-        for scaling in grid.scaling_values
-        for idx, table in enumerate(grid.embedding_tables)
-    ]
-
-    def run(args) -> GridResult:
-        c1, c2, scaling, idx, table = args
-        point = GridPoint(
-            c1=c1,
-            c2=c2,
-            scaling=scaling,
-            embedding_index=idx,
-            embedding_name=table.name if table is not None else "none",
-        )
-        cfg = dataclasses.replace(
-            config, embedding=table is not None, embedding_scaling=scaling
-        )
-        tc = dataclasses.replace(train_config, c1=c1, c2=c2)
-        try:
-            model = train(train_corpus, cfg, table, tc, ignore_other=True)
-            predicted = tag(model, dev_corpus, table)
-            report = evaluate(dev_corpus, predicted, ignore_other=True)
-            iterations = model.diagnostics.iterations
-        except (ValueError, ArithmeticError) as exc:
-            # ValidationError, ConfigError and DivergenceError fail only
-            # this point; anything else is a bug and aborts the sweep.
-            return GridResult(point=point, report=None, iterations=0, error=str(exc))
-        return GridResult(point=point, report=report, iterations=iterations)
-
-    results = tuple(_run_points(run, points, jobs))
+    points: list[GridPoint] = []
+    runs: list[_Job] = []
+    tables = enumerate(grid.embedding_tables)
+    for c1, c2, scaling, (idx, table) in itertools.product(
+        grid.c1_values, grid.c2_values, grid.scaling_values, tables
+    ):
+        name = "none" if table is None else table.name
+        points.append(GridPoint(c1, c2, scaling, idx, name))
+        # Scaling changes nothing without a table, so there it keeps the
+        # config's value and points that differ only in scaling share a run.
+        if table is not None:
+            cfg = dataclasses.replace(config, embedding=True, embedding_scaling=scaling)
+        else:
+            cfg = dataclasses.replace(config, embedding=False)
+        runs.append((cfg, table, dataclasses.replace(train_config, c1=c1, c2=c2)))
+    outcomes = _run_jobs(train_corpus, dev_corpus, runs, jobs)
+    results = tuple(GridResult(p, *outcome) for p, outcome in zip(points, outcomes))
     ranked = tuple(sorted(results, key=_rank_key))
     return TuneResult(results=results, ranked=ranked)
 
@@ -222,27 +234,14 @@ def ablate(
     variants: list[tuple[str, FeatureConfig]] = [("all", config)]
     for family in config.enabled_families():
         variants.append((f"-{family}", config.without(family)))
-
-    def run(args) -> AblationRow:
-        name, cfg = args
-        try:
-            model = train(
-                train_corpus,
-                cfg,
-                embeddings if cfg.embedding else None,
-                train_config,
-                ignore_other=True,
-            )
-            predicted = tag(
-                model, dev_corpus, embeddings if cfg.embedding else None
-            )
-            report = evaluate(dev_corpus, predicted, ignore_other=True)
-            iterations = model.diagnostics.iterations
-        except (ValueError, ArithmeticError) as exc:  # as in grid_search
-            return AblationRow(name=name, report=None, iterations=0, error=str(exc))
-        return AblationRow(name=name, report=report, iterations=iterations)
-
-    return AblationTable(rows=tuple(_run_points(run, variants, jobs)))
+    runs = [
+        (cfg, embeddings if cfg.embedding else None, train_config)
+        for _, cfg in variants
+    ]
+    outcomes = _run_jobs(train_corpus, dev_corpus, runs, jobs)
+    return AblationTable(
+        rows=tuple(AblationRow(name, *o) for (name, _), o in zip(variants, outcomes))
+    )
 
 
 def _format_value(value: float) -> str:
@@ -278,32 +277,38 @@ _TUNE_HEADER = [
 ]
 
 
+def _tsv(header: list[str], rows: list[list[str]]) -> str:
+    return "".join("\t".join(row) + "\n" for row in [header, *rows])
+
+
+def _aligned(header: list[str], rows: list[list[str]]) -> str:
+    """Rows as columns padded to their widest cell, two spaces apart."""
+    rows = [header, *rows]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        + "\n"
+        for row in rows
+    )
+
+
 def render_tune_tsv(result: TuneResult) -> str:
     """Ranked grid results as TSV, best configuration first."""
-    lines = ["\t".join(_TUNE_HEADER)]
-    for row in result.ranked:
-        lines.append("\t".join(_point_cells(row)))
-    return "\n".join(lines) + "\n"
+    return _tsv(_TUNE_HEADER, [_point_cells(row) for row in result.ranked])
 
 
 def render_tune_text(result: TuneResult) -> str:
     """Ranked grid results as an aligned table."""
-    rows = [_TUNE_HEADER] + [_point_cells(row) for row in result.ranked]
-    widths = [max(len(r[i]) for r in rows) for i in range(len(_TUNE_HEADER))]
-    lines = []
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    return _aligned(_TUNE_HEADER, [_point_cells(row) for row in result.ranked])
 
 
 def _ablation_cells(table: AblationTable, row: AblationRow) -> list[str]:
     if row.failed:
         return [row.name, "failed", "failed", "failed", ""]
     eng = row.report.score("ENG")
-    delta = table.delta_f1(row)
-    delta_cell = "" if row is table.baseline else f"{delta:+.2f}"
+    # No change is shown for the baseline itself, or when it failed.
+    delta = None if row is table.baseline else table.delta_f1(row)
+    delta_cell = "" if delta is None else f"{delta:+.2f}"
     return [
         row.name,
         fmt2(eng.precision),
@@ -317,18 +322,10 @@ _ABLATION_HEADER = ["features", "precision", "recall", "f1", "f1_change"]
 
 
 def render_ablation_tsv(table: AblationTable) -> str:
-    lines = ["\t".join(_ABLATION_HEADER)]
-    for row in table.rows:
-        lines.append("\t".join(_ablation_cells(table, row)))
-    return "\n".join(lines) + "\n"
+    return _tsv(_ABLATION_HEADER, [_ablation_cells(table, row) for row in table.rows])
 
 
 def render_ablation_text(table: AblationTable) -> str:
-    rows = [_ABLATION_HEADER] + [_ablation_cells(table, row) for row in table.rows]
-    widths = [max(len(r[i]) for r in rows) for i in range(len(_ABLATION_HEADER))]
-    lines = []
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    return _aligned(
+        _ABLATION_HEADER, [_ablation_cells(table, row) for row in table.rows]
+    )

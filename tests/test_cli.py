@@ -1,12 +1,16 @@
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from borrowings.cli import run
+from borrowings import cli
+from borrowings.cli import RunConfig, run
 from borrowings.corpus import read_corpus, write_corpus
+from borrowings.crf import TrainConfig
+from borrowings.features import FeatureConfig
 from conftest import synthetic_corpus, synthetic_embeddings, write_embeddings_file
 
 DATA = Path(__file__).parent / "data"
@@ -280,6 +284,43 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         assert run(["train", "-c", "absent.conf"]) == 1
         assert "config file not found" in capsys.readouterr().err
+
+    def test_keys_are_the_declared_fields(self):
+        own = {f.name for f in fields(RunConfig)} - {"features", "training"}
+        feature_keys = {f.name for f in fields(FeatureConfig)}
+        train_keys = {f.name for f in fields(TrainConfig)}
+        assert not own & (feature_keys | train_keys)
+        assert set(cli._KEY_PARSERS) == own | feature_keys | train_keys
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--c1", "nan"),
+            ("--c2", "nan"),
+            ("--delta", "inf"),
+            ("--embedding-scaling", "inf"),
+        ],
+    )
+    def test_train_rejects(self, corpora, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.crf"
+        argv = ["train", "--train", str(corpora / "train.tsv"), "-o", str(out)]
+        assert run([*argv, flag, value]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--c1-values", "0.1,nan"), ("--scaling-values", "inf")]
+    )
+    def test_tune_rejects(self, corpora, tmp_path, capsys, flag, value):
+        out = tmp_path / "tune.tsv"
+        assert run(
+            ["tune", "--train", str(corpora / "train.tsv"),
+             "--dev", str(corpora / "apply.tsv"), "-o", str(out), flag, value]
+        ) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

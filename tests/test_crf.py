@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -585,6 +586,12 @@ class TestTrain:
             TrainConfig(max_iterations=0)
         with pytest.raises(ConfigError):
             TrainConfig(period=0)
+        for bad in (
+            {"c1": math.nan}, {"c2": math.nan}, {"c2": math.inf},
+            {"delta": math.inf},
+        ):
+            with pytest.raises(ConfigError, match="finite"):
+                TrainConfig(**bad)
 
 
 class TestTag:
@@ -728,9 +735,12 @@ class TestPersistence:
         header_at = next(
             i for i, line in enumerate(lines) if line.startswith("state_weights\t")
         )
-        del lines[header_at + 1]
-        with pytest.raises(ModelDimensionError, match="fewer state weight"):
-            load_model(io.StringIO("".join(lines)))
+        # With two lines missing the file also ends early; the missing
+        # lines are still reported first, as end_of_model comes before EOF.
+        for missing in (1, 2):
+            cut = lines[: header_at + 1] + lines[header_at + 1 + missing :]
+            with pytest.raises(ModelDimensionError, match="fewer state weight"):
+                load_model(io.StringIO("".join(cut)))
 
     def test_extra_state_weights_rejected(self, trained):
         text, _ = self.roundtrip(trained)
@@ -761,6 +771,23 @@ class TestPersistence:
         lines[header_at + 1] = "\t".join(weight)
         with pytest.raises(ModelDimensionError, match="unknown attribute"):
             load_model(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize(
+        "field, corrupted",
+        [
+            ("window_radius", "window_radius=x"),
+            ("c1", "c1=abc"),
+            ("period", "period"),
+        ],
+    )
+    def test_malformed_config_value_is_a_format_error(
+        self, trained, field, corrupted
+    ):
+        text, _ = self.roundtrip(trained)
+        bad = re.sub(rf"\b{field}=[^\t\n]*", corrupted, text, count=1)
+        assert bad != text
+        with pytest.raises(ModelFormatError, match=f"'{field}'"):
+            load_model(io.StringIO(bad))
 
     def test_non_numeric_weight(self, trained):
         text, _ = self.roundtrip(trained)

@@ -252,6 +252,9 @@ class TestFeatureConfig:
             FeatureConfig(window_radius=-1)
         with pytest.raises(ConfigError):
             FeatureConfig(embedding_scaling=0.0)
+        for scaling in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                FeatureConfig(embedding_scaling=scaling)
         with pytest.raises(ConfigError):
             FeatureConfig(
                 bias=False, token=False, uppercase=False, titlecase=False,

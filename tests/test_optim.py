@@ -69,6 +69,11 @@ class TestSmooth:
         with pytest.raises(ValueError):
             minimize(quadratic([1.0]), np.zeros(1), l1=-0.1)
 
+    def test_nan_l1_rejected(self):
+        # NaN fails both `l1 < 0` and `l1 > 0`, which would turn L1 off.
+        with pytest.raises(ValueError):
+            minimize(quadratic([1.0]), np.zeros(1), l1=float("nan"))
+
 
 class TestL1:
     def test_soft_threshold_solution(self):

@@ -1,11 +1,12 @@
+import dataclasses
 from decimal import Decimal
 
 import pytest
 
 from borrowings import tune
-from borrowings.crf import TrainConfig
+from borrowings.crf import TrainConfig, tag, train
 from borrowings.errors import ConfigError
-from borrowings.evaluation import EvalReport, LabelScore
+from borrowings.evaluation import EvalReport, LabelScore, evaluate
 from borrowings.features import FeatureConfig
 from borrowings.rounding import round2
 from borrowings.tune import (
@@ -83,6 +84,10 @@ class TestGridSpec:
             GridSpec(scaling_values=(0.0,))
         with pytest.raises(ConfigError):
             GridSpec(embedding_tables=())
+        for bad in (float("nan"), float("inf")):
+            for key in ("c1_values", "c2_values", "scaling_values"):
+                with pytest.raises(ConfigError, match="finite"):
+                    GridSpec(**{key: (1.0, bad)})
 
 
 def fake_report(tp, fp, fn):
@@ -158,9 +163,13 @@ class TestGridSearch:
         assert render_tune_tsv(threaded) == reference
         assert threaded.results == small_sweep.results
 
-    def test_scaling_inert_without_embeddings(self, train_corpus, dev_corpus):
+    def test_scaling_inert_without_embeddings(
+        self, train_corpus, dev_corpus, monkeypatch
+    ):
         # With no embedding table the scaling knob changes nothing, so
-        # all three points tie and must rank in ascending scaling order.
+        # all three points tie and must rank in ascending scaling order,
+        # and one training serves them all.
+        calls = count_train_calls(monkeypatch)
         grid = GridSpec(
             c1_values=(0.0,),
             c2_values=(0.01,),
@@ -173,6 +182,23 @@ class TestGridSearch:
         f1s = {r.eng_f1 for r in result.results}
         assert len(f1s) == 1
         assert [r.point.scaling for r in result.ranked] == [0.5, 1.0, 2.0]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_matches_every_point_trained_on_its_own(
+        self, train_corpus, dev_corpus, mixed_grid, monkeypatch, jobs
+    ):
+        grid, expected = mixed_grid
+        calls = count_train_calls(monkeypatch)
+        result = grid_search(
+            train_corpus, dev_corpus, FeatureConfig(), grid,
+            quick(max_iterations=25), jobs=jobs,
+        )
+        # 2 c2 values without a table, 2 c2 x 2 scaling values with one.
+        assert len(calls) == 6
+        assert result.results == expected.results
+        assert render_tune_tsv(result) == render_tune_tsv(expected)
+        assert render_tune_text(result) == render_tune_text(expected)
 
     def test_embedding_tables_enumerated(self, train_corpus, dev_corpus):
         table = synthetic_embeddings(train_corpus)
@@ -233,6 +259,55 @@ class TestGridSearch:
             )
         with pytest.raises(RuntimeError, match="a bug"):
             ablate(train_corpus, dev_corpus, FeatureConfig(), quick())
+
+
+def count_train_calls(monkeypatch):
+    """Record the feature config of every `tune.train` call."""
+    calls = []
+    real_train = tune.train
+
+    def counting(corpus, cfg, table, tc, **kwargs):
+        calls.append(cfg)
+        return real_train(corpus, cfg, table, tc, **kwargs)
+
+    monkeypatch.setattr(tune, "train", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def mixed_grid(train_corpus, dev_corpus):
+    """A grid with and without a table, and its sweep with every point
+    trained, tagged and scored on its own."""
+    table = synthetic_embeddings(train_corpus)
+    grid = GridSpec(
+        c1_values=(0.0,),
+        c2_values=(0.01, 0.1),
+        scaling_values=(0.5, 2.0),
+        embedding_tables=(None, table),
+    )
+    results = []
+    for c1 in grid.c1_values:
+        for c2 in grid.c2_values:
+            for scaling in grid.scaling_values:
+                for idx, table in enumerate(grid.embedding_tables):
+                    cfg = FeatureConfig(
+                        embedding=table is not None, embedding_scaling=scaling
+                    )
+                    tc = dataclasses.replace(quick(max_iterations=25), c1=c1, c2=c2)
+                    model = train(train_corpus, cfg, table, tc, ignore_other=True)
+                    report = evaluate(
+                        dev_corpus, tag(model, dev_corpus, table), ignore_other=True
+                    )
+                    name = table.name if table is not None else "none"
+                    results.append(
+                        GridResult(
+                            point=GridPoint(c1, c2, scaling, idx, name),
+                            report=report,
+                            iterations=model.diagnostics.iterations,
+                        )
+                    )
+    ranked = tuple(sorted(results, key=tune._rank_key))
+    return grid, tune.TuneResult(results=tuple(results), ranked=ranked)
 
 
 class TestTuneRendering:
@@ -361,3 +436,6 @@ class TestAblation:
         )
         table = tune.AblationTable(rows=rows)
         assert table.delta_f1(rows[1]) is None
+        lines = render_ablation_tsv(table).splitlines()
+        assert lines[2].split("\t") == ["-bias", "100.00", "100.00", "100.00", ""]
+        assert "-bias" in render_ablation_text(table)
