@@ -500,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="ranked results TSV to write")
     p.add_argument("--dev", dest="dev_corpus", help="development corpus TSV")
     p.add_argument(
-        "--jobs", type=_parse_int, default=1, help="parallel grid points (default 1)"
+        "--jobs", type=_parse_int, default=1,
+        help="worker processes for the distinct runs, forked with the POSIX "
+        "fork start method; output is identical at any value (default 1)",
     )
     p.add_argument(
         "--c1-values", dest="c1_values", type=_parse_float_list,
@@ -528,7 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="ablation table TSV to write")
     p.add_argument("--dev", dest="dev_corpus", help="development corpus TSV")
     p.add_argument(
-        "--jobs", type=_parse_int, default=1, help="parallel runs (default 1)"
+        "--jobs", type=_parse_int, default=1,
+        help="worker processes for the runs, forked with the POSIX fork start "
+        "method; output is identical at any value (default 1)",
     )
     _add_train_flags(p)
     p.set_defaults(handler=_cmd_ablate)

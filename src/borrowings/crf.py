@@ -31,11 +31,18 @@ index; because cells are resolved in the order the windowed vectors
 list their names, ids are numbered exactly as if every name were added
 one by one.  Tagging resolves cells by looking the prefixed names up in
 the model's index and drops the names it does not know.
+
+A sweep of many runs on the same corpora encodes them once
+(`SharedEncoding`), recording each id's feature family, and derives
+each run's encoding from that one by masking families out and
+rescaling the embedding entries.  `fit` then trains on a derived
+training set, as `train` does on one it encodes itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from array import array
 from collections import Counter
@@ -58,6 +65,7 @@ from .errors import ConfigError, ValidationError
 from .features import (
     BOS,
     EOS,
+    FAMILIES,
     QUOTATION,
     AttributeVector,
     FeatureConfig,
@@ -67,6 +75,7 @@ from .features import (
     embedding_values,
     offset_prefix,
     quoted_tokens,
+    require_table,
 )
 
 DivergenceError = optim.DivergenceError
@@ -253,21 +262,35 @@ def _flat_encoding(
 _Resolver = Callable[[int, Sequence[str]], list]
 
 
+# Family code of the BOS and EOS markers, which belong to no family.
+_NO_FAMILY = len(FAMILIES)
+_QUOTATION = FAMILIES.index("quotation")
+_EMBEDDING = FAMILIES.index("embedding")
+
+
 class _Type:
     """A token type's base attributes and its resolved window cells.
 
     Cell 2k + q holds the (ids, vals) entries the type contributes at
-    window slot k, with the quotation attribute if q is 1.
+    window slot k, with the quotation attribute if q is 1.  When
+    families are recorded, `families[q]` holds the family codes of the
+    names of such a cell, else `families` is None.
     """
 
-    __slots__ = ("before", "after", "embedding", "cells")
+    __slots__ = ("before", "after", "embedding", "families", "cells")
 
     def __init__(
-        self, before: tuple, after: tuple, embedding: list, width: int
+        self,
+        before: tuple,
+        after: tuple,
+        embedding: list,
+        width: int,
+        families: tuple | None = None,
     ) -> None:
         self.before = before
         self.after = after
         self.embedding = embedding
+        self.families = families
         self.cells: list = [None] * (2 * width)
 
 
@@ -276,6 +299,7 @@ def _encode_windows(
     config: FeatureConfig,
     embeddings: EmbeddingTable | None,
     resolve: _Resolver,
+    families: array | None = None,
 ) -> Encoding:
     """Flat encoding of the windowed attributes of `headlines`.
 
@@ -284,20 +308,38 @@ def _encode_windows(
     gives.  Base names are built once per token type, and every cell of
     a type is resolved once, when a window first visits it, so `resolve`
     sees the names in the order the windowed vectors list them.
+
+    Given a `families` array, `resolve` must hand out new ids in order,
+    as a fresh index's `add` does, and the family code of every id it
+    creates is appended to the array: the `FAMILIES` index of the name,
+    or `_NO_FAMILY` for BOS and EOS.
     """
     radius = config.window_radius
     width = 2 * radius + 1
     emb_names = embedding_names(embeddings.dim) if embeddings is not None else ()
+    emb_families = (_EMBEDDING,) * len(emb_names)
+
+    def record(ids: list, codes: tuple) -> None:
+        # A cell names no attribute twice, so its new ids are the ones
+        # past the end of `families`, in ascending order.
+        known = len(families)
+        families.extend(f for i, f in zip(ids, codes) if i >= known)
 
     def resolve_cell(typ: _Type, k: int, quoted: bool) -> tuple[list, list]:
         if quoted:
             names = typ.before + (QUOTATION,) + typ.after
         else:
             names = typ.before + typ.after
-        ids = [i for i in resolve(k, names) if i is not None]
+        resolved = resolve(k, names)
+        if families is not None:
+            record(resolved, typ.families[quoted])
+        ids = [i for i in resolved if i is not None]
         vals = [1.0] * len(ids)
         if k == radius and typ.embedding:
-            for i, v in zip(resolve(k, emb_names), typ.embedding):
+            resolved = resolve(k, emb_names)
+            if families is not None:
+                record(resolved, emb_families)
+            for i, v in zip(resolved, typ.embedding):
                 if i is not None:
                     ids.append(i)
                     vals.append(v)
@@ -309,8 +351,9 @@ def _encode_windows(
         (token.text, token.pos) for headline in headlines for token in headline.tokens
     )
     types: dict[tuple[str, str | None], _Type] = {}
-    bos = [_Type((BOS,), (), [], width)] * radius
-    eos = [_Type((EOS,), (), [], width)] * radius
+    markers = ((_NO_FAMILY,),) * 2 if families is not None else None
+    bos = [_Type((BOS,), (), [], width, markers)] * radius
+    eos = [_Type((EOS,), (), [], width, markers)] * radius
     unquoted = [False] * radius
     ids = array("q")
     vals = array("d")
@@ -321,13 +364,20 @@ def _encode_windows(
         for token in headline.tokens:
             typ = types.get((token.text, token.pos))
             if typ is None:
-                before, after = base_attributes(token.text, token.pos, config)
+                codes = [] if families is not None else None
+                before, after = base_attributes(token.text, token.pos, config, codes)
                 emb = (
                     embedding_values(token.text, config, embeddings)
                     if config.embedding
                     else []
                 )
-                typ = _Type(before, after, emb, width)
+                if codes is not None:
+                    split = len(before)
+                    codes = (
+                        tuple(codes),
+                        (*codes[:split], _QUOTATION, *codes[split:]),
+                    )
+                typ = _Type(before, after, emb, width, codes)
                 if counts[token.text, token.pos] > 1:
                     types[token.text, token.pos] = typ
             row.append(typ)
@@ -646,16 +696,21 @@ def encode_training_set(
     """
     alphabet = alphabet_for(ignore_other)
     enc, index = index_corpus(corpus, config, embeddings)
+    dataset = TrainingSet(
+        enc, _gold(corpus, alphabet, ignore_other), len(index), len(alphabet)
+    )
+    return dataset, index, alphabet
+
+
+def _gold(corpus: Corpus, alphabet: TagAlphabet, ignore_other: bool) -> np.ndarray:
+    """Flat gold tag ids of the corpus, without OTHER spans if asked."""
     gold: list[int] = []
     for headline in corpus:
         spans = headline.spans
         if ignore_other:
             spans = tuple(s for s in spans if s.label == "ENG")
         gold.extend(alphabet.index(t) for t in spans_to_bio(spans, len(headline)))
-    dataset = TrainingSet(
-        enc, np.array(gold, dtype=np.int64), len(index), len(alphabet)
-    )
-    return dataset, index, alphabet
+    return np.array(gold, dtype=np.int64)
 
 
 def train(
@@ -675,6 +730,22 @@ def train(
     dataset, index, alphabet = encode_training_set(
         corpus, config, embeddings, ignore_other
     )
+    return fit(dataset, index, alphabet, config, train_config, progress)
+
+
+def fit(
+    dataset: TrainingSet,
+    index: FeatureIndex,
+    alphabet: TagAlphabet,
+    feature_config: FeatureConfig,
+    train_config: TrainConfig,
+    progress: Callable[[int, float], None] | None = None,
+) -> CrfModel:
+    """Fit a CRF to an encoded training set; see `train`.
+
+    `index`, `alphabet` and `feature_config` are those the training set
+    was encoded with.
+    """
     result = optim.minimize(
         lambda w: dataset.nll_and_gradient(w, train_config.c2),
         np.zeros(dataset.n_parameters),
@@ -695,7 +766,7 @@ def train(
         transition=transition.copy(),
         start=start.copy(),
         end=end.copy(),
-        feature_config=config,
+        feature_config=feature_config,
         train_config=train_config,
         diagnostics=TrainDiagnostics(
             iterations=result.iterations,
@@ -728,13 +799,123 @@ def tag(
     for first in range(0, len(corpus), _TAG_CHUNK):
         chunk = corpus.headlines[first : first + _TAG_CHUNK]
         enc = _encode_windows(chunk, model.feature_config, embeddings, resolve)
-        tags = [model.alphabet.tags[i] for i in _decode(model, enc).tolist()]
-        bounds = enc.offsets.tolist()
-        tagged.extend(
-            dataclasses.replace(headline, spans=tuple(bio_to_spans(tags[lo:hi])))
-            for headline, lo, hi in zip(chunk, bounds, bounds[1:])
-        )
+        tagged.extend(_predicted(model, chunk, enc))
     return Corpus(corpus.name, tuple(tagged))
+
+
+def tag_encoded(model: CrfModel, corpus: Corpus, enc: Encoding) -> Corpus:
+    """`tag`, given the corpus already encoded against the model's index."""
+    return Corpus(corpus.name, tuple(_predicted(model, corpus.headlines, enc)))
+
+
+def _predicted(
+    model: CrfModel, headlines: Sequence[Headline], enc: Encoding
+) -> list[Headline]:
+    tags = [model.alphabet.tags[i] for i in _decode(model, enc).tolist()]
+    bounds = enc.offsets.tolist()
+    return [
+        dataclasses.replace(headline, spans=tuple(bio_to_spans(tags[lo:hi])))
+        for headline, lo, hi in zip(headlines, bounds, bounds[1:])
+    ]
+
+
+# --- one encoding for many runs ------------------------------------------
+
+class SharedEncoding:
+    """Training and development corpora encoded once for many runs.
+
+    Both corpora are encoded under `config` with unscaled embedding
+    components, the development corpus against the training index, as
+    `tag` would.  Every id records its feature family.  `derive` gives
+    the encodings of a config that switches some of those families off
+    and scales the embeddings its own way, equal bit for bit to encoding
+    the corpora afresh:
+
+    - Ids follow first appearance, and dropping a family's names keeps
+      the order of the rest, so a kept id's new number is its rank among
+      the kept ids.  The entries, `token`, `offsets` and buckets follow.
+    - A scaled embedding entry is the unscaled component times the
+      scaling, the same IEEE product `embedding_values` computes.
+    """
+
+    def __init__(
+        self,
+        train_corpus: Corpus,
+        dev_corpus: Corpus,
+        config: FeatureConfig,
+        embeddings: EmbeddingTable | None,
+        ignore_other: bool = False,
+    ) -> None:
+        self.config = dataclasses.replace(config, embedding_scaling=1.0)
+        self.embeddings = embeddings
+        self.alphabet = alphabet_for(ignore_other)
+        radius = config.window_radius
+        index = FeatureIndex()
+        families = array("b")
+        self.train = _encode_windows(
+            train_corpus.headlines,
+            self.config,
+            embeddings,
+            _resolver(index.add, radius),
+            families,
+        )
+        self.index = index.freeze()
+        self.families = np.frombuffer(families, dtype=np.int8)
+        self.gold = _gold(train_corpus, self.alphabet, ignore_other)
+        self.dev = _encode_windows(
+            dev_corpus.headlines,
+            self.config,
+            embeddings,
+            _resolver(self.index.get, radius),
+        )
+
+    def derive(
+        self, config: FeatureConfig
+    ) -> tuple[TrainingSet, FeatureIndex, Encoding]:
+        """Training set, index and development encoding under `config`.
+
+        `config` may differ from the shared one only by families it
+        switches off and by its embedding scaling.
+        """
+        if config.embedding:
+            require_table(self.embeddings)
+        dropped = [
+            f for f in self.config.enabled_families() if not getattr(config, f)
+        ]
+        restored = dataclasses.replace(
+            config, embedding_scaling=1.0, **dict.fromkeys(dropped, True)
+        )
+        if restored != self.config:
+            raise ConfigError(f"{config} cannot be derived from {self.config}")
+        index = self.index
+        keep = None
+        if dropped:
+            kept_families = np.ones(_NO_FAMILY + 1, dtype=bool)
+            kept_families[[FAMILIES.index(f) for f in dropped]] = False
+            keep = kept_families[self.families]
+            index = FeatureIndex.from_names(itertools.compress(index.names(), keep))
+        scaling = config.embedding_scaling if config.embedding else 1.0
+        train = self._variant(self.train, keep, scaling)
+        dev = self._variant(self.dev, keep, scaling)
+        dataset = TrainingSet(train, self.gold, len(index), len(self.alphabet))
+        return dataset, index, dev
+
+    def _variant(
+        self, enc: Encoding, keep: np.ndarray | None, scaling: float
+    ) -> Encoding:
+        """`enc` with only the ids in `keep`, renumbered, and scaled embeddings."""
+        if keep is None and scaling == 1.0:
+            return enc
+        ids, vals, token = enc.ids, enc.vals, enc.token
+        new_ids = ids
+        if keep is not None:
+            kept = keep[ids]
+            ids, vals, token = ids[kept], vals[kept], token[kept]
+            new_ids = (np.cumsum(keep) - 1)[ids]
+        if scaling != 1.0:
+            vals = vals.copy()
+            vals[self.families[ids] == _EMBEDDING] *= scaling
+        return Encoding(new_ids, vals, token, enc.offsets, enc.buckets)
 
 
 # --- persistence ---------------------------------------------------------

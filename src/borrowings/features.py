@@ -160,33 +160,55 @@ QUOTATION = "quot=1"
 BOS = "BOS"
 EOS = "EOS"
 
+# `FAMILIES` indices of the one-name families ahead of the trigrams, and
+# of those after the quotation attribute, in name order.
+_LEADING = tuple(FAMILIES.index(f) for f in ("bias", "token", "uppercase", "titlecase"))
+_TRIGRAM = FAMILIES.index("char_trigram")
+_TRAILING = tuple(FAMILIES.index(f) for f in ("suffix3", "pos", "shape"))
+
 
 def base_attributes(
-    text: str, pos: str | None, config: FeatureConfig
+    text: str,
+    pos: str | None,
+    config: FeatureConfig,
+    families: list[int] | None = None,
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Binary attribute names of a token type, before and after `quot=1`.
 
     Names come in family order.  A trigram that occurs twice in the
-    token is named once, at its first occurrence.
+    token is named once, at its first occurrence.  Given a `families`
+    list, the `FAMILIES` index of every name, `before` then `after`, is
+    appended to it.
     """
     before: list[str] = []
     if config.bias:
         before.append("bias")
     if config.token:
         before.append(f"w={text}")
-    if config.uppercase and _is_upper(text):
+    upper = config.uppercase and _is_upper(text)
+    if upper:
         before.append("upper=1")
-    if config.titlecase and _is_title(text):
+    title = config.titlecase and _is_title(text)
+    if title:
         before.append("title=1")
+    grams = ()
     if config.char_trigram:
-        before.extend(dict.fromkeys(f"tri={gram}" for gram in char_trigrams(text)))
+        grams = dict.fromkeys(f"tri={gram}" for gram in char_trigrams(text))
+        before.extend(grams)
     after: list[str] = []
     if config.suffix3:
         after.append(f"suf3={text[-3:]}")
-    if config.pos and pos is not None:
+    has_pos = config.pos and pos is not None
+    if has_pos:
         after.append(f"pos={pos}")
     if config.shape:
         after.append(f"shape={word_shape(text)}")
+    if families is not None:
+        leading = (config.bias, config.token, upper, title)
+        families.extend(f for f, on in zip(_LEADING, leading) if on)
+        families.extend([_TRIGRAM] * len(grams))
+        trailing = (config.suffix3, has_pos, config.shape)
+        families.extend(f for f, on in zip(_TRAILING, trailing) if on)
     return tuple(before), tuple(after)
 
 
@@ -194,14 +216,19 @@ def embedding_names(dim: int) -> tuple[str, ...]:
     return tuple(f"emb{i}" for i in range(dim))
 
 
-def embedding_values(
-    text: str, config: FeatureConfig, embeddings: EmbeddingTable | None
-) -> list[float]:
-    """The token's embedding components times the configured scaling."""
+def require_table(embeddings: EmbeddingTable | None) -> None:
+    """Raise the error of an enabled embedding family without a table."""
     if embeddings is None:
         raise ConfigError(
             "embedding family is enabled but no embedding table was given"
         )
+
+
+def embedding_values(
+    text: str, config: FeatureConfig, embeddings: EmbeddingTable | None
+) -> list[float]:
+    """The token's embedding components times the configured scaling."""
+    require_table(embeddings)
     scale = config.embedding_scaling
     return [float(component) * scale for component in embeddings.lookup(text)]
 

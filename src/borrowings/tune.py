@@ -4,9 +4,17 @@ Both harnesses train on the training corpus, score ENG span F1 on the
 development corpus, and ignore OTHER spans throughout.  Each distinct
 configuration is trained once, even when several grid points name it:
 without an embedding table the scaling value changes nothing, so the
-points that differ only in scaling share one run.  Runs are independent
-(optionally in parallel) and results are merged in enumeration order,
-so output is deterministic for any job count.
+points that differ only in scaling share one run.
+
+A sweep encodes its corpora once per embedding table
+(`crf.SharedEncoding`), and every run derives its own encoding from
+that one: c1 and c2 points share it unchanged, scaling points rescale
+the embedding entries, and points without a table, like ablation rows,
+mask families out.  With `jobs` above 1 the runs are shared round-robin
+among worker processes forked from the calling process (the POSIX
+`fork` start method), which inherit the encodings and send back only
+their scores; the calling process is one of the workers.  Results are
+merged in enumeration order, so output is identical for any job count.
 """
 
 from __future__ import annotations
@@ -14,17 +22,16 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .crf import TrainConfig, tag, train
+from .crf import SharedEncoding, TrainConfig, fit, tag_encoded
 from .corpus import Corpus
 from .embeddings import EmbeddingTable
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate
-from .features import FeatureConfig
+from .features import FAMILIES, FeatureConfig
 from .rounding import fmt2, round2
 
 
@@ -115,36 +122,137 @@ class TuneResult:
 
 # One training run: feature config, embedding table, optimizer settings.
 _Job = tuple[FeatureConfig, EmbeddingTable | None, TrainConfig]
+_Outcome = tuple[EvalReport | None, int, str | None]
 
 
 def _run_jobs(
     train_corpus: Corpus, dev_corpus: Corpus, jobs: Sequence[_Job], workers: int
-) -> list[tuple[EvalReport | None, int, str | None]]:
+) -> list[_Outcome]:
     """(dev report, iterations, error) of every job, in job order.
 
-    Each distinct job is trained, tagged and scored once.  A run that
-    raises a ValueError or ArithmeticError fails alone, with no report;
-    any other exception is a bug and aborts every run.
+    Each distinct job is trained, tagged and scored once, by one of at
+    most `workers` processes.  A run that raises a ValueError or
+    ArithmeticError fails alone, with no report; any other exception
+    is a bug and aborts every run.
     """
+    if workers < 1:
+        raise ConfigError(f"jobs must be >= 1, got {workers}")
+    distinct = list(dict.fromkeys(jobs))
+    sources = _shared_encodings(train_corpus, dev_corpus, distinct)
 
-    def run(job: _Job) -> tuple[EvalReport | None, int, str | None]:
-        config, table, train_config = job
+    def run(i: int) -> _Outcome:
+        config, _, train_config = distinct[i]
+        source = sources[i]
+        if isinstance(source, Exception):
+            return None, 0, str(source)
         try:
-            model = train(train_corpus, config, table, train_config, ignore_other=True)
-            predicted = tag(model, dev_corpus, table)
+            dataset, index, dev = source.derive(config)
+            model = fit(dataset, index, source.alphabet, config, train_config)
+            predicted = tag_encoded(model, dev_corpus, dev)
             report = evaluate(dev_corpus, predicted, ignore_other=True)
         except (ValueError, ArithmeticError) as exc:
             return None, 0, str(exc)
         return report, model.diagnostics.iterations, None
 
-    distinct = list(dict.fromkeys(jobs))
-    if workers <= 1:
-        outcomes = [run(job) for job in distinct]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, distinct))
+    outcomes = _fork_map(run, len(distinct), min(workers, len(distinct)))
     by_job = dict(zip(distinct, outcomes))
     return [by_job[job] for job in jobs]
+
+
+def _shared_encodings(
+    train_corpus: Corpus, dev_corpus: Corpus, jobs: Sequence[_Job]
+) -> list[SharedEncoding | Exception]:
+    """Each job's shared encoding, or the error that building it raised.
+
+    There is one per embedding table.  Jobs without a table use the
+    first table's, with the embedding family masked out, and get one of
+    their own only when no job has a table.  Each enables every family
+    its jobs enable.
+    """
+    first = next((table for _, table, _ in jobs if table is not None), None)
+    # A job that enables the embedding family without a table fails in
+    # `derive`, so it needs a shared encoding without one.
+    keys = [
+        first if table is None and not config.embedding else table
+        for config, table, _ in jobs
+    ]
+    groups: dict[EmbeddingTable | None, list[FeatureConfig]] = {}
+    for key, (config, _, _) in zip(keys, jobs):
+        groups.setdefault(key, []).append(config)
+    shared: dict[EmbeddingTable | None, SharedEncoding | Exception] = {}
+    for table, configs in groups.items():
+        enabled = {f for config in configs for f in config.enabled_families()}
+        families = {f: f in enabled for f in FAMILIES}
+        families["embedding"] = table is not None
+        try:
+            base = dataclasses.replace(configs[0], **families)
+            shared[table] = SharedEncoding(
+                train_corpus, dev_corpus, base, table, ignore_other=True
+            )
+        except (ValueError, ArithmeticError) as exc:
+            shared[table] = exc
+    return [shared[key] for key in keys]
+
+
+def _fork_map(run: Callable[[int], _Outcome], n: int, workers: int) -> list[_Outcome]:
+    """[run(i) for i in range(n)], shared among `workers` processes.
+
+    Worker w runs i = w, w + workers, ...; worker 0 is the calling
+    process and the others are forked from it, so they inherit
+    everything built before the call instead of receiving it pickled.
+    (A fork copies only the forking thread; the package starts no
+    other.)  An exception that escapes `run` in any worker is raised
+    here, as is the exit of a worker that sent nothing back.
+    """
+    if workers == 1:
+        return [run(i) for i in range(n)]
+    # Imported here, so commands that never fork do not pay for it
+    # (about 10 ms and 0.6 MB).
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for w in range(1, workers):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_serve, args=(run, range(w, n, workers), sender)
+            )
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        outcomes: list = [None] * n
+        outcomes[0::workers] = [run(i) for i in range(0, n, workers)]
+        for w, (child, receiver) in enumerate(children, start=1):
+            try:
+                received = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"worker process {w} exited with code {child.exitcode}"
+                ) from None
+            if isinstance(received, Exception):
+                raise received
+            outcomes[w::workers] = received
+    except BaseException:
+        for child, _ in children:
+            child.kill()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    return outcomes
+
+
+def _serve(run: Callable[[int], _Outcome], indices: range, sender) -> None:
+    """A forked worker's body: send back its outcomes, or what aborted them."""
+    try:
+        result = [run(i) for i in indices]
+    except Exception as exc:  # re-raised by the calling process
+        result = exc
+    sender.send(result)
+    sender.close()
 
 
 def grid_search(
@@ -162,7 +270,8 @@ def grid_search(
     ValueError or ArithmeticError (bad data or config, divergence) is
     marked failed, with the error, and ranked last; the sweep goes on.
     The grid's embedding dimension decides whether the embedding family
-    is on, overriding `config`.
+    is on, overriding `config`.  `jobs` (at least 1) caps the worker
+    processes.
     """
     points: list[GridPoint] = []
     runs: list[_Job] = []
@@ -229,7 +338,8 @@ def ablate(
     """Score the full config and every one-family-off variant.
 
     Rows appear as `all` first, then `-<family>` in the declaration
-    order of the enabled families.
+    order of the enabled families.  `jobs` (at least 1) caps the worker
+    processes.
     """
     variants: list[tuple[str, FeatureConfig]] = [("all", config)]
     for family in config.enabled_families():

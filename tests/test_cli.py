@@ -486,14 +486,14 @@ class TestTuneCommand:
     ):
         from borrowings import tune
 
-        real_train = tune.train
+        real_fit = tune.fit
 
-        def flaky(corpus, cfg, table, tc, **kwargs):
+        def flaky(dataset, index, alphabet, cfg, tc, progress=None):
             if tc.c1 == 0.1:
                 raise ValueError("synthetic failure")
-            return real_train(corpus, cfg, table, tc, **kwargs)
+            return real_fit(dataset, index, alphabet, cfg, tc, progress)
 
-        monkeypatch.setattr(tune, "train", flaky)
+        monkeypatch.setattr(tune, "fit", flaky)
         out = tmp_path / "tune.tsv"
         assert run(
             ["tune", "--train", str(corpora / "train.tsv"),
@@ -518,6 +518,19 @@ class TestTuneCommand:
         ) == 1
         assert "development corpus is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, jobs", [("tune", "0"), ("tune", "-2"), ("ablate", "0"), ("ablate", "-2")]
+    )
+    def test_jobs_below_one_rejected(self, corpora, tmp_path, capsys, command, jobs):
+        assert run(
+            [command, "--train", str(corpora / "train.tsv"),
+             "--dev", str(corpora / "apply.tsv"), "-o", str(tmp_path / "out.tsv"),
+             "--c1-values" if command == "tune" else "--c1", "0.0",
+             "--max-iterations", "3", "--jobs", jobs]
+        ) == 1
+        assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
+
 
 class TestAblateCommand:
     def test_small_ablation(self, corpora, tmp_path, capsys):
@@ -539,14 +552,14 @@ class TestAblateCommand:
     ):
         from borrowings import tune
 
-        real_train = tune.train
+        real_fit = tune.fit
 
-        def flaky(corpus, cfg, table, tc, **kwargs):
+        def flaky(dataset, index, alphabet, cfg, tc, progress=None):
             if not cfg.shape:
                 raise ArithmeticError("synthetic divergence")
-            return real_train(corpus, cfg, table, tc, **kwargs)
+            return real_fit(dataset, index, alphabet, cfg, tc, progress)
 
-        monkeypatch.setattr(tune, "train", flaky)
+        monkeypatch.setattr(tune, "fit", flaky)
         out = tmp_path / "ablation.tsv"
         assert run(
             ["ablate", "--train", str(corpora / "train.tsv"),

@@ -3,8 +3,12 @@
 `encode_attributes` over `windowed_attributes` spells out every
 windowed attribute name; the interned encoder behind
 `encode_training_set`, `build_index` and `tag` never builds them.  The
-two must agree entry for entry, when training and when tagging.
+two must agree entry for entry, when training and when tagging.  The
+encodings a `SharedEncoding` derives for a sweep's runs must in turn
+agree with encoding each run's config afresh.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,12 +18,15 @@ from borrowings import crf
 from borrowings.corpus import Corpus, Headline, Token, bio_to_spans
 from borrowings.crf import (
     CrfModel,
+    SharedEncoding,
     TrainConfig,
     encode_attributes,
     encode_training_set,
+    index_corpus,
     tag,
 )
 from borrowings.embeddings import EmbeddingTable
+from borrowings.errors import ConfigError
 from borrowings.features import (
     FAMILIES,
     FeatureConfig,
@@ -187,3 +194,72 @@ class TestTaggingEncoding:
         predicted = tag(model, feed, table)
         for headline, lo, hi in zip(predicted, bounds, bounds[1:]):
             assert headline.spans == tuple(bio_to_spans(tags[lo:hi]))
+
+
+@st.composite
+def variants(draw):
+    """A shared config and runs derivable from it.
+
+    The runs are the shared config itself, every one-family-off config,
+    and one config with up to three families off, each with its own
+    embedding scaling.
+    """
+    config, table = draw(configs())
+    enabled = config.enabled_families()
+    scaling = st.floats(0.5, 4.0)
+    runs = [dataclasses.replace(config, embedding_scaling=draw(scaling))]
+    runs += [
+        dataclasses.replace(config.without(f), embedding_scaling=draw(scaling))
+        for f in enabled
+        if len(enabled) > 1
+    ]
+    off = draw(st.sets(st.sampled_from(enabled), max_size=min(3, len(enabled) - 1)))
+    runs.append(
+        dataclasses.replace(
+            config, **dict.fromkeys(off, False), embedding_scaling=draw(scaling)
+        )
+    )
+    return config, table, runs
+
+
+class TestDerivedEncoding:
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), corpora(words=WORDS + UNSEEN), variants())
+    def test_matches_encoding_afresh(self, corpus, feed, shared_and_runs):
+        config, table, runs = shared_and_runs
+        shared = SharedEncoding(corpus, feed, config, table, ignore_other=True)
+        for run in runs:
+            run_table = table if run.embedding else None
+            dataset, index, dev = shared.derive(run)
+            expected, expected_index = index_corpus(corpus, run, run_table)
+            assert index.names() == expected_index.names(), run
+            assert_same_encoding(dataset.encoding, expected)
+            fresh, _, _ = encode_training_set(corpus, run, run_table, ignore_other=True)
+            assert np.array_equal(dataset.gold, fresh.gold)
+            assert dataset.n_features == fresh.n_features
+            resolve = crf._resolver(expected_index.get, run.window_radius)
+            expected_dev = crf._encode_windows(feed.headlines, run, run_table, resolve)
+            assert_same_encoding(dev, expected_dev)
+
+    def test_runs_leave_the_shared_encoding_untouched(self):
+        corpus = synthetic_corpus(20, seed=43)
+        table = synthetic_embeddings(corpus, dim=4, seed=44)
+        config = FeatureConfig(embedding=True)
+        shared = SharedEncoding(corpus, corpus, config, table)
+        before = shared.train.vals.tobytes(), shared.dev.vals.tobytes()
+        shared.derive(dataclasses.replace(config, embedding_scaling=3.0))
+        shared.derive(config.without("token"))
+        assert (shared.train.vals.tobytes(), shared.dev.vals.tobytes()) == before
+        dataset, index, dev = shared.derive(config)
+        assert dataset.encoding is shared.train and dev is shared.dev
+        assert index is shared.index
+
+    def test_only_switched_off_families_and_scaling_may_differ(self):
+        corpus = synthetic_corpus(5, seed=45)
+        shared = SharedEncoding(corpus, corpus, FeatureConfig(suffix3=False), None)
+        with pytest.raises(ConfigError, match="cannot be derived"):
+            shared.derive(FeatureConfig())
+        with pytest.raises(ConfigError, match="cannot be derived"):
+            shared.derive(FeatureConfig(suffix3=False, window_radius=1))
+        with pytest.raises(ConfigError, match="no embedding table"):
+            shared.derive(FeatureConfig(suffix3=False, embedding=True))

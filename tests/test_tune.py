@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from decimal import Decimal
 
 import pytest
@@ -164,12 +165,12 @@ class TestGridSearch:
         assert threaded.results == small_sweep.results
 
     def test_scaling_inert_without_embeddings(
-        self, train_corpus, dev_corpus, monkeypatch
+        self, train_corpus, dev_corpus, monkeypatch, tmp_path
     ):
         # With no embedding table the scaling knob changes nothing, so
         # all three points tie and must rank in ascending scaling order,
         # and one training serves them all.
-        calls = count_train_calls(monkeypatch)
+        calls = count_fit_calls(monkeypatch, tmp_path)
         grid = GridSpec(
             c1_values=(0.0,),
             c2_values=(0.01,),
@@ -182,20 +183,30 @@ class TestGridSearch:
         f1s = {r.eng_f1 for r in result.results}
         assert len(f1s) == 1
         assert [r.point.scaling for r in result.ranked] == [0.5, 1.0, 2.0]
-        assert len(calls) == 1
+        assert calls() == 1
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_matches_every_point_trained_on_its_own(
-        self, train_corpus, dev_corpus, mixed_grid, monkeypatch, jobs
+        self, train_corpus, dev_corpus, mixed_grid, monkeypatch, tmp_path, jobs
     ):
         grid, expected = mixed_grid
-        calls = count_train_calls(monkeypatch)
+        calls = count_fit_calls(monkeypatch, tmp_path)
+        encodings = []
+
+        class CountedEncoding(tune.SharedEncoding):
+            def __init__(self, *args, **kwargs):
+                encodings.append(args[3])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tune, "SharedEncoding", CountedEncoding)
         result = grid_search(
             train_corpus, dev_corpus, FeatureConfig(), grid,
             quick(max_iterations=25), jobs=jobs,
         )
         # 2 c2 values without a table, 2 c2 x 2 scaling values with one.
-        assert len(calls) == 6
+        assert calls() == 6
+        # One encoding, with the table; the points without one mask it.
+        assert encodings == [grid.embedding_tables[1]]
         assert result.results == expected.results
         assert render_tune_tsv(result) == render_tune_tsv(expected)
         assert render_tune_text(result) == render_tune_text(expected)
@@ -220,58 +231,136 @@ class TestGridSearch:
     def test_one_bad_point_does_not_kill_the_sweep(
         self, train_corpus, dev_corpus, monkeypatch
     ):
-        real_train = tune.train
+        real_fit = tune.fit
 
-        def flaky(corpus, cfg, table, tc, **kwargs):
+        def flaky(dataset, index, alphabet, cfg, tc, progress=None):
             if tc.c1 == 0.5:
                 raise ValueError("synthetic failure")
-            return real_train(corpus, cfg, table, tc, **kwargs)
+            return real_fit(dataset, index, alphabet, cfg, tc, progress)
 
-        monkeypatch.setattr(tune, "train", flaky)
+        monkeypatch.setattr(tune, "fit", flaky)
         grid = GridSpec(
             c1_values=(0.0, 0.5),
             c2_values=(0.01,),
             scaling_values=(1.0,),
         )
-        result = grid_search(
-            train_corpus, dev_corpus, FeatureConfig(), grid,
-            quick(max_iterations=10),
-        )
-        ok, bad = result.results
-        assert not ok.failed
-        assert bad.failed
-        assert bad.error == "synthetic failure"
-        assert bad.eng_f1 == 0.0
-        assert result.ranked[-1] is bad
+        # The failing point is the second distinct run, which a forked
+        # worker runs at jobs=2.
+        for jobs in (1, 2):
+            result = grid_search(
+                train_corpus, dev_corpus, FeatureConfig(), grid,
+                quick(max_iterations=10), jobs=jobs,
+            )
+            ok, bad = result.results
+            assert not ok.failed
+            assert bad.failed
+            assert bad.error == "synthetic failure"
+            assert bad.eng_f1 == 0.0
+            assert result.ranked[-1] is bad
 
     def test_unexpected_errors_abort_the_sweep(
         self, train_corpus, dev_corpus, monkeypatch
     ):
-        def broken(*args, **kwargs):
-            raise RuntimeError("a bug, not a bad grid point")
+        real_fit = tune.fit
 
-        monkeypatch.setattr(tune, "train", broken)
-        grid = GridSpec(c1_values=(0.0,), c2_values=(0.01,), scaling_values=(1.0,))
-        with pytest.raises(RuntimeError, match="a bug"):
+        def broken(dataset, index, alphabet, cfg, tc, progress=None):
+            # The second distinct run of the grid and of the ablation.
+            if tc.c1 == 0.5 or not cfg.bias:
+                raise RuntimeError("a bug, not a bad grid point")
+            return real_fit(dataset, index, alphabet, cfg, tc, progress)
+
+        monkeypatch.setattr(tune, "fit", broken)
+        grid = GridSpec(
+            c1_values=(0.0, 0.5), c2_values=(0.01,), scaling_values=(1.0,)
+        )
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError, match="a bug"):
+                grid_search(
+                    train_corpus, dev_corpus, FeatureConfig(), grid,
+                    quick(max_iterations=10), jobs=jobs,
+                )
+            with pytest.raises(RuntimeError, match="a bug"):
+                ablate(
+                    train_corpus, dev_corpus, FeatureConfig(),
+                    quick(max_iterations=10), jobs=jobs,
+                )
+
+    def test_a_worker_that_dies_aborts_the_sweep(
+        self, train_corpus, dev_corpus, monkeypatch
+    ):
+        real_fit = tune.fit
+
+        def dying(dataset, index, alphabet, cfg, tc, progress=None):
+            if tc.c1 == 0.5:
+                os._exit(3)  # as a worker killed for memory would end
+            return real_fit(dataset, index, alphabet, cfg, tc, progress)
+
+        monkeypatch.setattr(tune, "fit", dying)
+        grid = GridSpec(
+            c1_values=(0.0, 0.5), c2_values=(0.01,), scaling_values=(1.0,)
+        )
+        with pytest.raises(RuntimeError, match="worker process 1 exited with code 3"):
             grid_search(
                 train_corpus, dev_corpus, FeatureConfig(), grid,
-                quick(max_iterations=10),
+                quick(max_iterations=5), jobs=2,
             )
-        with pytest.raises(RuntimeError, match="a bug"):
-            ablate(train_corpus, dev_corpus, FeatureConfig(), quick())
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, train_corpus, dev_corpus, jobs):
+        grid = GridSpec(c1_values=(0.0,), c2_values=(0.01,), scaling_values=(1.0,))
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            grid_search(
+                train_corpus, dev_corpus, FeatureConfig(), grid, quick(), jobs=jobs
+            )
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            ablate(train_corpus, dev_corpus, FeatureConfig(), quick(), jobs=jobs)
+
+    def test_workers_capped_at_distinct_runs(
+        self, train_corpus, dev_corpus, monkeypatch
+    ):
+        # Recorded, then run in this process: no worker is forked.
+        workers = []
+
+        def serial(run, n, count):
+            workers.append(count)
+            return [run(i) for i in range(n)]
+
+        monkeypatch.setattr(tune, "_fork_map", serial)
+        grid = GridSpec(
+            c1_values=(0.0, 0.5), c2_values=(0.01,), scaling_values=(1.0, 2.0)
+        )
+        grid_search(
+            train_corpus, dev_corpus, FeatureConfig(), grid,
+            quick(max_iterations=5), jobs=10**6,
+        )
+        ablate(
+            train_corpus, dev_corpus, FeatureConfig(), quick(max_iterations=5),
+            jobs=10**6,
+        )
+        # 4 points differing only in scaling share 2 runs; 10 ablation rows.
+        assert workers == [2, 10]
 
 
-def count_train_calls(monkeypatch):
-    """Record the feature config of every `tune.train` call."""
-    calls = []
-    real_train = tune.train
+def count_fit_calls(monkeypatch, tmp_path):
+    """Count `tune.fit` calls, forked workers' included.
 
-    def counting(corpus, cfg, table, tc, **kwargs):
-        calls.append(cfg)
-        return real_train(corpus, cfg, table, tc, **kwargs)
+    Each call appends a line to a file opened with O_APPEND, which
+    every process shares; the returned function reads the count.
+    """
+    path = tmp_path / "fit-calls"
+    path.write_bytes(b"")
+    real_fit = tune.fit
 
-    monkeypatch.setattr(tune, "train", counting)
-    return calls
+    def counting(dataset, index, alphabet, cfg, tc, progress=None):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, b"fit\n")
+        finally:
+            os.close(fd)
+        return real_fit(dataset, index, alphabet, cfg, tc, progress)
+
+    monkeypatch.setattr(tune, "fit", counting)
+    return lambda: path.read_bytes().count(b"\n")
 
 
 @pytest.fixture(scope="module")
@@ -402,14 +491,14 @@ class TestAblation:
     def test_failed_variant_renders_failed_cells(
         self, train_corpus, dev_corpus, monkeypatch
     ):
-        real_train = tune.train
+        real_fit = tune.fit
 
-        def flaky(corpus, cfg, table, tc, **kwargs):
+        def flaky(dataset, index, alphabet, cfg, tc, progress=None):
             if not cfg.token:
                 raise ValueError("synthetic failure")
-            return real_train(corpus, cfg, table, tc, **kwargs)
+            return real_fit(dataset, index, alphabet, cfg, tc, progress)
 
-        monkeypatch.setattr(tune, "train", flaky)
+        monkeypatch.setattr(tune, "fit", flaky)
         result = ablate(
             train_corpus,
             dev_corpus,
