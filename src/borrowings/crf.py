@@ -6,10 +6,21 @@ weights S and E.  A tag sequence scores
 
     S[y_0] + sum_t sum_(a,v) v * W[a, y_t] + sum_t T[y_{t-1}, y_t] + E[y_{n-1}]
 
-and all inference (partition function, marginals, decoding) runs in log
-space.  Training minimizes the negative conditional log-likelihood plus
+Training minimizes the negative conditional log-likelihood plus
 c1*||w||_1 + (c2/2)*||w||_2^2 with the quasi-Newton routines in
 `optim`; the L1 term is handled exactly by the orthant-wise variant.
+
+The partition function and the marginals come from a scaled
+forward-backward pass over exponentiated scores, as in CRFsuite.  Every
+factor is shifted by a maximum before it is exponentiated, and forward
+scores are renormalised at each position by a scale c, so nothing
+overflows, and log Z is the sum of the log scales and the shifts.
+Scores still underflow when weights are extreme: if the mass through
+one position falls more than about 700 nats below the shifted maxima
+(transition and emission gaps of several hundred on every path), a
+scale becomes 0 or subnormal, and the objective and `log_partition`
+raise `DivergenceError` rather than return an inaccurate value.
+Decoding stays in log space (max-plus Viterbi).
 
 A batch of sequences (a training corpus, or the headlines being tagged)
 is encoded once into flat arrays, as in CRFsuite: one entry per
@@ -488,38 +499,94 @@ def _path_score(
     return float(score)
 
 
-# --- log-space inference over one bucket -------------------------------------
+# --- inference over length buckets ------------------------------------------
 #
-# Every helper below takes the (B, n, L) emissions of B sequences of the
-# same length n and loops over time steps only.
+# Forward-backward is scaled and runs in exp space (CRFsuite; Rabiner
+# 1989, section V.A); see the module docstring.  Its arrays are
+# time-major, (n, B, L) for the B sequences of one length n, and each
+# product is an `einsum` without `optimize`, which sums in a fixed order
+# and never calls BLAS.  Viterbi takes the (B, n, L) log-space emissions
+# of a bucket.
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.sum(np.exp(a - m), axis=axis))
-
-
-def _forward(
-    e: np.ndarray, transition: np.ndarray, start: np.ndarray, end: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward log scores alpha (B, n, L) and log Z per sequence (B,)."""
-    alpha = np.empty_like(e)
-    alpha[:, 0] = start + e[:, 0]
-    for t in range(1, e.shape[1]):
-        scores = alpha[:, t - 1, :, None] + transition
-        alpha[:, t] = e[:, t] + _logsumexp(scores, axis=1)
-    return alpha, _logsumexp(alpha[:, -1] + end, axis=1)
+_TINY = np.finfo(float).tiny
 
 
-def _backward(
-    e: np.ndarray, transition: np.ndarray, end: np.ndarray
-) -> np.ndarray:
-    """Backward log scores beta (B, n, L)."""
-    beta = np.empty_like(e)
-    beta[:, -1] = end
-    for t in range(e.shape[1] - 2, -1, -1):
-        scores = transition + (e[:, t + 1] + beta[:, t + 1])[:, None, :]
-        beta[:, t] = _logsumexp(scores, axis=2)
-    return beta
+def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(a - max(a)) and max(a)."""
+    shift = float(a.max())
+    return np.exp(a - shift), shift
+
+
+def _scaled_forward(
+    f: np.ndarray, transition: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled forward pass over exponentiated factors.
+
+    Returns alpha (n, B, L), whose rows sum to 1, the scales c (n, B, 1)
+    and the scaled end sums (B,).  Raises DivergenceError when a scale
+    or an end sum is not a positive normal number: dividing by it would
+    overflow or lose precision.
+    """
+    alpha = np.empty_like(f)
+    c = np.empty((*f.shape[:2], 1))
+    # A scale of 0 makes every later step 0/0; the check below reports it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(f[0], start, out=alpha[0])
+        for t in range(f.shape[0]):
+            if t:
+                np.einsum("bi,ij->bj", alpha[t - 1], transition, out=alpha[t])
+                alpha[t] *= f[t]
+            np.add.reduce(alpha[t], axis=1, keepdims=True, out=c[t])
+            alpha[t] /= c[t]
+        z = np.einsum("bj,j->b", alpha[-1], end)
+    if not (np.all(c >= _TINY) and np.all(z >= _TINY)):
+        raise DivergenceError(
+            "forward-backward scale underflowed: weights too extreme"
+        )
+    return alpha, c, z
+
+
+def _forward_backward(
+    e: np.ndarray,
+    buckets: Sequence[np.ndarray],
+    transition: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Summed log Z, unary marginals (n_tokens, L) and summed pair marginals.
+
+    `e` holds the log-space emissions of every token and `buckets` the
+    token rows of each sequence length, as in `Encoding`.
+    """
+    shift = e.max(axis=1, keepdims=True)
+    factors = np.exp(e - shift)
+    t_exp, t_shift = _exp_shifted(transition)
+    s_exp, s_shift = _exp_shifted(start)
+    e_exp, e_shift = _exp_shifted(end)
+    log_z = float(shift.sum())
+    marginal = np.empty_like(e)
+    pair = np.zeros_like(transition)
+    for rows in buckets:
+        tokens = rows.T
+        n, n_seq = tokens.shape
+        f = factors[tokens]
+        alpha, c, z = _scaled_forward(f, t_exp, s_exp, e_exp)
+        log_z += float(np.log(c).sum() + np.log(z).sum())
+        log_z += n_seq * (s_shift + e_shift + (n - 1) * t_shift)
+        # From here on f[t] holds the emission factors over c_t, times
+        # beta[t] once that is known: the right half of every pair term.
+        f /= c
+        beta = np.empty_like(f)
+        beta[-1] = e_exp / z[:, None]
+        for t in range(n - 1, 0, -1):
+            f[t] *= beta[t]
+            np.einsum("ij,bj->bi", t_exp, f[t], out=beta[t - 1])
+        if n > 1:
+            pair += np.einsum("tbi,tbj->ij", alpha[:-1], f[1:])
+        alpha *= beta
+        marginal[tokens] = alpha
+    pair *= t_exp
+    return log_z, marginal, pair
 
 
 def _viterbi_ids(
@@ -578,10 +645,16 @@ def score_sequence(
 
 
 def log_partition(model: CrfModel, attrs: Sequence[AttributeVector]) -> float:
-    """log of the summed exponentiated scores of all tag sequences."""
-    e = _emissions(_encode_one(model, attrs), model.state)
-    _, log_z = _forward(e[None], model.transition, model.start, model.end)
-    return float(log_z[0])
+    """log of the summed exponentiated scores of all tag sequences.
+
+    Raises DivergenceError where the scaled forward pass underflows.
+    """
+    enc = _encode_one(model, attrs)
+    e = _emissions(enc, model.state)
+    log_z, _, _ = _forward_backward(
+        e, enc.buckets, model.transition, model.start, model.end
+    )
+    return log_z
 
 
 def viterbi(model: CrfModel, attrs: Sequence[AttributeVector]) -> list[str]:
@@ -624,7 +697,9 @@ class TrainingSet:
         The gradient is expected feature counts under the model minus
         empirical counts, plus c2*w.  Sequences are processed in buckets
         of equal length, in ascending length order, and every sum runs
-        in a fixed order, so results are bit-reproducible.
+        in a fixed order, so results are bit-reproducible.  Raises
+        DivergenceError when the result is not finite or the scaled
+        forward-backward pass underflows (see the module docstring).
         """
         if weights.shape != (self.n_parameters,):
             raise ValidationError(
@@ -637,23 +712,9 @@ class TrainingSet:
         e = _emissions(enc, state)
         # Unary marginals, turned into residuals once the gold one-hot
         # is subtracted below.
-        marginal = np.empty_like(e)
-        pair = np.zeros_like(transition)
-        log_z = 0.0
-        for rows in enc.buckets:
-            e_b = e[rows]
-            alpha, log_z_b = _forward(e_b, transition, start, end)
-            beta = _backward(e_b, transition, end)
-            shift = log_z_b[:, None, None]
-            marginal[rows] = np.exp(alpha + beta - shift)
-            if rows.shape[1] > 1:
-                pair += np.exp(
-                    alpha[:, :-1, :, None]
-                    + transition
-                    + (e_b[:, 1:] + beta[:, 1:])[:, :, None, :]
-                    - shift[..., None]
-                ).sum(axis=(0, 1))
-            log_z += log_z_b.sum()
+        log_z, marginal, pair = _forward_backward(
+            e, enc.buckets, transition, start, end
+        )
         n_transition, n_start, n_end = self.empirical
         value = float(
             log_z
@@ -669,7 +730,7 @@ class TrainingSet:
         marginal[np.arange(enc.n_tokens), self.gold] -= 1.0
         _scatter_state(enc, marginal, g_state)
         if c2 > 0:
-            value += 0.5 * c2 * float(np.dot(weights, weights))
+            value += 0.5 * c2 * optim.dot(weights, weights)
             grad += c2 * weights
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise DivergenceError("objective diverged to a non-finite value")

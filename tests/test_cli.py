@@ -1,17 +1,25 @@
+import os
+import random
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import borrowings
 from borrowings import cli
 from borrowings.cli import RunConfig, run
-from borrowings.corpus import read_corpus, write_corpus
+from borrowings.corpus import Corpus, Token, read_corpus, write_corpus
 from borrowings.crf import TrainConfig
 from borrowings.features import FeatureConfig
-from conftest import synthetic_corpus, synthetic_embeddings, write_embeddings_file
+from conftest import (
+    FILLERS,
+    synthetic_corpus,
+    synthetic_embeddings,
+    write_embeddings_file,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -595,3 +603,45 @@ def test_installed_entry_point_reports_stats():
     assert result.returncode == 0
     expected = (DATA / "sample_stats.txt").read_text(encoding="utf-8")
     assert result.stdout == expected
+
+
+def open_vocabulary_corpus(n_headlines, seed):
+    """`synthetic_corpus` with every filler replaced by a fresh random word."""
+    rng = random.Random(seed)
+    fillers = set(FILLERS)
+
+    def fresh(token):
+        if token.text.lower() not in fillers:
+            return token
+        letters = rng.choices("abcdefghilmnoprstu", k=rng.randint(4, 9))
+        return Token("".join(letters), token.pos)
+
+    return Corpus("open", tuple(
+        replace(h, tokens=tuple(fresh(t) for t in h.tokens))
+        for h in synthetic_corpus(n_headlines, seed=seed).headlines
+    ))
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # About 70k weights: BLAS splits sums over vectors this long across
+    # its threads, so any parameter-length reduction it performed would
+    # round differently at 1 and 2 threads.  On a 1-CPU machine both
+    # runs use one thread.
+    corpus = tmp_path / "train.tsv"
+    write_corpus_file(open_vocabulary_corpus(80, seed=3), corpus)
+    src = str(Path(borrowings.__file__).resolve().parents[1])
+    models = []
+    for threads in ("1", "2"):
+        model = tmp_path / f"model-{threads}.crf"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        subprocess.run(
+            [sys.executable, "-c", "from borrowings.cli import main; main()",
+             "train", "--train", str(corpus), "-o", str(model),
+             "--c1", "0.05", "--c2", "0.01", "--max-iterations", "8"],
+            env=env, check=True, capture_output=True,
+        )
+        models.append(model.read_bytes())
+    assert models[0] == models[1]

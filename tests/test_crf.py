@@ -410,6 +410,77 @@ class TestBatchedObjective:
             assert abs(grad[i] - fd) / denom < 1e-6
 
 
+def one_attribute_per_token(lengths, n_labels, rng):
+    """TrainingSet whose token t has the single attribute `a<t>` = 1, so
+    the rows of the state weights are the emissions, and random gold."""
+    bounds = np.cumsum([0, *lengths]).tolist()
+    sequences = [
+        [{f"a{t}": 1.0} for t in range(lo, hi)]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    n_tokens = bounds[-1]
+    enc = encode_attributes(sequences, indexed_lookup(n_tokens))
+    gold = rng.integers(0, n_labels, size=n_tokens)
+    return TrainingSet(enc, gold, n_tokens, n_labels)
+
+
+class TestExtremeWeights:
+    """The scaled forward-backward pass against the log-space oracle."""
+
+    @pytest.mark.parametrize("gap", [700.0, 1000.0])
+    def test_large_emission_gaps_match_oracle(self, gap):
+        # Every token prefers one label by `gap` over the others, so all
+        # other emission factors are below exp(-700) or underflow to 0.
+        rng = np.random.default_rng(31)
+        dataset = one_attribute_per_token([1, 3, 4, 4, 6], 5, rng)
+        n = dataset.n_features
+        state = rng.normal(size=(n, 5))
+        state[np.arange(n), rng.integers(0, 5, size=n)] += gap
+        rest = rng.normal(size=dataset.n_parameters - state.size)
+        weights = np.concatenate([state.ravel(), rest])
+        for c2 in (0.0, 0.3):
+            value, grad = dataset.nll_and_gradient(weights, c2)
+            ref_value, ref_grad = reference_nll_and_gradient(dataset, weights, c2)
+            assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-10)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+
+    @staticmethod
+    def underflowing_matrices():
+        # Label 0 at the first token and label 1 at the second each win
+        # by 800, and changing label costs 800: every path through the
+        # second position loses at least 800 against the shifted maxima.
+        e = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
+        transition = np.full((3, 3), -800.0)
+        np.fill_diagonal(transition, 0.0)
+        return e, transition, np.zeros(3), np.zeros(3)
+
+    def test_underflowing_scale_raises_divergence(self):
+        e, transition, start, end = self.underflowing_matrices()
+        dataset = one_attribute_per_token([2], 3, np.random.default_rng(32))
+        weights = np.concatenate([e.ravel(), transition.ravel(), start, end])
+        # The log-space oracle is finite here: the error is one of range.
+        ref_value, _ = reference_nll_and_gradient(dataset, weights, 0.0)
+        assert np.isfinite(ref_value)
+        with pytest.raises(DivergenceError, match="underflow"):
+            dataset.nll_and_gradient(weights, 0.0)
+
+    def test_underflowing_log_partition_raises_divergence(self):
+        e, transition, start, end = self.underflowing_matrices()
+        model, attrs = model_from_matrices(e, transition, start, end)
+        assert np.isfinite(brute_log_partition(e, transition, start, end))
+        with pytest.raises(DivergenceError, match="underflow"):
+            log_partition(model, attrs)
+
+    def test_gaps_just_inside_range_stay_exact(self):
+        # Each step loses 600 nats, well above the smallest normal scale.
+        e, transition, start, end = self.underflowing_matrices()
+        e, transition = e * 0.75, transition * 0.75
+        model, attrs = model_from_matrices(e, transition, start, end)
+        assert log_partition(model, attrs) == pytest.approx(
+            brute_log_partition(e, transition, start, end), rel=1e-12
+        )
+
+
 def split_model(lengths, e, transition, start, end):
     """Model with one attribute per token, and its per-sequence attrs."""
     model, attrs = model_from_matrices(e, transition, start, end)

@@ -182,3 +182,95 @@ def test_determinism():
     second = minimize(quadratic(a), np.zeros(15), l1=0.1, delta=1e-12)
     assert np.array_equal(first.x, second.x)
     assert first.trace == second.trace
+
+
+class TestPseudoGradient:
+    def test_matches_its_definition(self):
+        rng = np.random.default_rng(5)
+        l1 = 0.25
+        x = rng.normal(size=400)
+        x[rng.random(400) < 0.6] = 0.0
+        grad = rng.normal(scale=0.5, size=400)
+        # Gradients exactly at the kink edges and at zero.
+        grad[:6] = [l1, -l1, 0.0, -0.0, l1 * (1 + 1e-16), -l1 * (1 - 1e-16)]
+        x[:6] = 0.0
+        expected = []
+        for xi, gi in zip(x, grad):
+            if xi > 0:
+                expected.append(gi + l1)
+            elif xi < 0:
+                expected.append(gi - l1)
+            elif gi + l1 < 0:
+                expected.append(gi + l1)
+            elif gi - l1 > 0:
+                expected.append(gi - l1)
+            else:
+                expected.append(0.0)
+        pg = optim._pseudo_gradient(x, grad, l1)
+        assert pg.tobytes() == np.array(expected).tobytes()
+
+
+def ill_conditioned(n, seed):
+    """f(x) = 0.5 * sum(a * x^2) - b.x, so each y of a curvature pair is a * s."""
+    rng = np.random.default_rng(seed)
+    a = np.geomspace(1.0, 1e3, n)
+    b = rng.normal(size=n)
+    return a, lambda x: (0.5 * float(np.dot(a * x, x) - 2 * np.dot(b, x)), a * x - b)
+
+
+class TestCurvatureHistory:
+    def spy(self, monkeypatch):
+        """Snapshots of the history the two-loop recursion sees."""
+        seen = []
+        two_loop = optim._two_loop
+
+        def recording(grad, s_list, y_list, rho_list):
+            assert len({id(s) for s in (*s_list, *y_list)}) == 2 * len(s_list)
+            seen.append([(s.copy(), y.copy(), rho)
+                         for s, y, rho in zip(s_list, y_list, rho_list)])
+            return two_loop(grad, s_list, y_list, rho_list)
+
+        monkeypatch.setattr(optim, "_two_loop", recording)
+        return seen
+
+    @pytest.mark.parametrize("eps", [optim._CURVATURE_EPS, 0.5])
+    def test_pairs_rotate_oldest_out_and_rejected_pairs_are_dropped(
+        self, monkeypatch, eps
+    ):
+        # A high curvature threshold rejects some pairs along the way.
+        monkeypatch.setattr(optim, "_CURVATURE_EPS", eps)
+        seen = self.spy(monkeypatch)
+        a, fun = ill_conditioned(30, seed=7)
+        memory = 3
+        minimize(fun, np.zeros(30), memory=memory, max_iterations=40, delta=1e-15)
+        grew = kept = 0
+        for before, after in zip(seen, seen[1:]):
+            assert len(after) <= memory
+            for s, y, rho in after:
+                np.testing.assert_allclose(y, a * s, rtol=1e-8, atol=1e-12)
+                assert rho == 1.0 / optim.dot(s, y)
+            old = [(s.tobytes(), y.tobytes()) for s, y, _ in before]
+            new = [(s.tobytes(), y.tobytes()) for s, y, _ in after]
+            if new == old:
+                kept += 1
+            else:
+                grew += 1
+                assert new[:-1] == old[len(old) + 1 - len(new):]
+        assert grew > 0
+        if eps > optim._CURVATURE_EPS:
+            assert kept > 0
+
+    def test_huge_memory_is_not_preallocated(self):
+        a, fun = ill_conditioned(1000, seed=8)
+        result = minimize(fun, np.zeros(1000), memory=10**9, max_iterations=3)
+        assert result.iterations == 3
+        assert result.trace[-1] < result.trace[0]
+
+
+def test_dot_is_reproducible_and_accurate():
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(2, 100_003))
+    first = optim.dot(a, b)
+    assert isinstance(first, float)
+    assert first == optim.dot(a.copy(), b.copy())
+    assert first == pytest.approx(float(np.dot(a, b)), rel=1e-12)
