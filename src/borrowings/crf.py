@@ -23,25 +23,29 @@ raise `DivergenceError` rather than return an inaccurate value.
 Decoding stays in log space (max-plus Viterbi).
 
 A batch of sequences (a training corpus, or the headlines being tagged)
-is encoded once into flat arrays, as in CRFsuite: one entry per
-(token, indexed attribute) pair with its attribute id, its value and
-its global token index, plus the token offset of every sequence.
-Emissions for all tokens then take one `np.bincount` per label, and so
-does the state gradient.  Sequences of equal length form a bucket, and
-forward-backward and Viterbi run over a whole bucket at once, looping
-over time steps only.  Buckets are visited in ascending length order,
-which fixes the order of every sum.
+is encoded once into flat arrays, as in CRFsuite, but factored by
+window cell: a cell is the list of (attribute id, value) entries one
+token type contributes at one window slot, with or without the
+quotation attribute.  Each distinct cell is stored once, and a
+(token, slot) table of cell numbers records which cells every token
+visits, plus the token offset of every sequence.  Emissions take one
+`np.bincount` per label over the cell entries, giving a score per cell,
+and then one gather per window slot; the state gradient sums the
+residuals of each cell's visits first, then takes one `np.bincount` per
+label over the cell entries.  Sequences of equal length form a bucket,
+and forward-backward and Viterbi run over a whole bucket at once,
+looping over time steps only.  Buckets are visited in ascending length
+order, which fixes the order of every sum.
 
 Corpora are encoded without building any windowed attribute name per
 token.  The base names of each token type (`features.base_attributes`)
-are built once per call, and the ids a type contributes at each window
-slot, with or without the quotation attribute, are resolved once, the
-first time a window visits that cell, and then copied for every later
-visit.  Training resolves cells by adding the prefixed names to a fresh
-index; because cells are resolved in the order the windowed vectors
-list their names, ids are numbered exactly as if every name were added
-one by one.  Tagging resolves cells by looking the prefixed names up in
-the model's index and drops the names it does not know.
+are built once per call, and the ids of each cell are resolved once,
+the first time a window visits it.  Training resolves cells by adding
+the prefixed names to a fresh index; because cells are resolved in the
+order the windowed vectors list their names, ids are numbered exactly
+as if every name were added one by one.  Tagging resolves cells by
+looking the prefixed names up in the model's index and drops the names
+it does not know.
 
 A sweep of many runs on the same corpora encodes them once
 (`SharedEncoding`), recording each id's feature family, and derives
@@ -92,11 +96,13 @@ from .features import (
 DivergenceError = optim.DivergenceError
 
 # Headlines encoded at once by `tag`: enough for full length buckets,
-# while the flat encoding stays a few MB however large the corpus is.
-# An entry takes 32 bytes (id, value, token, one scratch value).  With
-# the default features a token has about 50 windowed attributes, at
-# most 1.6 KB; only the indexed ones are encoded, about 47 per token on
-# open-vocabulary news feeds.
+# while the encoding stays a few MB however large the corpus is.  A cell
+# entry takes 32 bytes (id, value, cell, one scratch value), a visit 8
+# and a cell's scores 8 per label.  On open-vocabulary news feeds (the
+# benchmark's `tag-feeds` inputs) a 512-headline chunk has about 4,600
+# tokens and 6,000 cells of about 12 indexed entries each: about 15
+# entries and 5 visits per token, some 0.6 KB per token with the
+# emissions, and about 3 MB per chunk.
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
@@ -199,18 +205,27 @@ def n_parameters(n_features: int, n_labels: int) -> int:
 
 @dataclass(frozen=True)
 class Encoding:
-    """A batch of sequences as one flat list of attribute entries.
+    """A batch of sequences as window cells and the tokens' visits to them.
 
-    Entry k gives attribute `ids[k]` the value `vals[k]` at global token
-    `token[k]`; entries appear in token order.  Sequence i covers the
-    tokens `offsets[i]:offsets[i + 1]`.  Each array in `buckets` holds
-    the global token indices of all sequences of one length, one row
-    per sequence in input order; buckets ascend by length.
+    A cell is a list of attribute entries: entry k gives attribute
+    `ids[k]` the value `vals[k]` and belongs to cell `cell[k]`.  Entries
+    are stored cell by cell, so `cell` ascends, and each cell once,
+    however many tokens visit it.  Row t of the (n_tokens, width) table
+    `visits` lists the cells token t visits, one per window slot in
+    ascending slot order; its entries are those of all these cells, in
+    that order.  `visits` is column-major, so each slot's column is
+    contiguous.  Every cell is visited at least once.
+
+    Sequence i covers the tokens `offsets[i]:offsets[i + 1]`.  Each
+    array in `buckets` holds the global token indices of all sequences
+    of one length, one row per sequence in input order; buckets ascend
+    by length.
     """
 
     ids: np.ndarray
     vals: np.ndarray
-    token: np.ndarray
+    cell: np.ndarray
+    visits: np.ndarray
     offsets: np.ndarray
     buckets: tuple[np.ndarray, ...]
 
@@ -218,19 +233,23 @@ class Encoding:
     def n_tokens(self) -> int:
         return int(self.offsets[-1])
 
+    @property
+    def n_cells(self) -> int:
+        return int(self.visits.max(initial=-1)) + 1
+
 
 def encode_attributes(
     sequences: Iterable[Sequence[AttributeVector]],
     lookup: Callable[[str], int | None],
 ) -> Encoding:
-    """Flat encoding of attribute sequences.
+    """Flat encoding of attribute sequences, one cell per token.
 
     `lookup` maps an attribute name to its id, or to None for attributes
     that are dropped.
     """
     ids = array("q")
     vals = array("d")
-    per_token = array("q")
+    sizes = array("q")
     seq_lengths = array("q")
     for vecs in sequences:
         seq_lengths.append(len(vecs))
@@ -241,24 +260,33 @@ def encode_attributes(
                 if i is not None:
                     ids.append(i)
                     vals.append(value)
-            per_token.append(len(ids) - before)
-    return _flat_encoding(ids, vals, per_token, seq_lengths)
+            sizes.append(len(ids) - before)
+    visits = array("q", range(len(sizes)))
+    return _flat_encoding(ids, vals, sizes, visits, 1, seq_lengths)
 
 
 def _flat_encoding(
-    ids: array, vals: array, per_token: array, seq_lengths: array
+    ids: array,
+    vals: array,
+    sizes: array,
+    visits: array,
+    width: int,
+    seq_lengths: array,
 ) -> Encoding:
+    """Encoding of cells with `sizes` entries each and token-major visits."""
     lengths = np.frombuffer(seq_lengths, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     buckets = tuple(
         offsets[:-1][lengths == n][:, None] + np.arange(n)
         for n in np.flatnonzero(np.bincount(lengths)).tolist()
     )
+    sizes = np.frombuffer(sizes, dtype=np.int64)
     return Encoding(
         ids=np.frombuffer(ids, dtype=np.int64),
         vals=np.frombuffer(vals, dtype=float),
-        token=np.repeat(
-            np.arange(offsets[-1]), np.frombuffer(per_token, dtype=np.int64)
+        cell=np.repeat(np.arange(len(sizes)), sizes),
+        visits=np.asfortranarray(
+            np.frombuffer(visits, dtype=np.int64).reshape(-1, width)
         ),
         offsets=offsets,
         buckets=buckets,
@@ -280,12 +308,13 @@ _EMBEDDING = FAMILIES.index("embedding")
 
 
 class _Type:
-    """A token type's base attributes and its resolved window cells.
+    """A token type's base attributes and its window cells.
 
-    Cell 2k + q holds the (ids, vals) entries the type contributes at
-    window slot k, with the quotation attribute if q is 1.  When
-    families are recorded, `families[q]` holds the family codes of the
-    names of such a cell, else `families` is None.
+    `cells[2k + q]` is the number of the cell the type contributes at
+    window slot k, with the quotation attribute if q is 1, or None until
+    a window first visits it.  When families are recorded, `families[q]`
+    holds the family codes of the names of such a cell, else `families`
+    is None.
     """
 
     __slots__ = ("before", "after", "embedding", "families", "cells")
@@ -312,13 +341,16 @@ def _encode_windows(
     resolve: _Resolver,
     families: array | None = None,
 ) -> Encoding:
-    """Flat encoding of the windowed attributes of `headlines`.
+    """Cell encoding of the windowed attributes of `headlines`.
 
-    The entries are those of `encode_attributes` over
-    `windowed_attributes`, in the same order, with the ids `resolve`
-    gives.  Base names are built once per token type, and every cell of
-    a type is resolved once, when a window first visits it, so `resolve`
-    sees the names in the order the windowed vectors list them.
+    Each token visits one cell per window slot: the entries its type
+    contributes there, with or without the quotation attribute.  Laid
+    out visit by visit, the entries are those of `encode_attributes`
+    over `windowed_attributes`, in the same order, with the ids
+    `resolve` gives.  Base names are built once per token type, and
+    every cell is resolved and stored once, when a window first visits
+    it, so cells are numbered in order of first visit and `resolve` sees
+    the names in the order the windowed vectors list them.
 
     Given a `families` array, `resolve` must hand out new ids in order,
     as a fresh index's `add` does, and the family code of every id it
@@ -329,23 +361,29 @@ def _encode_windows(
     width = 2 * radius + 1
     emb_names = embedding_names(embeddings.dim) if embeddings is not None else ()
     emb_families = (_EMBEDDING,) * len(emb_names)
+    ids = array("q")
+    vals = array("d")
+    sizes = array("q")
 
-    def record(ids: list, codes: tuple) -> None:
+    def record(resolved: list, codes: tuple) -> None:
         # A cell names no attribute twice, so its new ids are the ones
         # past the end of `families`, in ascending order.
         known = len(families)
-        families.extend(f for i, f in zip(ids, codes) if i >= known)
+        families.extend(f for i, f in zip(resolved, codes) if i >= known)
 
-    def resolve_cell(typ: _Type, k: int, quoted: bool) -> tuple[list, list]:
+    def new_cell(typ: _Type, k: int, quoted: bool) -> int:
+        """Resolve and store the entries of a type's cell; its number."""
         if quoted:
             names = typ.before + (QUOTATION,) + typ.after
         else:
             names = typ.before + typ.after
+        before = len(ids)
         resolved = resolve(k, names)
         if families is not None:
             record(resolved, typ.families[quoted])
-        ids = [i for i in resolved if i is not None]
-        vals = [1.0] * len(ids)
+        kept = [i for i in resolved if i is not None]
+        ids.extend(kept)
+        vals.extend([1.0] * len(kept))
         if k == radius and typ.embedding:
             resolved = resolve(k, emb_names)
             if families is not None:
@@ -354,10 +392,11 @@ def _encode_windows(
                 if i is not None:
                     ids.append(i)
                     vals.append(v)
-        return ids, vals
+        sizes.append(len(ids) - before)
+        return len(sizes) - 1
 
-    # A type that occurs once uses each of its cells once, so it is not
-    # kept in `types`, and its cells are freed with its headline.
+    # A type that occurs once is never looked up again, so it is not kept
+    # in `types`, and its base names are freed with its headline.
     counts = Counter(
         (token.text, token.pos) for headline in headlines for token in headline.tokens
     )
@@ -366,9 +405,7 @@ def _encode_windows(
     bos = [_Type((BOS,), (), [], width, markers)] * radius
     eos = [_Type((EOS,), (), [], width, markers)] * radius
     unquoted = [False] * radius
-    ids = array("q")
-    vals = array("d")
-    per_token = array("q")
+    visits = array("q")
     seq_lengths = array("q")
     for headline in headlines:
         row = bos.copy()
@@ -396,18 +433,14 @@ def _encode_windows(
         quoted = unquoted + quoted_tokens(headline, config) + unquoted
         seq_lengths.append(len(headline))
         for t in range(len(headline)):
-            start = len(ids)
             for k in range(width):
-                j = t + k
-                typ = row[j]
-                q = quoted[j]
-                cell = typ.cells[2 * k + q]
+                typ = row[t + k]
+                slot = 2 * k + quoted[t + k]
+                cell = typ.cells[slot]
                 if cell is None:
-                    cell = typ.cells[2 * k + q] = resolve_cell(typ, k, q)
-                ids.extend(cell[0])
-                vals.extend(cell[1])
-            per_token.append(len(ids) - start)
-    return _flat_encoding(ids, vals, per_token, seq_lengths)
+                    cell = typ.cells[slot] = new_cell(typ, k, quoted[t + k])
+                visits.append(cell)
+    return _flat_encoding(ids, vals, sizes, visits, width, seq_lengths)
 
 
 def _resolver(lookup: Callable[[str], int | None], radius: int) -> _Resolver:
@@ -438,20 +471,46 @@ def index_corpus(
 
 
 def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
-    """(n_tokens, L) emission scores, summed in entry order per token."""
-    e = np.empty((enc.n_tokens, state.shape[1]))
+    """(n_tokens, L) emission scores.
+
+    Each cell's entries are summed in entry order, then each token's
+    cell scores in ascending slot order.
+    """
+    n_cells = enc.n_cells
+    per_cell = np.empty((n_cells, state.shape[1]))
     scaled = np.empty(enc.ids.size)
     for label in range(state.shape[1]):
         _scaled_gather(state[:, label], enc.ids, enc.vals, out=scaled)
-        e[:, label] = np.bincount(enc.token, weights=scaled, minlength=enc.n_tokens)
+        per_cell[:, label] = np.bincount(enc.cell, weights=scaled, minlength=n_cells)
+    visits = enc.visits
+    e = np.take(per_cell, visits[:, 0], axis=0)
+    row = np.empty_like(e)
+    for k in range(1, visits.shape[1]):
+        np.take(per_cell, visits[:, k], axis=0, out=row)
+        e += row
     return e
 
 
 def _scatter_state(enc: Encoding, residual: np.ndarray, g_state: np.ndarray) -> None:
-    """g_state[a, l] = sum of v * residual[token, l] over entries (a, v, token)."""
+    """g_state[a, l] = sum of v * residual[t, l] over token t's entries (a, v).
+
+    The residuals of each cell's visits are summed first, slot by slot
+    and tokens ascending within a slot; then every cell's entries are
+    scattered by id, in entry order.
+    """
+    n_cells = enc.n_cells
+    width = enc.visits.shape[1]
+    # Slot-major visits, and the residual rows repeated to match them.
+    flat = enc.visits.ravel(order="F")
+    repeated = np.tile(residual.T, width)
+    per_cell = np.empty((residual.shape[1], n_cells))
+    for label in range(residual.shape[1]):
+        per_cell[label] = np.bincount(
+            flat, weights=repeated[label], minlength=n_cells
+        )
     scaled = np.empty(enc.ids.size)
     for label in range(g_state.shape[1]):
-        _scaled_gather(residual[:, label], enc.token, enc.vals, out=scaled)
+        _scaled_gather(per_cell[label], enc.cell, enc.vals, out=scaled)
         g_state[:, label] = np.bincount(
             enc.ids, weights=scaled, minlength=g_state.shape[0]
         )
@@ -889,14 +948,23 @@ class SharedEncoding:
     components, the development corpus against the training index, as
     `tag` would.  Every id records its feature family.  `derive` gives
     the encodings of a config that switches some of those families off
-    and scales the embeddings its own way, equal bit for bit to encoding
-    the corpora afresh:
+    and scales the embeddings its own way.  Each token's entries equal
+    bit for bit those of encoding the corpora afresh:
 
     - Ids follow first appearance, and dropping a family's names keeps
       the order of the rest, so a kept id's new number is its rank among
-      the kept ids.  The entries, `token`, `offsets` and buckets follow.
+      the kept ids.  Only cell entries are masked; the cells, their
+      visits, `offsets` and buckets are shared unchanged, and a cell may
+      end up empty.
     - A scaled embedding entry is the unscaled component times the
       scaling, the same IEEE product `embedding_values` computes.
+
+    Unless the quotation family is switched off, the cells too are
+    those of a fresh encoding, so training gives the same bytes.
+    Without it, a type's quoted and unquoted cells stay apart where a
+    fresh encoding has one; emissions and the objective value are still
+    the same, but the state gradient groups its sums differently and
+    agrees only to rounding.
     """
 
     def __init__(
@@ -967,16 +1035,16 @@ class SharedEncoding:
         """`enc` with only the ids in `keep`, renumbered, and scaled embeddings."""
         if keep is None and scaling == 1.0:
             return enc
-        ids, vals, token = enc.ids, enc.vals, enc.token
+        ids, vals, cell = enc.ids, enc.vals, enc.cell
         new_ids = ids
         if keep is not None:
             kept = keep[ids]
-            ids, vals, token = ids[kept], vals[kept], token[kept]
+            ids, vals, cell = ids[kept], vals[kept], cell[kept]
             new_ids = (np.cumsum(keep) - 1)[ids]
         if scaling != 1.0:
             vals = vals.copy()
             vals[self.families[ids] == _EMBEDDING] *= scaling
-        return Encoding(new_ids, vals, token, enc.offsets, enc.buckets)
+        return Encoding(new_ids, vals, cell, enc.visits, enc.offsets, enc.buckets)
 
 
 # --- persistence ---------------------------------------------------------

@@ -180,6 +180,59 @@ def dp_best_path_min_index(e, transition, start, end) -> list[int]:
     return path[::-1]
 
 
+# --- encodings spelled out -------------------------------------------------
+
+def expand_encoding(enc):
+    """(ids, vals, token) of every token's entries, token by token.
+
+    A token's entries are those of the cells it visits, in slot order,
+    each cell's in entry order: the flat layout `encode_attributes`
+    gives windowed attribute vectors.
+    """
+    starts = np.searchsorted(enc.cell, np.arange(enc.n_cells + 1))
+    ids, vals, token = [], [], []
+    for t, row in enumerate(enc.visits.tolist()):
+        for c in row:
+            lo, hi = starts[c], starts[c + 1]
+            ids.extend(enc.ids[lo:hi].tolist())
+            vals.extend(enc.vals[lo:hi].tolist())
+            token.extend([t] * (hi - lo))
+    return (
+        np.array(ids, dtype=np.int64),
+        np.array(vals, dtype=float),
+        np.array(token, dtype=np.int64),
+    )
+
+
+def cell_order_emissions(enc, state):
+    """Emissions summed as `crf._emissions` documents, by `np.add.at`.
+
+    Each cell's entries are added up in entry order, then the cell rows
+    of every token in ascending slot order.
+    """
+    per_cell = np.zeros((enc.n_cells, state.shape[1]))
+    np.add.at(per_cell, enc.cell, enc.vals[:, None] * state[enc.ids])
+    e = np.zeros((enc.n_tokens, state.shape[1]))
+    for k in range(enc.visits.shape[1]):
+        e += per_cell[enc.visits[:, k]]
+    return e
+
+
+def cell_order_state_gradient(enc, residual, n_features):
+    """State gradient summed as `crf._scatter_state` documents.
+
+    The residuals of each cell's visits are added up slot by slot,
+    tokens ascending within a slot; then each cell's entries are added
+    into their ids' rows in entry order.
+    """
+    per_cell = np.zeros((enc.n_cells, residual.shape[1]))
+    for k in range(enc.visits.shape[1]):
+        np.add.at(per_cell, enc.visits[:, k], residual)
+    g_state = np.zeros((n_features, residual.shape[1]))
+    np.add.at(g_state, enc.ids, enc.vals[:, None] * per_cell[enc.cell])
+    return g_state
+
+
 # --- per-headline reference objective ---------------------------------------
 
 def _reference_forward(e, transition, start, end):
@@ -252,11 +305,12 @@ def reference_nll_and_gradient(dataset, weights, c2):
     g_start = grad[k * l + l * l : k * l + l * l + l]
     g_end = grad[k * l + l * l + l :]
     enc = dataset.encoding
+    ids, vals, token = expand_encoding(enc)
     value = 0.0
     for lo, hi in zip(enc.offsets[:-1], enc.offsets[1:]):
-        a, b = np.searchsorted(enc.token, [lo, hi])
+        a, b = np.searchsorted(token, [lo, hi])
         value += _reference_accumulate(
-            enc.ids[a:b], enc.vals[a:b], enc.token[a:b] - lo, dataset.gold[lo:hi],
+            ids[a:b], vals[a:b], token[a:b] - lo, dataset.gold[lo:hi],
             state, transition, start, end,
             g_state, g_transition, g_start, g_end,
         )

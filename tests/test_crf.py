@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -19,6 +20,7 @@ from borrowings.corpus import (
 from borrowings.crf import (
     CrfModel,
     DivergenceError,
+    SharedEncoding,
     TrainingSet,
     ModelDimensionError,
     ModelFormatError,
@@ -43,11 +45,15 @@ from conftest import (
     alphabet_of_size,
     brute_best_path,
     brute_log_partition,
+    cell_order_emissions,
+    cell_order_state_gradient,
     dp_best_path_min_index,
     enumerate_scores,
+    expand_encoding,
     model_from_matrices,
     reference_nll_and_gradient,
     synthetic_corpus,
+    synthetic_embeddings,
 )
 
 
@@ -342,20 +348,50 @@ class TestFlatEncoding:
         )
         assert enc.ids.tolist() == [0, 1, 1, 0]
         assert enc.vals.tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert enc.token.tolist() == [0, 1, 3, 4]
+        # One cell per token, the empty ones included.
+        assert enc.cell.tolist() == [0, 1, 3, 4]
+        assert enc.visits.tolist() == [[0], [1], [2], [3], [4]]
+        assert enc.n_cells == 5
         assert enc.offsets.tolist() == [0, 2, 3, 5]
         assert enc.n_tokens == 5
         # Ascending length; equal lengths keep input order.
         assert [b.tolist() for b in enc.buckets] == [[[2]], [[0, 1], [3, 4]]]
 
-    def test_emissions_match_scatter_add_exactly(self):
+    def test_window_cells_are_stored_once(self):
+        tokens = tuple(Token(w) for w in ("a", "a", "b", "a"))
+        corpus = Corpus("c", (Headline(id="h", tokens=tokens),))
+        config = FeatureConfig(window_radius=1)
+        dataset, _, _ = encode_training_set(corpus, config)
+        enc = dataset.encoding
+        # Cells by first visit: BOS at slot 0, a at 1, a at 2, a at 0,
+        # b at 2, b at 1, b at 0, EOS at 2.
+        assert enc.visits.tolist() == [[0, 1, 2], [3, 1, 4], [3, 5, 2], [6, 1, 7]]
+        assert enc.n_cells == 8
+        assert np.all(np.diff(enc.cell) >= 0)
+        assert np.array_equal(np.unique(enc.cell), np.arange(8))
+        visited = np.bincount(enc.visits.ravel(), minlength=8)
+        entries = np.bincount(enc.cell, minlength=8)
+        ids, _, _ = expand_encoding(enc)
+        assert enc.ids.size == entries.sum() < ids.size == (visited * entries).sum()
+
+    def test_emissions_sum_cells_then_slots_exactly(self):
         dataset, _, _ = encode_small()
         rng = np.random.default_rng(22)
         state = rng.normal(size=(dataset.n_features, dataset.n_labels))
         enc = dataset.encoding
-        expected = np.zeros((enc.n_tokens, dataset.n_labels))
-        np.add.at(expected, enc.token, enc.vals[:, None] * state[enc.ids])
-        assert np.array_equal(crf._emissions(enc, state), expected)
+        assert enc.visits.shape[1] == 5
+        got = crf._emissions(enc, state)
+        assert got.tobytes() == cell_order_emissions(enc, state).tobytes()
+
+    def test_state_scatter_sums_visits_then_entries_exactly(self):
+        dataset, _, _ = encode_small()
+        rng = np.random.default_rng(23)
+        enc = dataset.encoding
+        residual = rng.normal(size=(enc.n_tokens, dataset.n_labels))
+        got = np.empty((dataset.n_features, dataset.n_labels))
+        crf._scatter_state(enc, residual, got)
+        expected = cell_order_state_gradient(enc, residual, dataset.n_features)
+        assert got.tobytes() == expected.tobytes()
 
     def test_gold_length_must_match(self):
         enc = encode_attributes([[{}, {}]], {}.get)
@@ -408,6 +444,89 @@ class TestBatchedObjective:
             ) / (2 * h)
             denom = max(abs(grad[i]), abs(fd), 1e-2)
             assert abs(grad[i] - fd) / denom < 1e-6
+
+
+def headlines_of(*sentences, pos="NOUN"):
+    """Corpus with one headline per list of words."""
+    return Corpus("c", tuple(
+        Headline(id=f"h{i}", tokens=tuple(Token(w, pos) for w in words))
+        for i, words in enumerate(sentences)
+    ))
+
+
+def assert_objective_matches_oracle_and_differences(dataset, seed, n_checked=40):
+    """Objective against the per-headline oracle, and the gradient of a
+    sample of parameters against central finite differences."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(scale=0.5, size=dataset.n_parameters)
+    for c2 in (0.0, 0.2):
+        value, grad = dataset.nll_and_gradient(w, c2)
+        ref_value, ref_grad = reference_nll_and_gradient(dataset, w, c2)
+        assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+    _, grad = dataset.nll_and_gradient(w, 0.0)
+    checked = rng.choice(
+        dataset.n_parameters, size=min(n_checked, dataset.n_parameters), replace=False
+    )
+    h = 1e-5
+    for i in checked.tolist():
+        wp = w.copy()
+        wp[i] += h
+        wm = w.copy()
+        wm[i] -= h
+        fd = (
+            dataset.nll_and_gradient(wp, 0.0)[0]
+            - dataset.nll_and_gradient(wm, 0.0)[0]
+        ) / (2 * h)
+        denom = max(abs(grad[i]), abs(fd), 1e-2)
+        assert abs(grad[i] - fd) / denom < 1e-6
+
+
+class TestCellSharing:
+    """The objective over cell encodings at the extremes of sharing."""
+
+    def test_one_repeated_type(self):
+        corpus = headlines_of(["casa"], ["casa"] * 3, ["casa"] * 6, ["casa"] * 2)
+        dataset, _, _ = encode_training_set(corpus, FeatureConfig())
+        enc = dataset.encoding
+        # Per slot: BOS or EOS, or the one type; nothing else.
+        assert enc.n_cells == 2 * 2 + 5
+        assert_objective_matches_oracle_and_differences(dataset, seed=51)
+
+    def test_every_type_a_singleton(self):
+        words = iter(f"w{k}x" for k in range(100))
+        corpus = headlines_of(
+            *[[next(words) for _ in range(n)] for n in (1, 4, 2, 5, 3)]
+        )
+        dataset, _, _ = encode_training_set(corpus, FeatureConfig())
+        enc = dataset.encoding
+        # Only the BOS and EOS cells are visited more than once.
+        visited = np.bincount(enc.visits.ravel(), minlength=enc.n_cells)
+        assert np.count_nonzero(visited > 1) == 2 * 2
+        assert enc.n_cells == enc.visits.size - visited[visited > 1].sum() + 4
+        assert_objective_matches_oracle_and_differences(dataset, seed=52)
+
+    def test_window_radius_zero(self):
+        corpus = synthetic_corpus(15, seed=53)
+        dataset, _, _ = encode_training_set(corpus, FeatureConfig(window_radius=0))
+        enc = dataset.encoding
+        assert enc.visits.shape == (enc.n_tokens, 1)
+        assert enc.n_cells < enc.n_tokens
+        assert_objective_matches_oracle_and_differences(dataset, seed=54)
+
+    def test_derived_encoding_with_families_masked_and_scaling(self):
+        corpus = synthetic_corpus(15, seed=55)
+        table = synthetic_embeddings(corpus, dim=3, seed=56)
+        config = FeatureConfig(embedding=True)
+        shared = SharedEncoding(corpus, corpus, config, table)
+        run = dataclasses.replace(
+            config, token=False, suffix3=False, embedding_scaling=2.0
+        )
+        dataset, index, _ = shared.derive(run)
+        assert dataset.encoding.visits is shared.train.visits
+        assert not any(name.split("]", 1)[1].startswith(("w=", "suf3="))
+                       for name in index.names())
+        assert_objective_matches_oracle_and_differences(dataset, seed=57)
 
 
 def one_attribute_per_token(lengths, n_labels, rng):

@@ -35,7 +35,12 @@ from borrowings.features import (
     build_index,
     windowed_attributes,
 )
-from conftest import synthetic_corpus, synthetic_embeddings
+from conftest import (
+    cell_order_emissions,
+    expand_encoding,
+    synthetic_corpus,
+    synthetic_embeddings,
+)
 
 # Repeated trigrams, cased and uncased forms, and every quote character.
 WORDS = (
@@ -89,11 +94,19 @@ def oracle(corpus, config, table, lookup):
 
 
 def assert_same_encoding(got, expected):
-    for field in ("ids", "token", "offsets"):
-        a, b = getattr(got, field), getattr(expected, field)
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b), field
-    assert got.vals.tobytes() == expected.vals.tobytes()
+    """Equal per-token entries, offsets and buckets.
+
+    Each token's entries are those of the cells it visits, in slot
+    order; cell numbering and sharing may differ.
+    """
+    for a, b, field in zip(
+        expand_encoding(got), expand_encoding(expected), ("ids", "vals", "token")
+    ):
+        assert a.tobytes() == b.tobytes(), field
+    for field in ("ids", "vals", "cell", "visits"):
+        assert getattr(got, field).dtype == getattr(expected, field).dtype, field
+    assert got.visits.shape[0] == got.n_tokens
+    assert np.array_equal(got.offsets, expected.offsets)
     assert len(got.buckets) == len(expected.buckets)
     for a, b in zip(got.buckets, expected.buckets):
         assert np.array_equal(a, b)
@@ -185,8 +198,15 @@ class TestTaggingEncoding:
         got = crf._encode_windows(feed.headlines, config, table, resolve)
         assert_same_encoding(got, expected)
         e_got = crf._emissions(got, model.state)
+        assert e_got.tobytes() == cell_order_emissions(got, model.state).tobytes()
+        # The oracle sums each token's entries in one run; relative to
+        # the summed magnitudes, the two orders agree to rounding.
         e_expected = crf._emissions(expected, model.state)
-        assert e_got.tobytes() == e_expected.tobytes()
+        magnitude = crf._emissions(
+            dataclasses.replace(expected, vals=np.abs(expected.vals)),
+            np.abs(model.state),
+        )
+        assert np.all(np.abs(e_got - e_expected) <= 1e-12 * magnitude)
         paths = crf._decode(model, expected)
         assert np.array_equal(crf._decode(model, got), paths)
         tags = [model.alphabet.tags[i] for i in paths.tolist()]
@@ -234,12 +254,33 @@ class TestDerivedEncoding:
             expected, expected_index = index_corpus(corpus, run, run_table)
             assert index.names() == expected_index.names(), run
             assert_same_encoding(dataset.encoding, expected)
+            if run.quotation == config.quotation:
+                # Cells are those of a fresh encoding, so the objective
+                # sums in the same order.
+                for field in ("ids", "vals", "cell", "visits"):
+                    a, b = getattr(dataset.encoding, field), getattr(expected, field)
+                    assert a.tobytes() == b.tobytes(), field
             fresh, _, _ = encode_training_set(corpus, run, run_table, ignore_other=True)
             assert np.array_equal(dataset.gold, fresh.gold)
             assert dataset.n_features == fresh.n_features
             resolve = crf._resolver(expected_index.get, run.window_radius)
             expected_dev = crf._encode_windows(feed.headlines, run, run_table, resolve)
             assert_same_encoding(dev, expected_dev)
+
+    def test_dropping_quotation_changes_gradient_sums_only_by_rounding(self):
+        corpus = synthetic_corpus(60, seed=46)
+        config = FeatureConfig()
+        run = config.without("quotation")
+        shared = SharedEncoding(corpus, corpus, config, None)
+        derived, _, _ = shared.derive(run)
+        fresh, _, _ = encode_training_set(corpus, run)
+        assert derived.encoding.n_cells > fresh.encoding.n_cells
+        w = np.random.default_rng(47).normal(scale=0.5, size=fresh.n_parameters)
+        value, grad = derived.nll_and_gradient(w, 0.1)
+        fresh_value, fresh_grad = fresh.nll_and_gradient(w, 0.1)
+        assert value == fresh_value
+        scale = np.abs(fresh_grad).max()
+        assert np.all(np.abs(grad - fresh_grad) <= 1e-12 * scale)
 
     def test_runs_leave_the_shared_encoding_untouched(self):
         corpus = synthetic_corpus(20, seed=43)
