@@ -25,8 +25,8 @@ Decoding stays in log space (max-plus Viterbi).
 A batch of sequences (a training corpus, or the headlines being tagged)
 is encoded once into flat arrays, as in CRFsuite, but factored by
 window cell: a cell is the list of (attribute id, value) entries one
-token type contributes at one window slot, with or without the
-quotation attribute.  Each distinct cell is stored once, and a
+token type contributes at one window slot, inside a quotation or
+outside one.  Each distinct cell is stored once, and a
 (token, slot) table of cell numbers records which cells every token
 visits, plus the token offset of every sequence.  Emissions take one
 `np.bincount` per label over the cell entries, giving a score per cell,
@@ -48,9 +48,10 @@ looking the prefixed names up in the model's index and drops the names
 it does not know.
 
 A sweep of many runs on the same corpora encodes them once
-(`SharedEncoding`), recording each id's feature family, and derives
-each run's encoding from that one by masking families out and
-rescaling the embedding entries.  `fit` then trains on a derived
+(`SharedEncoding`), with the encoder `train` uses, and derives each
+run's encoding from that one by masking families out and rescaling the
+embedding entries; each id's family is read off its name
+(`features.attribute_family`).  `fit` then trains on a derived
 training set, as `train` does on one it encodes itself.
 """
 
@@ -85,11 +86,12 @@ from .features import (
     AttributeVector,
     FeatureConfig,
     FeatureIndex,
+    attribute_family,
     base_attributes,
     embedding_names,
     embedding_values,
     offset_prefix,
-    quoted_tokens,
+    quotation_flags,
     require_table,
 )
 
@@ -301,36 +303,20 @@ def _flat_encoding(
 _Resolver = Callable[[int, Sequence[str]], list]
 
 
-# Family code of the BOS and EOS markers, which belong to no family.
-_NO_FAMILY = len(FAMILIES)
-_QUOTATION = FAMILIES.index("quotation")
-_EMBEDDING = FAMILIES.index("embedding")
-
-
 class _Type:
     """A token type's base attributes and its window cells.
 
     `cells[2k + q]` is the number of the cell the type contributes at
-    window slot k, with the quotation attribute if q is 1, or None until
-    a window first visits it.  When families are recorded, `families[q]`
-    holds the family codes of the names of such a cell, else `families`
-    is None.
+    window slot k, inside a quotation if q is 1, or None until a window
+    first visits it.
     """
 
-    __slots__ = ("before", "after", "embedding", "families", "cells")
+    __slots__ = ("before", "after", "embedding", "cells")
 
-    def __init__(
-        self,
-        before: tuple,
-        after: tuple,
-        embedding: list,
-        width: int,
-        families: tuple | None = None,
-    ) -> None:
+    def __init__(self, before: tuple, after: tuple, embedding: list, width: int) -> None:
         self.before = before
         self.after = after
         self.embedding = embedding
-        self.families = families
         self.cells: list = [None] * (2 * width)
 
 
@@ -339,55 +325,44 @@ def _encode_windows(
     config: FeatureConfig,
     embeddings: EmbeddingTable | None,
     resolve: _Resolver,
-    families: array | None = None,
 ) -> Encoding:
     """Cell encoding of the windowed attributes of `headlines`.
 
     Each token visits one cell per window slot: the entries its type
-    contributes there, with or without the quotation attribute.  Laid
-    out visit by visit, the entries are those of `encode_attributes`
-    over `windowed_attributes`, in the same order, with the ids
-    `resolve` gives.  Base names are built once per token type, and
-    every cell is resolved and stored once, when a window first visits
-    it, so cells are numbered in order of first visit and `resolve` sees
-    the names in the order the windowed vectors list them.
+    contributes there, quoted or not.  Laid out visit by visit, the
+    entries are those of `encode_attributes` over `windowed_attributes`,
+    in the same order, with the ids `resolve` gives.  Base names are
+    built once per token type, and every cell is resolved and stored
+    once, when a window first visits it, so cells are numbered in order
+    of first visit and `resolve` sees the names in the order the
+    windowed vectors list them.
 
-    Given a `families` array, `resolve` must hand out new ids in order,
-    as a fresh index's `add` does, and the family code of every id it
-    creates is appended to the array: the `FAMILIES` index of the name,
-    or `_NO_FAMILY` for BOS and EOS.
+    Cells are keyed by `quotation_flags` whether or not the quotation
+    family is on; without it a type's quoted and unquoted cells hold
+    the same entries.  So switching the family off changes the entries
+    of quoted cells only, never which cells there are, and an encoding
+    derived by masking `quot=1` out (`SharedEncoding`) equals a fresh
+    one bit for bit.
     """
     radius = config.window_radius
     width = 2 * radius + 1
     emb_names = embedding_names(embeddings.dim) if embeddings is not None else ()
-    emb_families = (_EMBEDDING,) * len(emb_names)
     ids = array("q")
     vals = array("d")
     sizes = array("q")
 
-    def record(resolved: list, codes: tuple) -> None:
-        # A cell names no attribute twice, so its new ids are the ones
-        # past the end of `families`, in ascending order.
-        known = len(families)
-        families.extend(f for i, f in zip(resolved, codes) if i >= known)
-
     def new_cell(typ: _Type, k: int, quoted: bool) -> int:
         """Resolve and store the entries of a type's cell; its number."""
-        if quoted:
+        if quoted and config.quotation:
             names = typ.before + (QUOTATION,) + typ.after
         else:
             names = typ.before + typ.after
         before = len(ids)
-        resolved = resolve(k, names)
-        if families is not None:
-            record(resolved, typ.families[quoted])
-        kept = [i for i in resolved if i is not None]
+        kept = [i for i in resolve(k, names) if i is not None]
         ids.extend(kept)
         vals.extend([1.0] * len(kept))
         if k == radius and typ.embedding:
             resolved = resolve(k, emb_names)
-            if families is not None:
-                record(resolved, emb_families)
             for i, v in zip(resolved, typ.embedding):
                 if i is not None:
                     ids.append(i)
@@ -401,9 +376,8 @@ def _encode_windows(
         (token.text, token.pos) for headline in headlines for token in headline.tokens
     )
     types: dict[tuple[str, str | None], _Type] = {}
-    markers = ((_NO_FAMILY,),) * 2 if families is not None else None
-    bos = [_Type((BOS,), (), [], width, markers)] * radius
-    eos = [_Type((EOS,), (), [], width, markers)] * radius
+    bos = [_Type((BOS,), (), [], width)] * radius
+    eos = [_Type((EOS,), (), [], width)] * radius
     unquoted = [False] * radius
     visits = array("q")
     seq_lengths = array("q")
@@ -412,25 +386,18 @@ def _encode_windows(
         for token in headline.tokens:
             typ = types.get((token.text, token.pos))
             if typ is None:
-                codes = [] if families is not None else None
-                before, after = base_attributes(token.text, token.pos, config, codes)
+                before, after = base_attributes(token.text, token.pos, config)
                 emb = (
                     embedding_values(token.text, config, embeddings)
                     if config.embedding
                     else []
                 )
-                if codes is not None:
-                    split = len(before)
-                    codes = (
-                        tuple(codes),
-                        (*codes[:split], _QUOTATION, *codes[split:]),
-                    )
-                typ = _Type(before, after, emb, width, codes)
+                typ = _Type(before, after, emb, width)
                 if counts[token.text, token.pos] > 1:
                     types[token.text, token.pos] = typ
             row.append(typ)
         row += eos
-        quoted = unquoted + quoted_tokens(headline, config) + unquoted
+        quoted = unquoted + quotation_flags(headline) + unquoted
         seq_lengths.append(len(headline))
         for t in range(len(headline)):
             for k in range(width):
@@ -796,13 +763,6 @@ class TrainingSet:
         return value, grad
 
 
-def nll_and_gradient(
-    weights: np.ndarray, data: TrainingSet, c2: float
-) -> tuple[float, np.ndarray]:
-    """Smooth part of the training objective; see TrainingSet.nll_and_gradient."""
-    return data.nll_and_gradient(weights, c2)
-
-
 def encode_training_set(
     corpus: Corpus,
     config: FeatureConfig,
@@ -941,30 +901,33 @@ def _predicted(
 
 # --- one encoding for many runs ------------------------------------------
 
+# Family codes of `SharedEncoding.families`: the `FAMILIES` index, or
+# `len(FAMILIES)` for BOS and EOS, which belong to no family.
+_FAMILY_CODES = {family: code for code, family in enumerate((*FAMILIES, None))}
+_EMBEDDING = _FAMILY_CODES["embedding"]
+
+
 class SharedEncoding:
     """Training and development corpora encoded once for many runs.
 
     Both corpora are encoded under `config` with unscaled embedding
-    components, the development corpus against the training index, as
-    `tag` would.  Every id records its feature family.  `derive` gives
-    the encodings of a config that switches some of those families off
-    and scales the embeddings its own way.  Each token's entries equal
-    bit for bit those of encoding the corpora afresh:
+    components: the training corpus by `encode_training_set`, the
+    development corpus against the training index, as `tag` would.
+    `families` holds the family code of every id, read off its name by
+    `attribute_family`.  `derive` gives the encodings of a config that
+    switches some of those families off and scales the embeddings its
+    own way.  They equal bit for bit those of encoding the corpora
+    afresh, so training on them gives the same bytes:
 
     - Ids follow first appearance, and dropping a family's names keeps
       the order of the rest, so a kept id's new number is its rank among
       the kept ids.  Only cell entries are masked; the cells, their
-      visits, `offsets` and buckets are shared unchanged, and a cell may
-      end up empty.
+      visits, `offsets` and buckets are shared unchanged.  Cells are
+      keyed by quotation whether or not the family is on, so dropping it
+      leaves the cells those of a fresh encoding, and no other family
+      decides which cells there are.  A cell may end up empty.
     - A scaled embedding entry is the unscaled component times the
       scaling, the same IEEE product `embedding_values` computes.
-
-    Unless the quotation family is switched off, the cells too are
-    those of a fresh encoding, so training gives the same bytes.
-    Without it, a type's quoted and unquoted cells stay apart where a
-    fresh encoding has one; emissions and the objective value are still
-    the same, but the state gradient groups its sums differently and
-    agrees only to rounding.
     """
 
     def __init__(
@@ -977,25 +940,19 @@ class SharedEncoding:
     ) -> None:
         self.config = dataclasses.replace(config, embedding_scaling=1.0)
         self.embeddings = embeddings
-        self.alphabet = alphabet_for(ignore_other)
-        radius = config.window_radius
-        index = FeatureIndex()
-        families = array("b")
-        self.train = _encode_windows(
-            train_corpus.headlines,
-            self.config,
-            embeddings,
-            _resolver(index.add, radius),
-            families,
+        dataset, self.index, self.alphabet = encode_training_set(
+            train_corpus, self.config, embeddings, ignore_other
         )
-        self.index = index.freeze()
-        self.families = np.frombuffer(families, dtype=np.int8)
-        self.gold = _gold(train_corpus, self.alphabet, ignore_other)
+        self.train, self.gold = dataset.encoding, dataset.gold
+        self.families = np.array(
+            [_FAMILY_CODES[attribute_family(name)] for name in self.index.names()],
+            dtype=np.int8,
+        )
         self.dev = _encode_windows(
             dev_corpus.headlines,
             self.config,
             embeddings,
-            _resolver(self.index.get, radius),
+            _resolver(self.index.get, config.window_radius),
         )
 
     def derive(
@@ -1019,8 +976,8 @@ class SharedEncoding:
         index = self.index
         keep = None
         if dropped:
-            kept_families = np.ones(_NO_FAMILY + 1, dtype=bool)
-            kept_families[[FAMILIES.index(f) for f in dropped]] = False
+            kept_families = np.ones(len(_FAMILY_CODES), dtype=bool)
+            kept_families[[_FAMILY_CODES[f] for f in dropped]] = False
             keep = kept_families[self.families]
             index = FeatureIndex.from_names(itertools.compress(index.names(), keep))
         scaling = config.embedding_scaling if config.embedding else 1.0

@@ -17,6 +17,10 @@ originating offset (`[-2]`, `[-1]`, `[0]`, `[+1]`, `[+2]`).  Offsets
 outside the headline contribute a single `[o]BOS` or `[o]EOS`
 attribute.  The CRF encodes corpora from the base names directly,
 without building these dicts; see `crf`.
+
+Every windowed name spells out its family, and `attribute_family` is
+the one rule that reads it back: a sweep that switches families off
+(`crf.SharedEncoding`) finds each indexed attribute's family there.
 """
 
 from __future__ import annotations
@@ -160,56 +164,63 @@ QUOTATION = "quot=1"
 BOS = "BOS"
 EOS = "EOS"
 
-# `FAMILIES` indices of the one-name families ahead of the trigrams, and
-# of those after the quotation attribute, in name order.
-_LEADING = tuple(FAMILIES.index(f) for f in ("bias", "token", "uppercase", "titlecase"))
-_TRIGRAM = FAMILIES.index("char_trigram")
-_TRAILING = tuple(FAMILIES.index(f) for f in ("suffix3", "pos", "shape"))
-
 
 def base_attributes(
-    text: str,
-    pos: str | None,
-    config: FeatureConfig,
-    families: list[int] | None = None,
+    text: str, pos: str | None, config: FeatureConfig
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Binary attribute names of a token type, before and after `quot=1`.
 
     Names come in family order.  A trigram that occurs twice in the
-    token is named once, at its first occurrence.  Given a `families`
-    list, the `FAMILIES` index of every name, `before` then `after`, is
-    appended to it.
+    token is named once, at its first occurrence.
     """
     before: list[str] = []
     if config.bias:
         before.append("bias")
     if config.token:
         before.append(f"w={text}")
-    upper = config.uppercase and _is_upper(text)
-    if upper:
+    if config.uppercase and _is_upper(text):
         before.append("upper=1")
-    title = config.titlecase and _is_title(text)
-    if title:
+    if config.titlecase and _is_title(text):
         before.append("title=1")
-    grams = ()
     if config.char_trigram:
-        grams = dict.fromkeys(f"tri={gram}" for gram in char_trigrams(text))
-        before.extend(grams)
+        before.extend(dict.fromkeys(f"tri={gram}" for gram in char_trigrams(text)))
     after: list[str] = []
     if config.suffix3:
         after.append(f"suf3={text[-3:]}")
-    has_pos = config.pos and pos is not None
-    if has_pos:
+    if config.pos and pos is not None:
         after.append(f"pos={pos}")
     if config.shape:
         after.append(f"shape={word_shape(text)}")
-    if families is not None:
-        leading = (config.bias, config.token, upper, title)
-        families.extend(f for f, on in zip(_LEADING, leading) if on)
-        families.extend([_TRIGRAM] * len(grams))
-        trailing = (config.suffix3, has_pos, config.shape)
-        families.extend(f for f, on in zip(_TRAILING, trailing) if on)
     return tuple(before), tuple(after)
+
+
+# The family of every base name, by its key: the text before the first
+# `=`, or the whole name where it has none.  Embedding names (`emb0`,
+# `emb1`, ...) are the only keys that start with `emb`.
+_KEY_FAMILIES = {
+    "bias": "bias",
+    "w": "token",
+    "upper": "uppercase",
+    "title": "titlecase",
+    "tri": "char_trigram",
+    "quot": "quotation",
+    "suf3": "suffix3",
+    "pos": "pos",
+    "shape": "shape",
+    BOS: None,
+    EOS: None,
+}
+
+
+def attribute_family(name: str) -> str | None:
+    """Family of a windowed attribute name; None for BOS and EOS.
+
+    The offset prefix ends at the name's first `]`, and the base name's
+    key at its first `=`, so token texts and POS tags, which follow
+    both, never change the answer.
+    """
+    key = name.partition("]")[2].partition("=")[0]
+    return "embedding" if key.startswith("emb") else _KEY_FAMILIES[key]
 
 
 def embedding_names(dim: int) -> tuple[str, ...]:

@@ -104,6 +104,24 @@ class TestL1:
         heavy = minimize(quadratic(a), np.zeros(20), l1=1.0, delta=1e-12)
         assert np.sum(heavy.x == 0.0) >= np.sum(light.x == 0.0)
 
+    def test_direction_keeps_only_coordinates_that_descend(self):
+        # The coupling gives the quasi-Newton direction a component
+        # along x[1], where the penalty holds x[1] at 0 and the
+        # pseudo-gradient is 0: a coordinate the direction does not
+        # descend along must not move.
+        hessian = np.array([[2.0, 0.9], [0.9, 1.0]])
+        a = np.array([3.0, 0.0])
+        seen = []
+
+        def fun(x):
+            seen.append(x.copy())
+            d = x - a
+            return 0.5 * float(d @ hessian @ d), hessian @ d
+
+        result = minimize(fun, np.zeros(2), l1=3.0, delta=1e-12)
+        assert all(x[1] == 0.0 for x in seen)
+        assert np.allclose(result.x, [1.5, 0.0], atol=1e-6)
+
     def test_trace_objective_includes_penalty(self):
         a = np.array([2.0])
         result = minimize(quadratic(a), np.zeros(1), l1=0.5, delta=1e-12)
