@@ -32,10 +32,15 @@ visits, plus the token offset of every sequence.  Emissions take one
 `np.bincount` per label over the cell entries, giving a score per cell,
 and then one gather per window slot; the state gradient sums the
 residuals of each cell's visits first, then takes one `np.bincount` per
-label over the cell entries.  Sequences of equal length form a bucket,
-and forward-backward and Viterbi run over a whole bucket at once,
-looping over time steps only.  Buckets are visited in ascending length
-order, which fixes the order of every sum.
+label over the cell entries.  Forward-backward and Viterbi then loop
+once over time steps for the whole batch, as packed sequences do in
+cuDNN: step t takes token t of every sequence longer than t, with the
+sequences ranked by descending length, so each step is one contiguous
+block of rows that continues the first rows of the step before.  No
+sequence is padded, and each token's marginals and best label are
+those of its sequence decoded alone, bit for bit.  Sums over tokens
+and sequences (log Z, pair marginals) run in packed row order, which
+the sequence lengths and their input order fix.
 
 Corpora are encoded without building any windowed attribute name per
 token.  The base names of each token type (`features.base_attributes`)
@@ -97,14 +102,14 @@ from .features import (
 
 DivergenceError = optim.DivergenceError
 
-# Headlines encoded at once by `tag`: enough for full length buckets,
-# while the encoding stays a few MB however large the corpus is.  A cell
-# entry takes 32 bytes (id, value, cell, one scratch value), a visit 8
-# and a cell's scores 8 per label.  On open-vocabulary news feeds (the
-# benchmark's `tag-feeds` inputs) a 512-headline chunk has about 4,600
-# tokens and 6,000 cells of about 12 indexed entries each: about 15
-# entries and 5 visits per token, some 0.6 KB per token with the
-# emissions, and about 3 MB per chunk.
+# Headlines encoded at once by `tag`: enough that each packed time step
+# spans many headlines, while the encoding stays a few MB however large
+# the corpus is.  A cell entry takes 32 bytes (id, value, cell, one
+# scratch value), a visit 8 and a cell's scores 8 per label.  On
+# open-vocabulary news feeds (the benchmark's `tag-feeds` inputs) a
+# 512-headline chunk has about 4,600 tokens and 6,000 cells of about 12
+# indexed entries each: about 15 entries and 5 visits per token, some
+# 0.6 KB per token with the emissions, and about 3 MB per chunk.
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
@@ -218,10 +223,12 @@ class Encoding:
     that order.  `visits` is column-major, so each slot's column is
     contiguous.  Every cell is visited at least once.
 
-    Sequence i covers the tokens `offsets[i]:offsets[i + 1]`.  Each
-    array in `buckets` holds the global token indices of all sequences
-    of one length, one row per sequence in input order; buckets ascend
-    by length.
+    Sequence i covers the tokens `offsets[i]:offsets[i + 1]`.  `order`
+    lists the token indices step-major, as packed sequences do: rank the
+    sequences by descending length, ties in input order; then
+    `order[steps[t]:steps[t + 1]]` holds token t of every sequence
+    longer than t, by rank.  The sequences alive at step t + 1 are so
+    the first ones alive at step t.
     """
 
     ids: np.ndarray
@@ -229,7 +236,8 @@ class Encoding:
     cell: np.ndarray
     visits: np.ndarray
     offsets: np.ndarray
-    buckets: tuple[np.ndarray, ...]
+    order: np.ndarray
+    steps: np.ndarray
 
     @property
     def n_tokens(self) -> int:
@@ -278,10 +286,7 @@ def _flat_encoding(
     """Encoding of cells with `sizes` entries each and token-major visits."""
     lengths = np.frombuffer(seq_lengths, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    buckets = tuple(
-        offsets[:-1][lengths == n][:, None] + np.arange(n)
-        for n in np.flatnonzero(np.bincount(lengths)).tolist()
-    )
+    order, steps = _packed(offsets)
     sizes = np.frombuffer(sizes, dtype=np.int64)
     return Encoding(
         ids=np.frombuffer(ids, dtype=np.int64),
@@ -291,8 +296,21 @@ def _flat_encoding(
             np.frombuffer(visits, dtype=np.int64).reshape(-1, width)
         ),
         offsets=offsets,
-        buckets=buckets,
+        order=order,
+        steps=steps,
     )
+
+
+def _packed(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`Encoding.order` and `Encoding.steps` of the sequences at `offsets`."""
+    lengths = np.diff(offsets)
+    ranked = offsets[:-1][np.argsort(-lengths, kind="stable")]
+    # alive[t] counts the sequences longer than t.
+    alive = np.cumsum(np.bincount(lengths, minlength=1)[::-1])[-2::-1]
+    steps = np.concatenate([[0], np.cumsum(alive)])
+    step = np.repeat(np.arange(alive.size), alive)
+    rank = np.arange(steps[-1]) - steps[step]
+    return ranked[rank] + step, steps
 
 
 # --- interned window encoding ------------------------------------------------
@@ -525,14 +543,16 @@ def _path_score(
     return float(score)
 
 
-# --- inference over length buckets ------------------------------------------
+# --- inference over packed time steps ---------------------------------------
 #
 # Forward-backward is scaled and runs in exp space (CRFsuite; Rabiner
-# 1989, section V.A); see the module docstring.  Its arrays are
-# time-major, (n, B, L) for the B sequences of one length n, and each
-# product is an `einsum` without `optimize`, which sums in a fixed order
-# and never calls BLAS.  Viterbi takes the (B, n, L) log-space emissions
-# of a bucket.
+# 1989, section V.A); see the module docstring.  Both it and Viterbi
+# take the emissions gathered once into packed rows, `e[enc.order]`, and
+# loop once over the time steps.  Step t's rows are one contiguous slice,
+# and its sequences continue the first rows of step t - 1, so every step
+# is a product of two slices; each sequence's last row is read once
+# after the loop.  Every product is an `einsum` without `optimize`, which
+# sums in a fixed order and never calls BLAS.
 
 _TINY = np.finfo(float).tiny
 
@@ -543,28 +563,53 @@ def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
     return np.exp(a - shift), shift
 
 
-def _scaled_forward(
-    f: np.ndarray, transition: np.ndarray, start: np.ndarray, end: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled forward pass over exponentiated factors.
+def _step_links(bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Packed row of every row's predecessor, and every sequence's last row.
 
-    Returns alpha (n, B, L), whose rows sum to 1, the scales c (n, B, 1)
-    and the scaled end sums (B,).  Raises DivergenceError when a scale
-    or an end sum is not a positive normal number: dividing by it would
-    overflow or lose precision.
+    `bounds` are the step offsets (`Encoding.steps`).  The predecessors
+    are those of the rows after step 0, in row order.
+    """
+    alive = np.diff(bounds)
+    n_rows = bounds[-1]
+    prev = np.arange(n_rows - alive[1:].sum(), n_rows) - np.repeat(
+        alive[:-1], alive[1:]
+    )
+    is_last = np.ones(n_rows, dtype=bool)
+    is_last[prev] = False
+    return prev, np.flatnonzero(is_last)
+
+
+def _scaled_forward(
+    f: np.ndarray,
+    bounds: list[int],
+    last: np.ndarray,
+    transition: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled forward pass over exponentiated packed factors.
+
+    Returns alpha (n_rows, L), whose rows sum to 1, the scales c
+    (n_rows, 1) and the scaled end sums of the sequences ending at the
+    rows `last`.  Raises DivergenceError when a scale or an end sum is
+    not a positive normal number: dividing by it would overflow or lose
+    precision.
     """
     alpha = np.empty_like(f)
-    c = np.empty((*f.shape[:2], 1))
+    c = np.empty((f.shape[0], 1))
     # A scale of 0 makes every later step 0/0; the check below reports it.
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(f[0], start, out=alpha[0])
-        for t in range(f.shape[0]):
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             if t:
-                np.einsum("bi,ij->bj", alpha[t - 1], transition, out=alpha[t])
-                alpha[t] *= f[t]
-            np.add.reduce(alpha[t], axis=1, keepdims=True, out=c[t])
-            alpha[t] /= c[t]
-        z = np.einsum("bj,j->b", alpha[-1], end)
+                before = bounds[t - 1]
+                block = alpha[before : before + hi - lo]
+                np.einsum("bi,ij->bj", block, transition, out=alpha[lo:hi])
+                alpha[lo:hi] *= f[lo:hi]
+            else:
+                np.multiply(f[lo:hi], start, out=alpha[lo:hi])
+            np.add.reduce(alpha[lo:hi], axis=1, keepdims=True, out=c[lo:hi])
+            alpha[lo:hi] /= c[lo:hi]
+        z = np.einsum("bj,j->b", alpha[last], end)
     if not (np.all(c >= _TINY) and np.all(z >= _TINY)):
         raise DivergenceError(
             "forward-backward scale underflowed: weights too extreme"
@@ -574,78 +619,93 @@ def _scaled_forward(
 
 def _forward_backward(
     e: np.ndarray,
-    buckets: Sequence[np.ndarray],
+    enc: Encoding,
     transition: np.ndarray,
     start: np.ndarray,
     end: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Summed log Z, unary marginals (n_tokens, L) and summed pair marginals.
 
-    `e` holds the log-space emissions of every token and `buckets` the
-    token rows of each sequence length, as in `Encoding`.
+    `e` holds the log-space emissions of every token of `enc`.
     """
     shift = e.max(axis=1, keepdims=True)
-    factors = np.exp(e - shift)
     t_exp, t_shift = _exp_shifted(transition)
     s_exp, s_shift = _exp_shifted(start)
     e_exp, e_shift = _exp_shifted(end)
-    log_z = float(shift.sum())
-    marginal = np.empty_like(e)
-    pair = np.zeros_like(transition)
-    for rows in buckets:
-        tokens = rows.T
-        n, n_seq = tokens.shape
-        f = factors[tokens]
-        alpha, c, z = _scaled_forward(f, t_exp, s_exp, e_exp)
-        log_z += float(np.log(c).sum() + np.log(z).sum())
-        log_z += n_seq * (s_shift + e_shift + (n - 1) * t_shift)
-        # From here on f[t] holds the emission factors over c_t, times
-        # beta[t] once that is known: the right half of every pair term.
-        f /= c
-        beta = np.empty_like(f)
-        beta[-1] = e_exp / z[:, None]
-        for t in range(n - 1, 0, -1):
-            f[t] *= beta[t]
-            np.einsum("ij,bj->bi", t_exp, f[t], out=beta[t - 1])
-        if n > 1:
-            pair += np.einsum("tbi,tbj->ij", alpha[:-1], f[1:])
-        alpha *= beta
-        marginal[tokens] = alpha
+    f = np.exp(e - shift)[enc.order]
+    bounds = enc.steps.tolist()
+    prev, last = _step_links(bounds)
+    alpha, c, z = _scaled_forward(f, bounds, last, t_exp, s_exp, e_exp)
+    n_seq = last.size
+    log_z = float(shift.sum()) + float(np.log(c).sum() + np.log(z).sum())
+    log_z += n_seq * (s_shift + e_shift) + prev.size * t_shift
+    # From here on f holds the emission factors over c, times beta once
+    # that is known: the right half of every pair term.
+    f /= c
+    beta = np.empty_like(f)
+    beta[last] = e_exp / z[:, None]
+    for t in range(len(bounds) - 2, 0, -1):
+        lo, hi, before = bounds[t], bounds[t + 1], bounds[t - 1]
+        f[lo:hi] *= beta[lo:hi]
+        block = beta[before : before + hi - lo]
+        np.einsum("ij,bj->bi", t_exp, f[lo:hi], out=block)
+    # Step 0 holds the first n_seq rows; each later row pairs with its
+    # predecessor in `prev`.
+    pair = np.einsum("ni,nj->ij", alpha[prev], f[n_seq:])
     pair *= t_exp
+    alpha *= beta
+    marginal = np.empty_like(e)
+    marginal[enc.order] = alpha
     return log_z, marginal, pair
 
 
 def _viterbi_ids(
-    e: np.ndarray, transition: np.ndarray, start: np.ndarray, end: np.ndarray
+    e: np.ndarray,
+    bounds: list[int],
+    transition: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
 ) -> np.ndarray:
-    """Best tag ids (B, n) per sequence."""
-    n_seq, n, n_labels = e.shape
-    seq = np.arange(n_seq)
-    labels = np.arange(n_labels)
-    delta = start + e[:, 0]
-    backpointers = np.empty((n_seq, n, n_labels), dtype=np.int64)
-    for t in range(1, n):
-        scores = delta[:, :, None] + transition
-        # argmax returns the first (lowest-index) maximizer, which is
-        # exactly the documented tie-break.
-        best_prev = scores.argmax(axis=1)
-        backpointers[:, t] = best_prev
-        delta = scores[seq[:, None], best_prev, labels] + e[:, t]
-    path = np.empty((n_seq, n), dtype=np.int64)
-    path[:, -1] = np.argmax(delta + end, axis=1)
-    for t in range(n - 1, 0, -1):
-        path[:, t - 1] = backpointers[seq, t, path[:, t]]
+    """Best tag id of every packed row, given packed emissions."""
+    n_rows, n_labels = e.shape
+    _, last = _step_links(bounds)
+    into = transition.T.copy()
+    # Flat index of scores[r, j, 0] below, for every row r and label j.
+    score_rows = np.arange(last.size * n_labels).reshape(-1, n_labels) * n_labels
+    delta = np.empty_like(e)
+    backpointers = np.empty((n_rows, n_labels), dtype=np.int64)
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if not t:
+            np.add(start, e[lo:hi], out=delta[lo:hi])
+            continue
+        before = bounds[t - 1]
+        # scores[r, j, i]: the best path into label i at step t - 1,
+        # then label j.  argmax returns the first (lowest-index)
+        # maximizer, which is exactly the documented tie-break.
+        scores = delta[before : before + hi - lo, None, :] + into
+        best = scores.argmax(axis=2)
+        backpointers[lo:hi] = best
+        best += score_rows[: hi - lo]
+        np.add(scores.ravel()[best], e[lo:hi], out=delta[lo:hi])
+    path = np.empty(n_rows, dtype=np.int64)
+    path[last] = np.argmax(delta[last] + end, axis=1)
+    flat = backpointers.ravel()
+    row_starts = np.arange(0, n_rows * n_labels, n_labels)
+    for t in range(len(bounds) - 2, 0, -1):
+        lo, hi, before = bounds[t], bounds[t + 1], bounds[t - 1]
+        path[before : before + hi - lo] = flat[row_starts[lo:hi] + path[lo:hi]]
     return path
 
 
 # --- model-level operations --------------------------------------------------
 
 def _decode(model: CrfModel, enc: Encoding) -> np.ndarray:
-    """Best tag id of every token, bucket by bucket."""
+    """Best tag id of every token."""
     e = _emissions(enc, model.state)
     paths = np.empty(enc.n_tokens, dtype=np.int64)
-    for rows in enc.buckets:
-        paths[rows] = _viterbi_ids(e[rows], model.transition, model.start, model.end)
+    paths[enc.order] = _viterbi_ids(
+        e[enc.order], enc.steps.tolist(), model.transition, model.start, model.end
+    )
     return paths
 
 
@@ -678,7 +738,7 @@ def log_partition(model: CrfModel, attrs: Sequence[AttributeVector]) -> float:
     enc = _encode_one(model, attrs)
     e = _emissions(enc, model.state)
     log_z, _, _ = _forward_backward(
-        e, enc.buckets, model.transition, model.start, model.end
+        e, enc, model.transition, model.start, model.end
     )
     return log_z
 
@@ -721,9 +781,10 @@ class TrainingSet:
         """Negative log-likelihood plus (c2/2)||w||^2, with its gradient.
 
         The gradient is expected feature counts under the model minus
-        empirical counts, plus c2*w.  Sequences are processed in buckets
-        of equal length, in ascending length order, and every sum runs
-        in a fixed order, so results are bit-reproducible.  Raises
+        empirical counts, plus c2*w.  Forward-backward runs once over
+        the packed time steps of the whole set (`Encoding`), and every
+        sum runs in an order the encoding fixes, so results are
+        bit-reproducible.  Raises
         DivergenceError when the result is not finite or the scaled
         forward-backward pass underflows (see the module docstring).
         """
@@ -738,9 +799,7 @@ class TrainingSet:
         e = _emissions(enc, state)
         # Unary marginals, turned into residuals once the gold one-hot
         # is subtracted below.
-        log_z, marginal, pair = _forward_backward(
-            e, enc.buckets, transition, start, end
-        )
+        log_z, marginal, pair = _forward_backward(e, enc, transition, start, end)
         n_transition, n_start, n_end = self.empirical
         value = float(
             log_z
@@ -922,10 +981,11 @@ class SharedEncoding:
     - Ids follow first appearance, and dropping a family's names keeps
       the order of the rest, so a kept id's new number is its rank among
       the kept ids.  Only cell entries are masked; the cells, their
-      visits, `offsets` and buckets are shared unchanged.  Cells are
-      keyed by quotation whether or not the family is on, so dropping it
-      leaves the cells those of a fresh encoding, and no other family
-      decides which cells there are.  A cell may end up empty.
+      visits, `offsets` and the packed `order` and `steps` are shared
+      unchanged.  Cells are keyed by quotation whether or not the family
+      is on, so dropping it leaves the cells those of a fresh encoding,
+      and no other family decides which cells there are.  A cell may end
+      up empty.
     - A scaled embedding entry is the unscaled component times the
       scaling, the same IEEE product `embedding_values` computes.
     """
@@ -1001,7 +1061,7 @@ class SharedEncoding:
         if scaling != 1.0:
             vals = vals.copy()
             vals[self.families[ids] == _EMBEDDING] *= scaling
-        return Encoding(new_ids, vals, cell, enc.visits, enc.offsets, enc.buckets)
+        return dataclasses.replace(enc, ids=new_ids, vals=vals, cell=cell)
 
 
 # --- persistence ---------------------------------------------------------

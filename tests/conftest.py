@@ -259,6 +259,23 @@ def _reference_backward(e, transition, end):
     return beta
 
 
+def _reference_pairs(e, transition, alpha, beta, log_z):
+    """Pair marginals of one sequence, summed over its positions."""
+    return np.exp(
+        alpha[:-1, :, None]
+        + transition[None, :, :]
+        + (e[1:] + beta[1:])[:, None, :]
+        - log_z
+    ).sum(axis=0)
+
+
+def reference_partition_and_pairs(e, transition, start, end):
+    """log Z and summed pair marginals of one sequence, in log space."""
+    alpha, log_z = _reference_forward(e, transition, start, end)
+    beta = _reference_backward(e, transition, end)
+    return log_z, _reference_pairs(e, transition, alpha, beta, log_z)
+
+
 def _reference_accumulate(
     ids, vals, pos, gold, state, transition, start, end,
     g_state, g_transition, g_start, g_end,
@@ -276,13 +293,7 @@ def _reference_accumulate(
     if ids.size:
         np.add.at(g_state, ids, vals[:, None] * residual[pos])
     if n > 1:
-        pair = np.exp(
-            alpha[:-1, :, None]
-            + transition[None, :, :]
-            + (e[1:] + beta[1:])[:, None, :]
-            - log_z
-        ).sum(axis=0)
-        g_transition += pair
+        g_transition += _reference_pairs(e, transition, alpha, beta, log_z)
         np.subtract.at(g_transition, (gold[:-1], gold[1:]), 1.0)
     g_start += residual[0]
     g_end += residual[n - 1]

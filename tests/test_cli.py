@@ -157,6 +157,21 @@ class TestTrainTagEval:
         eng_row = next(line for line in out.splitlines() if "ENG" in line)
         assert eng_row.count("100.00") == 3
 
+    def test_tagging_an_empty_corpus_writes_an_empty_file(
+        self, corpora, tmp_path, capsys
+    ):
+        model = tmp_path / "model.crf"
+        assert run(
+            ["train", "--train", str(corpora / "train.tsv"), "-o", str(model),
+             "--max-iterations", "3"]
+        ) == 0
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        assert run(["tag", "-m", str(model), str(empty), "-o", str(pred)]) == 0
+        assert "tagged 0 headlines" in capsys.readouterr().err
+        assert pred.read_bytes() == b""
+
     def test_training_and_tagging_are_byte_deterministic(
         self, corpora, tmp_path, capsys
     ):
@@ -519,6 +534,20 @@ class TestTuneCommand:
         assert table[2].split("\t")[4:7] == ["failed", "failed", "failed"]
         assert "synthetic failure" not in captured.out + "\n".join(table)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_empty_dev_corpus_scores_zero(self, corpora, tmp_path, capsys, jobs):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "tune.tsv"
+        assert run(
+            ["tune", "--train", str(corpora / "train.tsv"), "--dev", str(empty),
+             "-o", str(out), "--c1-values", "0.0,0.1", "--c2-values", "0.05",
+             "--scaling-values", "1.0", "--max-iterations", "3", "--jobs", jobs]
+        ) == 0
+        assert "swept 2 grid points (0 failed)" in capsys.readouterr().err
+        rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [row[4:7] for row in rows[1:]] == [["0.00", "0.00", "0.00"]] * 2
+
     def test_missing_dev_corpus(self, corpora, capsys, tmp_path):
         assert run(
             ["tune", "--train", str(corpora / "train.tsv"),
@@ -554,6 +583,20 @@ class TestAblateCommand:
         assert len(lines) == 11  # header + all + nine families
         assert lines[1].startswith("all\t")
         assert "ablated 9 families" in captured.err
+
+    def test_empty_dev_corpus_scores_zero(self, corpora, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "ablation.tsv"
+        assert run(
+            ["ablate", "--train", str(corpora / "train.tsv"), "--dev", str(empty),
+             "-o", str(out), "--max-iterations", "3", "--jobs", "2"]
+        ) == 0
+        assert "ablated 9 families (0 failed runs)" in capsys.readouterr().err
+        rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == 11
+        assert rows[1] == ["all", "0.00", "0.00", "0.00", ""]
+        assert all(row[1:] == ["0.00", "0.00", "0.00", "+0.00"] for row in rows[2:])
 
     def test_failed_variant_error_is_reported(
         self, corpora, tmp_path, capsys, monkeypatch

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from borrowings import crf
 from borrowings.corpus import (
@@ -52,6 +52,7 @@ from conftest import (
     expand_encoding,
     model_from_matrices,
     reference_nll_and_gradient,
+    reference_partition_and_pairs,
     synthetic_corpus,
     synthetic_embeddings,
 )
@@ -354,8 +355,25 @@ class TestFlatEncoding:
         assert enc.n_cells == 5
         assert enc.offsets.tolist() == [0, 2, 3, 5]
         assert enc.n_tokens == 5
-        # Ascending length; equal lengths keep input order.
-        assert [b.tolist() for b in enc.buckets] == [[[2]], [[0, 1], [3, 4]]]
+        # Step-major, sequences by descending length; equal lengths keep
+        # input order, so the ranks are sequences 0, 2, 1.
+        assert enc.order.tolist() == [0, 3, 2, 1, 4]
+        assert enc.steps.tolist() == [0, 3, 5]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 6), max_size=60))
+    def test_packed_steps_spelled_out(self, lengths):
+        enc = encode_attributes([[{}] * n for n in lengths], {}.get)
+        starts = enc.offsets[:-1].tolist()
+        # Python's sort is stable: equal lengths keep input order.
+        ranked = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+        order, steps = [], [0]
+        for t in range(max(lengths, default=0)):
+            order += [starts[i] + t for i in ranked if lengths[i] > t]
+            steps.append(len(order))
+        assert enc.order.tolist() == order
+        assert enc.steps.tolist() == steps
+        assert enc.order.dtype == enc.steps.dtype == np.int64
 
     def test_window_cells_are_stored_once(self):
         tokens = tuple(Token(w) for w in ("a", "a", "b", "a"))
@@ -590,6 +608,29 @@ class TestExtremeWeights:
         with pytest.raises(DivergenceError, match="underflow"):
             log_partition(model, attrs)
 
+    @pytest.mark.parametrize("factor", [1.0, 0.9])
+    def test_underflow_in_a_shorter_sequence_raises_divergence(self, factor):
+        # The underflowing pair of tokens is the middle sequence, which
+        # ends two steps before the others: a check that skipped the rows
+        # of finished sequences, or read rows left over from an earlier
+        # step, would miss it.  At 0.9 the pair loses 720 nats, so its
+        # second scale is subnormal rather than 0 and its end sum stays
+        # normal: only the scale check can see it.
+        underflowing, transition, start, end = self.underflowing_matrices()
+        underflowing, transition = underflowing * factor, transition * factor
+        e = np.zeros((11, 3))
+        e[5:7] = underflowing
+        dataset = one_attribute_per_token([5, 2, 4], 3, np.random.default_rng(33))
+        weights = np.concatenate([e.ravel(), transition.ravel(), start, end])
+        ref_value, _ = reference_nll_and_gradient(dataset, weights, 0.0)
+        assert np.isfinite(ref_value)
+        with pytest.raises(DivergenceError, match="underflow"):
+            dataset.nll_and_gradient(weights, 0.0)
+        # Without the underflowing pair the same weights are in range.
+        e[5:7] = 0.0
+        weights = np.concatenate([e.ravel(), transition.ravel(), start, end])
+        assert np.isfinite(dataset.nll_and_gradient(weights, 0.0)[0])
+
     def test_gaps_just_inside_range_stay_exact(self):
         # Each step loses 600 nats, well above the smallest normal scale.
         e, transition, start, end = self.underflowing_matrices()
@@ -605,6 +646,60 @@ def split_model(lengths, e, transition, start, end):
     model, attrs = model_from_matrices(e, transition, start, end)
     bounds = np.cumsum([0, *lengths]).tolist()
     return model, [attrs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def packed_case(lengths, seed):
+    """Random matrices for sequences of `lengths`, and their encoding."""
+    rng = np.random.default_rng(seed)
+    n_labels = int(rng.integers(2, 6))
+    e, t, s, end = random_matrices(rng, sum(lengths), n_labels, scale=2.0)
+    model, seqs = split_model(lengths, e, t, s, end)
+    return model, seqs, e, encode_attributes(seqs, model.index.get)
+
+
+class TestPackedSteps:
+    """One loop over packed time steps treats every sequence on its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=9),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([1], 0)
+    @example([7], 1)
+    @example([1, 1, 1], 2)
+    @example([4, 4, 4, 4], 3)
+    @example([1, 2, 1, 30, 1, 2], 4)
+    def test_batch_equals_each_sequence_alone(self, lengths, seed):
+        model, seqs, e, enc = packed_case(lengths, seed)
+        t, s, end = model.transition, model.start, model.end
+        paths = crf._decode(model, enc)
+        log_z, marginal, pair = crf._forward_backward(e, enc, t, s, end)
+        ref_log_z, ref_pair = 0.0, np.zeros_like(t)
+        for seq, lo, hi in zip(seqs, enc.offsets[:-1], enc.offsets[1:]):
+            alone = encode_attributes([seq], model.index.get)
+            assert paths[lo:hi].tolist() == crf._decode(model, alone).tolist()
+            _, own, _ = crf._forward_backward(e[lo:hi], alone, t, s, end)
+            assert marginal[lo:hi].tobytes() == own.tobytes()
+            seq_log_z, seq_pair = reference_partition_and_pairs(e[lo:hi], t, s, end)
+            ref_log_z += seq_log_z
+            ref_pair += seq_pair
+        assert log_z == pytest.approx(ref_log_z, rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(pair, ref_pair, rtol=1e-10, atol=1e-10)
+
+    def test_zero_sequences(self):
+        model, _, _, _ = packed_case([3], 5)
+        enc = encode_attributes([], model.index.get)
+        assert enc.order.size == 0 and enc.steps.tolist() == [0]
+        paths = crf._decode(model, enc)
+        assert paths.shape == (0,) and paths.dtype == np.int64
+        n_labels = model.n_labels
+        log_z, marginal, pair = crf._forward_backward(
+            np.empty((0, n_labels)), enc, model.transition, model.start, model.end
+        )
+        assert log_z == 0.0
+        assert marginal.shape == (0, n_labels)
+        assert pair.tolist() == np.zeros((n_labels, n_labels)).tolist()
 
 
 class TestBucketedViterbi:

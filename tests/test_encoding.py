@@ -106,7 +106,7 @@ def oracle(corpus, config, table, lookup):
 
 
 def assert_same_encoding(got, expected):
-    """Equal per-token entries, offsets and buckets.
+    """Equal per-token entries, offsets and packed time steps.
 
     Each token's entries are those of the cells it visits, in slot
     order; cell numbering and sharing may differ.
@@ -119,9 +119,9 @@ def assert_same_encoding(got, expected):
         assert getattr(got, field).dtype == getattr(expected, field).dtype, field
     assert got.visits.shape[0] == got.n_tokens
     assert np.array_equal(got.offsets, expected.offsets)
-    assert len(got.buckets) == len(expected.buckets)
-    for a, b in zip(got.buckets, expected.buckets):
-        assert np.array_equal(a, b)
+    for field in ("order", "steps"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 class TestBaseAttributes:
