@@ -32,6 +32,7 @@ from .errors import ConfigError, ValidationError
 from .evaluation import evaluate, render_report_text, render_report_tsv
 from .features import FeatureConfig
 from .ingest import FeedItem, items_to_corpus, parse_rss
+from .optim import LINE_SEARCH_FAILED
 from .tune import (
     GridSpec,
     ablate,
@@ -53,7 +54,6 @@ class RunConfig:
 
     train_corpus: str | None = None
     dev_corpus: str | None = None
-    test_corpus: str | None = None
     embeddings: str | None = None
     model: str | None = None
     output_dir: str | None = None
@@ -92,7 +92,6 @@ def _parse_str_list(raw: str) -> tuple[str, ...]:
 _PATH_KEYS = (
     "train_corpus",
     "dev_corpus",
-    "test_corpus",
     "embeddings",
     "model",
     "output_dir",
@@ -278,24 +277,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     model = _train_model(config)
     diag = model.diagnostics
-    if diag.line_search_failed:
+    if diag.stop == LINE_SEARCH_FAILED:
         print(
             "warning: line search failed; kept the best iterate found",
             file=sys.stderr,
         )
     with open(out, "w", encoding="utf-8", newline="\n") as stream:
         save_model(model, stream)
-    if diag.converged:
-        status = "converged"
-    elif diag.stalled:
-        status = "stalled"
-    elif diag.line_search_failed:
-        status = "line search failed"
-    else:
-        status = "stopped at the iteration cap"
     print(
-        f"trained {diag.iterations} iterations ({status}), "
-        f"final objective {diag.final_objective:.6f}, "
+        f"trained {diag.iterations} iterations ({diag.stop}), "
+        f"final objective {diag.value:.6f}, "
         f"{model.n_features} attributes",
         file=sys.stderr,
     )

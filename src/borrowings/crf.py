@@ -156,21 +156,14 @@ class TrainConfig:
             raise ConfigError("lbfgs_memory must be >= 1")
 
 
-@dataclass(frozen=True)
-class TrainDiagnostics:
-    """Optimizer outcome attached to a freshly trained model."""
-
-    iterations: int
-    converged: bool
-    stalled: bool
-    line_search_failed: bool
-    final_objective: float
-    objective_trace: tuple[float, ...]
-
-
 @dataclass(eq=False)
 class CrfModel:
-    """Trained weights plus everything needed to reapply them."""
+    """Trained weights plus everything needed to reapply them.
+
+    A model `train` or `fit` returns keeps the optimizer's result as
+    `diagnostics`, and its weight arrays are views of `diagnostics.x`;
+    a loaded model has `diagnostics=None`.
+    """
 
     alphabet: TagAlphabet
     index: FeatureIndex
@@ -180,7 +173,7 @@ class CrfModel:
     end: np.ndarray  # (L,)
     feature_config: FeatureConfig
     train_config: TrainConfig
-    diagnostics: TrainDiagnostics | None = None
+    diagnostics: optim.OptimResult | None = None
 
     @property
     def n_labels(self) -> int:
@@ -901,20 +894,13 @@ def fit(
     return CrfModel(
         alphabet=alphabet,
         index=index,
-        state=state.copy(),
-        transition=transition.copy(),
-        start=start.copy(),
-        end=end.copy(),
+        state=state,
+        transition=transition,
+        start=start,
+        end=end,
         feature_config=feature_config,
         train_config=train_config,
-        diagnostics=TrainDiagnostics(
-            iterations=result.iterations,
-            converged=result.converged,
-            stalled=result.stalled,
-            line_search_failed=result.line_search_failed,
-            final_objective=result.value,
-            objective_trace=result.trace,
-        ),
+        diagnostics=result,
     )
 
 

@@ -42,10 +42,6 @@ class EmbeddingTable:
         return vec if vec is not None else self._zero
 
 
-def lookup(table: EmbeddingTable, word: str) -> np.ndarray:
-    return table.lookup(word)
-
-
 def _parse_components(parts: list[str], lineno: int) -> np.ndarray:
     try:
         vec = np.array([float(p) for p in parts], dtype=float)

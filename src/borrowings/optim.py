@@ -12,6 +12,12 @@ back onto the orthant chosen at the current iterate, which lets
 coordinates reach and keep the value exactly 0.  Curvature pairs always
 use gradients of the smooth part only.
 
+A run ends in one of four ways, recorded as `OptimResult.stop`:
+`CONVERGED` (the relative improvement test passed, or the
+pseudo-gradient is exactly zero), `STALLED` (the orthant restriction
+left no coordinate to move along), `LINE_SEARCH_FAILED` (no trial step
+passed the Armijo test) or `ITERATION_CAP`.
+
 Inner products and Euclidean norms over the variables go through `dot`,
 which, unlike `np.dot`, never hands the sum to BLAS, so the iterates do
 not depend on the BLAS thread count.
@@ -37,23 +43,34 @@ class DivergenceError(ArithmeticError):
     """The objective produced a non-finite value."""
 
 
+# How a run ended: the values of `OptimResult.stop`.
+CONVERGED = "converged"
+STALLED = "stalled"
+LINE_SEARCH_FAILED = "line search failed"
+ITERATION_CAP = "stopped at the iteration cap"
+
+
 @dataclass(frozen=True)
 class OptimResult:
-    """Final iterate plus convergence diagnostics.
+    """Final iterate, how the run ended, and the objective trace.
 
-    `stalled` means the orthant-wise restriction left no coordinate to
-    move along, so the run stopped without meeting the convergence test.
-    `trace` holds the full objective (smooth part plus L1 penalty) at
-    the start point and after every accepted iteration.
+    `stop` is one of `CONVERGED`, `STALLED`, `LINE_SEARCH_FAILED` and
+    `ITERATION_CAP`.  `trace` holds the full objective (smooth part plus
+    L1 penalty) at the start point and after every accepted iteration,
+    so `value` is its last entry and `iterations` its length less one.
     """
 
     x: np.ndarray
-    value: float
-    iterations: int
-    converged: bool
-    stalled: bool
-    line_search_failed: bool
+    stop: str
     trace: tuple[float, ...]
+
+    @property
+    def value(self) -> float:
+        return self.trace[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace) - 1
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -129,9 +146,9 @@ def minimize(
     Stops when the relative improvement of the full objective over the
     last `period` accepted iterations falls below `delta`, or after
     `max_iterations` iterations.  A failed line search returns the best
-    iterate found with `line_search_failed` set; a search direction that
-    the orthant restriction zeroes entirely stops the run with `stalled`
-    set.
+    iterate found, with `stop` set to `LINE_SEARCH_FAILED`; a search
+    direction that the orthant restriction zeroes entirely ends the run
+    with `STALLED`.
     """
     if not l1 >= 0:
         raise ValueError("l1 penalty must be >= 0")
@@ -146,14 +163,11 @@ def minimize(
     y_list: deque[np.ndarray] = deque()
     rho_list: deque[float] = deque()
     spare: tuple[np.ndarray, np.ndarray] | None = None
-    converged = False
-    stalled = False
-    failed = False
-    iterations = 0
+    stop = ITERATION_CAP
     for iteration in range(1, max_iterations + 1):
         pg = _pseudo_gradient(x, grad, l1) if l1 > 0 else grad
         if not np.any(pg):
-            converged = True
+            stop = CONVERGED
             break
         direction = _two_loop(pg, s_list, y_list, rho_list)
         if l1 > 0:
@@ -164,7 +178,7 @@ def minimize(
         if not np.any(direction):
             # A zero step would pass the Armijo test with equality and
             # count as progress; no step here can lower the objective.
-            stalled = True
+            stop = STALLED
             break
         if spare is None:
             spare = (np.empty_like(x), np.empty_like(x))
@@ -191,7 +205,7 @@ def minimize(
                 break
             step *= 0.5
         if accepted is None:
-            failed = True
+            stop = LINE_SEARCH_FAILED
             break
         x_new, f_new, grad_new, obj_new = accepted
         np.subtract(grad_new, grad, out=y)
@@ -205,7 +219,6 @@ def minimize(
                 spare = (s_list.popleft(), y_list.popleft())
                 rho_list.popleft()
         x, f, grad, obj = x_new, f_new, grad_new, obj_new
-        iterations = iteration
         trace.append(obj)
         if callback is not None:
             callback(iteration, obj)
@@ -213,17 +226,9 @@ def minimize(
             reference = trace[-period - 1]
             scale = max(abs(obj), 1e-12)
             if (reference - obj) / scale < delta:
-                converged = True
+                stop = CONVERGED
                 break
-    return OptimResult(
-        x=x,
-        value=obj,
-        iterations=iterations,
-        converged=converged,
-        stalled=stalled,
-        line_search_failed=failed,
-        trace=tuple(trace),
-    )
+    return OptimResult(x=x, stop=stop, trace=tuple(trace))
 
 
 def _evaluate(fun: Objective, x: np.ndarray) -> tuple[float, np.ndarray]:

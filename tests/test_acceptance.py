@@ -148,7 +148,7 @@ def test_criterion_03_learnability(accept_corpus, model_c2_small):
         report = evaluate(accept_corpus, predicted)
         for label in (*LABELS, BORROWING):
             assert report.score(label).f1 == 100.0, label
-        trace = diag.objective_trace
+        trace = diag.trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 

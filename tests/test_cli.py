@@ -215,8 +215,7 @@ class TestTrainTagEval:
         def failing(fun, x0, **kwargs):
             value = fun(x0)[0]
             return optim.OptimResult(
-                x=np.array(x0, dtype=float), value=value, iterations=0,
-                converged=False, stalled=False, line_search_failed=True,
+                x=np.array(x0, dtype=float), stop=optim.LINE_SEARCH_FAILED,
                 trace=(value,),
             )
 
@@ -229,6 +228,48 @@ class TestTrainTagEval:
         assert "warning: line search failed" in err
         assert "trained 0 iterations (line search failed)" in err
         assert "iteration cap" not in err
+
+    @pytest.mark.parametrize(
+        "flags, patch, line",
+        [
+            (
+                ["--period", "1", "--delta", "1e9"], None,
+                "trained 1 iterations (converged), final objective 67.579192, "
+                "1136 attributes",
+            ),
+            (
+                ["--max-iterations", "1"], None,
+                "trained 1 iterations (stopped at the iteration cap), "
+                "final objective 67.579192, 1136 attributes",
+            ),
+            (
+                ["--c1", "0.1"], ("_two_loop", lambda grad, *pairs: grad.copy()),
+                "trained 0 iterations (stalled), final objective 225.321308, "
+                "1136 attributes",
+            ),
+            (
+                [], ("_MAX_BACKTRACKS", 0),
+                "trained 0 iterations (line search failed), "
+                "final objective 225.321308, 1136 attributes",
+            ),
+        ],
+        ids=["converged", "iteration-cap", "stalled", "line-search-failed"],
+    )
+    def test_train_reports_how_the_run_ended(
+        self, corpora, tmp_path, capsys, monkeypatch, flags, patch, line
+    ):
+        from borrowings import optim
+
+        if patch is not None:
+            monkeypatch.setattr(optim, *patch)
+        assert run([
+            "train", "--train", str(corpora / "train.tsv"),
+            "-o", str(tmp_path / "model.crf"), *flags,
+        ]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == line
+        warned = "warning: line search failed; kept the best iterate found\n"
+        assert (warned in err) == ("line search failed" in line)
 
     def test_train_requires_a_training_corpus(self, capsys):
         assert run(["train", "-o", "ignored.crf"]) == 1
@@ -294,6 +335,7 @@ class TestConfigFile:
             ("c2 = abc", "bad value for 'c2'"),
             ("just words", "expected `key = value`"),
             ("pos = yes", "bad value for 'pos'"),
+            ("test_corpus = x", "unknown key 'test_corpus'"),
         ],
     )
     def test_config_errors_name_the_line(self, tmp_path, capsys, line, message):

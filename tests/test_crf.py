@@ -802,7 +802,7 @@ class TestTrain:
         assert report.borrowing.f1 == pytest.approx(100.0)
 
     def test_objective_trace_non_increasing(self, trained):
-        trace = trained.diagnostics.objective_trace
+        trace = trained.diagnostics.trace
         assert len(trace) == trained.diagnostics.iterations + 1
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-12
@@ -816,16 +816,23 @@ class TestTrain:
         )
         assert np.array_equal(again.state, trained.state)
         assert np.array_equal(again.transition, trained.transition)
-        assert again.diagnostics.objective_trace == (
-            trained.diagnostics.objective_trace
-        )
+        assert again.diagnostics.trace == trained.diagnostics.trace
 
     def test_single_iteration_cap(self, small_corpus_module):
         model = train(
             small_corpus_module, FeatureConfig(), None, TrainConfig(max_iterations=1)
         )
         assert model.diagnostics.iterations <= 1
-        assert math.isfinite(model.diagnostics.final_objective)
+        assert math.isfinite(model.diagnostics.value)
+
+    def test_weights_are_views_of_the_optimizer_result(self, trained):
+        x = trained.diagnostics.x
+        parts = (trained.state, trained.transition, trained.start, trained.end)
+        assert all(part.base is x for part in parts)
+        assert sum(part.size for part in parts) == x.size
+        assert np.array_equal(
+            np.concatenate([part.ravel() for part in parts]), x
+        )
 
     def test_progress_callback(self, small_corpus_module):
         seen = []

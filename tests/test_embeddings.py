@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from borrowings.corpus import Headline, Token
-from borrowings.embeddings import EmbeddingTable, load_embeddings, lookup
+from borrowings.embeddings import EmbeddingTable, load_embeddings
 from borrowings.errors import ValidationError
 from borrowings.features import FeatureConfig, extract_token_attributes
 
@@ -78,7 +78,7 @@ class TestLookup:
 
     def test_exact_match(self, table):
         assert np.allclose(table.lookup("streaming"), [1.0, 2.0])
-        assert np.allclose(lookup(table, "Casa"), [3.0, 4.0])
+        assert np.allclose(table.lookup("Casa"), [3.0, 4.0])
 
     def test_lowercase_fallback(self, table):
         assert np.allclose(table.lookup("Streaming"), [1.0, 2.0])

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from borrowings import optim
-from borrowings.optim import DivergenceError, minimize
+from borrowings.optim import (
+    CONVERGED,
+    ITERATION_CAP,
+    STALLED,
+    DivergenceError,
+    minimize,
+)
 
 
 def quadratic(center):
@@ -22,12 +28,12 @@ class TestSmooth:
         result = minimize(quadratic(center), np.zeros(3), delta=1e-10)
         assert np.allclose(result.x, center, atol=1e-6)
         assert result.value == pytest.approx(0.0, abs=1e-10)
-        assert result.converged
+        assert result.stop == CONVERGED
 
     def test_zero_gradient_start_converges_immediately(self):
         center = np.array([1.0, 2.0])
         result = minimize(quadratic(center), center.copy())
-        assert result.converged
+        assert result.stop == CONVERGED
         assert result.iterations == 0
         assert result.trace == (0.0,)
 
@@ -41,8 +47,9 @@ class TestSmooth:
         result = minimize(
             quadratic(np.arange(10.0)), np.zeros(10), max_iterations=3, delta=1e-15
         )
-        assert result.iterations <= 3
-        assert len(result.trace) == result.iterations + 1
+        assert result.stop == ITERATION_CAP
+        assert result.iterations == 3
+        assert len(result.trace) == 4
 
     def test_callback_sees_every_accepted_iteration(self):
         seen = []
@@ -147,9 +154,7 @@ class TestStall:
 
         monkeypatch.setattr(optim, "_two_loop", uphill_once_pairs_exist)
         result = minimize(squared_distance_to_three, np.zeros(1), l1=0.1, period=5)
-        assert result.stalled
-        assert not result.converged
-        assert not result.line_search_failed
+        assert result.stop == STALLED
         assert result.iterations == 1
         assert len(result.trace) == 2
 
@@ -157,16 +162,13 @@ class TestStall:
         # Without curvature pairs the step is 1/||d||, infinite for d = 0.
         monkeypatch.setattr(optim, "_two_loop", lambda grad, *pairs: grad.copy())
         result = minimize(squared_distance_to_three, np.zeros(1), l1=0.1, period=5)
-        assert result.stalled
-        assert not result.converged
-        assert not result.line_search_failed
+        assert result.stop == STALLED
         assert result.iterations == 0
         assert np.array_equal(result.x, np.zeros(1))
 
     def test_normal_runs_do_not_stall(self):
         result = minimize(quadratic([3.0, -1.0]), np.zeros(2), l1=0.1, delta=1e-10)
-        assert result.converged
-        assert not result.stalled
+        assert result.stop == CONVERGED
 
 
 class TestDivergenceHandling:
@@ -183,7 +185,7 @@ class TestDivergenceHandling:
 
         result = minimize(fun, np.zeros(2), delta=1e-10)
         assert np.allclose(result.x, center, atol=1e-5)
-        assert not result.line_search_failed
+        assert result.stop == CONVERGED
 
     def test_divergent_start_raises(self):
         def fun(x):
