@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from .corpus import Corpus, corpus_stats, read_corpus, render_stats, write_corpus
 from .crf import (
@@ -428,27 +428,16 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="borrowings",
-        description=(
-            "Train, tune, evaluate, and apply a linear-chain CRF that "
-            "extracts unassimilated lexical borrowings from Spanish "
-            "newspaper headlines."
-        ),
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("ingest", help="convert RSS 2.0 XML files to corpus TSV")
+def _ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("rss", nargs="+", help="RSS feed XML files")
     p.add_argument("-o", "--output", required=True, help="corpus TSV to write")
-    p.set_defaults(handler=_cmd_ingest)
 
-    p = commands.add_parser("stats", help="print corpus statistics")
+
+def _stats_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("corpus", help="corpus TSV file")
-    p.set_defaults(handler=_cmd_stats)
 
-    p = commands.add_parser("train", help="train a CRF model")
+
+def _train_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
     p.add_argument("-o", "--output", help="model file to write")
     p.add_argument(
@@ -459,17 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop OTHER spans and train ENG-only",
     )
     _add_train_flags(p)
-    p.set_defaults(handler=_cmd_train)
 
-    p = commands.add_parser("tag", help="tag a corpus with a trained model")
+
+def _tag_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
     p.add_argument("-m", "--model", required=True, help="trained model file")
     p.add_argument("corpus", help="corpus TSV to tag")
     p.add_argument("-o", "--output", required=True, help="prediction TSV to write")
     p.add_argument("--embeddings", help="word embedding table (word2vec text)")
-    p.set_defaults(handler=_cmd_tag)
 
-    p = commands.add_parser("eval", help="score predictions against gold spans")
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
     p.add_argument("--gold", required=True, help="gold corpus TSV")
     p.add_argument("--pred", required=True, help="prediction corpus TSV")
@@ -484,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "tsv"), default="text", help="report format"
     )
     p.add_argument("--set-name", help="set label in the report (default: gold stem)")
-    p.set_defaults(handler=_cmd_eval)
 
-    p = commands.add_parser("tune", help="grid-search hyperparameters on a dev set")
+
+def _tune_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
     p.add_argument("-o", "--output", help="ranked results TSV to write")
     p.add_argument("--dev", dest="dev_corpus", help="development corpus TSV")
@@ -512,11 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated embedding table paths, `none` for no embeddings",
     )
     _add_train_flags(p)
-    p.set_defaults(handler=_cmd_tune)
 
-    p = commands.add_parser(
-        "ablate", help="re-train with one feature family off at a time"
-    )
+
+def _ablate_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
     p.add_argument("-o", "--output", help="ablation table TSV to write")
     p.add_argument("--dev", dest="dev_corpus", help="development corpus TSV")
@@ -526,14 +513,81 @@ def build_parser() -> argparse.ArgumentParser:
         "method; output is identical at any value (default 1)",
     )
     _add_train_flags(p)
-    p.set_defaults(handler=_cmd_ablate)
 
+
+# Every subcommand: its help line, the function that adds its
+# arguments, and its handler.
+_SUBCOMMANDS: dict[
+    str,
+    tuple[
+        str,
+        Callable[[argparse.ArgumentParser], None],
+        Callable[[argparse.Namespace], int],
+    ],
+] = {
+    "ingest": (
+        "convert RSS 2.0 XML files to corpus TSV", _ingest_arguments, _cmd_ingest
+    ),
+    "stats": ("print corpus statistics", _stats_arguments, _cmd_stats),
+    "train": ("train a CRF model", _train_arguments, _cmd_train),
+    "tag": ("tag a corpus with a trained model", _tag_arguments, _cmd_tag),
+    "eval": ("score predictions against gold spans", _eval_arguments, _cmd_eval),
+    "tune": (
+        "grid-search hyperparameters on a dev set", _tune_arguments, _cmd_tune
+    ),
+    "ablate": (
+        "re-train with one feature family off at a time",
+        _ablate_arguments,
+        _cmd_ablate,
+    ),
+}
+
+
+def build_parser(commands: Container[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.
+
+    Every subcommand is registered with its help line, but only those
+    in `commands` (all of them when None) get a parser of their own;
+    top-level help and errors never show a subcommand's arguments, so a
+    parser built for the subcommands named in an argv parses it as the
+    full parser does.
+    """
+    if commands is None:
+        commands = _SUBCOMMANDS
+
+    def subcommand_parser(prog: str, **kwargs) -> argparse.ArgumentParser | None:
+        # `prog` is "borrowings <subcommand>".  Building a parser takes
+        # about 0.1 ms, so those argparse will not dispatch to are skipped.
+        if prog.rpartition(" ")[2] not in commands:
+            return None
+        return argparse.ArgumentParser(prog=prog, **kwargs)
+
+    parser = argparse.ArgumentParser(
+        prog="borrowings",
+        description=(
+            "Train, tune, evaluate, and apply a linear-chain CRF that "
+            "extracts unassimilated lexical borrowings from Spanish "
+            "newspaper headlines."
+        ),
+    )
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=subcommand_parser
+    )
+    for name, (help_line, add_arguments, handler) in _SUBCOMMANDS.items():
+        p = subparsers.add_parser(name, help=help_line)
+        if p is not None:
+            add_arguments(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, and map errors to exit codes."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The subcommand argparse dispatches to is one of the arguments, so
+    # only the subcommands named among them need their own.
+    parser = build_parser(set(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

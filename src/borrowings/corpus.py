@@ -67,7 +67,8 @@ def alphabet_for(ignore_other: bool) -> TagAlphabet:
 def _check_token_field(value: str, what: str) -> None:
     if not value:
         raise ValidationError(f"{what} must be non-empty")
-    if any(ch.isspace() for ch in value):
+    # `str.split` splits at exactly the characters `str.isspace` accepts.
+    if value.split() != [value]:
         raise ValidationError(f"{what} {value!r} contains whitespace")
 
 

@@ -43,14 +43,17 @@ and sequences (log Z, pair marginals) run in packed row order, which
 the sequence lengths and their input order fix.
 
 Corpora are encoded without building any windowed attribute name per
-token.  The base names of each token type (`features.base_attributes`)
-are built once per call, and the ids of each cell are resolved once,
-the first time a window visits it.  Training resolves cells by adding
-the prefixed names to a fresh index; because cells are resolved in the
-order the windowed vectors list their names, ids are numbered exactly
-as if every name were added one by one.  Tagging resolves cells by
-looking the prefixed names up in the model's index and drops the names
-it does not know.
+token, and with Python work that grows with the token types and the
+distinct names rather than with the entries.  Each type's base names
+(`features.base_attributes`) and embedding values are built once, and
+each distinct base name gets a base id.  Everything else is array work:
+every (token, window slot) visit is keyed by its cell, (type, slot,
+quoted), and cells are numbered by first visit; each cell's entries are
+gathered from its type's base ids and keyed by (slot, base id).  Only
+the distinct keys become prefixed names.  Training numbers them by
+first appearance, so ids are exactly those of adding every windowed
+name to an index one by one; tagging looks them up in the model's index
+and drops the entries whose names it does not know.
 
 A sweep of many runs on the same corpora encodes them once
 (`SharedEncoding`), with the encoder `train` uses, and derives each
@@ -66,9 +69,9 @@ import dataclasses
 import itertools
 import math
 from array import array
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,12 +107,18 @@ DivergenceError = optim.DivergenceError
 
 # Headlines encoded at once by `tag`: enough that each packed time step
 # spans many headlines, while the encoding stays a few MB however large
-# the corpus is.  A cell entry takes 32 bytes (id, value, cell, one
-# scratch value), a visit 8 and a cell's scores 8 per label.  On
-# open-vocabulary news feeds (the benchmark's `tag-feeds` inputs) a
-# 512-headline chunk has about 4,600 tokens and 6,000 cells of about 12
-# indexed entries each: about 15 entries and 5 visits per token, some
-# 0.6 KB per token with the emissions, and about 3 MB per chunk.
+# the corpus is.  On open-vocabulary news feeds (the benchmark's
+# `tag-feeds` inputs) a 512-headline chunk has about 4,600 tokens, 1,400
+# token types and 6,000 cells.  Encoding it builds every entry before
+# the names the model lacks are dropped: about 85,000 entries, 18 per
+# token, with at most three 8-byte values each alive at once (gather
+# index, key, and a cell number or scratch value), plus a 1-byte mask;
+# some 18,000 prefixed names are built and looked up once each.  That
+# is about 3 MB at the peak, freed once the chunk is encoded.  What is
+# kept is about 15 entries and 5 visits per token.  In decoding a cell
+# entry takes 32 bytes (id, value, cell, one scratch value), a visit 8
+# and a cell's scores 8 per label: some 0.6 KB per token with the
+# emissions, and about 3 MB per chunk.
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
@@ -264,30 +273,30 @@ def encode_attributes(
                     ids.append(i)
                     vals.append(value)
             sizes.append(len(ids) - before)
-    visits = array("q", range(len(sizes)))
-    return _flat_encoding(ids, vals, sizes, visits, 1, seq_lengths)
+    return _flat_encoding(
+        np.frombuffer(ids, dtype=np.int64),
+        np.frombuffer(vals, dtype=float),
+        np.repeat(np.arange(len(sizes)), np.frombuffer(sizes, dtype=np.int64)),
+        np.arange(len(sizes)).reshape(-1, 1),
+        np.frombuffer(seq_lengths, dtype=np.int64),
+    )
 
 
 def _flat_encoding(
-    ids: array,
-    vals: array,
-    sizes: array,
-    visits: array,
-    width: int,
-    seq_lengths: array,
+    ids: np.ndarray,
+    vals: np.ndarray,
+    cell: np.ndarray,
+    visits: np.ndarray,
+    seq_lengths: np.ndarray,
 ) -> Encoding:
-    """Encoding of cells with `sizes` entries each and token-major visits."""
-    lengths = np.frombuffer(seq_lengths, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    """Encoding of the given cells, visits and sequence lengths."""
+    offsets = np.concatenate([[0], np.cumsum(seq_lengths)])
     order, steps = _packed(offsets)
-    sizes = np.frombuffer(sizes, dtype=np.int64)
     return Encoding(
-        ids=np.frombuffer(ids, dtype=np.int64),
-        vals=np.frombuffer(vals, dtype=float),
-        cell=np.repeat(np.arange(len(sizes)), sizes),
-        visits=np.asfortranarray(
-            np.frombuffer(visits, dtype=np.int64).reshape(-1, width)
-        ),
+        ids=ids,
+        vals=vals,
+        cell=cell,
+        visits=visits,
         offsets=offsets,
         order=order,
         steps=steps,
@@ -307,46 +316,178 @@ def _packed(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --- interned window encoding ------------------------------------------------
-#
-# A resolver maps window slot k (offset k - radius) and a list of base
-# attribute names to their ids there, with None for names it drops.
 
-_Resolver = Callable[[int, Sequence[str]], list]
+_BOS_TYPE, _EOS_TYPE = 0, 1
 
 
-class _Type:
-    """A token type's base attributes and its window cells.
+class _Types(NamedTuple):
+    """The token types of a batch of headlines, and its tokens.
 
-    `cells[2k + q]` is the number of the cell the type contributes at
-    window slot k, inside a quotation if q is 1, or None until a window
-    first visits it.
+    Type 0 is BOS and type 1 EOS, the markers outside a headline.  Row t
+    of the CSR table `src`, `src[rows[t]:rows[t + 1]]`, holds type t's
+    base ids: its `n_before[t]` names before `quot=1`, the rest of its
+    `n_names[t]` names, then its embedding names, with their values in
+    `src_vals`.  `src[0]` is `quot=1` itself.  `base_names` lists the
+    base names by base id.  Token i has type `token_types[i]` and is
+    quoted if `quoted[i]`.
     """
 
-    __slots__ = ("before", "after", "embedding", "cells")
+    base_names: list[str]
+    src: np.ndarray
+    src_vals: np.ndarray
+    rows: np.ndarray
+    n_before: np.ndarray
+    n_names: np.ndarray
+    token_types: np.ndarray
+    quoted: np.ndarray
+    lengths: np.ndarray
 
-    def __init__(self, before: tuple, after: tuple, embedding: list, width: int) -> None:
-        self.before = before
-        self.after = after
-        self.embedding = embedding
-        self.cells: list = [None] * (2 * width)
+
+def _intern_types(
+    headlines: Sequence[Headline],
+    config: FeatureConfig,
+    embeddings: EmbeddingTable | None,
+) -> _Types:
+    """Base ids of every token type, built once per type."""
+    dim = embeddings.dim if config.embedding and embeddings is not None else 0
+    # Base ids, numbered as names are first interned.
+    base: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    intern = base.__getitem__
+    src = array("q", map(intern, (QUOTATION, BOS, EOS)))
+    src_vals = array("d", (1.0, 1.0, 1.0))
+    emb_base = array("q", map(intern, embedding_names(dim)))
+    rows = array("q", (1, 2, 3))
+    n_before = array("q", (1, 1))
+    n_names = array("q", (1, 1))
+    types: dict[tuple[str, str | None], int] = {}
+    token_types = array("q")
+    quoted = array("b")
+    lengths = array("q")
+    for headline in headlines:
+        lengths.append(len(headline))
+        quoted.extend(quotation_flags(headline))
+        for token in headline.tokens:
+            key = (token.text, token.pos)
+            typ = types.get(key)
+            if typ is None:
+                typ = types[key] = len(n_names)
+                before, after = base_attributes(token.text, token.pos, config)
+                src.extend(map(intern, before))
+                src.extend(map(intern, after))
+                n_before.append(len(before))
+                n_names.append(len(before) + len(after))
+                src_vals.extend(itertools.repeat(1.0, n_names[-1]))
+                if config.embedding:
+                    emb = embedding_values(token.text, config, embeddings)[:dim]
+                    src.extend(emb_base[: len(emb)])
+                    src_vals.extend(emb)
+                rows.append(len(src))
+            token_types.append(typ)
+    return _Types(
+        base_names=list(base),
+        src=_int64(src),
+        src_vals=np.frombuffer(src_vals, dtype=float),
+        rows=_int64(rows),
+        n_before=_int64(n_before),
+        n_names=_int64(n_names),
+        token_types=_int64(token_types),
+        quoted=np.frombuffer(quoted, dtype=np.int8),
+        lengths=_int64(lengths),
+    )
+
+
+def _int64(buffer: array) -> np.ndarray:
+    return np.frombuffer(buffer, dtype=np.int64)
+
+
+def _visit_cells(types: _Types, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell keys in order of first visit, and the (n_tokens, width)
+    column-major table of the cell number every token visits per slot.
+
+    A cell's key is (type * width + slot) * 2 + quoted.  Visits are
+    numbered token-major, and each headline is padded with `radius` BOS
+    and EOS types.
+    """
+    width = 2 * radius + 1
+    lengths = types.lengths
+    n_tokens = types.token_types.size
+    headline_of = np.repeat(np.arange(lengths.size), lengths)
+    at = np.arange(n_tokens) + radius * (2 * headline_of + 1)
+    padded_type = np.full(n_tokens + 2 * radius * lengths.size, _EOS_TYPE)
+    padded_quoted = np.zeros(padded_type.size, dtype=np.int64)
+    padded_type[at] = types.token_types
+    padded_quoted[at] = types.quoted
+    first_at = np.cumsum(lengths) - lengths
+    first_at += 2 * radius * np.arange(lengths.size)
+    padded_type[(first_at[:, None] + np.arange(radius)).ravel()] = _BOS_TYPE
+    window = (at - radius)[:, None] + np.arange(width)
+    keys = padded_type[window] * width + np.arange(width)
+    keys *= 2
+    keys += padded_quoted[window]
+    cells = _number_by_first_appearance(keys.ravel(), 2 * width * types.n_names.size)
+    return cells, np.asfortranarray(keys)
+
+
+def _cell_entries(
+    types: _Types, cells: np.ndarray, radius: int, quotation: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where in `types.src` each entry of `cells` comes from, its (slot,
+    base id) key, and every cell's number of entries.
+
+    A cell's entries are four runs of its type's row: the names before
+    `quot=1`, `quot=1` if the cell is quoted and the family on, the
+    names after it, and at the centre slot the embedding names.  A key
+    is slot * len(base_names) + base id.
+    """
+    width = 2 * radius + 1
+    cell_type, cell_slot = np.divmod(cells // 2, width)
+    row = types.rows[cell_type]
+    n_before = types.n_before[cell_type]
+    n_names = types.n_names[cell_type]
+    run_start = np.stack(
+        [row, np.zeros_like(row), row + n_before, row + n_names], axis=1
+    )
+    run_length = np.stack(
+        [
+            n_before,
+            cells % 2 if quotation else np.zeros_like(cells),
+            n_names - n_before,
+            (types.rows[cell_type + 1] - row - n_names) * (cell_slot == radius),
+        ],
+        axis=1,
+    )
+    at = _ranges(run_start.ravel(), run_length.ravel())
+    sizes = run_length.sum(axis=1)
+    keys = types.src[at]
+    keys += np.repeat(cell_slot * len(types.base_names), sizes)
+    return at, keys, sizes
 
 
 def _encode_windows(
     headlines: Sequence[Headline],
     config: FeatureConfig,
     embeddings: EmbeddingTable | None,
-    resolve: _Resolver,
-) -> Encoding:
-    """Cell encoding of the windowed attributes of `headlines`.
+    index: FeatureIndex | None = None,
+) -> tuple[Encoding, FeatureIndex]:
+    """Cell encoding of the windowed attributes of `headlines`, and its index.
 
     Each token visits one cell per window slot: the entries its type
     contributes there, quoted or not.  Laid out visit by visit, the
     entries are those of `encode_attributes` over `windowed_attributes`,
-    in the same order, with the ids `resolve` gives.  Base names are
-    built once per token type, and every cell is resolved and stored
-    once, when a window first visits it, so cells are numbered in order
-    of first visit and `resolve` sees the names in the order the
-    windowed vectors list them.
+    in the same order.  Cells are numbered in order of first visit, and
+    each is stored once.  Without `index`, every name gets an id, in
+    order of first appearance, and the new frozen index is returned;
+    with one, names are looked up in it, those it lacks are dropped, and
+    `index` itself is returned.
+
+    Python work grows with the token types and the distinct names, not
+    with the tokens or the entries.  Each type's base names and
+    embedding values are built once, and each base name gets a base id
+    (`_intern_types`).  The rest is array work: every (token, slot)
+    visit is keyed by its cell (`_visit_cells`), each cell's entries are
+    gathered from its type's base ids and keyed by (slot, base id)
+    (`_cell_entries`), and only the distinct keys are turned into
+    prefixed names, to be indexed or looked up.
 
     Cells are keyed by `quotation_flags` whether or not the quotation
     family is on; without it a type's quoted and unquoted cells hold
@@ -356,80 +497,70 @@ def _encode_windows(
     one bit for bit.
     """
     radius = config.window_radius
-    width = 2 * radius + 1
-    emb_names = embedding_names(embeddings.dim) if embeddings is not None else ()
-    ids = array("q")
-    vals = array("d")
-    sizes = array("q")
-
-    def new_cell(typ: _Type, k: int, quoted: bool) -> int:
-        """Resolve and store the entries of a type's cell; its number."""
-        if quoted and config.quotation:
-            names = typ.before + (QUOTATION,) + typ.after
-        else:
-            names = typ.before + typ.after
-        before = len(ids)
-        kept = [i for i in resolve(k, names) if i is not None]
-        ids.extend(kept)
-        vals.extend([1.0] * len(kept))
-        if k == radius and typ.embedding:
-            resolved = resolve(k, emb_names)
-            for i, v in zip(resolved, typ.embedding):
-                if i is not None:
-                    ids.append(i)
-                    vals.append(v)
-        sizes.append(len(ids) - before)
-        return len(sizes) - 1
-
-    # A type that occurs once is never looked up again, so it is not kept
-    # in `types`, and its base names are freed with its headline.
-    counts = Counter(
-        (token.text, token.pos) for headline in headlines for token in headline.tokens
+    types = _intern_types(headlines, config, embeddings)
+    cells, visits = _visit_cells(types, radius)
+    at, keys, sizes = _cell_entries(types, cells, radius, config.quotation)
+    # One prefixed name per distinct key, joined in object arrays so
+    # that no slot or base id becomes a Python int.
+    n_base = len(types.base_names)
+    space = (2 * radius + 1) * n_base
+    prefixes = np.array(
+        [offset_prefix(k - radius) for k in range(2 * radius + 1)], dtype=object
     )
-    types: dict[tuple[str, str | None], _Type] = {}
-    bos = [_Type((BOS,), (), [], width)] * radius
-    eos = [_Type((EOS,), (), [], width)] * radius
-    unquoted = [False] * radius
-    visits = array("q")
-    seq_lengths = array("q")
-    for headline in headlines:
-        row = bos.copy()
-        for token in headline.tokens:
-            typ = types.get((token.text, token.pos))
-            if typ is None:
-                before, after = base_attributes(token.text, token.pos, config)
-                emb = (
-                    embedding_values(token.text, config, embeddings)
-                    if config.embedding
-                    else []
-                )
-                typ = _Type(before, after, emb, width)
-                if counts[token.text, token.pos] > 1:
-                    types[token.text, token.pos] = typ
-            row.append(typ)
-        row += eos
-        quoted = unquoted + quotation_flags(headline) + unquoted
-        seq_lengths.append(len(headline))
-        for t in range(len(headline)):
-            for k in range(width):
-                typ = row[t + k]
-                slot = 2 * k + quoted[t + k]
-                cell = typ.cells[slot]
-                if cell is None:
-                    cell = typ.cells[slot] = new_cell(typ, k, quoted[t + k])
-                visits.append(cell)
-    return _flat_encoding(ids, vals, sizes, visits, width, seq_lengths)
+    base_names = np.array(types.base_names, dtype=object)
+
+    def names(keys: np.ndarray) -> np.ndarray:
+        slot, base_id = np.divmod(keys, n_base)
+        return prefixes[slot] + base_names[base_id]
+
+    # The keys are replaced by their ids in place.
+    if index is None:
+        distinct = _number_by_first_appearance(keys, space)
+        index = FeatureIndex.from_names(names(distinct))
+    else:
+        seen = np.zeros(space, dtype=bool)
+        seen[keys] = True
+        distinct = np.flatnonzero(seen)
+        table = np.empty(space, dtype=np.int64)
+        table[distinct] = index.ids_of(names(distinct))
+        np.take(table, keys, out=keys, mode="clip")
+        known = keys >= 0
+        if not known.all():
+            cell = np.repeat(np.arange(cells.size), sizes)[known]
+            sizes = np.bincount(cell, minlength=cells.size)
+            keys, at = keys[known], at[known]
+    vals = types.src_vals[at]
+    del at
+    cell = np.repeat(np.arange(cells.size), sizes)
+    return _flat_encoding(keys, vals, cell, visits, types.lengths), index
 
 
-def _resolver(lookup: Callable[[str], int | None], radius: int) -> _Resolver:
-    """Resolver that passes every prefixed name to `lookup`."""
-    prefixes = [offset_prefix(k - radius) for k in range(2 * radius + 1)]
+def _number_by_first_appearance(
+    keys: np.ndarray, space: int
+) -> np.ndarray:
+    """The distinct `keys` in order of first appearance; each key is
+    replaced by its number in that order.  Keys lie in range(space)."""
+    first = np.full(space, keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    seen = np.flatnonzero(first < keys.size)
+    distinct = seen[np.argsort(first[seen])]
+    first[distinct] = np.arange(distinct.size)
+    # Each key is read before its slot is written, and all are in range.
+    np.take(first, keys, out=keys, mode="clip")
+    return distinct
 
-    def resolve(k: int, names: Sequence[str]) -> list:
-        prefix = prefixes[k]
-        return [lookup(prefix + name) for name in names]
 
-    return resolve
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges `starts[i] : starts[i] + lengths[i]`, concatenated."""
+    kept = lengths > 0
+    starts, lengths = starts[kept], lengths[kept]
+    # Steps of 1 within a range, and a jump to the next range's start.
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    if out.size:
+        out[0] = starts[0]
+        out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
 
 
 def index_corpus(
@@ -440,12 +571,9 @@ def index_corpus(
     """Flat encoding of a corpus, with the frozen index it assigns.
 
     Ids follow the order in which names first appear in the windowed
-    vectors.
+    vectors; the encoding is `_encode_windows` without an index.
     """
-    index = FeatureIndex()
-    resolve = _resolver(index.add, config.window_radius)
-    enc = _encode_windows(corpus.headlines, config, embeddings, resolve)
-    return enc, index.freeze()
+    return _encode_windows(corpus.headlines, config, embeddings)
 
 
 def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
@@ -919,11 +1047,12 @@ def tag(
         raise ConfigError(
             "model uses the embedding family; an embedding table is required"
         )
-    resolve = _resolver(model.index.get, model.feature_config.window_radius)
     tagged: list[Headline] = []
     for first in range(0, len(corpus), _TAG_CHUNK):
         chunk = corpus.headlines[first : first + _TAG_CHUNK]
-        enc = _encode_windows(chunk, model.feature_config, embeddings, resolve)
+        enc, _ = _encode_windows(
+            chunk, model.feature_config, embeddings, model.index
+        )
         tagged.extend(_predicted(model, chunk, enc))
     return Corpus(corpus.name, tuple(tagged))
 
@@ -994,11 +1123,8 @@ class SharedEncoding:
             [_FAMILY_CODES[attribute_family(name)] for name in self.index.names()],
             dtype=np.int8,
         )
-        self.dev = _encode_windows(
-            dev_corpus.headlines,
-            self.config,
-            embeddings,
-            _resolver(self.index.get, config.window_radius),
+        self.dev, _ = _encode_windows(
+            dev_corpus.headlines, self.config, embeddings, self.index
         )
 
     def derive(

@@ -25,9 +25,12 @@ the one rule that reads it back: a sweep that switches families off
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
+
+import numpy as np
 
 from .corpus import Corpus, Headline, Token
 from .embeddings import EmbeddingTable
@@ -352,6 +355,12 @@ class FeatureIndex:
     def get(self, name: str) -> int | None:
         """Id for `name`, or None if it was never indexed."""
         return self._ids.get(name)
+
+    def ids_of(self, names: Iterable[str]) -> np.ndarray:
+        """Ids of `names` as an int64 array, -1 for names never indexed."""
+        return np.fromiter(
+            map(self._ids.get, names, itertools.repeat(-1)), dtype=np.int64
+        )
 
     def name(self, i: int) -> str:
         return self._names[i]

@@ -8,6 +8,7 @@ token in `vvk`, while filler tokens never do.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -89,6 +90,23 @@ def synthetic_corpus(
             )
         )
     return Corpus(name, tuple(headlines))
+
+
+def open_vocabulary_corpus(n_headlines: int, seed: int) -> Corpus:
+    """`synthetic_corpus` with every filler replaced by a fresh random word."""
+    rng = random.Random(seed)
+    fillers = set(FILLERS)
+
+    def fresh(token: Token) -> Token:
+        if token.text.lower() not in fillers:
+            return token
+        letters = rng.choices("abcdefghilmnoprstu", k=rng.randint(4, 9))
+        return Token("".join(letters), token.pos)
+
+    return Corpus("open", tuple(
+        dataclasses.replace(h, tokens=tuple(fresh(t) for t in h.tokens))
+        for h in synthetic_corpus(n_headlines, seed=seed).headlines
+    ))
 
 
 def synthetic_vocabulary(corpus: Corpus) -> list[str]:

@@ -1,8 +1,7 @@
 import os
-import random
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +10,11 @@ import pytest
 import borrowings
 from borrowings import cli
 from borrowings.cli import RunConfig, run
-from borrowings.corpus import Corpus, Token, read_corpus, write_corpus
+from borrowings.corpus import read_corpus, write_corpus
 from borrowings.crf import TrainConfig
 from borrowings.features import FeatureConfig
 from conftest import (
-    FILLERS,
+    open_vocabulary_corpus,
     synthetic_corpus,
     synthetic_embeddings,
     write_embeddings_file,
@@ -72,6 +71,53 @@ class TestUsage:
     def test_subcommand_help_names_flags(self, capsys, command, expected_flag):
         assert run([command, "--help"]) == 0
         assert expected_flag in capsys.readouterr().out
+
+
+COMMANDS = ("ingest", "stats", "train", "tag", "eval", "tune", "ablate")
+
+
+def subcommand_parsers(parser):
+    """Each subcommand's parser, by name."""
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+class TestLazyParser:
+    """`run` builds only the subcommands its argv names; what a user sees
+    must equal what the full parser gives."""
+
+    def test_subcommand_help_matches_the_full_parser(self):
+        full = subcommand_parsers(cli.build_parser())
+        assert tuple(full) == COMMANDS
+        for command in COMMANDS:
+            lazy = subcommand_parsers(cli.build_parser({command}))
+            assert lazy[command].format_help() == full[command].format_help()
+        assert cli.build_parser(set()).format_help() == cli.build_parser().format_help()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["frobnicate"],
+            ["tag", "corpus.tsv", "-o", "out.tsv"],
+            ["train", "--c1", "x"],
+            ["-x", "stats"],
+            *([command, "--help"] for command in COMMANDS),
+        ],
+        ids=lambda argv: " ".join(argv) or "no-command",
+    )
+    def test_output_and_exit_code_match_the_full_parser(
+        self, argv, capsys, monkeypatch
+    ):
+        code = run(argv)
+        lazy = capsys.readouterr()
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands=None: build())
+        assert run(argv) == code
+        full = capsys.readouterr()
+        assert (lazy.out, lazy.err) == (full.out, full.err)
+        assert lazy.out or lazy.err
 
 
 class TestStats:
@@ -688,23 +734,6 @@ def test_installed_entry_point_reports_stats():
     assert result.returncode == 0
     expected = (DATA / "sample_stats.txt").read_text(encoding="utf-8")
     assert result.stdout == expected
-
-
-def open_vocabulary_corpus(n_headlines, seed):
-    """`synthetic_corpus` with every filler replaced by a fresh random word."""
-    rng = random.Random(seed)
-    fillers = set(FILLERS)
-
-    def fresh(token):
-        if token.text.lower() not in fillers:
-            return token
-        letters = rng.choices("abcdefghilmnoprstu", k=rng.randint(4, 9))
-        return Token("".join(letters), token.pos)
-
-    return Corpus("open", tuple(
-        replace(h, tokens=tuple(fresh(t) for t in h.tokens))
-        for h in synthetic_corpus(n_headlines, seed=seed).headlines
-    ))
 
 
 def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):

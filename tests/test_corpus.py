@@ -158,6 +158,34 @@ class TestValueTypes:
         with pytest.raises(ValidationError):
             Token("ok", pos="two words")
 
+    # Characters at the edges of what counts as whitespace: the
+    # information separators \x1c-\x1f, NEL, the no-break spaces and the
+    # line and paragraph separators are whitespace to Python; the
+    # zero-width space, the Mongolian vowel separator and the BOM are not.
+    EDGES = (
+        "\x1c\x1d\x1e\x1f\x85\xa0\u2007\u202f\u2028\u2029\u3000 \t\n"
+        "\u200b\u180e\ufeff"
+    )
+
+    @given(
+        st.text(
+            st.one_of(st.characters(), st.sampled_from(EDGES)), min_size=1
+        )
+    )
+    def test_split_test_agrees_with_isspace(self, text):
+        has_space = any(ch.isspace() for ch in text)
+        assert (text.split() != [text]) == has_space
+        if has_space:
+            with pytest.raises(ValidationError, match="contains whitespace"):
+                Token(text)
+        else:
+            assert Token(text).text == text
+
+    def test_split_test_agrees_with_isspace_on_every_character(self):
+        for code in range(0x110000):
+            ch = chr(code)
+            assert (f"a{ch}b".split() != [f"a{ch}b"]) == ch.isspace(), hex(code)
+
     def test_span_rejects_bad_bounds_and_label(self):
         with pytest.raises(ValidationError):
             LabeledSpan(-1, 2, "ENG")

@@ -9,6 +9,7 @@ agree with encoding each run's config afresh.
 """
 
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -46,6 +47,7 @@ from borrowings.features import (
 from conftest import (
     cell_order_emissions,
     expand_encoding,
+    open_vocabulary_corpus,
     synthetic_corpus,
     synthetic_embeddings,
 )
@@ -235,8 +237,7 @@ class TestTaggingEncoding:
         config, table = config_and_table
         model = random_model(corpus, config, table, seed, zero_share)
         expected = oracle(feed, config, table, model.index.get)
-        resolve = crf._resolver(model.index.get, config.window_radius)
-        got = crf._encode_windows(feed.headlines, config, table, resolve)
+        got, _ = crf._encode_windows(feed.headlines, config, table, model.index)
         assert_same_encoding(got, expected)
         e_got = crf._emissions(got, model.state)
         assert e_got.tobytes() == cell_order_emissions(got, model.state).tobytes()
@@ -303,8 +304,9 @@ class TestDerivedEncoding:
             fresh, _, _ = encode_training_set(corpus, run, run_table, ignore_other=True)
             assert np.array_equal(dataset.gold, fresh.gold)
             assert dataset.n_features == fresh.n_features
-            resolve = crf._resolver(expected_index.get, run.window_radius)
-            expected_dev = crf._encode_windows(feed.headlines, run, run_table, resolve)
+            expected_dev, _ = crf._encode_windows(
+                feed.headlines, run, run_table, expected_index
+            )
             assert_same_encoding(dev, expected_dev)
 
     def test_dropping_quotation_trains_the_same_bytes(self):
@@ -342,3 +344,109 @@ class TestDerivedEncoding:
             shared.derive(FeatureConfig(suffix3=False, window_radius=1))
         with pytest.raises(ConfigError, match="no embedding table"):
             shared.derive(FeatureConfig(suffix3=False, embedding=True))
+
+
+def encoding_digest(enc, names):
+    """sha256 of an encoding's arrays (values, dtypes, shapes, memory
+    order) and of the index names."""
+    h = hashlib.sha256()
+    for field in dataclasses.fields(enc):
+        a = getattr(enc, field.name)
+        h.update(
+            f"{field.name} {a.dtype.str} {a.shape} "
+            f"{a.flags.c_contiguous} {a.flags.f_contiguous}\n".encode()
+        )
+        h.update(a.tobytes(order="A"))
+    for name in names:
+        h.update(name.encode() + b"\n")
+    return h.hexdigest()
+
+
+def tag_encoding(headlines, config, table, index):
+    """The encoding `tag` builds for `headlines` against `index`."""
+    enc, _ = crf._encode_windows(headlines, config, table, index)
+    return enc
+
+
+PINNED_CORPUS = synthetic_corpus(300, seed=4)
+PINNED_CONFIGS = {
+    "default": FeatureConfig(),
+    "quotation-off": FeatureConfig(quotation=False),
+    "radius-0": FeatureConfig(window_radius=0),
+    "radius-3": FeatureConfig(window_radius=3),
+    "embedding": FeatureConfig(embedding=True, embedding_scaling=0.5),
+}
+# `encoding_digest` of each encoding, as the per-entry encoder gave them.
+PINNED_DIGESTS = {
+    "default": "8a1f37a875bf0f1e46ead1ccb7ff3a68a9bbe7717224ec03e87f363b11a789c7",
+    "quotation-off": "9a0be8847e23b516c1a7559a5af05c6b14eb2afcf2ecb6a370af6bc044317948",
+    "radius-0": "6a5f8d79379cf13bfa2c3db58072257ff66b776238ef82b5082733b970ad1213",
+    "radius-3": "b0071e05108c991089473a733c5929ad860f666351d0222d3ff2637462015e69",
+    "embedding": "433d07a79b9f8843d439120827ab77e69bbbca37c43ea407a5ab3d298e660c83",
+    "tag": "1b669632f54b0d078076bedfa68e13491d2903c028ab484493b661b3b7253277",
+}
+
+
+class TestPinnedBytes:
+    """Encodings whose bytes are pinned: any change to them changes model
+    files and `tag` outputs."""
+
+    @pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+    def test_training_encoding(self, name):
+        config = PINNED_CONFIGS[name]
+        table = (
+            synthetic_embeddings(PINNED_CORPUS, dim=5, seed=12)
+            if config.embedding
+            else None
+        )
+        enc, index = index_corpus(PINNED_CORPUS, config, table)
+        assert encoding_digest(enc, index.names()) == PINNED_DIGESTS[name]
+
+    def test_tag_encoding_of_an_unseen_heavy_feed(self):
+        config = FeatureConfig()
+        _, index = index_corpus(PINNED_CORPUS, config)
+        feed = open_vocabulary_corpus(40, seed=13)
+        enc = tag_encoding(feed.headlines, config, None, index)
+        assert encoding_digest(enc, index.names()) == PINNED_DIGESTS["tag"]
+
+
+class TestEdgeCases:
+    """Small inputs against the dict oracle, when training and tagging."""
+
+    @pytest.mark.parametrize("embedding", [False, True])
+    def test_no_headlines(self, embedding):
+        config = FeatureConfig(embedding=embedding)
+        table = TABLE if embedding else None
+        empty = Corpus("empty", ())
+        index = FeatureIndex()
+        enc, got_index = index_corpus(empty, config, table)
+        assert_same_encoding(enc, oracle(empty, config, table, index.add))
+        assert len(got_index) == 0 and got_index.frozen
+        model_index = index_corpus(synthetic_corpus(5, seed=1), config, table)[1]
+        got = tag_encoding((), config, table, model_index)
+        assert_same_encoding(got, oracle(empty, config, table, model_index.get))
+        assert got.n_tokens == 0 and got.ids.size == 0
+
+    @pytest.mark.parametrize("embedding", [False, True])
+    def test_no_name_in_the_index(self, embedding):
+        config = FeatureConfig(embedding=embedding)
+        table = TABLE if embedding else None
+        feed = synthetic_corpus(8, seed=2)
+        index = FeatureIndex.from_names(["[0]w=absent", "[+9]bias"])
+        got = tag_encoding(feed.headlines, config, table, index)
+        assert_same_encoding(got, oracle(feed, config, table, index.get))
+        assert got.ids.size == 0 and got.n_tokens == sum(map(len, feed))
+
+    @pytest.mark.parametrize("embedding", [False, True])
+    def test_one_token_headline_at_radius_3(self, embedding):
+        config = FeatureConfig(embedding=embedding, window_radius=3)
+        table = TABLE if embedding else None
+        corpus = Corpus("one", (Headline(id="h", tokens=(Token("casa", "NOUN"),)),))
+        index = FeatureIndex()
+        expected = oracle(corpus, config, table, index.add)
+        enc, got_index = index_corpus(corpus, config, table)
+        assert got_index.names() == index.names()
+        assert_same_encoding(enc, expected)
+        assert enc.visits.shape == (1, 7)
+        got = tag_encoding(corpus.headlines, config, table, got_index)
+        assert_same_encoding(got, oracle(corpus, config, table, got_index.get))
