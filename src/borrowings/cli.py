@@ -547,21 +547,13 @@ def build_parser(commands: Container[str] | None = None) -> argparse.ArgumentPar
     """The command-line parser.
 
     Every subcommand is registered with its help line, but only those
-    in `commands` (all of them when None) get a parser of their own;
-    top-level help and errors never show a subcommand's arguments, so a
-    parser built for the subcommands named in an argv parses it as the
-    full parser does.
+    in `commands` (all of them when None) get their arguments and
+    handler; top-level help and errors never show a subcommand's
+    arguments, so a parser built for the subcommands named in an argv
+    parses it as the full parser does.
     """
     if commands is None:
         commands = _SUBCOMMANDS
-
-    def subcommand_parser(prog: str, **kwargs) -> argparse.ArgumentParser | None:
-        # `prog` is "borrowings <subcommand>".  Building a parser takes
-        # about 0.1 ms, so those argparse will not dispatch to are skipped.
-        if prog.rpartition(" ")[2] not in commands:
-            return None
-        return argparse.ArgumentParser(prog=prog, **kwargs)
-
     parser = argparse.ArgumentParser(
         prog="borrowings",
         description=(
@@ -570,12 +562,13 @@ def build_parser(commands: Container[str] | None = None) -> argparse.ArgumentPar
             "newspaper headlines."
         ),
     )
-    subparsers = parser.add_subparsers(
-        dest="command", required=True, parser_class=subcommand_parser
-    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, handler) in _SUBCOMMANDS.items():
         p = subparsers.add_parser(name, help=help_line)
-        if p is not None:
+        # Adding a subcommand's arguments is most of the cost of building
+        # the parser, so it is skipped for those argparse will not
+        # dispatch to.
+        if name in commands:
             add_arguments(p)
             p.set_defaults(handler=handler)
     return parser

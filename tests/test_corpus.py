@@ -181,11 +181,6 @@ class TestValueTypes:
         else:
             assert Token(text).text == text
 
-    def test_split_test_agrees_with_isspace_on_every_character(self):
-        for code in range(0x110000):
-            ch = chr(code)
-            assert (f"a{ch}b".split() != [f"a{ch}b"]) == ch.isspace(), hex(code)
-
     def test_span_rejects_bad_bounds_and_label(self):
         with pytest.raises(ValidationError):
             LabeledSpan(-1, 2, "ENG")
