@@ -597,12 +597,18 @@ def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
     return e
 
 
-def _scatter_state(enc: Encoding, residual: np.ndarray, g_state: np.ndarray) -> None:
+def _scatter_state(
+    enc: Encoding,
+    residual: np.ndarray,
+    g_state: np.ndarray,
+    accumulate: bool = False,
+) -> None:
     """g_state[a, l] = sum of v * residual[t, l] over token t's entries (a, v).
 
     The residuals of each cell's visits are summed first, slot by slot
     and tokens ascending within a slot; then every cell's entries are
-    scattered by id, in entry order.
+    scattered by id, in entry order.  With `accumulate` the sums are
+    added to g_state instead of replacing it.
     """
     n_cells = enc.n_cells
     width = enc.visits.shape[1]
@@ -617,9 +623,11 @@ def _scatter_state(enc: Encoding, residual: np.ndarray, g_state: np.ndarray) -> 
     scaled = np.empty(enc.ids.size)
     for label in range(g_state.shape[1]):
         _scaled_gather(per_cell[label], enc.cell, enc.vals, out=scaled)
-        g_state[:, label] = np.bincount(
-            enc.ids, weights=scaled, minlength=g_state.shape[0]
-        )
+        column = np.bincount(enc.ids, weights=scaled, minlength=g_state.shape[0])
+        if accumulate:
+            g_state[:, label] += column
+        else:
+            g_state[:, label] = column
 
 
 def _scaled_gather(
@@ -898,21 +906,37 @@ class TrainingSet:
     def n_parameters(self) -> int:
         return n_parameters(self.n_features, self.n_labels)
 
-    def nll_and_gradient(self, weights: np.ndarray, c2: float) -> tuple[float, np.ndarray]:
+    def nll_and_gradient(
+        self, weights: np.ndarray, c2: float, out: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray]:
         """Negative log-likelihood plus (c2/2)||w||^2, with its gradient.
 
         The gradient is expected feature counts under the model minus
         empirical counts, plus c2*w.  Forward-backward runs once over
         the packed time steps of the whole set (`Encoding`), and every
         sum runs in an order the encoding fixes, so results are
-        bit-reproducible.  Raises
+        bit-reproducible.  The gradient is written to `out` and `out`
+        returned, when it is given (a float64 array of the weights'
+        shape, not overlapping them); otherwise to a new array.  Raises
         DivergenceError when the result is not finite or the scaled
-        forward-backward pass underflows (see the module docstring).
+        forward-backward pass underflows (see the module docstring); `out`
+        may then hold part of a gradient.
         """
         if weights.shape != (self.n_parameters,):
             raise ValidationError(
                 f"expected {self.n_parameters} weights, got {weights.shape}"
             )
+        if out is None:
+            grad = np.empty_like(weights)
+        elif out.shape != weights.shape or out.dtype != np.float64:
+            raise ValidationError(
+                f"expected a float64 gradient buffer of shape {weights.shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        elif np.may_share_memory(out, weights):
+            raise ValidationError("the gradient buffer overlaps the weights")
+        else:
+            grad = out
         enc = self.encoding
         state, transition, start, end = _unpack(
             weights, self.n_features, self.n_labels
@@ -926,19 +950,31 @@ class TrainingSet:
             log_z
             - _path_score(e, self.gold, self.empirical, transition, start, end)
         )
-        grad = np.empty_like(weights)
+        # With c2 > 0 each part is added onto c2*w, already in `grad`:
+        # addition commutes exactly, so the bits are those of part +
+        # c2*w, and no parameter-sized temporary is needed.  With c2 = 0
+        # the parts are assigned, which keeps their signed zeros.
+        accumulate = c2 > 0
+        if accumulate:
+            value += 0.5 * c2 * optim.dot(weights, weights)
+            np.multiply(weights, c2, out=grad)
         g_state, g_transition, g_start, g_end = _unpack(
             grad, self.n_features, self.n_labels
         )
-        g_transition[:] = pair - n_transition
-        g_start[:] = marginal[enc.offsets[:-1]].sum(axis=0) - n_start
-        g_end[:] = marginal[enc.offsets[1:] - 1].sum(axis=0) - n_end
+        marginal_start = marginal[enc.offsets[:-1]].sum(axis=0)
+        marginal_end = marginal[enc.offsets[1:] - 1].sum(axis=0)
+        for part, values in (
+            (g_transition, pair - n_transition),
+            (g_start, marginal_start - n_start),
+            (g_end, marginal_end - n_end),
+        ):
+            if accumulate:
+                part += values
+            else:
+                part[:] = values
         marginal[np.arange(enc.n_tokens), self.gold] -= 1.0
-        _scatter_state(enc, marginal, g_state)
-        if c2 > 0:
-            value += 0.5 * c2 * optim.dot(weights, weights)
-            grad += c2 * weights
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        _scatter_state(enc, marginal, g_state, accumulate)
+        if not np.isfinite(value) or not optim.all_finite(grad):
             raise DivergenceError("objective diverged to a non-finite value")
         return value, grad
 
@@ -1006,8 +1042,11 @@ def fit(
     `index`, `alphabet` and `feature_config` are those the training set
     was encoded with.
     """
+    # One gradient buffer for every evaluation: `minimize` copies what
+    # it keeps.
+    gradient = np.empty(dataset.n_parameters)
     result = optim.minimize(
-        lambda w: dataset.nll_and_gradient(w, train_config.c2),
+        lambda w: dataset.nll_and_gradient(w, train_config.c2, out=gradient),
         np.zeros(dataset.n_parameters),
         l1=train_config.c1,
         memory=train_config.lbfgs_memory,
@@ -1229,31 +1268,30 @@ def _config_echo(config: object) -> str:
 
 def save_model(model: CrfModel, stream: IO[str]) -> None:
     """Write the model losslessly as versioned UTF-8 text."""
-    n_labels = model.n_labels
-    n_features = model.n_features
-    stream.write(f"{_FORMAT_MAGIC} {_FORMAT_VERSION}\n")
-    stream.write("labels\t" + "\t".join(model.alphabet.tags) + "\n")
-    stream.write(f"attributes\t{n_features}\n")
-    stream.write("feature_config\t" + _config_echo(model.feature_config) + "\n")
-    stream.write("train_config\t" + _config_echo(model.train_config) + "\n")
-    stream.write(
-        "start\t" + "\t".join(_format_float(x) for x in model.start) + "\n"
-    )
-    stream.write("end\t" + "\t".join(_format_float(x) for x in model.end) + "\n")
-    stream.write("transitions\n")
-    for row in model.transition:
-        stream.write("\t".join(_format_float(x) for x in row) + "\n")
-    stream.write("attribute_names\n")
-    for i in range(n_features):
-        stream.write(model.index.name(i) + "\n")
+    names = model.index.names()
+    tags = model.alphabet.tags
     rows, cols = np.nonzero(model.state)
-    stream.write(f"state_weights\t{len(rows)}\n")
-    for r, c in zip(rows, cols):
-        stream.write(
-            f"{model.index.name(int(r))}\t{model.alphabet.tags[int(c)]}\t"
-            f"{_format_float(model.state[r, c])}\n"
-        )
-    stream.write("end_of_model\n")
+    weights = model.state[rows, cols]
+    lines = [
+        f"{_FORMAT_MAGIC} {_FORMAT_VERSION}",
+        "labels\t" + "\t".join(tags),
+        f"attributes\t{model.n_features}",
+        "feature_config\t" + _config_echo(model.feature_config),
+        "train_config\t" + _config_echo(model.train_config),
+        "start\t" + "\t".join(_format_float(x) for x in model.start),
+        "end\t" + "\t".join(_format_float(x) for x in model.end),
+        "transitions",
+        *("\t".join(_format_float(x) for x in row) for row in model.transition),
+        "attribute_names",
+        *names,
+        f"state_weights\t{len(rows)}",
+        *(
+            f"{names[r]}\t{tags[c]}\t{_format_float(w)}"
+            for r, c, w in zip(rows.tolist(), cols.tolist(), weights.tolist())
+        ),
+        "end_of_model",
+    ]
+    stream.write("\n".join(lines) + "\n")
 
 
 class _Reader:

@@ -21,6 +21,21 @@ passed the Armijo test) or `ITERATION_CAP`.
 Inner products and Euclidean norms over the variables go through `dot`,
 which, unlike `np.dot`, never hands the sum to BLAS, so the iterates do
 not depend on the BLAS thread count.
+
+After setup, `minimize` allocates no array of the variables' size: it
+works in a fixed set of vectors (current and trial point, accepted
+gradient, direction and, with l1 > 0, the pseudo-gradient, the orthant
+and one mask), plus the curvature pairs.
+Buffer ownership between `minimize` and the objective `fun(x) ->
+(value, grad)`:
+
+- `x` belongs to `minimize`.  It is one of two point buffers that swap
+  roles as steps are accepted, so `fun` must not modify it, and must
+  copy it to keep it past the call.
+- `grad` belongs to `fun`.  `minimize` reads it before its next call to
+  `fun` and copies what it keeps, so `fun` may return the same buffer
+  on every call.  A call that raises `DivergenceError`, or returns a
+  non-finite value or gradient, may leave that buffer in any state.
 """
 
 from __future__ import annotations
@@ -87,22 +102,29 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(dot(a, a))
 
 
-def _pseudo_gradient(x: np.ndarray, grad: np.ndarray, l1: float) -> np.ndarray:
-    """Steepest-descent direction generator for f + l1*|x|.
+def _pseudo_gradient(
+    sign: np.ndarray,
+    at_zero: np.ndarray,
+    grad: np.ndarray,
+    l1: float,
+    *,
+    out: np.ndarray,
+    tmp: np.ndarray,
+) -> None:
+    """Write the steepest-descent direction generator for f + l1*|x| to `out`.
 
-    Away from zero the penalty is differentiable; at zero the component
-    is the one-sided derivative when it is a descent direction, else 0,
-    that is grad minus grad clipped to [-l1, l1].
+    `sign` is np.sign(x) and `at_zero` is x == 0.  Away from zero the
+    penalty is differentiable; at zero the component is the one-sided
+    derivative when it is a descent direction, else 0, that is grad
+    minus grad clipped to [-l1, l1].
     """
     # Arithmetic over whole vectors: a masked select is several times
     # slower than a multiply when the mask is irregular.
-    pg = np.sign(x)
-    pg *= l1
-    pg += grad
-    at_zero = np.clip(grad, -l1, l1)
-    at_zero *= x == 0
-    pg -= at_zero
-    return pg
+    np.multiply(sign, l1, out=out)
+    out += grad
+    np.clip(grad, -l1, l1, out=tmp)
+    tmp *= at_zero
+    out -= tmp
 
 
 def _two_loop(
@@ -110,24 +132,32 @@ def _two_loop(
     s_list: Sequence[np.ndarray],
     y_list: Sequence[np.ndarray],
     rho_list: Sequence[float],
-) -> np.ndarray:
-    """L-BFGS two-loop recursion; returns the descent direction -H*grad.
+    gamma: float,
+    *,
+    out: np.ndarray,
+    tmp: np.ndarray,
+) -> None:
+    """L-BFGS two-loop recursion; writes the descent direction -H*grad to `out`.
 
-    The pairs are given oldest first.
+    The pairs are given oldest first, and `gamma` is s.y / y.y of the
+    newest one: the initial inverse Hessian is `gamma` times the
+    identity.
     """
-    q = grad.copy()
+    q = out
+    np.copyto(q, grad)
     alphas = []
     for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
         a = rho * dot(s, q)
         alphas.append(a)
-        q -= a * y
+        np.multiply(y, a, out=tmp)
+        q -= tmp
     if s_list:
-        s, y = s_list[-1], y_list[-1]
-        q *= dot(s, y) / dot(y, y)
+        q *= gamma
     for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
         b = rho * dot(y, q)
-        q += (a - b) * s
-    return -q
+        np.multiply(s, a - b, out=tmp)
+        q += tmp
+    np.negative(q, out=q)
 
 
 def minimize(
@@ -148,77 +178,109 @@ def minimize(
     `max_iterations` iterations.  A failed line search returns the best
     iterate found, with `stop` set to `LINE_SEARCH_FAILED`; a search
     direction that the orthant restriction zeroes entirely ends the run
-    with `STALLED`.
+    with `STALLED`.  See the module docstring for which buffers `fun`
+    may keep and reuse.
     """
     if not l1 >= 0:
         raise ValueError("l1 penalty must be >= 0")
+    # The work vectors of the whole run.  The current point `x` and the
+    # trial point swap buffers when a step is accepted.  The scratch
+    # vector is the `y` of the spare curvature pair, which is written
+    # only once a step is accepted.
     x = np.array(x0, dtype=float)
-    f, grad = _evaluate(fun, x)
-    obj = f + l1 * np.abs(x).sum()
+    trial = np.empty_like(x)
+    grad = np.empty_like(x)
+    direction = np.empty_like(x)
+    if l1 > 0:
+        pg = np.empty_like(x)
+        orthant = np.empty_like(x)
+        mask = np.empty(x.shape, dtype=bool)
+    else:
+        pg = grad
+    f, returned = _evaluate(fun, x)
+    np.copyto(grad, returned)
+    obj = f + l1 * np.abs(x, out=trial).sum()
     trace = [obj]
     # The curvature history, oldest pair first.  Each iteration writes
     # its pair into the spare buffers; an accepted pair joins the
-    # history, and the pair it evicts becomes the spare.
+    # history, and the pair it evicts becomes the spare.  `gamma` is
+    # s.y / y.y of the newest pair.
     s_list: deque[np.ndarray] = deque()
     y_list: deque[np.ndarray] = deque()
     rho_list: deque[float] = deque()
+    gamma = 1.0
     spare: tuple[np.ndarray, np.ndarray] | None = None
     stop = ITERATION_CAP
     for iteration in range(1, max_iterations + 1):
-        pg = _pseudo_gradient(x, grad, l1) if l1 > 0 else grad
+        if spare is None:
+            spare = (np.empty_like(x), np.empty_like(x))
+        s, y = spare
+        tmp = y
+        if l1 > 0:
+            # sign(x) is kept in `orthant`, where the orthant is built
+            # from it below, and x == 0 in `mask`.
+            np.sign(x, out=orthant)
+            np.equal(x, 0, out=mask)
+            _pseudo_gradient(orthant, mask, grad, l1, out=pg, tmp=tmp)
         if not np.any(pg):
             stop = CONVERGED
             break
-        direction = _two_loop(pg, s_list, y_list, rho_list)
+        _two_loop(pg, s_list, y_list, rho_list, gamma, out=direction, tmp=tmp)
         if l1 > 0:
-            # Orthant-wise step: keep only coordinates that descend.
             # Trial points keep the sign of x, or of -pg where x is 0.
-            direction *= direction * pg < 0
-            orthant = np.sign(x) - (x == 0) * np.sign(pg)
+            np.sign(pg, out=tmp)
+            tmp *= mask
+            orthant -= tmp
+            # Orthant-wise step: keep only coordinates that descend.
+            np.multiply(direction, pg, out=tmp)
+            np.less(tmp, 0, out=mask)
+            direction *= mask
         if not np.any(direction):
             # A zero step would pass the Armijo test with equality and
             # count as progress; no step here can lower the objective.
             stop = STALLED
             break
-        if spare is None:
-            spare = (np.empty_like(x), np.empty_like(x))
-        s, y = spare
         step = 1.0 if s_list else 1.0 / _norm(direction)
-        accepted = None
+        accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            x_new = x + step * direction
+            np.multiply(direction, step, out=trial)
+            np.add(x, trial, out=trial)
             if l1 > 0:
-                x_new[x_new * orthant < 0] = 0.0
+                np.multiply(trial, orthant, out=tmp)
+                np.less(tmp, 0, out=mask)
+                np.copyto(trial, 0.0, where=mask)
             try:
-                f_new, grad_new = _evaluate(fun, x_new)
+                f_new, returned = _evaluate(fun, trial)
             except DivergenceError:
                 step *= 0.5
                 continue
-            obj_new = f_new + l1 * np.abs(x_new).sum()
-            np.subtract(x_new, x, out=s)
+            obj_new = f_new + l1 * np.abs(trial, out=tmp).sum()
+            np.subtract(trial, x, out=s)
             if l1 > 0:
-                sufficient = obj_new <= obj + _ARMIJO_C * dot(pg, s)
+                accepted = obj_new <= obj + _ARMIJO_C * dot(pg, s)
             else:
-                sufficient = f_new <= f + _ARMIJO_C * step * dot(grad, direction)
-            if sufficient:
-                accepted = (x_new, f_new, grad_new, obj_new)
+                accepted = f_new <= f + _ARMIJO_C * step * dot(grad, direction)
+            if accepted:
                 break
             step *= 0.5
-        if accepted is None:
+        if not accepted:
             stop = LINE_SEARCH_FAILED
             break
-        x_new, f_new, grad_new, obj_new = accepted
-        np.subtract(grad_new, grad, out=y)
+        np.subtract(returned, grad, out=y)
+        np.copyto(grad, returned)
         sy = dot(s, y)
-        if sy > _CURVATURE_EPS * _norm(s) * _norm(y):
+        yy = dot(y, y)
+        if sy > _CURVATURE_EPS * _norm(s) * math.sqrt(yy):
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
+            gamma = sy / yy
             spare = None
             if len(s_list) > memory:
                 spare = (s_list.popleft(), y_list.popleft())
                 rho_list.popleft()
-        x, f, grad, obj = x_new, f_new, grad_new, obj_new
+        x, trial = trial, x
+        f, obj = f_new, obj_new
         trace.append(obj)
         if callback is not None:
             callback(iteration, obj)
@@ -231,8 +293,18 @@ def minimize(
     return OptimResult(x=x, stop=stop, trace=tuple(trace))
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether no entry of `a` is infinite or NaN.
+
+    min and max propagate NaN, so both are finite exactly when every
+    entry is; unlike `np.isfinite(a).all()` this allocates no
+    array-sized mask.
+    """
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def _evaluate(fun: Objective, x: np.ndarray) -> tuple[float, np.ndarray]:
     value, grad = fun(x)
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+    if not np.isfinite(value) or not all_finite(grad):
         raise DivergenceError("objective is not finite")
     return float(value), grad

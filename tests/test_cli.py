@@ -243,7 +243,10 @@ class TestTrainTagEval:
         # mask, so the optimizer stalls on its first iteration.
         from borrowings import optim
 
-        monkeypatch.setattr(optim, "_two_loop", lambda grad, *pairs: grad.copy())
+        monkeypatch.setattr(
+            optim, "_two_loop",
+            lambda grad, *history, out, tmp: np.copyto(out, grad),
+        )
         model = tmp_path / "model.crf"
         assert run([
             "train", "--train", str(corpora / "train.tsv"),
@@ -289,7 +292,8 @@ class TestTrainTagEval:
                 "final objective 67.579192, 1136 attributes",
             ),
             (
-                ["--c1", "0.1"], ("_two_loop", lambda grad, *pairs: grad.copy()),
+                ["--c1", "0.1"],
+                ("_two_loop", lambda grad, *history, out, tmp: np.copyto(out, grad)),
                 "trained 0 iterations (stalled), final objective 225.321308, "
                 "1136 attributes",
             ),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import math
 import re
@@ -444,6 +445,30 @@ class TestBatchedObjective:
         second_value, second_grad = dataset.nll_and_gradient(w, 0.2)
         assert first_value == second_value
         assert np.array_equal(first_grad, second_grad)
+
+    @pytest.mark.parametrize("c2", [0.0, 0.2])
+    def test_out_buffer_gets_the_same_bits(self, c2):
+        dataset, _, _ = encode_small(n=30, seed=27)
+        w = np.random.default_rng(28).normal(scale=0.5, size=dataset.n_parameters)
+        w[::3] = 0.0
+        w[1::5] = -0.0
+        value, grad = dataset.nll_and_gradient(w, c2)
+        out = np.full(dataset.n_parameters, np.nan)
+        got_value, got_grad = dataset.nll_and_gradient(w, c2, out=out)
+        assert got_grad is out
+        assert got_value == value
+        assert got_grad.tobytes() == grad.tobytes()
+
+    def test_out_buffer_is_checked(self):
+        dataset, _, _ = encode_small()
+        w = np.zeros(dataset.n_parameters)
+        for out in (
+            np.empty(dataset.n_parameters + 1),
+            np.empty(dataset.n_parameters, dtype=np.float32),
+            w,
+        ):
+            with pytest.raises(ValidationError):
+                dataset.nll_and_gradient(w, 0.1, out=out)
 
     def test_gradient_matches_finite_differences_on_mixed_lengths(self):
         dataset = mixed_length_dataset()
@@ -934,6 +959,32 @@ class TestTag:
         )
         with pytest.raises(ConfigError, match="embedding table"):
             tag(needy, Corpus("c", (Headline(id="x", tokens=(Token("a"),)),)))
+
+
+# sha256 of the `save_model` text of a 30-iteration fit to
+# `synthetic_corpus(120, seed=21)`, per (c1, c2).  Recorded before the
+# optimizer reused its work vectors; any change to the iterates, the
+# objective or the model format changes them.
+PINNED_MODEL_DIGESTS = {
+    (0.05, 0.01): "72effef0593ab89c2631e8fc5fd550b95cdc0cb0a25731990229bd3281476839",
+    (0.0, 0.01): "862f347ec02f0f6662e45104f6d17adbb8dd439ba35a135ff608133683b8b7a4",
+    (0.1, 0.0): "ea53ef9de6e317163c747b74329759bb01326dcec3dbe75cfbb1bfd6ad448a6c",
+}
+
+
+@pytest.mark.parametrize("c1, c2", list(PINNED_MODEL_DIGESTS))
+def test_pinned_model_bytes(c1, c2):
+    model = train(
+        synthetic_corpus(120, seed=21),
+        FeatureConfig(),
+        None,
+        TrainConfig(c1=c1, c2=c2, max_iterations=30),
+    )
+    assert model.diagnostics.iterations == 30
+    buffer = io.StringIO()
+    save_model(model, buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digest == PINNED_MODEL_DIGESTS[c1, c2]
 
 
 class TestPersistence:

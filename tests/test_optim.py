@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -141,16 +143,24 @@ def squared_distance_to_three(x):
     return float(np.dot(d, d)), 2.0 * d
 
 
+def uphill(grad, *history, out, tmp):
+    """A `_two_loop` stand-in whose direction is +grad."""
+    np.copyto(out, grad)
+
+
 class TestStall:
     """An orthant mask that zeroes the whole direction is a stall."""
 
     def test_uphill_direction_after_curvature_pairs(self, monkeypatch):
         two_loop = optim._two_loop
 
-        def uphill_once_pairs_exist(grad, s_list, y_list, rho_list):
+        def uphill_once_pairs_exist(
+            grad, s_list, y_list, rho_list, gamma, *, out, tmp
+        ):
             if s_list:
-                return grad.copy()
-            return two_loop(grad, s_list, y_list, rho_list)
+                uphill(grad, out=out, tmp=tmp)
+            else:
+                two_loop(grad, s_list, y_list, rho_list, gamma, out=out, tmp=tmp)
 
         monkeypatch.setattr(optim, "_two_loop", uphill_once_pairs_exist)
         result = minimize(squared_distance_to_three, np.zeros(1), l1=0.1, period=5)
@@ -160,7 +170,7 @@ class TestStall:
 
     def test_uphill_first_direction(self, monkeypatch):
         # Without curvature pairs the step is 1/||d||, infinite for d = 0.
-        monkeypatch.setattr(optim, "_two_loop", lambda grad, *pairs: grad.copy())
+        monkeypatch.setattr(optim, "_two_loop", uphill)
         result = minimize(squared_distance_to_three, np.zeros(1), l1=0.1, period=5)
         assert result.stop == STALLED
         assert result.iterations == 0
@@ -226,7 +236,10 @@ class TestPseudoGradient:
                 expected.append(gi - l1)
             else:
                 expected.append(0.0)
-        pg = optim._pseudo_gradient(x, grad, l1)
+        pg = np.empty_like(x)
+        optim._pseudo_gradient(
+            np.sign(x), x == 0, grad, l1, out=pg, tmp=np.empty_like(x)
+        )
         assert pg.tobytes() == np.array(expected).tobytes()
 
 
@@ -244,11 +257,14 @@ class TestCurvatureHistory:
         seen = []
         two_loop = optim._two_loop
 
-        def recording(grad, s_list, y_list, rho_list):
+        def recording(grad, s_list, y_list, rho_list, gamma, *, out, tmp):
             assert len({id(s) for s in (*s_list, *y_list)}) == 2 * len(s_list)
+            if s_list:
+                s, y = s_list[-1], y_list[-1]
+                assert gamma == optim.dot(s, y) / optim.dot(y, y)
             seen.append([(s.copy(), y.copy(), rho)
                          for s, y, rho in zip(s_list, y_list, rho_list)])
-            return two_loop(grad, s_list, y_list, rho_list)
+            two_loop(grad, s_list, y_list, rho_list, gamma, out=out, tmp=tmp)
 
         monkeypatch.setattr(optim, "_two_loop", recording)
         return seen
@@ -285,6 +301,128 @@ class TestCurvatureHistory:
         result = minimize(fun, np.zeros(1000), memory=10**9, max_iterations=3)
         assert result.iterations == 3
         assert result.trace[-1] < result.trace[0]
+
+
+def reusing(fun):
+    """`fun` returning its gradient in one buffer on every call."""
+    buffer = None
+
+    def wrapped(x):
+        nonlocal buffer
+        value, grad = fun(x)
+        if buffer is None:
+            buffer = np.empty_like(grad)
+        np.copyto(buffer, grad)
+        return value, buffer
+
+    return wrapped
+
+
+def assert_same_result(got, expected):
+    assert got.x.tobytes() == expected.x.tobytes()
+    assert got.stop == expected.stop
+    assert got.trace == expected.trace
+
+
+class TestBufferContract:
+    """`minimize` reuses its work vectors and never keeps the gradient
+    array the objective returns (see the module docstring)."""
+
+    @pytest.mark.parametrize("l1", [0.0, 0.1])
+    def test_objective_sees_two_point_buffers(self, l1):
+        _, fun = ill_conditioned(200, seed=11)
+        addresses = set()
+
+        def spy(x):
+            addresses.add(x.ctypes.data)
+            return fun(x)
+
+        result = minimize(spy, np.zeros(200), l1=l1, max_iterations=20, delta=1e-15)
+        assert result.iterations == 20
+        assert len(addresses) <= 2
+
+    @pytest.mark.parametrize("l1", [0.0, 0.1])
+    def test_reused_gradient_buffer_gives_the_same_result(self, l1):
+        _, fun = ill_conditioned(200, seed=12)
+        fresh = minimize(fun, np.zeros(200), l1=l1, max_iterations=40, delta=1e-15)
+        reused = minimize(
+            reusing(fun), np.zeros(200), l1=l1, max_iterations=40, delta=1e-15
+        )
+        assert_same_result(reused, fresh)
+
+    @pytest.mark.parametrize("l1", [0.0, 0.1])
+    def test_divergent_trial_that_wrote_the_buffer_changes_nothing(self, l1):
+        # Calls 2, 5, 6 and 9 diverge.  They raise with fresh gradient
+        # arrays, or, with one shared buffer, fill it with NaN and then
+        # raise or return it for `minimize` to reject; all three runs
+        # must agree.
+        _, fun = ill_conditioned(200, seed=13)
+        diverging = {2, 5, 6, 9}
+
+        def objective(mode):
+            buffer = np.empty(200)
+            calls = 0
+
+            def wrapped(x):
+                nonlocal calls
+                calls += 1
+                if calls in diverging:
+                    if mode == "fresh arrays":
+                        raise DivergenceError("diverged")
+                    buffer.fill(np.nan)
+                    if mode == "write, then raise":
+                        raise DivergenceError("diverged")
+                    return 0.0, buffer
+                value, grad = fun(x)
+                if mode == "fresh arrays":
+                    return value, grad
+                np.copyto(buffer, grad)
+                return value, buffer
+
+            return wrapped
+
+        runs = [
+            minimize(objective(mode), np.zeros(200), l1=l1, max_iterations=20,
+                     delta=1e-15)
+            for mode in ("fresh arrays", "write, then raise", "return NaN")
+        ]
+        assert runs[0].iterations == 20
+        assert runs[0].trace[-1] < runs[0].trace[0]
+        for run in runs[1:]:
+            assert_same_result(run, runs[0])
+
+    def test_start_point_is_not_modified(self):
+        _, fun = ill_conditioned(50, seed=14)
+        x0 = np.ones(50)
+        minimize(fun, x0, l1=0.1, max_iterations=10)
+        assert np.array_equal(x0, np.ones(50))
+
+
+def test_all_finite():
+    assert optim.all_finite(np.zeros(0))
+    assert optim.all_finite(np.array([1.0, -1e308, 0.0]))
+    for bad in (np.inf, -np.inf, np.nan):
+        a = np.zeros(7)
+        a[3] = bad
+        assert not optim.all_finite(a)
+
+
+# sha256 of `x.tobytes()` followed by `repr(trace)` for 60 iterations
+# on `ill_conditioned(50, seed=7)`, per l1.  Recorded before `minimize`
+# reused its work vectors.
+PINNED_ITERATES = {
+    0.0: "b8beff33adbc9f09a212c3549421966f911cb0e0fda203bddc3aaab5b3902754",
+    0.1: "c97b4c56a49b8c2ac31e96205fcd48e51e5193ed759fe1afaa6d6b9114a33d5a",
+}
+
+
+@pytest.mark.parametrize("l1", list(PINNED_ITERATES))
+def test_pinned_iterates(l1):
+    _, fun = ill_conditioned(50, seed=7)
+    result = minimize(fun, np.zeros(50), l1=l1, max_iterations=60, delta=1e-15)
+    assert result.iterations == 60
+    digest = hashlib.sha256(result.x.tobytes() + repr(result.trace).encode())
+    assert digest.hexdigest() == PINNED_ITERATES[l1]
 
 
 def test_dot_is_reproducible_and_accurate():
