@@ -597,18 +597,12 @@ def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
     return e
 
 
-def _scatter_state(
-    enc: Encoding,
-    residual: np.ndarray,
-    g_state: np.ndarray,
-    accumulate: bool = False,
-) -> None:
-    """g_state[a, l] = sum of v * residual[t, l] over token t's entries (a, v).
+def _scatter_state(enc: Encoding, residual: np.ndarray, g_state: np.ndarray) -> None:
+    """g_state[a, l] += sum of v * residual[t, l] over token t's entries (a, v).
 
     The residuals of each cell's visits are summed first, slot by slot
     and tokens ascending within a slot; then every cell's entries are
-    scattered by id, in entry order.  With `accumulate` the sums are
-    added to g_state instead of replacing it.
+    scattered by id, in entry order, and each sum is added to g_state.
     """
     n_cells = enc.n_cells
     width = enc.visits.shape[1]
@@ -623,11 +617,9 @@ def _scatter_state(
     scaled = np.empty(enc.ids.size)
     for label in range(g_state.shape[1]):
         _scaled_gather(per_cell[label], enc.cell, enc.vals, out=scaled)
-        column = np.bincount(enc.ids, weights=scaled, minlength=g_state.shape[0])
-        if accumulate:
-            g_state[:, label] += column
-        else:
-            g_state[:, label] = column
+        g_state[:, label] += np.bincount(
+            enc.ids, weights=scaled, minlength=g_state.shape[0]
+        )
 
 
 def _scaled_gather(
@@ -950,14 +942,16 @@ class TrainingSet:
             log_z
             - _path_score(e, self.gold, self.empirical, transition, start, end)
         )
-        # With c2 > 0 each part is added onto c2*w, already in `grad`:
-        # addition commutes exactly, so the bits are those of part +
-        # c2*w, and no parameter-sized temporary is needed.  With c2 = 0
-        # the parts are assigned, which keeps their signed zeros.
-        accumulate = c2 > 0
-        if accumulate:
+        # Each part is added onto c2*w, already in `grad`: addition
+        # commutes exactly, so the bits are those of part + c2*w, and no
+        # parameter-sized temporary is needed.  With c2 = 0 the seed is
+        # -0.0, the exact additive identity (x + -0.0 is x, signed zeros
+        # and NaN included), so the bits are those of the parts alone.
+        if c2 > 0:
             value += 0.5 * c2 * optim.dot(weights, weights)
             np.multiply(weights, c2, out=grad)
+        else:
+            grad.fill(-0.0)
         g_state, g_transition, g_start, g_end = _unpack(
             grad, self.n_features, self.n_labels
         )
@@ -968,13 +962,10 @@ class TrainingSet:
             (g_start, marginal_start - n_start),
             (g_end, marginal_end - n_end),
         ):
-            if accumulate:
-                part += values
-            else:
-                part[:] = values
+            part += values
         marginal[np.arange(enc.n_tokens), self.gold] -= 1.0
-        _scatter_state(enc, marginal, g_state, accumulate)
-        if not np.isfinite(value) or not optim.all_finite(grad):
+        _scatter_state(enc, marginal, g_state)
+        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise DivergenceError("objective diverged to a non-finite value")
         return value, grad
 

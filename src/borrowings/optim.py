@@ -293,18 +293,8 @@ def minimize(
     return OptimResult(x=x, stop=stop, trace=tuple(trace))
 
 
-def all_finite(a: np.ndarray) -> bool:
-    """Whether no entry of `a` is infinite or NaN.
-
-    min and max propagate NaN, so both are finite exactly when every
-    entry is; unlike `np.isfinite(a).all()` this allocates no
-    array-sized mask.
-    """
-    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
-
-
 def _evaluate(fun: Objective, x: np.ndarray) -> tuple[float, np.ndarray]:
     value, grad = fun(x)
-    if not np.isfinite(value) or not all_finite(grad):
+    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
         raise DivergenceError("objective is not finite")
     return float(value), grad

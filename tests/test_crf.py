@@ -407,7 +407,7 @@ class TestFlatEncoding:
         rng = np.random.default_rng(23)
         enc = dataset.encoding
         residual = rng.normal(size=(enc.n_tokens, dataset.n_labels))
-        got = np.empty((dataset.n_features, dataset.n_labels))
+        got = np.full((dataset.n_features, dataset.n_labels), -0.0)
         crf._scatter_state(enc, residual, got)
         expected = cell_order_state_gradient(enc, residual, dataset.n_features)
         assert got.tobytes() == expected.tobytes()

@@ -398,15 +398,6 @@ class TestBufferContract:
         assert np.array_equal(x0, np.ones(50))
 
 
-def test_all_finite():
-    assert optim.all_finite(np.zeros(0))
-    assert optim.all_finite(np.array([1.0, -1e308, 0.0]))
-    for bad in (np.inf, -np.inf, np.nan):
-        a = np.zeros(7)
-        a[3] = bad
-        assert not optim.all_finite(a)
-
-
 # sha256 of `x.tobytes()` followed by `repr(trace)` for 60 iterations
 # on `ill_conditioned(50, seed=7)`, per l1.  Recorded before `minimize`
 # reused its work vectors.
