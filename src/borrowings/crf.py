@@ -54,13 +54,6 @@ the distinct keys become prefixed names.  Training numbers them by
 first appearance, so ids are exactly those of adding every windowed
 name to an index one by one; tagging looks them up in the model's index
 and drops the entries whose names it does not know.
-
-A sweep of many runs on the same corpora encodes them once
-(`SharedEncoding`), with the encoder `train` uses, and derives each
-run's encoding from that one by masking families out and rescaling the
-embedding entries; each id's family is read off its name
-(`features.attribute_family`).  `fit` then trains on a derived
-training set, as `train` does on one it encodes itself.
 """
 
 from __future__ import annotations
@@ -89,18 +82,15 @@ from .errors import ConfigError, ValidationError
 from .features import (
     BOS,
     EOS,
-    FAMILIES,
     QUOTATION,
     AttributeVector,
     FeatureConfig,
     FeatureIndex,
-    attribute_family,
     base_attributes,
     embedding_names,
     embedding_values,
     offset_prefix,
     quotation_flags,
-    require_table,
 )
 
 DivergenceError = optim.DivergenceError
@@ -169,7 +159,7 @@ class TrainConfig:
 class CrfModel:
     """Trained weights plus everything needed to reapply them.
 
-    A model `train` or `fit` returns keeps the optimizer's result as
+    A model `train` returns keeps the optimizer's result as
     `diagnostics`, and its weight arrays are views of `diagnostics.x`;
     a loaded model has `diagnostics=None`.
     """
@@ -491,10 +481,10 @@ def _encode_windows(
 
     Cells are keyed by `quotation_flags` whether or not the quotation
     family is on; without it a type's quoted and unquoted cells hold
-    the same entries.  So switching the family off changes the entries
-    of quoted cells only, never which cells there are, and an encoding
-    derived by masking `quot=1` out (`SharedEncoding`) equals a fresh
-    one bit for bit.
+    the same entries.  Merging them would change the order in which
+    emissions and gradients are summed, and so the bytes of models
+    trained without the family, at rounding level; keeping the key
+    keeps those bytes stable.
     """
     radius = config.window_radius
     types = _intern_types(headlines, config, embeddings)
@@ -1017,22 +1007,6 @@ def train(
     dataset, index, alphabet = encode_training_set(
         corpus, config, embeddings, ignore_other
     )
-    return fit(dataset, index, alphabet, config, train_config, progress)
-
-
-def fit(
-    dataset: TrainingSet,
-    index: FeatureIndex,
-    alphabet: TagAlphabet,
-    feature_config: FeatureConfig,
-    train_config: TrainConfig,
-    progress: Callable[[int, float], None] | None = None,
-) -> CrfModel:
-    """Fit a CRF to an encoded training set; see `train`.
-
-    `index`, `alphabet` and `feature_config` are those the training set
-    was encoded with.
-    """
     # One gradient buffer for every evaluation: `minimize` copies what
     # it keeps.
     gradient = np.empty(dataset.n_parameters)
@@ -1056,7 +1030,7 @@ def fit(
         transition=transition,
         start=start,
         end=end,
-        feature_config=feature_config,
+        feature_config=config,
         train_config=train_config,
         diagnostics=result,
     )
@@ -1083,127 +1057,13 @@ def tag(
         enc, _ = _encode_windows(
             chunk, model.feature_config, embeddings, model.index
         )
-        tagged.extend(_predicted(model, chunk, enc))
+        tags = [model.alphabet.tags[i] for i in _decode(model, enc).tolist()]
+        bounds = enc.offsets.tolist()
+        tagged.extend(
+            dataclasses.replace(headline, spans=tuple(bio_to_spans(tags[lo:hi])))
+            for headline, lo, hi in zip(chunk, bounds, bounds[1:])
+        )
     return Corpus(corpus.name, tuple(tagged))
-
-
-def tag_encoded(model: CrfModel, corpus: Corpus, enc: Encoding) -> Corpus:
-    """`tag`, given the corpus already encoded against the model's index."""
-    return Corpus(corpus.name, tuple(_predicted(model, corpus.headlines, enc)))
-
-
-def _predicted(
-    model: CrfModel, headlines: Sequence[Headline], enc: Encoding
-) -> list[Headline]:
-    tags = [model.alphabet.tags[i] for i in _decode(model, enc).tolist()]
-    bounds = enc.offsets.tolist()
-    return [
-        dataclasses.replace(headline, spans=tuple(bio_to_spans(tags[lo:hi])))
-        for headline, lo, hi in zip(headlines, bounds, bounds[1:])
-    ]
-
-
-# --- one encoding for many runs ------------------------------------------
-
-# Family codes of `SharedEncoding.families`: the `FAMILIES` index, or
-# `len(FAMILIES)` for BOS and EOS, which belong to no family.
-_FAMILY_CODES = {family: code for code, family in enumerate((*FAMILIES, None))}
-_EMBEDDING = _FAMILY_CODES["embedding"]
-
-
-class SharedEncoding:
-    """Training and development corpora encoded once for many runs.
-
-    Both corpora are encoded under `config` with unscaled embedding
-    components: the training corpus by `encode_training_set`, the
-    development corpus against the training index, as `tag` would.
-    `families` holds the family code of every id, read off its name by
-    `attribute_family`.  `derive` gives the encodings of a config that
-    switches some of those families off and scales the embeddings its
-    own way.  They equal bit for bit those of encoding the corpora
-    afresh, so training on them gives the same bytes:
-
-    - Ids follow first appearance, and dropping a family's names keeps
-      the order of the rest, so a kept id's new number is its rank among
-      the kept ids.  Only cell entries are masked; the cells, their
-      visits, `offsets` and the packed `order` and `steps` are shared
-      unchanged.  Cells are keyed by quotation whether or not the family
-      is on, so dropping it leaves the cells those of a fresh encoding,
-      and no other family decides which cells there are.  A cell may end
-      up empty.
-    - A scaled embedding entry is the unscaled component times the
-      scaling, the same IEEE product `embedding_values` computes.
-    """
-
-    def __init__(
-        self,
-        train_corpus: Corpus,
-        dev_corpus: Corpus,
-        config: FeatureConfig,
-        embeddings: EmbeddingTable | None,
-        ignore_other: bool = False,
-    ) -> None:
-        self.config = dataclasses.replace(config, embedding_scaling=1.0)
-        self.embeddings = embeddings
-        dataset, self.index, self.alphabet = encode_training_set(
-            train_corpus, self.config, embeddings, ignore_other
-        )
-        self.train, self.gold = dataset.encoding, dataset.gold
-        self.families = np.array(
-            [_FAMILY_CODES[attribute_family(name)] for name in self.index.names()],
-            dtype=np.int8,
-        )
-        self.dev, _ = _encode_windows(
-            dev_corpus.headlines, self.config, embeddings, self.index
-        )
-
-    def derive(
-        self, config: FeatureConfig
-    ) -> tuple[TrainingSet, FeatureIndex, Encoding]:
-        """Training set, index and development encoding under `config`.
-
-        `config` may differ from the shared one only by families it
-        switches off and by its embedding scaling.
-        """
-        if config.embedding:
-            require_table(self.embeddings)
-        dropped = [
-            f for f in self.config.enabled_families() if not getattr(config, f)
-        ]
-        restored = dataclasses.replace(
-            config, embedding_scaling=1.0, **dict.fromkeys(dropped, True)
-        )
-        if restored != self.config:
-            raise ConfigError(f"{config} cannot be derived from {self.config}")
-        index = self.index
-        keep = None
-        if dropped:
-            kept_families = np.ones(len(_FAMILY_CODES), dtype=bool)
-            kept_families[[_FAMILY_CODES[f] for f in dropped]] = False
-            keep = kept_families[self.families]
-            index = FeatureIndex.from_names(itertools.compress(index.names(), keep))
-        scaling = config.embedding_scaling if config.embedding else 1.0
-        train = self._variant(self.train, keep, scaling)
-        dev = self._variant(self.dev, keep, scaling)
-        dataset = TrainingSet(train, self.gold, len(index), len(self.alphabet))
-        return dataset, index, dev
-
-    def _variant(
-        self, enc: Encoding, keep: np.ndarray | None, scaling: float
-    ) -> Encoding:
-        """`enc` with only the ids in `keep`, renumbered, and scaled embeddings."""
-        if keep is None and scaling == 1.0:
-            return enc
-        ids, vals, cell = enc.ids, enc.vals, enc.cell
-        new_ids = ids
-        if keep is not None:
-            kept = keep[ids]
-            ids, vals, cell = ids[kept], vals[kept], cell[kept]
-            new_ids = (np.cumsum(keep) - 1)[ids]
-        if scaling != 1.0:
-            vals = vals.copy()
-            vals[self.families[ids] == _EMBEDDING] *= scaling
-        return dataclasses.replace(enc, ids=new_ids, vals=vals, cell=cell)
 
 
 # --- persistence ---------------------------------------------------------
@@ -1323,9 +1183,12 @@ def _parse_floats(
             f"{context}: expected {expect} values, got {len(parts)}"
         )
     try:
-        return np.array([float(v) for v in parts], dtype=float)
+        values = np.array([float(v) for v in parts], dtype=float)
     except ValueError:
         raise ModelFormatError(f"{context}: non-numeric weight") from None
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"{context}: non-finite weight")
+    return values
 
 
 def _parse_config_echo(line: str, prefix: str, cls: type) -> object:
@@ -1353,7 +1216,10 @@ def load_model(stream: IO[str]) -> CrfModel:
 
     Raises ModelVersionError on a bad header, ModelTruncatedError when
     the file ends early, and ModelDimensionError when any section
-    disagrees with the declared label or attribute counts.
+    disagrees with the declared label or attribute counts.  Any other
+    malformed content raises ModelFormatError, among it a weight that
+    is `nan` or infinite and two state weight lines for the same
+    (attribute, tag) pair.
     """
     reader = _Reader(stream)
     header = reader.next_line("header").split(" ")
@@ -1414,8 +1280,9 @@ def load_model(stream: IO[str]) -> CrfModel:
             f"declared {declared} state weights for a "
             f"{n_features}x{n_labels} weight matrix"
         )
-    # Lines are checked in file order before the count is, so a bad line
-    # or an early end_of_model is reported ahead of a truncated file.
+    # Lines are checked before the count is, so a bad line or an early
+    # end_of_model is reported ahead of a truncated file: each line's
+    # fields in file order, then all weights for finiteness.
     present = reader.peek_lines(declared)
     tag_ids = {tag_name: i for i, tag_name in enumerate(alphabet.tags)}
     rows, cols, weights = [], [], []
@@ -1440,6 +1307,9 @@ def load_model(stream: IO[str]) -> CrfModel:
             raise ModelFormatError("non-numeric state weight") from None
         rows.append(row)
         cols.append(col)
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise ModelFormatError(f"non-finite state weight: {present[bad[0]]!r}")
     reader.next_lines(declared, "state weights")
     state = np.zeros((n_features, n_labels))
     state[rows, cols] = weights
@@ -1450,6 +1320,13 @@ def load_model(stream: IO[str]) -> CrfModel:
                 f"more state weight lines than the declared {declared}"
             )
         raise ModelFormatError(f"expected end_of_model, got {trailer!r}")
+    # Checked once the count is known to match, so a surplus line that
+    # repeats another is reported as a surplus.
+    keys = np.array(rows, dtype=np.int64) * n_labels + np.array(cols, dtype=np.int64)
+    _, first = np.unique(keys, return_index=True)
+    if first.size != keys.size:
+        repeat = np.setdiff1d(np.arange(keys.size), first)[0]
+        raise ModelFormatError(f"repeated state weight line: {present[repeat]!r}")
     return CrfModel(
         alphabet=alphabet,
         index=index,

@@ -17,10 +17,6 @@ originating offset (`[-2]`, `[-1]`, `[0]`, `[+1]`, `[+2]`).  Offsets
 outside the headline contribute a single `[o]BOS` or `[o]EOS`
 attribute.  The CRF encodes corpora from the base names directly,
 without building these dicts; see `crf`.
-
-Every windowed name spells out its family, and `attribute_family` is
-the one rule that reads it back: a sweep that switches families off
-(`crf.SharedEncoding`) finds each indexed attribute's family there.
 """
 
 from __future__ import annotations
@@ -197,52 +193,18 @@ def base_attributes(
     return tuple(before), tuple(after)
 
 
-# The family of every base name, by its key: the text before the first
-# `=`, or the whole name where it has none.  Embedding names (`emb0`,
-# `emb1`, ...) are the only keys that start with `emb`.
-_KEY_FAMILIES = {
-    "bias": "bias",
-    "w": "token",
-    "upper": "uppercase",
-    "title": "titlecase",
-    "tri": "char_trigram",
-    "quot": "quotation",
-    "suf3": "suffix3",
-    "pos": "pos",
-    "shape": "shape",
-    BOS: None,
-    EOS: None,
-}
-
-
-def attribute_family(name: str) -> str | None:
-    """Family of a windowed attribute name; None for BOS and EOS.
-
-    The offset prefix ends at the name's first `]`, and the base name's
-    key at its first `=`, so token texts and POS tags, which follow
-    both, never change the answer.
-    """
-    key = name.partition("]")[2].partition("=")[0]
-    return "embedding" if key.startswith("emb") else _KEY_FAMILIES[key]
-
-
 def embedding_names(dim: int) -> tuple[str, ...]:
     return tuple(f"emb{i}" for i in range(dim))
-
-
-def require_table(embeddings: EmbeddingTable | None) -> None:
-    """Raise the error of an enabled embedding family without a table."""
-    if embeddings is None:
-        raise ConfigError(
-            "embedding family is enabled but no embedding table was given"
-        )
 
 
 def embedding_values(
     text: str, config: FeatureConfig, embeddings: EmbeddingTable | None
 ) -> list[float]:
     """The token's embedding components times the configured scaling."""
-    require_table(embeddings)
+    if embeddings is None:
+        raise ConfigError(
+            "embedding family is enabled but no embedding table was given"
+        )
     scale = config.embedding_scaling
     return [float(component) * scale for component in embeddings.lookup(text)]
 

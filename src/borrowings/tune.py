@@ -6,15 +6,14 @@ configuration is trained once, even when several grid points name it:
 without an embedding table the scaling value changes nothing, so the
 points that differ only in scaling share one run.
 
-A sweep encodes its corpora once per embedding table
-(`crf.SharedEncoding`), and every run derives its own encoding from
-that one: c1 and c2 points share it unchanged, scaling points rescale
-the embedding entries, and points without a table, like ablation rows,
-mask families out.  With `jobs` above 1 the runs are shared round-robin
-among worker processes forked from the calling process (the POSIX
-`fork` start method), which inherit the encodings and send back only
-their scores; the calling process is one of the workers.  Results are
-merged in enumeration order, so output is identical for any job count.
+Every run goes through the path the `train` and `tag` commands take:
+`crf.train` on the training corpus, then `crf.tag` on the development
+corpus, so a run scores what training and tagging it on its own would.
+With `jobs` above 1 the runs are shared round-robin among worker
+processes forked from the calling process (the POSIX `fork` start
+method), which inherit the corpora and tables and send back only their
+scores; the calling process is one of the workers.  Results are merged
+in enumeration order, so output is identical for any job count.
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Sequence
 
-from .crf import SharedEncoding, TrainConfig, fit, tag_encoded
+from .crf import TrainConfig, tag, train
 from .corpus import Corpus
 from .embeddings import EmbeddingTable
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate
-from .features import FAMILIES, FeatureConfig
+from .features import FeatureConfig
 from .rounding import fmt2, round2
 
 
@@ -138,17 +137,12 @@ def _run_jobs(
     if workers < 1:
         raise ConfigError(f"jobs must be >= 1, got {workers}")
     distinct = list(dict.fromkeys(jobs))
-    sources = _shared_encodings(train_corpus, dev_corpus, distinct)
 
     def run(i: int) -> _Outcome:
-        config, _, train_config = distinct[i]
-        source = sources[i]
-        if isinstance(source, Exception):
-            return None, 0, str(source)
+        config, table, train_config = distinct[i]
         try:
-            dataset, index, dev = source.derive(config)
-            model = fit(dataset, index, source.alphabet, config, train_config)
-            predicted = tag_encoded(model, dev_corpus, dev)
+            model = train(train_corpus, config, table, train_config, ignore_other=True)
+            predicted = tag(model, dev_corpus, table)
             report = evaluate(dev_corpus, predicted, ignore_other=True)
         except (ValueError, ArithmeticError) as exc:
             return None, 0, str(exc)
@@ -157,41 +151,6 @@ def _run_jobs(
     outcomes = _fork_map(run, len(distinct), min(workers, len(distinct)))
     by_job = dict(zip(distinct, outcomes))
     return [by_job[job] for job in jobs]
-
-
-def _shared_encodings(
-    train_corpus: Corpus, dev_corpus: Corpus, jobs: Sequence[_Job]
-) -> list[SharedEncoding | Exception]:
-    """Each job's shared encoding, or the error that building it raised.
-
-    There is one per embedding table.  Jobs without a table use the
-    first table's, with the embedding family masked out, and get one of
-    their own only when no job has a table.  Each enables every family
-    its jobs enable.
-    """
-    first = next((table for _, table, _ in jobs if table is not None), None)
-    # A job that enables the embedding family without a table fails in
-    # `derive`, so it needs a shared encoding without one.
-    keys = [
-        first if table is None and not config.embedding else table
-        for config, table, _ in jobs
-    ]
-    groups: dict[EmbeddingTable | None, list[FeatureConfig]] = {}
-    for key, (config, _, _) in zip(keys, jobs):
-        groups.setdefault(key, []).append(config)
-    shared: dict[EmbeddingTable | None, SharedEncoding | Exception] = {}
-    for table, configs in groups.items():
-        enabled = {f for config in configs for f in config.enabled_families()}
-        families = {f: f in enabled for f in FAMILIES}
-        families["embedding"] = table is not None
-        try:
-            base = dataclasses.replace(configs[0], **families)
-            shared[table] = SharedEncoding(
-                train_corpus, dev_corpus, base, table, ignore_other=True
-            )
-        except (ValueError, ArithmeticError) as exc:
-            shared[table] = exc
-    return [shared[key] for key in keys]
 
 
 def _fork_map(run: Callable[[int], _Outcome], n: int, workers: int) -> list[_Outcome]:

@@ -601,14 +601,14 @@ class TestTuneCommand:
     ):
         from borrowings import tune
 
-        real_fit = tune.fit
+        real_train = tune.train
 
-        def flaky(dataset, index, alphabet, cfg, tc, progress=None):
+        def flaky(corpus, cfg, table, tc, ignore_other=False, progress=None):
             if tc.c1 == 0.1:
                 raise ValueError("synthetic failure")
-            return real_fit(dataset, index, alphabet, cfg, tc, progress)
+            return real_train(corpus, cfg, table, tc, ignore_other, progress)
 
-        monkeypatch.setattr(tune, "fit", flaky)
+        monkeypatch.setattr(tune, "train", flaky)
         out = tmp_path / "tune.tsv"
         assert run(
             ["tune", "--train", str(corpora / "train.tsv"),
@@ -695,14 +695,14 @@ class TestAblateCommand:
     ):
         from borrowings import tune
 
-        real_fit = tune.fit
+        real_train = tune.train
 
-        def flaky(dataset, index, alphabet, cfg, tc, progress=None):
+        def flaky(corpus, cfg, table, tc, ignore_other=False, progress=None):
             if not cfg.shape:
                 raise ArithmeticError("synthetic divergence")
-            return real_fit(dataset, index, alphabet, cfg, tc, progress)
+            return real_train(corpus, cfg, table, tc, ignore_other, progress)
 
-        monkeypatch.setattr(tune, "fit", flaky)
+        monkeypatch.setattr(tune, "train", flaky)
         out = tmp_path / "ablation.tsv"
         assert run(
             ["ablate", "--train", str(corpora / "train.tsv"),

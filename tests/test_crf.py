@@ -21,7 +21,6 @@ from borrowings.corpus import (
 from borrowings.crf import (
     CrfModel,
     DivergenceError,
-    SharedEncoding,
     TrainingSet,
     ModelDimensionError,
     ModelFormatError,
@@ -560,13 +559,10 @@ class TestCellSharing:
     def test_derived_encoding_with_families_masked_and_scaling(self):
         corpus = synthetic_corpus(15, seed=55)
         table = synthetic_embeddings(corpus, dim=3, seed=56)
-        config = FeatureConfig(embedding=True)
-        shared = SharedEncoding(corpus, corpus, config, table)
-        run = dataclasses.replace(
-            config, token=False, suffix3=False, embedding_scaling=2.0
+        run = FeatureConfig(
+            token=False, suffix3=False, embedding=True, embedding_scaling=2.0
         )
-        dataset, index, _ = shared.derive(run)
-        assert dataset.encoding.visits is shared.train.visits
+        dataset, index, _ = encode_training_set(corpus, run, table)
         assert not any(name.split("]", 1)[1].startswith(("w=", "suf3="))
                        for name in index.names())
         assert_objective_matches_oracle_and_differences(dataset, seed=57)
@@ -1064,6 +1060,38 @@ class TestPersistence:
         first = lines.index("attribute_names\n") + 1
         lines[first + 2] = lines[first]
         with pytest.raises(ModelFormatError, match="duplicate attribute names"):
+            load_model(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section", ["start", "end", "transitions", "state"])
+    def test_non_finite_weights_rejected(self, trained, section, weight):
+        text, _ = self.roundtrip(trained)
+        lines = text.splitlines(keepends=True)
+        if section == "state":
+            at = next(
+                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+            ) + 1
+        elif section == "transitions":
+            at = lines.index("transitions\n") + 1
+        else:
+            at = next(i for i, line in enumerate(lines) if line.startswith(section + "\t"))
+        fields = lines[at].rstrip("\n").split("\t")
+        fields[-1] = weight
+        lines[at] = "\t".join(fields) + "\n"
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(io.StringIO("".join(lines)))
+
+    def test_repeated_state_weight_line_rejected(self, trained):
+        text, _ = self.roundtrip(trained)
+        lines = text.splitlines(keepends=True)
+        first = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        ) + 1
+        name, tag_name, _ = lines[first].split("\t")
+        # The count still matches: the second line now repeats the first
+        # line's (attribute, tag) pair with another weight.
+        lines[first + 1] = f"{name}\t{tag_name}\t0.5\n"
+        with pytest.raises(ModelFormatError, match="repeated state weight"):
             load_model(io.StringIO("".join(lines)))
 
     def test_missing_trailer_is_truncation(self, trained):

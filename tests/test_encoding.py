@@ -3,14 +3,11 @@
 `encode_attributes` over `windowed_attributes` spells out every
 windowed attribute name; the interned encoder behind
 `encode_training_set`, `build_index` and `tag` never builds them.  The
-two must agree entry for entry, when training and when tagging.  The
-encodings a `SharedEncoding` derives for a sweep's runs must in turn
-agree with encoding each run's config afresh.
+two must agree entry for entry, when training and when tagging.
 """
 
 import dataclasses
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -20,28 +17,19 @@ from borrowings import crf
 from borrowings.corpus import Corpus, Headline, Token, bio_to_spans
 from borrowings.crf import (
     CrfModel,
-    SharedEncoding,
     TrainConfig,
     encode_attributes,
     encode_training_set,
-    fit,
     index_corpus,
-    save_model,
     tag,
-    train,
 )
 from borrowings.embeddings import EmbeddingTable
-from borrowings.errors import ConfigError
 from borrowings.features import (
-    BOS,
-    EOS,
     FAMILIES,
     FeatureConfig,
     FeatureIndex,
-    attribute_family,
     base_attributes,
     build_index,
-    offset_prefix,
     windowed_attributes,
 )
 from conftest import (
@@ -147,35 +135,6 @@ class TestBaseAttributes:
         assert names == [*before, "quot=1", *after]
 
 
-class TestAttributeFamily:
-    def test_names_of_each_family_alone(self):
-        """Every name a one-family config produces maps to that family."""
-        radius = 3
-        quoted = tuple(Token(text, "emb") for text in ADVERSARIAL)
-        headline = Headline(id="h", tokens=(Token("'"), *quoted, Token("'")))
-        table = EmbeddingTable(name="t", dim=2, vectors={"bias": np.ones(2)})
-        markers = {
-            offset_prefix(offset) + marker
-            for offset in range(-radius, radius + 1)
-            if offset
-            for marker in (BOS, EOS)
-        }
-        for name in markers:
-            assert attribute_family(name) is None, name
-        for family in FAMILIES:
-            config = FeatureConfig(
-                **{f: f == family for f in FAMILIES}, window_radius=radius
-            )
-            names = {
-                name
-                for vec in windowed_attributes(headline, config, table)
-                for name in vec
-            }
-            assert names - markers, family
-            for name in names - markers:
-                assert attribute_family(name) == family, name
-
-
 class TestTrainingEncoding:
     @settings(max_examples=150, deadline=None)
     @given(corpora(), configs())
@@ -256,94 +215,6 @@ class TestTaggingEncoding:
         predicted = tag(model, feed, table)
         for headline, lo, hi in zip(predicted, bounds, bounds[1:]):
             assert headline.spans == tuple(bio_to_spans(tags[lo:hi]))
-
-
-@st.composite
-def variants(draw):
-    """A shared config and runs derivable from it.
-
-    The runs are the shared config itself, every one-family-off config,
-    and one config with up to three families off, each with its own
-    embedding scaling.
-    """
-    config, table = draw(configs())
-    enabled = config.enabled_families()
-    scaling = st.floats(0.5, 4.0)
-    runs = [dataclasses.replace(config, embedding_scaling=draw(scaling))]
-    runs += [
-        dataclasses.replace(config.without(f), embedding_scaling=draw(scaling))
-        for f in enabled
-        if len(enabled) > 1
-    ]
-    off = draw(st.sets(st.sampled_from(enabled), max_size=min(3, len(enabled) - 1)))
-    runs.append(
-        dataclasses.replace(
-            config, **dict.fromkeys(off, False), embedding_scaling=draw(scaling)
-        )
-    )
-    return config, table, runs
-
-
-class TestDerivedEncoding:
-    @settings(max_examples=100, deadline=None)
-    @given(corpora(), corpora(words=WORDS + UNSEEN), variants())
-    def test_matches_encoding_afresh(self, corpus, feed, shared_and_runs):
-        config, table, runs = shared_and_runs
-        shared = SharedEncoding(corpus, feed, config, table, ignore_other=True)
-        for run in runs:
-            run_table = table if run.embedding else None
-            dataset, index, dev = shared.derive(run)
-            expected, expected_index = index_corpus(corpus, run, run_table)
-            assert index.names() == expected_index.names(), run
-            assert_same_encoding(dataset.encoding, expected)
-            # Cells are those of a fresh encoding, so the objective sums
-            # in the same order.
-            for field in ("ids", "vals", "cell", "visits"):
-                a, b = getattr(dataset.encoding, field), getattr(expected, field)
-                assert a.tobytes() == b.tobytes(), field
-            fresh, _, _ = encode_training_set(corpus, run, run_table, ignore_other=True)
-            assert np.array_equal(dataset.gold, fresh.gold)
-            assert dataset.n_features == fresh.n_features
-            expected_dev, _ = crf._encode_windows(
-                feed.headlines, run, run_table, expected_index
-            )
-            assert_same_encoding(dev, expected_dev)
-
-    def test_dropping_quotation_trains_the_same_bytes(self):
-        corpus = synthetic_corpus(60, seed=46)
-        config = FeatureConfig()
-        run = config.without("quotation")
-        train_config = TrainConfig(c1=0.05, c2=0.01, max_iterations=40)
-        shared = SharedEncoding(corpus, corpus, config, None)
-        dataset, index, _ = shared.derive(run)
-        derived = io.StringIO()
-        save_model(fit(dataset, index, shared.alphabet, run, train_config), derived)
-        fresh = io.StringIO()
-        save_model(train(corpus, run, None, train_config), fresh)
-        assert derived.getvalue() == fresh.getvalue()
-
-    def test_runs_leave_the_shared_encoding_untouched(self):
-        corpus = synthetic_corpus(20, seed=43)
-        table = synthetic_embeddings(corpus, dim=4, seed=44)
-        config = FeatureConfig(embedding=True)
-        shared = SharedEncoding(corpus, corpus, config, table)
-        before = shared.train.vals.tobytes(), shared.dev.vals.tobytes()
-        shared.derive(dataclasses.replace(config, embedding_scaling=3.0))
-        shared.derive(config.without("token"))
-        assert (shared.train.vals.tobytes(), shared.dev.vals.tobytes()) == before
-        dataset, index, dev = shared.derive(config)
-        assert dataset.encoding is shared.train and dev is shared.dev
-        assert index is shared.index
-
-    def test_only_switched_off_families_and_scaling_may_differ(self):
-        corpus = synthetic_corpus(5, seed=45)
-        shared = SharedEncoding(corpus, corpus, FeatureConfig(suffix3=False), None)
-        with pytest.raises(ConfigError, match="cannot be derived"):
-            shared.derive(FeatureConfig())
-        with pytest.raises(ConfigError, match="cannot be derived"):
-            shared.derive(FeatureConfig(suffix3=False, window_radius=1))
-        with pytest.raises(ConfigError, match="no embedding table"):
-            shared.derive(FeatureConfig(suffix3=False, embedding=True))
 
 
 def encoding_digest(enc, names):

@@ -170,7 +170,7 @@ class TestGridSearch:
         # With no embedding table the scaling knob changes nothing, so
         # all three points tie and must rank in ascending scaling order,
         # and one training serves them all.
-        calls = count_fit_calls(monkeypatch, tmp_path)
+        calls = count_train_calls(monkeypatch, tmp_path)
         grid = GridSpec(
             c1_values=(0.0,),
             c2_values=(0.01,),
@@ -190,23 +190,13 @@ class TestGridSearch:
         self, train_corpus, dev_corpus, mixed_grid, monkeypatch, tmp_path, jobs
     ):
         grid, expected = mixed_grid
-        calls = count_fit_calls(monkeypatch, tmp_path)
-        encodings = []
-
-        class CountedEncoding(tune.SharedEncoding):
-            def __init__(self, *args, **kwargs):
-                encodings.append(args[3])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(tune, "SharedEncoding", CountedEncoding)
+        calls = count_train_calls(monkeypatch, tmp_path)
         result = grid_search(
             train_corpus, dev_corpus, FeatureConfig(), grid,
             quick(max_iterations=25), jobs=jobs,
         )
         # 2 c2 values without a table, 2 c2 x 2 scaling values with one.
         assert calls() == 6
-        # One encoding, with the table; the points without one mask it.
-        assert encodings == [grid.embedding_tables[1]]
         assert result.results == expected.results
         assert render_tune_tsv(result) == render_tune_tsv(expected)
         assert render_tune_text(result) == render_tune_text(expected)
@@ -231,14 +221,14 @@ class TestGridSearch:
     def test_one_bad_point_does_not_kill_the_sweep(
         self, train_corpus, dev_corpus, monkeypatch
     ):
-        real_fit = tune.fit
+        real_train = tune.train
 
-        def flaky(dataset, index, alphabet, cfg, tc, progress=None):
+        def flaky(corpus, cfg, table, tc, ignore_other=False, progress=None):
             if tc.c1 == 0.5:
                 raise ValueError("synthetic failure")
-            return real_fit(dataset, index, alphabet, cfg, tc, progress)
+            return real_train(corpus, cfg, table, tc, ignore_other, progress)
 
-        monkeypatch.setattr(tune, "fit", flaky)
+        monkeypatch.setattr(tune, "train", flaky)
         grid = GridSpec(
             c1_values=(0.0, 0.5),
             c2_values=(0.01,),
@@ -261,15 +251,15 @@ class TestGridSearch:
     def test_unexpected_errors_abort_the_sweep(
         self, train_corpus, dev_corpus, monkeypatch
     ):
-        real_fit = tune.fit
+        real_train = tune.train
 
-        def broken(dataset, index, alphabet, cfg, tc, progress=None):
+        def broken(corpus, cfg, table, tc, ignore_other=False, progress=None):
             # The second distinct run of the grid and of the ablation.
             if tc.c1 == 0.5 or not cfg.bias:
                 raise RuntimeError("a bug, not a bad grid point")
-            return real_fit(dataset, index, alphabet, cfg, tc, progress)
+            return real_train(corpus, cfg, table, tc, ignore_other, progress)
 
-        monkeypatch.setattr(tune, "fit", broken)
+        monkeypatch.setattr(tune, "train", broken)
         grid = GridSpec(
             c1_values=(0.0, 0.5), c2_values=(0.01,), scaling_values=(1.0,)
         )
@@ -288,14 +278,14 @@ class TestGridSearch:
     def test_a_worker_that_dies_aborts_the_sweep(
         self, train_corpus, dev_corpus, monkeypatch
     ):
-        real_fit = tune.fit
+        real_train = tune.train
 
-        def dying(dataset, index, alphabet, cfg, tc, progress=None):
+        def dying(corpus, cfg, table, tc, ignore_other=False, progress=None):
             if tc.c1 == 0.5:
                 os._exit(3)  # as a worker killed for memory would end
-            return real_fit(dataset, index, alphabet, cfg, tc, progress)
+            return real_train(corpus, cfg, table, tc, ignore_other, progress)
 
-        monkeypatch.setattr(tune, "fit", dying)
+        monkeypatch.setattr(tune, "train", dying)
         grid = GridSpec(
             c1_values=(0.0, 0.5), c2_values=(0.01,), scaling_values=(1.0,)
         )
@@ -341,25 +331,25 @@ class TestGridSearch:
         assert workers == [2, 10]
 
 
-def count_fit_calls(monkeypatch, tmp_path):
-    """Count `tune.fit` calls, forked workers' included.
+def count_train_calls(monkeypatch, tmp_path):
+    """Count `tune.train` calls, forked workers' included.
 
     Each call appends a line to a file opened with O_APPEND, which
     every process shares; the returned function reads the count.
     """
-    path = tmp_path / "fit-calls"
+    path = tmp_path / "train-calls"
     path.write_bytes(b"")
-    real_fit = tune.fit
+    real_train = tune.train
 
-    def counting(dataset, index, alphabet, cfg, tc, progress=None):
+    def counting(corpus, cfg, table, tc, ignore_other=False, progress=None):
         fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         try:
-            os.write(fd, b"fit\n")
+            os.write(fd, b"train\n")
         finally:
             os.close(fd)
-        return real_fit(dataset, index, alphabet, cfg, tc, progress)
+        return real_train(corpus, cfg, table, tc, ignore_other, progress)
 
-    monkeypatch.setattr(tune, "fit", counting)
+    monkeypatch.setattr(tune, "train", counting)
     return lambda: path.read_bytes().count(b"\n")
 
 
@@ -488,17 +478,53 @@ class TestAblation:
         assert len(names) == 11
         assert "-embedding" in names
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_row_matches_its_variant_trained_on_its_own(
+        self, train_corpus, dev_corpus, jobs
+    ):
+        table = synthetic_embeddings(train_corpus)
+        config = FeatureConfig(
+            embedding=True, window_radius=3, embedding_scaling=2.5
+        )
+        train_config = TrainConfig(c2=0.05, max_iterations=20)
+        variants = [("all", config)] + [
+            (f"-{family}", config.without(family))
+            for family in config.enabled_families()
+        ]
+        expected = []
+        for name, cfg in variants:
+            cfg_table = table if cfg.embedding else None
+            model = train(train_corpus, cfg, cfg_table, train_config, ignore_other=True)
+            predicted = tag(model, dev_corpus, cfg_table)
+            expected.append(
+                AblationRow(
+                    name=name,
+                    report=evaluate(dev_corpus, predicted, ignore_other=True),
+                    iterations=model.diagnostics.iterations,
+                )
+            )
+        expected = tune.AblationTable(rows=tuple(expected))
+        result = ablate(
+            train_corpus, dev_corpus, config, train_config,
+            embeddings=table, jobs=jobs,
+        )
+        names = [row.name for row in result.rows]
+        assert "-quotation" in names and "-embedding" in names
+        assert result.rows == expected.rows
+        assert render_ablation_tsv(result) == render_ablation_tsv(expected)
+        assert render_ablation_text(result) == render_ablation_text(expected)
+
     def test_failed_variant_renders_failed_cells(
         self, train_corpus, dev_corpus, monkeypatch
     ):
-        real_fit = tune.fit
+        real_train = tune.train
 
-        def flaky(dataset, index, alphabet, cfg, tc, progress=None):
+        def flaky(corpus, cfg, table, tc, ignore_other=False, progress=None):
             if not cfg.token:
                 raise ValueError("synthetic failure")
-            return real_fit(dataset, index, alphabet, cfg, tc, progress)
+            return real_train(corpus, cfg, table, tc, ignore_other, progress)
 
-        monkeypatch.setattr(tune, "fit", flaky)
+        monkeypatch.setattr(tune, "train", flaky)
         result = ablate(
             train_corpus,
             dev_corpus,
