@@ -349,18 +349,22 @@ def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
 
 
 def write_corpus(corpus: Corpus, stream: IO[str]) -> None:
-    """Serialize a corpus in the format accepted by read_corpus."""
+    """Serialize a corpus in the format accepted by read_corpus.
+
+    Each headline's block goes to `stream` in one write.
+    """
     for headline in corpus:
-        stream.write(f"# id = {headline.id}\n")
+        block = [f"# id = {headline.id}\n"]
         if headline.date is not None:
-            stream.write(f"# date = {headline.date.isoformat()}\n")
+            block.append(f"# date = {headline.date.isoformat()}\n")
         if headline.section is not None:
-            stream.write(f"# section = {headline.section}\n")
+            block.append(f"# section = {headline.section}\n")
         tags = spans_to_bio(headline.spans, len(headline))
         for token, tag in zip(headline.tokens, tags):
             pos = token.pos if token.pos is not None else "_"
-            stream.write(f"{token.text}\t{pos}\t{tag}\n")
-        stream.write("\n")
+            block.append(f"{token.text}\t{pos}\t{tag}\n")
+        block.append("\n")
+        stream.write("".join(block))
 
 
 @dataclass(frozen=True)

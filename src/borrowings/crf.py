@@ -44,9 +44,11 @@ the sequence lengths and their input order fix.
 
 Corpora are encoded without building any windowed attribute name per
 token, and with Python work that grows with the token types and the
-distinct names rather than with the entries.  Each type's base names
-(`features.base_attributes`) and embedding values are built once, and
-each distinct base name gets a base id.  Everything else is array work:
+distinct names rather than with the entries.  The base names of all
+the types of a batch are built at once, family by family
+(`features.type_attributes`), and each distinct base name gets a base
+id; character trigrams are keyed as integers, so only the distinct
+ones are spelled out.  Everything else is array work:
 every (token, window slot) visit is keyed by its cell, (type, slot,
 quoted), and cells are numbered by first visit; each cell's entries are
 gathered from its type's base ids and keyed by (slot, base id).  Only
@@ -54,6 +56,16 @@ the distinct keys become prefixed names.  Training numbers them by
 first appearance, so ids are exactly those of adding every windowed
 name to an index one by one; tagging looks them up in the model's index
 and drops the entries whose names it does not know.
+
+A model is saved as versioned UTF-8 text (`save_model`): header and
+configuration lines, the attribute names one per line in id order, and
+one `name<TAB>tag<TAB>weight` line per nonzero state weight.
+`load_model` reads each section in one pass: the index is built
+straight from the block of names, and the state-weight lines are
+split, resolved to rows and columns, and converted to floats as whole
+columns, then validated on those arrays.  A fault is reported for the
+first faulty line in file order, with the same error for each kind of
+fault as a line-by-line reader would raise.
 """
 
 from __future__ import annotations
@@ -62,7 +74,6 @@ import dataclasses
 import itertools
 import math
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
@@ -86,11 +97,11 @@ from .features import (
     AttributeVector,
     FeatureConfig,
     FeatureIndex,
-    base_attributes,
     embedding_names,
-    embedding_values,
+    embedding_rows,
     offset_prefix,
     quotation_flags,
+    type_attributes,
 )
 
 DivergenceError = optim.DivergenceError
@@ -338,56 +349,50 @@ def _intern_types(
     config: FeatureConfig,
     embeddings: EmbeddingTable | None,
 ) -> _Types:
-    """Base ids of every token type, built once per type."""
+    """Base ids of every token type, built once per type.
+
+    Types are numbered by first appearance after BOS and EOS, and their
+    names are built in one batch (`features.type_attributes`).  Base
+    ids 0, 1 and 2 are `quot=1`, BOS and EOS, then come the embedding
+    names and the types' names, which no family can spell the same.
+    """
+    keys = [
+        (token.text, token.pos) for headline in headlines for token in headline.tokens
+    ]
+    types = dict(zip(dict.fromkeys(keys), itertools.count(2)))
+    attrs = type_attributes(list(types), config)
     dim = embeddings.dim if config.embedding and embeddings is not None else 0
-    # Base ids, numbered as names are first interned.
-    base: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    intern = base.__getitem__
-    src = array("q", map(intern, (QUOTATION, BOS, EOS)))
-    src_vals = array("d", (1.0, 1.0, 1.0))
-    emb_base = array("q", map(intern, embedding_names(dim)))
-    rows = array("q", (1, 2, 3))
-    n_before = array("q", (1, 1))
-    n_names = array("q", (1, 1))
-    types: dict[tuple[str, str | None], int] = {}
-    token_types = array("q")
-    quoted = array("b")
-    lengths = array("q")
-    for headline in headlines:
-        lengths.append(len(headline))
-        quoted.extend(quotation_flags(headline))
-        for token in headline.tokens:
-            key = (token.text, token.pos)
-            typ = types.get(key)
-            if typ is None:
-                typ = types[key] = len(n_names)
-                before, after = base_attributes(token.text, token.pos, config)
-                src.extend(map(intern, before))
-                src.extend(map(intern, after))
-                n_before.append(len(before))
-                n_names.append(len(before) + len(after))
-                src_vals.extend(itertools.repeat(1.0, n_names[-1]))
-                if config.embedding:
-                    emb = embedding_values(token.text, config, embeddings)[:dim]
-                    src.extend(emb_base[: len(emb)])
-                    src_vals.extend(emb)
-                rows.append(len(src))
-            token_types.append(typ)
+    fixed = (QUOTATION, BOS, EOS, *embedding_names(dim))
+    n_names = np.concatenate([[1, 1], np.diff(attrs.rows)])
+    # Each type's row holds its names, then its embedding names; BOS's
+    # and EOS's hold their own name only.  Row 0 starts after `quot=1`.
+    row_lengths = n_names + dim
+    row_lengths[:2] = 1
+    rows = np.concatenate([[1], 1 + np.cumsum(row_lengths)])
+    src = np.empty(rows[-1], dtype=np.int64)
+    src_vals = np.ones(rows[-1])
+    src[:3] = (0, 1, 2)
+    src[_ranges(rows[2:-1], n_names[2:])] = attrs.ids + len(fixed)
+    if config.embedding and types:
+        at = _ranges(rows[2:-1] + n_names[2:], np.full(len(types), dim))
+        src[at] = np.tile(np.arange(3, 3 + dim), len(types))
+        texts = [text for text, _ in types]
+        src_vals[at] = embedding_rows(texts, config, embeddings).ravel()
     return _Types(
-        base_names=list(base),
-        src=_int64(src),
-        src_vals=np.frombuffer(src_vals, dtype=float),
-        rows=_int64(rows),
-        n_before=_int64(n_before),
-        n_names=_int64(n_names),
-        token_types=_int64(token_types),
-        quoted=np.frombuffer(quoted, dtype=np.int8),
-        lengths=_int64(lengths),
+        base_names=[*fixed, *attrs.names],
+        src=src,
+        src_vals=src_vals,
+        rows=rows,
+        n_before=np.concatenate([[1, 1], attrs.n_before]),
+        n_names=n_names,
+        token_types=np.fromiter(map(types.__getitem__, keys), np.int64, len(keys)),
+        quoted=np.fromiter(
+            itertools.chain.from_iterable(map(quotation_flags, headlines)),
+            dtype=np.int8,
+            count=len(keys),
+        ),
+        lengths=np.fromiter(map(len, headlines), np.int64, len(headlines)),
     )
-
-
-def _int64(buffer: array) -> np.ndarray:
-    return np.frombuffer(buffer, dtype=np.int64)
 
 
 def _visit_cells(types: _Types, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -499,9 +504,9 @@ def _encode_windows(
     )
     base_names = np.array(types.base_names, dtype=object)
 
-    def names(keys: np.ndarray) -> np.ndarray:
+    def names(keys: np.ndarray) -> list[str]:
         slot, base_id = np.divmod(keys, n_base)
-        return prefixes[slot] + base_names[base_id]
+        return (prefixes[slot] + base_names[base_id]).tolist()
 
     # The keys are replaced by their ids in place.
     if index is None:
@@ -1211,6 +1216,20 @@ def _parse_config_echo(line: str, prefix: str, cls: type) -> object:
         raise ModelFormatError(f"bad {prefix}: {exc}") from None
 
 
+def _well_formed_lines(lines: list[str]) -> int:
+    """How many of `lines` come before the first that does not hold
+    exactly three tab-separated fields."""
+    # The code points of the joined lines: numpy stores text as UCS-4.
+    code = np.array(["\n".join(lines)]).view(np.uint32)
+    separators = code[(code == 9) | (code == 10)]
+    # Two tabs per line, and a newline between lines.
+    expected = np.tile(np.array([9, 9, 10], dtype=np.uint32), len(lines))[:-1]
+    n = min(separators.size, expected.size)
+    wrong = np.flatnonzero(separators[:n] != expected[:n])
+    first = int(wrong[0]) if wrong.size else n
+    return len(lines) if first == expected.size == separators.size else first // 3
+
+
 def load_model(stream: IO[str]) -> CrfModel:
     """Parse a model file written by save_model.
 
@@ -1230,7 +1249,10 @@ def load_model(stream: IO[str]) -> CrfModel:
     label_parts = reader.next_line("label list").split("\t")
     if label_parts[0] != "labels" or len(label_parts) < 2:
         raise ModelFormatError("missing label list")
-    alphabet = TagAlphabet(tuple(label_parts[1:]))
+    try:
+        alphabet = TagAlphabet(tuple(label_parts[1:]))
+    except ValidationError as exc:
+        raise ModelFormatError(f"bad label list: {exc}") from None
     n_labels = len(alphabet)
     attr_parts = reader.next_line("attribute count").split("\t")
     if attr_parts[0] != "attributes" or len(attr_parts) != 2:
@@ -1281,38 +1303,52 @@ def load_model(stream: IO[str]) -> CrfModel:
             f"{n_features}x{n_labels} weight matrix"
         )
     # Lines are checked before the count is, so a bad line or an early
-    # end_of_model is reported ahead of a truncated file: each line's
-    # fields in file order, then all weights for finiteness.
+    # end_of_model is reported ahead of a truncated file: the first line
+    # with a fault in file order, checked for its fields, name, tag and
+    # weight in that order, then all weights for finiteness.
     present = reader.peek_lines(declared)
+    n_shaped = _well_formed_lines(present)
+    fields = "\t".join(present[:n_shaped]).split("\t") if n_shaped else []
+    rows = index.ids_of(fields[0::3])
     tag_ids = {tag_name: i for i, tag_name in enumerate(alphabet.tags)}
-    rows, cols, weights = [], [], []
-    for line in present:
-        fields = line.split("\t")
-        if len(fields) != 3:
-            if line == "end_of_model":
-                raise ModelDimensionError(
-                    f"fewer state weight lines than the declared {declared}"
-                )
-            raise ModelFormatError("state weight line needs name, tag, weight")
-        name, tag_name, raw = fields
-        row = index.get(name)
-        if row is None:
+    cols = np.fromiter(
+        map(tag_ids.get, fields[1::3], itertools.repeat(-1)), np.int64, n_shaped
+    )
+    weights: list[float] = []
+    try:
+        weights.extend(map(float, fields[2::3]))
+    except ValueError:
+        # `weights` keeps the weights before the first non-numeric one.
+        pass
+    bad = min(
+        n_shaped,
+        len(weights),
+        *np.flatnonzero(rows < 0)[:1].tolist(),
+        *np.flatnonzero(cols < 0)[:1].tolist(),
+    )
+    if bad < n_shaped:
+        if rows[bad] < 0:
+            name = fields[3 * bad]
             raise ModelDimensionError(f"state weight for unknown attribute {name!r}")
-        col = tag_ids.get(tag_name)
-        if col is None:
+        if cols[bad] < 0:
+            tag_name = fields[3 * bad + 1]
             raise ModelDimensionError(f"state weight for unknown tag {tag_name!r}")
-        try:
-            weights.append(float(raw))
-        except ValueError:
-            raise ModelFormatError("non-numeric state weight") from None
-        rows.append(row)
-        cols.append(col)
-    bad = np.flatnonzero(~np.isfinite(weights))
-    if bad.size:
-        raise ModelFormatError(f"non-finite state weight: {present[bad[0]]!r}")
+        raise ModelFormatError("non-numeric state weight")
+    if bad < len(present):
+        if present[bad] == "end_of_model":
+            raise ModelDimensionError(
+                f"fewer state weight lines than the declared {declared}"
+            )
+        raise ModelFormatError("state weight line needs name, tag, weight")
+    values = np.array(weights, dtype=float)
+    non_finite = np.flatnonzero(~np.isfinite(values))
+    if non_finite.size:
+        raise ModelFormatError(
+            f"non-finite state weight: {present[non_finite[0]]!r}"
+        )
     reader.next_lines(declared, "state weights")
     state = np.zeros((n_features, n_labels))
-    state[rows, cols] = weights
+    state[rows, cols] = values
     trailer = reader.next_line("trailer")
     if trailer != "end_of_model":
         if len(trailer.split("\t")) == 3:
@@ -1321,12 +1357,15 @@ def load_model(stream: IO[str]) -> CrfModel:
             )
         raise ModelFormatError(f"expected end_of_model, got {trailer!r}")
     # Checked once the count is known to match, so a surplus line that
-    # repeats another is reported as a surplus.
-    keys = np.array(rows, dtype=np.int64) * n_labels + np.array(cols, dtype=np.int64)
-    _, first = np.unique(keys, return_index=True)
-    if first.size != keys.size:
-        repeat = np.setdiff1d(np.arange(keys.size), first)[0]
-        raise ModelFormatError(f"repeated state weight line: {present[repeat]!r}")
+    # repeats another is reported as a surplus.  A stable sort puts each
+    # repeat after the line it repeats; save_model writes sorted keys.
+    keys = rows * n_labels + cols
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        raise ModelFormatError(
+            f"repeated state weight line: {present[repeats.min()]!r}"
+        )
     return CrfModel(
         alphabet=alphabet,
         index=index,

@@ -8,8 +8,10 @@ to its lowercase form, and to a zero vector for unknown words.
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, NoReturn
 
 import numpy as np
 
@@ -42,19 +44,6 @@ class EmbeddingTable:
         return vec if vec is not None else self._zero
 
 
-def _parse_components(parts: list[str], lineno: int) -> np.ndarray:
-    try:
-        vec = np.array([float(p) for p in parts], dtype=float)
-    except ValueError:
-        raise ValidationError(
-            f"line {lineno}: non-numeric vector component"
-        ) from None
-    if not np.all(np.isfinite(vec)):
-        raise ValidationError(f"line {lineno}: non-finite vector component")
-    vec.flags.writeable = False
-    return vec
-
-
 def load_embeddings(
     stream: IO[str],
     name: str = "embeddings",
@@ -65,11 +54,22 @@ def load_embeddings(
     The dimension is fixed by the first vector line; ragged lines,
     non-numeric or non-finite components, and a mismatch against
     `expected_dim` all raise ValidationError with the line number.
+    Components are parsed line by line into one flat buffer, and the
+    vectors are read-only rows of one matrix.
     """
-    vectors: dict[str, np.ndarray] = {}
+    words: dict[str, None] = {}
+    values = array("d")
+    linenos = array("q")
     dim: int | None = None
     duplicates = 0
     first_data_line = True
+
+    def fail(lineno: int, message: str) -> NoReturn:
+        # Finiteness is checked in bulk, so a non-finite component on an
+        # earlier line is the first fault.
+        _check_finite(values, linenos, dim or 0)
+        raise ValidationError(f"line {lineno}: {message}")
+
     for lineno, raw in enumerate(stream, 1):
         parts = raw.split()
         if not parts:
@@ -79,26 +79,41 @@ def load_embeddings(
             if len(parts) == 2 and _is_count_header(parts):
                 continue
         if len(parts) < 2:
-            raise ValidationError(f"line {lineno}: expected word and vector")
+            fail(lineno, "expected word and vector")
         word = parts[0]
         if dim is None:
             dim = len(parts) - 1
             if expected_dim is not None and dim != expected_dim:
-                raise ValidationError(
-                    f"line {lineno}: dimension {dim} does not match "
-                    f"expected {expected_dim}"
-                )
+                fail(lineno, f"dimension {dim} does not match expected {expected_dim}")
         elif len(parts) - 1 != dim:
-            raise ValidationError(
-                f"line {lineno}: expected {dim} components, got {len(parts) - 1}"
-            )
-        if word in vectors:
+            fail(lineno, f"expected {dim} components, got {len(parts) - 1}")
+        if word in words:
             duplicates += 1
             continue
-        vectors[word] = _parse_components(parts[1:], lineno)
+        try:
+            values.extend(map(float, itertools.islice(parts, 1, None)))
+        except ValueError:
+            fail(lineno, "non-numeric vector component")
+        words[word] = None
+        linenos.append(lineno)
     if dim is None:
         raise ValidationError("embedding table contains no vectors")
-    return EmbeddingTable(name=name, dim=dim, vectors=vectors, duplicates=duplicates)
+    _check_finite(values, linenos, dim)
+    matrix = np.frombuffer(values, dtype=float).reshape(len(linenos), dim)
+    matrix.flags.writeable = False
+    return EmbeddingTable(
+        name=name, dim=dim, vectors=dict(zip(words, matrix)), duplicates=duplicates
+    )
+
+
+def _check_finite(values: array, linenos: array, dim: int) -> None:
+    """Raise for the first line of `linenos` whose row of `values` has a
+    non-finite component; `values` may end with part of a row."""
+    rows = np.frombuffer(values, dtype=float)[: len(linenos) * dim]
+    finite = np.isfinite(rows.reshape(len(linenos), dim)).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise ValidationError(f"line {lineno}: non-finite vector component")
 
 
 def _is_count_header(parts: list[str]) -> bool:

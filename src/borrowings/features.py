@@ -2,11 +2,12 @@
 
 Ten independently switchable families describe a token.  All but two
 depend only on the token's type, its (text, POS) pair:
-`base_attributes` gives a type's binary attribute names in family
-order, split where the quotation attribute goes.  The quotation flag
+`type_attributes` gives the binary attribute names of a batch of types
+in family order, as interned ids, and `base_attributes` those of one
+type, split where the quotation attribute goes.  The quotation flag
 depends on the token's place in its headline (`quotation_flags` marks
 a whole headline at once), and the scaled embedding components
-(`embedding_values`, named `emb0`, `emb1`, ...) are emitted at the
+(`embedding_rows`, named `emb0`, `emb1`, ...) are emitted at the
 centre of the window only.
 
 The dict view builds on the same functions.  An attribute vector is an
@@ -23,8 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +87,73 @@ class FeatureConfig:
         return replace(self, **{family: False})
 
 
+class CharTables(NamedTuple):
+    """`str.translate` tables of the character classes of some texts.
+
+    `shape` maps uppercase characters to X, lowercase ones to x and
+    digits to d, in that order of precedence, and leaves every other
+    character out, so that it stays verbatim.  `case` maps alphabetic
+    characters to l when lowercase and to u otherwise, and every other
+    character to None, which deletes it.  Each class comes from the
+    `str` predicates of that one character, so the tables follow the
+    interpreter's Unicode database; they cover only the characters of
+    the texts they were built from (`char_tables`).
+    """
+
+    shape: dict[int, str]
+    case: dict[int, str | None]
+
+
+def char_tables(texts: Iterable[str]) -> CharTables:
+    """Class tables of every character in `texts`."""
+    shape: dict[int, str] = {}
+    case: dict[int, str | None] = {}
+    for ch in set("".join(texts)):
+        code = ord(ch)
+        if ch.isupper():
+            shape[code] = "X"
+        elif ch.islower():
+            shape[code] = "x"
+        elif ch.isdigit():
+            shape[code] = "d"
+        case[code] = ("l" if ch.islower() else "u") if ch.isalpha() else None
+    return CharTables(shape, case)
+
+
+# A run of five or more identical characters, and its first four.
+_LONG_RUN = re.compile(r"((.)\2{3})\2+", re.DOTALL)
+_FIRST_FOUR = operator.itemgetter(1)
+
+
+def _shape_classes(texts: Sequence[str], tables: CharTables) -> list[str]:
+    """Each text with every character replaced by its `shape` class."""
+    return list(map(str.translate, texts, itertools.repeat(tables.shape)))
+
+
+def _word_shapes(classes: Sequence[str]) -> list[str]:
+    """Word shapes from `_shape_classes`: runs kept to four."""
+    return list(map(_LONG_RUN.sub, itertools.repeat(_FIRST_FOUR), classes))
+
+
+def _title_flags(classes: Sequence[str]) -> np.ndarray:
+    """From `_shape_classes`, 1 where only the first character is
+    uppercase and 0 elsewhere.  X marks exactly the uppercase
+    characters, as X is one."""
+    first = map(str.startswith, classes, itertools.repeat("X"))
+    upper = map(str.count, classes, itertools.repeat("X"))
+    alone = map(operator.eq, upper, itertools.repeat(1))
+    return np.fromiter(map(operator.and_, first, alone), np.int64, len(classes))
+
+
+def _upper_flags(texts: Sequence[str], tables: CharTables) -> np.ndarray:
+    """1 where a text has a letter and no lowercase one, 0 elsewhere."""
+    letters = list(map(str.translate, texts, itertools.repeat(tables.case)))
+    lower = map(operator.contains, letters, itertools.repeat("l"))
+    # A letter, and no lowercase one: bool(letters) > ("l" in letters).
+    upper = map(operator.gt, map(bool, letters), lower)
+    return np.fromiter(upper, np.int64, len(letters))
+
+
 def word_shape(text: str) -> str:
     """Collapse the token to a character-class sketch.
 
@@ -90,23 +161,7 @@ def word_shape(text: str) -> str:
     else stays verbatim; runs of more than four identical output
     characters are truncated to four.
     """
-    out: list[str] = []
-    last = ""
-    run = 0
-    for ch in text:
-        if ch.isupper():
-            mapped = "X"
-        elif ch.islower():
-            mapped = "x"
-        elif ch.isdigit():
-            mapped = "d"
-        else:
-            mapped = ch
-        run = run + 1 if mapped == last else 1
-        last = mapped
-        if run <= 4:
-            out.append(mapped)
-    return "".join(out)
+    return _word_shapes(_shape_classes((text,), char_tables((text,))))[0]
 
 
 def char_trigrams(text: str) -> list[str]:
@@ -149,19 +204,151 @@ def quotation_flags(headline: Headline) -> list[bool]:
 
 
 def _is_upper(text: str) -> bool:
-    cased = [ch for ch in text if ch.isalpha()]
-    return bool(cased) and all(not ch.islower() for ch in cased)
+    """Whether `text` has a letter and no lowercase one."""
+    return bool(_upper_flags((text,), char_tables((text,)))[0])
 
 
 def _is_title(text: str) -> bool:
-    if not text[0].isupper():
-        return False
-    return all(not ch.isupper() for ch in text[1:])
+    """Whether only the first character of `text` is uppercase."""
+    return bool(_title_flags(_shape_classes((text,), char_tables((text,))))[0])
 
 
 QUOTATION = "quot=1"
 BOS = "BOS"
 EOS = "EOS"
+
+
+class TypeAttributes(NamedTuple):
+    """The binary attribute names of a batch of token types.
+
+    Type t's names, in family order, have the base ids
+    `ids[rows[t]:rows[t + 1]]`; the first `n_before[t]` of them go
+    before `quot=1`.  `names` lists the names by base id.
+    """
+
+    names: list[str]
+    ids: np.ndarray
+    rows: np.ndarray
+    n_before: np.ndarray
+
+
+def type_attributes(
+    types: Sequence[tuple[str, str | None]], config: FeatureConfig
+) -> TypeAttributes:
+    """Binary attribute names of each (text, POS) token type of `types`.
+
+    Each family is built for all types at once and gives every type
+    zero or more names, interned to base ids as they come; the ids are
+    then laid out type by type.  The types share one set of character
+    class tables, and trigrams are keyed as integers, so that only the
+    distinct ones become names.
+    """
+    texts = [text for text, _ in types]
+    n = len(texts)
+    base: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    intern = base.__getitem__
+    ones = np.ones(n, dtype=np.int64)
+
+    def every(names: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+        return ones, np.fromiter(map(intern, names), np.int64, n)
+
+    def where(flags: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+        return flags, np.full(int(flags.sum()), intern(name))
+
+    if config.uppercase or config.titlecase or config.shape:
+        tables = char_tables(texts)
+        classes = _shape_classes(texts, tables)
+    # (names per type, their base ids type by type) of each family.
+    families: list[tuple[np.ndarray, np.ndarray]] = []
+    if config.bias:
+        families.append(every(itertools.repeat("bias", n)))
+    if config.token:
+        families.append(every(map("w=".__add__, texts)))
+    if config.uppercase:
+        families.append(where(_upper_flags(texts, tables), "upper=1"))
+    if config.titlecase:
+        families.append(where(_title_flags(classes), "title=1"))
+    if config.char_trigram:
+        counts, trigrams, trigram_names = _trigram_ids(texts)
+        families.append((counts, trigrams))
+    n_before = sum((counts for counts, _ in families), np.zeros(n, dtype=np.int64))
+    if config.suffix3:
+        families.append(every(map("suf3=".__add__, map(_SUFFIX3, texts))))
+    if config.pos:
+        poses = [pos for _, pos in types]
+        known = map(operator.is_not, poses, itertools.repeat(None))
+        counts = np.fromiter(known, np.int64, n)
+        names = map("pos=".__add__, itertools.compress(poses, counts))
+        families.append((counts, np.fromiter(map(intern, names), np.int64)))
+    if config.shape:
+        families.append(every(map("shape=".__add__, _word_shapes(classes))))
+    names = list(base)
+    if config.char_trigram:
+        # Trigram names are distinct, and no other family spells one.
+        trigrams += len(names)
+        names += trigram_names
+    n_names = sum((counts for counts, _ in families), np.zeros(n, dtype=np.int64))
+    rows = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_names, out=rows[1:])
+    ids = np.empty(rows[-1], dtype=np.int64)
+    at = rows[:-1].copy()
+    for counts, family_ids in families:
+        first = np.cumsum(counts) - counts
+        ids[np.repeat(at - first, counts) + np.arange(family_ids.size)] = family_ids
+        at += counts
+    return TypeAttributes(names, ids, rows, n_before)
+
+
+_SUFFIX3 = operator.itemgetter(slice(-3, None))
+
+
+def _trigram_ids(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """How many distinct trigrams each text has; their numbers, text by
+    text, each at its first occurrence in the text; and the names of
+    the distinct trigrams by number."""
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    # The code points of the padded texts: numpy stores text as UCS-4.
+    code = np.array(["^" + "$^".join(texts) + "$"]).view(np.uint32)
+    # A text of length m has m trigrams; the padding adds 2 characters.
+    text_of = np.repeat(np.arange(len(texts)), lengths)
+    start = np.arange(text_of.size) + 2 * text_of
+    grams = code[start[:, None] + np.arange(3)].astype(np.int64)
+    # Code points are below 2**21, so three fit one key.
+    key = (grams[:, 0] * 2**21 + grams[:, 1]) * 2**21 + grams[:, 2]
+    gram, distinct = _ranks(key)
+    # A trigram that recurs in a text is kept at its first occurrence.
+    pair, _ = _ranks(text_of * distinct.size + gram)
+    first = np.full(pair.size, pair.size)
+    np.minimum.at(first, pair, np.arange(pair.size))
+    kept = np.zeros(pair.size, dtype=bool)
+    kept[first[first < pair.size]] = True
+    text_of, gram = text_of[kept], gram[kept]
+    # The names, as one UCS-4 string of 7 code points per trigram.  A
+    # final `$` keeps numpy from stripping trailing NULs.
+    block = np.empty(7 * distinct.size + 1, dtype=np.uint32)
+    named = block[:-1].reshape(-1, 7)
+    named[:, :4] = _TRI
+    high, named[:, 6] = np.divmod(distinct, 2**21)
+    named[:, 4], named[:, 5] = np.divmod(high, 2**21)
+    block[-1] = ord("$")
+    names = _SEVEN.findall(str(block.view(f"<U{block.size}")[0]))
+    return np.bincount(text_of, minlength=len(texts)), gram, names
+
+
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's index among the distinct `keys`, and the distinct keys
+    in ascending order."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    ranks = np.empty_like(order)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks, ranked[new]
+
+
+_TRI = np.array([ord(ch) for ch in "tri="], dtype=np.uint32)
+_SEVEN = re.compile(".{7}", re.DOTALL)
 
 
 def base_attributes(
@@ -172,41 +359,34 @@ def base_attributes(
     Names come in family order.  A trigram that occurs twice in the
     token is named once, at its first occurrence.
     """
-    before: list[str] = []
-    if config.bias:
-        before.append("bias")
-    if config.token:
-        before.append(f"w={text}")
-    if config.uppercase and _is_upper(text):
-        before.append("upper=1")
-    if config.titlecase and _is_title(text):
-        before.append("title=1")
-    if config.char_trigram:
-        before.extend(dict.fromkeys(f"tri={gram}" for gram in char_trigrams(text)))
-    after: list[str] = []
-    if config.suffix3:
-        after.append(f"suf3={text[-3:]}")
-    if config.pos and pos is not None:
-        after.append(f"pos={pos}")
-    if config.shape:
-        after.append(f"shape={word_shape(text)}")
-    return tuple(before), tuple(after)
+    attrs = type_attributes(((text, pos),), config)
+    names = tuple(map(attrs.names.__getitem__, attrs.ids.tolist()))
+    split = int(attrs.n_before[0])
+    return names[:split], names[split:]
 
 
 def embedding_names(dim: int) -> tuple[str, ...]:
     return tuple(f"emb{i}" for i in range(dim))
 
 
-def embedding_values(
-    text: str, config: FeatureConfig, embeddings: EmbeddingTable | None
-) -> list[float]:
-    """The token's embedding components times the configured scaling."""
+def embedding_rows(
+    texts: Sequence[str], config: FeatureConfig, embeddings: EmbeddingTable | None
+) -> np.ndarray:
+    """The embedding components of each text times the configured
+    scaling, one row per text."""
     if embeddings is None:
         raise ConfigError(
             "embedding family is enabled but no embedding table was given"
         )
-    scale = config.embedding_scaling
-    return [float(component) * scale for component in embeddings.lookup(text)]
+    rows = np.array(list(map(embeddings.lookup, texts)), dtype=float)
+    return rows.reshape(len(texts), embeddings.dim) * config.embedding_scaling
+
+
+def embedding_values(
+    text: str, config: FeatureConfig, embeddings: EmbeddingTable | None
+) -> list[float]:
+    """The token's embedding components times the configured scaling."""
+    return embedding_rows((text,), config, embeddings)[0].tolist()
 
 
 def _extract(

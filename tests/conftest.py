@@ -136,6 +136,69 @@ def write_embeddings_file(table: EmbeddingTable, path) -> None:
             stream.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
 
+# --- per-character feature oracles ---------------------------------------
+
+def word_shape_oracle(text: str) -> str:
+    """`features.word_shape`, one character at a time."""
+    out: list[str] = []
+    last = ""
+    run = 0
+    for ch in text:
+        if ch.isupper():
+            mapped = "X"
+        elif ch.islower():
+            mapped = "x"
+        elif ch.isdigit():
+            mapped = "d"
+        else:
+            mapped = ch
+        run = run + 1 if mapped == last else 1
+        last = mapped
+        if run <= 4:
+            out.append(mapped)
+    return "".join(out)
+
+
+def is_upper_oracle(text: str) -> bool:
+    """`features._is_upper`: a letter, and no lowercase one."""
+    cased = [ch for ch in text if ch.isalpha()]
+    return bool(cased) and all(not ch.islower() for ch in cased)
+
+
+def is_title_oracle(text: str) -> bool:
+    """`features._is_title`: only the first character is uppercase."""
+    if not text[0].isupper():
+        return False
+    return all(not ch.isupper() for ch in text[1:])
+
+
+def base_attributes_oracle(
+    text: str, pos: str | None, config: FeatureConfig
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """`features.base_attributes`, one type and one name at a time."""
+    before: list[str] = []
+    if config.bias:
+        before.append("bias")
+    if config.token:
+        before.append(f"w={text}")
+    if config.uppercase and is_upper_oracle(text):
+        before.append("upper=1")
+    if config.titlecase and is_title_oracle(text):
+        before.append("title=1")
+    if config.char_trigram:
+        padded = f"^{text}$"
+        grams = (padded[i : i + 3] for i in range(len(padded) - 2))
+        before.extend(dict.fromkeys(f"tri={gram}" for gram in grams))
+    after: list[str] = []
+    if config.suffix3:
+        after.append(f"suf3={text[-3:]}")
+    if config.pos and pos is not None:
+        after.append(f"pos={pos}")
+    if config.shape:
+        after.append(f"shape={word_shape_oracle(text)}")
+    return tuple(before), tuple(after)
+
+
 # --- brute-force inference oracles ----------------------------------------
 
 def alphabet_of_size(n_labels: int) -> TagAlphabet:

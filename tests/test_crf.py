@@ -51,6 +51,7 @@ from conftest import (
     enumerate_scores,
     expand_encoding,
     model_from_matrices,
+    open_vocabulary_corpus,
     reference_nll_and_gradient,
     reference_partition_and_pairs,
     synthetic_corpus,
@@ -1143,6 +1144,48 @@ class TestPersistence:
         with pytest.raises(ModelDimensionError, match="unknown attribute"):
             load_model(io.StringIO("".join(lines)))
 
+    def test_unknown_tag_in_weights(self, trained):
+        text, _ = self.roundtrip(trained)
+        lines = text.splitlines(keepends=True)
+        first = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        ) + 1
+        name, _, weight = lines[first].split("\t")
+        lines[first] = f"{name}\tB-XYZ\t{weight}"
+        with pytest.raises(ModelDimensionError, match="unknown tag 'B-XYZ'"):
+            load_model(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            # (line offset, field, value) edits; the first faulty line wins.
+            ([(1, 2, "abc"), (2, 0, "no-such-attribute")], "non-numeric state weight"),
+            ([(1, 0, "no-such-attribute"), (2, 2, "abc")], "unknown attribute"),
+            ([(1, 1, "B-XYZ"), (1, 2, "abc")], "unknown tag"),
+            ([(1, 0, "no-such-attribute"), (1, 1, "B-XYZ")], "unknown attribute"),
+            ([(1, 2, "nan"), (2, 2, "abc")], "non-numeric state weight"),
+            ([(2, 2, "abc"), (3, None, "a\tb")], "non-numeric state weight"),
+            ([(2, None, "a\tb"), (3, 2, "abc")], "needs name, tag, weight"),
+        ],
+    )
+    def test_state_weight_faults_are_reported_in_file_order(
+        self, trained, faults, error
+    ):
+        text, _ = self.roundtrip(trained)
+        lines = text.split("\n")
+        header_at = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        )
+        for offset, field, value in faults:
+            fields = lines[header_at + offset].split("\t")
+            if field is None:
+                fields = [value]
+            else:
+                fields[field] = value
+            lines[header_at + offset] = "\t".join(fields)
+        with pytest.raises(ModelFormatError, match=error):
+            load_model(io.StringIO("\n".join(lines)))
+
     @pytest.mark.parametrize(
         "field, corrupted",
         [
@@ -1166,6 +1209,17 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO(bad))
 
+    @pytest.mark.parametrize(
+        "labels", ["labels\tB-ENG\tO\tI-ENG", "labels\tO\tO\tI-ENG"]
+    )
+    def test_bad_label_list_is_a_format_error(self, trained, labels):
+        text, _ = self.roundtrip(trained)
+        lines = text.split("\n")
+        assert lines[1].startswith("labels\t")
+        lines[1] = labels
+        with pytest.raises(ModelFormatError, match="bad label list"):
+            load_model(io.StringIO("\n".join(lines)))
+
     def test_l1_model_files_stay_small(self, small_corpus_module):
         # Sparse models persist only their nonzero weights.
         sparse = train(
@@ -1181,3 +1235,93 @@ class TestPersistence:
         assert int(declared.split("\t")[1]) == int(np.sum(sparse.state != 0.0))
         reloaded = load_model(io.StringIO(buffer.getvalue()))
         assert np.array_equal(reloaded.state, sparse.state)
+
+
+@pytest.fixture(scope="module")
+def saved_models():
+    """`save_model` text of a sparse (c1 = 0.05) and a dense (c1 = 0) fit
+    to an open-vocabulary corpus."""
+    corpus = open_vocabulary_corpus(30, seed=4)
+    texts = {}
+    for kind, c1 in (("sparse", 0.05), ("dense", 0.0)):
+        model = train(
+            corpus,
+            FeatureConfig(),
+            None,
+            TrainConfig(c1=c1, c2=0.01, max_iterations=30),
+        )
+        buffer = io.StringIO()
+        save_model(model, buffer)
+        texts[kind] = buffer.getvalue()
+    return texts
+
+
+# Field values a corrupted model file may hold.
+JUNK_FIELDS = ("junk", "nan", "inf", "-inf", "")
+
+
+@st.composite
+def model_mutations(draw):
+    """One edit of a model file's lines: drop, duplicate or swap lines,
+    replace a field, or cut the text at an offset.  Line numbers are
+    taken modulo the file's length; small ones hit the header."""
+    line = st.integers(0, 40) | st.integers(0, 10**6)
+    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "field", "cut")))
+    if kind == "field":
+        field = draw(st.integers(0, 10))
+        return kind, draw(line), field, draw(st.sampled_from(JUNK_FIELDS))
+    if kind == "cut":
+        return kind, draw(st.integers(0, 10**7))
+    return kind, draw(line), draw(line)
+
+
+def mutate(text, mutation):
+    kind, *args = mutation
+    if kind == "cut":
+        return text[: args[0] % (len(text) + 1)]
+    lines = text.split("\n")
+    i = args[0] % len(lines)
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(args[1] % (len(lines) + 1), lines[i])
+    elif kind == "swap":
+        j = args[1] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        fields = lines[i].split("\t")
+        fields[args[1] % len(fields)] = args[2]
+        lines[i] = "\t".join(fields)
+    return "\n".join(lines)
+
+
+class TestCorruptedModelFiles:
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_unmutated_files_round_trip_byte_for_byte(self, saved_models, kind):
+        text = saved_models[kind]
+        again = io.StringIO()
+        save_model(load_model(io.StringIO(text)), again)
+        assert again.getvalue() == text
+
+    def test_the_dense_model_has_tens_of_thousands_of_weight_lines(self, saved_models):
+        declared = re.search(r"^state_weights\t(\d+)$", saved_models["dense"], re.M)
+        assert int(declared[1]) >= 20_000
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @settings(max_examples=150, deadline=None)
+    @given(mutations=st.lists(model_mutations(), min_size=1, max_size=3))
+    @example(mutations=[("field", 1, 1, "junk")])
+    @example(mutations=[("swap", 1, 2)])
+    def test_only_model_format_errors_are_raised(self, saved_models, kind, mutations):
+        text = saved_models[kind]
+        for mutation in mutations:
+            text = mutate(text, mutation)
+        try:
+            model = load_model(io.StringIO(text))
+        except ModelFormatError:
+            return
+        # A file that still loads holds a model that saves as it reads.
+        again = io.StringIO()
+        save_model(model, again)
+        reloaded = load_model(io.StringIO(again.getvalue()))
+        assert reloaded.index.names() == model.index.names()

@@ -44,6 +44,18 @@ class TestLoad:
         with pytest.raises(ValidationError, match="non-finite"):
             load("casa 0.1 nan\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["casa inf 0.2\nperro 1\n", "casa 0.1 nan\nperro x y\n", "casa 1 -inf\ngato\n"],
+    )
+    def test_a_non_finite_component_is_reported_before_later_faults(self, text):
+        with pytest.raises(ValidationError, match="line 1: non-finite"):
+            load(text)
+
+    def test_vectors_are_read_only(self):
+        table = load("casa 0.1 0.2\nperro 0.3 0.4\n")
+        assert not any(vec.flags.writeable for vec in table.vectors.values())
+
     def test_expected_dim_mismatch(self):
         with pytest.raises(ValidationError, match="does not match expected 3"):
             load("casa 0.1 0.2\n", expected_dim=3)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from borrowings.corpus import Headline, Token
 from borrowings.crf import encode_training_set
@@ -11,14 +12,25 @@ from borrowings.features import (
     FAMILIES,
     FeatureConfig,
     FeatureIndex,
+    _is_title,
+    _is_upper,
     build_index,
+    char_tables,
     char_trigrams,
     extract_token_attributes,
     quotation_flags,
+    type_attributes,
     windowed_attributes,
     word_shape,
 )
-from conftest import synthetic_corpus, synthetic_embeddings
+from conftest import (
+    base_attributes_oracle,
+    is_title_oracle,
+    is_upper_oracle,
+    synthetic_corpus,
+    synthetic_embeddings,
+    word_shape_oracle,
+)
 
 
 def headline(*texts, pos=None):
@@ -47,6 +59,69 @@ class TestWordShape:
 
     def test_run_cap_resets_between_classes(self):
         assert word_shape("aaaaaBBBBB") == "xxxxXXXX"
+
+
+# Token texts: non-empty and without whitespace, as `Token` requires.
+TEXTS = st.text(st.characters().filter(lambda ch: not ch.isspace()), min_size=1)
+# Uncased letters, a titlecase digraph, a lowercase letter with no
+# single uppercase form, an uppercase one whose lowercase form is two
+# characters, a lowercase combining mark that is not a letter, a
+# lowercase letter of category Lo, non-ASCII digits, and long runs.
+NAMED_TEXTS = ("日本", "ǅa", "ß", "İ", "xͅ", "ªb", "٣٤", "AAAAAAbbbbbb")
+# The families `type_attributes` builds.
+BASE_FAMILIES = [f for f in FAMILIES if f not in ("quotation", "embedding")]
+
+
+class TestCharacterClasses:
+    @pytest.mark.parametrize("text", NAMED_TEXTS)
+    def test_named_cases_match_the_oracles(self, text):
+        assert word_shape(text) == word_shape_oracle(text)
+        assert _is_upper(text) == is_upper_oracle(text)
+        assert _is_title(text) == is_title_oracle(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(TEXTS)
+    @example("Ⅷ")
+    @example("ǅ")
+    def test_translated_classes_match_the_per_character_oracles(self, text):
+        assert word_shape(text) == word_shape_oracle(text)
+        assert _is_upper(text) == is_upper_oracle(text)
+        assert _is_title(text) == is_title_oracle(text)
+
+    def test_tables_agree_with_the_str_predicates_on_every_code_point(self):
+        every = "".join(map(chr, range(0x110000)))
+        tables = char_tables((every,))
+        assert every.translate(tables.shape) == "".join(
+            "X" if ch.isupper() else "x" if ch.islower() else "d" if ch.isdigit()
+            else ch
+            for ch in every
+        )
+        assert every.translate(tables.case) == "".join(
+            ("l" if ch.islower() else "u") for ch in every if ch.isalpha()
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                TEXTS | st.sampled_from(NAMED_TEXTS),
+                st.sampled_from((None, "NOUN", "X")),
+            ),
+            unique=True,
+            max_size=12,
+        ),
+        st.sets(st.sampled_from(BASE_FAMILIES)),
+    )
+    def test_a_batch_of_types_matches_the_oracle_type_by_type(self, types, off):
+        config = FeatureConfig(**{family: False for family in off})
+        attrs = type_attributes(types, config)
+        assert len(set(attrs.names)) == len(attrs.names)
+        assert attrs.rows.size == len(types) + 1
+        for t, (text, pos) in enumerate(types):
+            row = attrs.ids[attrs.rows[t] : attrs.rows[t + 1]].tolist()
+            before, after = base_attributes_oracle(text, pos, config)
+            assert tuple(attrs.names[i] for i in row) == before + after
+            assert attrs.n_before[t] == len(before)
 
 
 class TestCharTrigrams:
