@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Container, Sequence
+from typing import Callable, Container, NoReturn, Sequence
 
 from .corpus import Corpus, corpus_stats, read_corpus, render_stats, write_corpus
 from .crf import (
@@ -574,15 +574,48 @@ def build_parser(commands: Container[str] | None = None) -> argparse.ArgumentPar
     return parser
 
 
+class _UsageError(Exception):
+    """A usage error the lean parser leaves to the full one to report."""
+
+
+class _LeanParser(argparse.ArgumentParser):
+    """The parser of one subcommand, raising on a usage error instead of
+    printing it and exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace `build_parser` gives for argv.
+
+    When argv starts with a subcommand and asks for no help, a parser of
+    that subcommand alone, built as `build_parser` builds it, parses the
+    rest: the two agree on every argv it accepts.  Anything else, a usage
+    error included, is parsed by `build_parser(set(argv))`, so help,
+    errors and exit codes are its own.
+    """
+    command = argv[0] if argv else None
+    if command in _SUBCOMMANDS and not {"-h", "--help"}.intersection(argv):
+        _, add_arguments, handler = _SUBCOMMANDS[command]
+        lean = _LeanParser(prog=f"borrowings {command}")
+        add_arguments(lean)
+        lean.set_defaults(command=command, handler=handler)
+        try:
+            return lean.parse_args(argv[1:])
+        except _UsageError:
+            pass
+    # The subcommand argparse dispatches to is one of the arguments, so
+    # only the subcommands named among them need their own.
+    return build_parser(set(argv)).parse_args(argv)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, and map errors to exit codes."""
     if argv is None:
         argv = sys.argv[1:]
-    # The subcommand argparse dispatches to is one of the arguments, so
-    # only the subcommands named among them need their own.
-    parser = build_parser(set(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -57,6 +57,9 @@ class TagAlphabet:
 
 FULL_ALPHABET = TagAlphabet(("O", "B-ENG", "I-ENG", "B-OTHER", "I-OTHER"))
 ENG_ALPHABET = TagAlphabet(("O", "B-ENG", "I-ENG"))
+# The corpus tags, for the per-token checks of the reader and of
+# `repair_bio`: a set lookup, not a `TagAlphabet.__contains__` call.
+_CORPUS_TAGS = frozenset(FULL_ALPHABET.tags)
 
 
 def alphabet_for(ignore_other: bool) -> TagAlphabet:
@@ -226,7 +229,7 @@ def repair_bio(tags: Iterable[str]) -> list[str]:
     repaired: list[str] = []
     prev_label = None
     for tag in tags:
-        if tag not in FULL_ALPHABET:
+        if tag not in _CORPUS_TAGS:
             raise ValidationError(f"unknown tag {tag!r}")
         if tag.startswith("I-") and prev_label != tag[2:]:
             tag = "B-" + tag[2:]
@@ -336,7 +339,7 @@ def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
         if len(fields) != 3:
             _fail(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
         text, pos, tag = fields
-        if tag not in FULL_ALPHABET:
+        if tag not in _CORPUS_TAGS:
             _fail(lineno, f"unknown tag {tag!r}")
         try:
             block.tokens.append(Token(text, None if pos == "_" else pos))

@@ -51,21 +51,28 @@ id; character trigrams are keyed as integers, so only the distinct
 ones are spelled out.  Everything else is array work:
 every (token, window slot) visit is keyed by its cell, (type, slot,
 quoted), and cells are numbered by first visit; each cell's entries are
-gathered from its type's base ids and keyed by (slot, base id).  Only
-the distinct keys become prefixed names.  Training numbers them by
+gathered from its type's base ids and keyed by (slot, base id).  No
+key becomes a prefixed name.  Training numbers the distinct keys by
 first appearance, so ids are exactly those of adding every windowed
-name to an index one by one; tagging looks them up in the model's index
-and drops the entries whose names it does not know.
+name to an index one by one, and the index holds them as a table of
+ids by base name and slot (`features.BaseTable`); tagging looks each
+distinct base name of a batch up once in the model's table and drops
+the entries it has no id for.
 
-A model is saved as versioned UTF-8 text (`save_model`): header and
-configuration lines, the attribute names one per line in id order, and
-one `name<TAB>tag<TAB>weight` line per nonzero state weight.
-`load_model` reads each section in one pass: the index is built
-straight from the block of names, and the state-weight lines are
-split, resolved to rows and columns, and converted to floats as whole
-columns, then validated on those arrays.  A fault is reported for the
-first faulty line in file order, with the same error for each kind of
-fault as a line-by-line reader would raise.
+A model is saved as versioned UTF-8 text (`save_model`, format 2), with
+the model's attribute dictionary in the form the tagger reads, as
+CRFsuite reads its own as is.  After the header, configuration, start,
+end and transition lines come the distinct base names, one per line in
+order of their first id, then one row per base name of its ids at each
+window slot, -1 where it has none, and one `id<TAB>tag<TAB>weight` line
+per nonzero state weight.  `load_model` hashes only the base names and
+reads the id rows as one block of integers.  It also reads format 1,
+which lists the windowed names one per line in id order and keys each
+state weight line by name; it derives the table from those names, and
+rejects a name that is not `[k]base` within the model's window.  Each
+section is read in one pass and validated on whole columns, and a fault
+is reported for the first faulty line in file order, with the same
+error for each kind of fault as a line-by-line reader would raise.
 """
 
 from __future__ import annotations
@@ -95,11 +102,11 @@ from .features import (
     EOS,
     QUOTATION,
     AttributeVector,
+    BaseTable,
     FeatureConfig,
     FeatureIndex,
     embedding_names,
     embedding_rows,
-    offset_prefix,
     quotation_flags,
     type_attributes,
 )
@@ -114,8 +121,9 @@ DivergenceError = optim.DivergenceError
 # the names the model lacks are dropped: about 85,000 entries, 18 per
 # token, with at most three 8-byte values each alive at once (gather
 # index, key, and a cell number or scratch value), plus a 1-byte mask;
-# some 18,000 prefixed names are built and looked up once each.  That
-# is about 3 MB at the peak, freed once the chunk is encoded.  What is
+# its 4,100 distinct base names are looked up once each in the model's
+# table, for 18,000 distinct (slot, base name) keys.  That is about
+# 3 MB at the peak, freed once the chunk is encoded.  What is
 # kept is about 15 entries and 5 visits per token.  In decoding a cell
 # entry takes 32 bytes (id, value, cell, one scratch value), a visit 8
 # and a cell's scores 8 per label: some 0.6 KB per token with the
@@ -123,7 +131,7 @@ DivergenceError = optim.DivergenceError
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValidationError):
@@ -473,7 +481,7 @@ def _encode_windows(
     each is stored once.  Without `index`, every name gets an id, in
     order of first appearance, and the new frozen index is returned;
     with one, names are looked up in it, those it lacks are dropped, and
-    `index` itself is returned.
+    `index` itself is returned.  Either way no prefixed name is built.
 
     Python work grows with the token types and the distinct names, not
     with the tokens or the entries.  Each type's base names and
@@ -481,8 +489,9 @@ def _encode_windows(
     (`_intern_types`).  The rest is array work: every (token, slot)
     visit is keyed by its cell (`_visit_cells`), each cell's entries are
     gathered from its type's base ids and keyed by (slot, base id)
-    (`_cell_entries`), and only the distinct keys are turned into
-    prefixed names, to be indexed or looked up.
+    (`_cell_entries`).  The distinct keys become the new index's table
+    of ids by base name and slot, or each distinct base name is looked
+    up once in the given index's table.
 
     Cells are keyed by `quotation_flags` whether or not the quotation
     family is on; without it a type's quoted and unquoted cells hold
@@ -492,33 +501,35 @@ def _encode_windows(
     keeps those bytes stable.
     """
     radius = config.window_radius
+    width = 2 * radius + 1
     types = _intern_types(headlines, config, embeddings)
     cells, visits = _visit_cells(types, radius)
     at, keys, sizes = _cell_entries(types, cells, radius, config.quotation)
-    # One prefixed name per distinct key, joined in object arrays so
-    # that no slot or base id becomes a Python int.
     n_base = len(types.base_names)
-    space = (2 * radius + 1) * n_base
-    prefixes = np.array(
-        [offset_prefix(k - radius) for k in range(2 * radius + 1)], dtype=object
-    )
-    base_names = np.array(types.base_names, dtype=object)
-
-    def names(keys: np.ndarray) -> list[str]:
-        slot, base_id = np.divmod(keys, n_base)
-        return (prefixes[slot] + base_names[base_id]).tolist()
-
     # The keys are replaced by their ids in place.
     if index is None:
-        distinct = _number_by_first_appearance(keys, space)
-        index = FeatureIndex.from_names(names(distinct))
+        distinct = _number_by_first_appearance(keys, width * n_base)
+        slot, base_id = np.divmod(distinct, n_base)
+        # Bases in order of their first id; `base_id` becomes their row.
+        bases = _number_by_first_appearance(base_id, n_base)
+        ids = np.full((bases.size, width), -1, dtype=np.int64)
+        ids[base_id, slot] = np.arange(distinct.size)
+        names = map(types.base_names.__getitem__, bases.tolist())
+        rows = dict(zip(names, itertools.count()))
+        index = FeatureIndex.from_table(BaseTable(rows, ids))
     else:
-        seen = np.zeros(space, dtype=bool)
-        seen[keys] = True
-        distinct = np.flatnonzero(seen)
-        table = np.empty(space, dtype=np.int64)
-        table[distinct] = index.ids_of(names(distinct))
-        np.take(table, keys, out=keys, mode="clip")
+        # Each base name of the batch is looked up once, and its row of
+        # the model's table gives its ids at every slot.
+        table = index.table(radius)
+        row = np.fromiter(
+            map(table.rows.get, types.base_names, itertools.repeat(-1)),
+            np.int64,
+            n_base,
+        )
+        known = row >= 0
+        by_key = np.full((width, n_base), -1, dtype=np.int64)
+        by_key[:, known] = table.ids[row[known]].T
+        np.take(by_key.ravel(), keys, out=keys, mode="clip")
         known = keys >= 0
         if not known.all():
             cell = np.repeat(np.arange(cells.size), sizes)[known]
@@ -1123,26 +1134,45 @@ def _config_echo(config: object) -> str:
 
 
 def save_model(model: CrfModel, stream: IO[str]) -> None:
-    """Write the model losslessly as versioned UTF-8 text."""
-    names = model.index.names()
+    """Write the model losslessly as versioned UTF-8 text (format 2).
+
+    Raises ValidationError if an attribute name is not a windowed name
+    of the model's window, which the format cannot hold.
+    """
+    n_features = model.n_features
+    table = model.index.table(model.feature_config.window_radius)
+    if np.count_nonzero(table.ids >= 0) != n_features:
+        raise ValidationError(
+            "cannot save attribute names that are not windowed names of the "
+            "model's window"
+        )
+    # Bases in order of their first id; a base without ids is left out.
+    first = np.where(table.ids >= 0, table.ids, n_features).min(axis=1)
+    order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_features)]
+    bases = list(table.rows)
+    # The id rows as one block, formatted in one call.
+    row = "\t".join(["%d"] * table.ids.shape[1])
+    id_rows = "\n".join([row] * order.size) % tuple(table.ids[order].ravel().tolist())
     tags = model.alphabet.tags
     rows, cols = np.nonzero(model.state)
     weights = model.state[rows, cols]
     lines = [
         f"{_FORMAT_MAGIC} {_FORMAT_VERSION}",
         "labels\t" + "\t".join(tags),
-        f"attributes\t{model.n_features}",
+        f"attributes\t{n_features}",
         "feature_config\t" + _config_echo(model.feature_config),
         "train_config\t" + _config_echo(model.train_config),
         "start\t" + "\t".join(_format_float(x) for x in model.start),
         "end\t" + "\t".join(_format_float(x) for x in model.end),
         "transitions",
         *("\t".join(_format_float(x) for x in row) for row in model.transition),
-        "attribute_names",
-        *names,
+        f"base_names\t{order.size}",
+        *map(bases.__getitem__, order.tolist()),
+        "attribute_ids",
+        *([id_rows] if order.size else []),
         f"state_weights\t{len(rows)}",
         *(
-            f"{names[r]}\t{tags[c]}\t{_format_float(w)}"
+            f"{r}\t{tags[c]}\t{_format_float(w)}"
             for r, c, w in zip(rows.tolist(), cols.tolist(), weights.tolist())
         ),
         "end_of_model",
@@ -1230,8 +1260,145 @@ def _well_formed_lines(lines: list[str]) -> int:
     return len(lines) if first == expected.size == separators.size else first // 3
 
 
+def _int_rows(lines: list[str], width: int) -> np.ndarray:
+    """The integers of `lines`, `width` tab-separated ones each, up to
+    the first fault in file order: the first field of a line without
+    `width` fields, or a field that is not an integer (an optional minus,
+    then digits, 18 chars at most, so that it fits in an int64)."""
+    n = len(lines) * width
+    if not n:
+        return np.empty(0, dtype=np.int64)
+    text = "\n".join(lines)
+    code = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    sep = (code == 9) | (code == 10)
+    digit = (code - 48) < 10
+    after_sep = np.concatenate([[True], sep[:-1]])
+    before_digit = np.concatenate([digit[1:], [False]])
+    after_digit = np.concatenate([[False], digit[:-1]])
+    # A minus comes first in its field and before a digit; a separator
+    # comes after a field's last digit.
+    ok = digit | (code == 45) & after_sep & before_digit | sep & after_digit
+    ends = np.flatnonzero(sep)
+    lengths = np.diff(ends, prepend=-1, append=code.size) - 1
+    # A line ends after every width-th field, and only there.
+    at_width = np.arange(ends.size) % width == width - 1
+    wrong = np.flatnonzero((code[ends] == 10) != at_width)
+    if wrong.size:
+        shape = int(wrong[0])
+    else:
+        shape = n if ends.size + 1 == n else ends.size
+    first = min(
+        [
+            shape // width * width,
+            *np.searchsorted(ends, np.flatnonzero(~ok)[:1]).tolist(),
+            *np.flatnonzero((lengths == 0) | (lengths > 18))[:1].tolist(),
+        ]
+    )
+    if first < n:
+        if first == 0:
+            return np.empty(0, dtype=np.int64)
+        text = text[: ends[first - 1]]
+    # A newline matches the tab separator, as any whitespace does.
+    return np.fromstring(text, dtype=np.int64, sep="\t")
+
+
+def _read_names(reader: _Reader, n_features: int, radius: int) -> FeatureIndex:
+    """The index of a version-1 file: one windowed name per line, in id
+    order, from which the (base name, slot) table is derived."""
+    if reader.next_line("attribute names") != "attribute_names":
+        raise ModelFormatError("missing attribute_names section")
+    try:
+        index = FeatureIndex.from_names(
+            reader.next_lines(n_features, "attribute names")
+        )
+    except ConfigError:
+        raise ModelFormatError("duplicate attribute names") from None
+    ids = index.table(radius).ids
+    if np.count_nonzero(ids >= 0) < n_features:
+        # The first name the table leaves out.
+        missing = np.ones(n_features, dtype=bool)
+        missing[ids[ids >= 0]] = False
+        name = index.name(int(np.argmax(missing)))
+        raise ModelFormatError(
+            f"attribute name {name!r} is not [k]base with |k| <= {radius}"
+        )
+    return index
+
+
+def _read_table(reader: _Reader, n_features: int, width: int) -> FeatureIndex:
+    """The index of a version-2 file: the base names, one per line, then
+    each one's row of `width` attribute ids, -1 where it has none.
+
+    Faults are reported for the first one in file order: more attributes
+    than the table has cells (ModelDimensionError), a repeated base name,
+    then a row without `width` fields (ModelDimensionError), a field that
+    is not an integer, or an id out of range or repeating one before it;
+    then ids missing from range(n_features).
+    """
+    count = reader.next_line("base name count").split("\t")
+    if count[0] != "base_names" or len(count) != 2:
+        raise ModelFormatError("missing base_names section")
+    n_bases = _parse_count(count[1], "base name count")
+    if n_features > n_bases * width:
+        raise ModelDimensionError(
+            f"{n_features} attributes do not fit {n_bases} base names at "
+            f"{width} window slots"
+        )
+    bases = reader.next_lines(n_bases, "base names")
+    rows = dict(zip(bases, itertools.count()))
+    if len(rows) != n_bases:
+        repeated = next(base for i, base in enumerate(bases) if rows[base] != i)
+        raise ModelFormatError(f"repeated base name {repeated!r}")
+    if reader.next_line("attribute ids") != "attribute_ids":
+        raise ModelFormatError("missing attribute_ids section")
+    lines = reader.next_lines(n_bases, "attribute ids")
+    ids = _int_rows(lines, width)
+    # Each id at most once: faulty where out of range, or where it
+    # repeats an id before it.
+    faulty = (ids < -1) | (ids >= n_features)
+    at = np.flatnonzero(~faulty & (ids >= 0))
+    if np.bincount(ids[at], minlength=n_features).max(initial=0) > 1:
+        first = np.full(n_features, ids.size)
+        np.minimum.at(first, ids[at], at)
+        faulty[at] = first[ids[at]] != at
+    bad = int(np.argmax(faulty)) if faulty.any() else ids.size
+    not_permutation = f"attribute ids are not a permutation of range({n_features})"
+    if bad < ids.size:
+        raise ModelFormatError(f"{not_permutation}: {ids[bad]} in row {bad // width}")
+    if ids.size < n_bases * width:
+        row, column = divmod(ids.size, width)
+        fields = lines[row].split("\t")
+        if len(fields) != width:
+            raise ModelDimensionError(
+                f"attribute id row {row}: expected {width} ids, got {len(fields)}"
+            )
+        raise ModelFormatError(f"non-integer attribute id {fields[column]!r}")
+    if at.size != n_features:
+        raise ModelFormatError(f"{not_permutation}: ids are missing")
+    return FeatureIndex.from_table(BaseTable(rows, ids.reshape(n_bases, width)))
+
+
+def _parse_ids(keys: list[str], n_features: int) -> np.ndarray:
+    """The attribute ids `keys` give, -1 for an id out of range and for
+    every key from the first that is not a decimal integer on."""
+    ids = np.full(len(keys), -1, dtype=np.int64)
+    given = _int_rows(keys, 1)
+    ids[: given.size] = np.where((given >= 0) & (given < n_features), given, -1)
+    return ids
+
+
+def _parse_count(raw: str, context: str) -> int:
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ModelFormatError(f"{context} is not an integer") from None
+    if count < 0:
+        raise ModelDimensionError(f"{context} must be >= 0")
+    return count
+
+
 def load_model(stream: IO[str]) -> CrfModel:
-    """Parse a model file written by save_model.
+    """Parse a model file written by save_model, in format 1 or 2.
 
     Raises ModelVersionError on a bad header, ModelTruncatedError when
     the file ends early, and ModelDimensionError when any section
@@ -1244,7 +1411,7 @@ def load_model(stream: IO[str]) -> CrfModel:
     header = reader.next_line("header").split(" ")
     if len(header) != 2 or header[0] != _FORMAT_MAGIC:
         raise ModelVersionError("not a recognized model file")
-    if header[1] != str(_FORMAT_VERSION):
+    if header[1] not in ("1", "2"):
         raise ModelVersionError(f"unsupported model format version {header[1]!r}")
     label_parts = reader.next_line("label list").split("\t")
     if label_parts[0] != "labels" or len(label_parts) < 2:
@@ -1257,12 +1424,7 @@ def load_model(stream: IO[str]) -> CrfModel:
     attr_parts = reader.next_line("attribute count").split("\t")
     if attr_parts[0] != "attributes" or len(attr_parts) != 2:
         raise ModelFormatError("missing attribute count")
-    try:
-        n_features = int(attr_parts[1])
-    except ValueError:
-        raise ModelFormatError("attribute count is not an integer") from None
-    if n_features < 0:
-        raise ModelDimensionError("attribute count must be >= 0")
+    n_features = _parse_count(attr_parts[1], "attribute count")
     feature_config = _parse_config_echo(
         reader.next_line("feature config"), "feature_config", FeatureConfig
     )
@@ -1282,22 +1444,16 @@ def load_model(stream: IO[str]) -> CrfModel:
         transition[i] = _parse_floats(
             reader.next_line("transitions"), n_labels, f"transition row {i}"
         )
-    if reader.next_line("attribute names") != "attribute_names":
-        raise ModelFormatError("missing attribute_names section")
-    try:
-        index = FeatureIndex.from_names(
-            reader.next_lines(n_features, "attribute names")
-        )
-    except ConfigError:
-        raise ModelFormatError("duplicate attribute names") from None
+    radius = feature_config.window_radius
+    if header[1] == "1":
+        index = _read_names(reader, n_features, radius)
+    else:
+        index = _read_table(reader, n_features, 2 * radius + 1)
     sw_parts = reader.next_line("state weight count").split("\t")
     if sw_parts[0] != "state_weights" or len(sw_parts) != 2:
         raise ModelFormatError("missing state_weights section")
-    try:
-        declared = int(sw_parts[1])
-    except ValueError:
-        raise ModelFormatError("state weight count is not an integer") from None
-    if declared < 0 or declared > n_features * n_labels:
+    declared = _parse_count(sw_parts[1], "state weight count")
+    if declared > n_features * n_labels:
         raise ModelDimensionError(
             f"declared {declared} state weights for a "
             f"{n_features}x{n_labels} weight matrix"
@@ -1309,7 +1465,11 @@ def load_model(stream: IO[str]) -> CrfModel:
     present = reader.peek_lines(declared)
     n_shaped = _well_formed_lines(present)
     fields = "\t".join(present[:n_shaped]).split("\t") if n_shaped else []
-    rows = index.ids_of(fields[0::3])
+    # A version-1 line names its attribute, a version-2 line gives its id.
+    if header[1] == "1":
+        rows = index.ids_of(fields[0::3])
+    else:
+        rows = _parse_ids(fields[0::3], n_features)
     tag_ids = {tag_name: i for i, tag_name in enumerate(alphabet.tags)}
     cols = np.fromiter(
         map(tag_ids.get, fields[1::3], itertools.repeat(-1)), np.int64, n_shaped

@@ -468,47 +468,127 @@ def windowed_attributes(
     return out
 
 
+class BaseTable(NamedTuple):
+    """Attribute ids by base name and window slot.
+
+    Windowed attribute names are `offset_prefix(k) + base`.  Row
+    `rows[base]` of the (bases, 2 * radius + 1) array `ids` holds the id
+    of that name at column `k + radius`, and -1 where the base has no
+    attribute at offset k.  Rows are numbered in the order of `rows`.
+    """
+
+    rows: dict[str, int]
+    ids: np.ndarray
+
+    @property
+    def radius(self) -> int:
+        return self.ids.shape[1] // 2
+
+
+def window_table(names: Sequence[str], radius: int) -> BaseTable:
+    """The `BaseTable` of the distinct attribute names `names`, ids by
+    position, for a window of `radius`.  A name that is not
+    `offset_prefix(k) + base` with |k| <= radius is left out.
+
+    Bases are numbered in order of their first name.
+    """
+    # Prefixes without their `]`: a name holds the `]` unless it has none.
+    slot_of = {offset_prefix(k)[:-1]: k + radius for k in range(-radius, radius + 1)}
+    parts = map(str.partition, names, itertools.repeat("]"))
+    heads, seps, bases = tuple(zip(*parts)) or ((), (), ())
+    slots = np.fromiter(
+        map(slot_of.get, heads, itertools.repeat(-1)), np.int64, len(names)
+    )
+    if seps.count("]") < len(seps):
+        slots[[not sep for sep in seps]] = -1
+    kept = slots >= 0
+    rows: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    base_rows = np.fromiter(
+        map(rows.__getitem__, itertools.compress(bases, kept.tolist())), np.int64
+    )
+    ids = np.full((len(rows), 2 * radius + 1), -1, dtype=np.int64)
+    ids[base_rows, slots[kept]] = np.flatnonzero(kept)
+    return BaseTable(dict(rows), ids)
+
+
 class FeatureIndex:
-    """Dense attribute-name-to-id mapping, frozen before training."""
+    """Dense attribute-name-to-id mapping, frozen before training.
+
+    An index holds its windowed names either as a list, or as a
+    `BaseTable` (`from_table`), which is how training, tagging and model
+    files use it.  Each form is derived from the other on first use: the
+    table by `table`, the names by `names`, `name`, `get`, `ids_of` and
+    `add`, which look names up in a dict built once.
+    """
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._names: list[str] = []
+        self._names: list[str] | None = []
+        self._ids: dict[str, int] | None = {}
+        self._table: BaseTable | None = None
         self._frozen = False
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._names) if self._names is not None else self._size
 
     @property
     def frozen(self) -> bool:
         return self._frozen
 
+    def _name_ids(self) -> dict[str, int]:
+        if self._ids is None:
+            self._ids = dict(zip(self._name_list(), itertools.count()))
+        return self._ids
+
+    def _name_list(self) -> list[str]:
+        if self._names is None:
+            table = self._table
+            radius = table.radius
+            prefixes = np.array(
+                [offset_prefix(k) for k in range(-radius, radius + 1)], dtype=object
+            )
+            bases = np.array(list(table.rows), dtype=object)
+            row, slot = np.nonzero(table.ids >= 0)
+            names = np.empty(self._size, dtype=object)
+            names[table.ids[row, slot]] = prefixes[slot] + bases[row]
+            self._names = names.tolist()
+        return self._names
+
     def add(self, name: str) -> int:
         """Id for `name`, assigning the next id on first sight."""
-        existing = self._ids.get(name)
+        ids = self._name_ids()
+        existing = ids.get(name)
         if existing is not None:
             return existing
         if self._frozen:
             raise ConfigError("cannot add attributes to a frozen index")
-        self._ids[name] = len(self._names)
+        ids[name] = len(self._names)
         self._names.append(name)
-        return self._ids[name]
+        self._table = None
+        return ids[name]
 
     def get(self, name: str) -> int | None:
         """Id for `name`, or None if it was never indexed."""
-        return self._ids.get(name)
+        return self._name_ids().get(name)
 
     def ids_of(self, names: Iterable[str]) -> np.ndarray:
         """Ids of `names` as an int64 array, -1 for names never indexed."""
         return np.fromiter(
-            map(self._ids.get, names, itertools.repeat(-1)), dtype=np.int64
+            map(self._name_ids().get, names, itertools.repeat(-1)), dtype=np.int64
         )
 
     def name(self, i: int) -> str:
-        return self._names[i]
+        return self._name_list()[i]
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self._names)
+        return tuple(self._name_list())
+
+    def table(self, radius: int) -> BaseTable:
+        """The (base name, slot) view of the windowed names of a window
+        of `radius`; names that are not windowed names of that window
+        are left out of it."""
+        if self._table is None or self._table.radius != radius:
+            self._table = window_table(self._name_list(), radius)
+        return self._table
 
     def freeze(self) -> "FeatureIndex":
         self._frozen = True
@@ -522,6 +602,16 @@ class FeatureIndex:
         index._ids = dict(zip(index._names, range(len(index._names))))
         if len(index._ids) != len(index._names):
             raise ConfigError("duplicate attribute names")
+        return index.freeze()
+
+    @classmethod
+    def from_table(cls, table: BaseTable) -> "FeatureIndex":
+        """Frozen index of the names of `table`, whose ids must be a
+        permutation of range(n) for some n, with -1 elsewhere."""
+        index = cls()
+        index._names = index._ids = None
+        index._table = table
+        index._size = int(np.count_nonzero(table.ids >= 0))
         return index.freeze()
 
 

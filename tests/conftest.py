@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from borrowings.corpus import Corpus, Headline, LabeledSpan, TagAlphabet, Token
-from borrowings.crf import CrfModel, TrainConfig
+from borrowings.crf import CrfModel, TrainConfig, _config_echo, _format_float
 from borrowings.embeddings import EmbeddingTable
 from borrowings.features import FeatureConfig, FeatureIndex
 
@@ -410,6 +410,37 @@ def reference_nll_and_gradient(dataset, weights, c2):
         value += 0.5 * c2 * float(np.dot(weights, weights))
         grad += c2 * weights
     return value, grad
+
+
+def save_model_v1(model: CrfModel, stream) -> None:
+    """The version-1 model file writer, kept as an oracle: the attribute
+    names one per line in id order, and each state weight line keyed by
+    its attribute's name.  Its digests pin the weights bit for bit across
+    format changes."""
+    names = model.index.names()
+    tags = model.alphabet.tags
+    rows, cols = np.nonzero(model.state)
+    weights = model.state[rows, cols]
+    lines = [
+        "borrowings-crf 1",
+        "labels\t" + "\t".join(tags),
+        f"attributes\t{model.n_features}",
+        "feature_config\t" + _config_echo(model.feature_config),
+        "train_config\t" + _config_echo(model.train_config),
+        "start\t" + "\t".join(_format_float(x) for x in model.start),
+        "end\t" + "\t".join(_format_float(x) for x in model.end),
+        "transitions",
+        *("\t".join(_format_float(x) for x in row) for row in model.transition),
+        "attribute_names",
+        *names,
+        f"state_weights\t{len(rows)}",
+        *(
+            f"{names[r]}\t{tags[c]}\t{_format_float(w)}"
+            for r, c, w in zip(rows.tolist(), cols.tolist(), weights.tolist())
+        ),
+        "end_of_model",
+    ]
+    stream.write("\n".join(lines) + "\n")
 
 
 def model_from_matrices(e, transition, start, end) -> tuple[CrfModel, list[dict]]:

@@ -104,6 +104,10 @@ class TestLazyParser:
             ["train", "--c1", "x"],
             ["-x", "stats"],
             *([command, "--help"] for command in COMMANDS),
+            ["tag", "--he"],
+            ["tag", "-m", "m.crf", "c.tsv", "-o", "o.tsv", "--bogus"],
+            ["tune", "--jobs", "two"],
+            ["stats", "a.tsv", "b.tsv"],
         ],
         ids=lambda argv: " ".join(argv) or "no-command",
     )
@@ -118,6 +122,22 @@ class TestLazyParser:
         full = capsys.readouterr()
         assert (lazy.out, lazy.err) == (full.out, full.err)
         assert lazy.out or lazy.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "a.tsv"],
+            ["train", "--train", "t.tsv", "--c1", "0.5", "-o", "m.crf"],
+            ["tag", "-m", "m.crf", "c.tsv", "-o", "o.tsv"],
+            ["tag", "c.tsv", "--mod", "m.crf", "--output=o.tsv", "-c", "x.cfg"],
+            ["eval", "--gold", "g.tsv", "--pred", "p.tsv", "--format", "tsv"],
+            ["tune", "--jobs", "2", "--c1-values", "0.1,0.2"],
+            ["ablate", "--dev", "d.tsv", "--jobs", "1", "--c2", "0.1"],
+        ],
+        ids=" ".join,
+    )
+    def test_one_subcommand_parser_gives_the_full_namespace(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 class TestStats:
@@ -189,7 +209,7 @@ class TestTrainTagEval:
         assert "iteration" in err and "objective" in err
         assert "trained" in err
         header = model.read_text(encoding="utf-8").splitlines()[0]
-        assert header == "borrowings-crf 1"
+        assert header == "borrowings-crf 2"
 
         assert run(
             ["tag", "-m", str(model), str(corpora / "apply.tsv"), "-o", str(pred)]

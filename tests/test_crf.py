@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,12 @@ from borrowings.crf import (
 )
 from borrowings.errors import ConfigError, ValidationError
 from borrowings.evaluation import evaluate
-from borrowings.features import FeatureConfig, windowed_attributes
+from borrowings.features import (
+    FeatureConfig,
+    FeatureIndex,
+    offset_prefix,
+    windowed_attributes,
+)
 from conftest import (
     alphabet_of_size,
     brute_best_path,
@@ -54,6 +60,7 @@ from conftest import (
     open_vocabulary_corpus,
     reference_nll_and_gradient,
     reference_partition_and_pairs,
+    save_model_v1,
     synthetic_corpus,
     synthetic_embeddings,
 )
@@ -958,15 +965,32 @@ class TestTag:
             tag(needy, Corpus("c", (Headline(id="x", tokens=(Token("a"),)),)))
 
 
-# sha256 of the `save_model` text of a 30-iteration fit to
-# `synthetic_corpus(120, seed=21)`, per (c1, c2).  Recorded before the
-# optimizer reused its work vectors; any change to the iterates, the
-# objective or the model format changes them.
+# sha256 of the version-1 model file (`save_model_v1`) of a 30-iteration
+# fit to `synthetic_corpus(120, seed=21)`, per (c1, c2).  Recorded before
+# the optimizer reused its work vectors; any change to the iterates or
+# the objective changes them.
 PINNED_MODEL_DIGESTS = {
     (0.05, 0.01): "72effef0593ab89c2631e8fc5fd550b95cdc0cb0a25731990229bd3281476839",
     (0.0, 0.01): "862f347ec02f0f6662e45104f6d17adbb8dd439ba35a135ff608133683b8b7a4",
     (0.1, 0.0): "ea53ef9de6e317163c747b74329759bb01326dcec3dbe75cfbb1bfd6ad448a6c",
 }
+# sha256 of the `save_model` (version-2) text of the same fits.
+PINNED_V2_MODEL_DIGESTS = {
+    (0.05, 0.01): "62f292a35206d16794a44d235b8072633dfdb11626dd795cd684eb03bd39ecab",
+    (0.0, 0.01): "353d2bbcb9dffc1ea037500d7cefcc41e72240d9f490e351354669ee313b9521",
+    (0.1, 0.0): "84fd0f833735974255edde128c6a3f56ff54e4b47fcc4f123b45f0f4c214db36",
+}
+
+
+def saved_text(write, model):
+    """The text `write` (`save_model` or `save_model_v1`) gives for model."""
+    buffer = io.StringIO()
+    write(model, buffer)
+    return buffer.getvalue()
+
+
+def sha256_of_text(write, model):
+    return hashlib.sha256(saved_text(write, model).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("c1, c2", list(PINNED_MODEL_DIGESTS))
@@ -978,10 +1002,8 @@ def test_pinned_model_bytes(c1, c2):
         TrainConfig(c1=c1, c2=c2, max_iterations=30),
     )
     assert model.diagnostics.iterations == 30
-    buffer = io.StringIO()
-    save_model(model, buffer)
-    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
-    assert digest == PINNED_MODEL_DIGESTS[c1, c2]
+    assert sha256_of_text(save_model_v1, model) == PINNED_MODEL_DIGESTS[c1, c2]
+    assert sha256_of_text(save_model, model) == PINNED_V2_MODEL_DIGESTS[c1, c2]
 
 
 class TestPersistence:
@@ -1019,7 +1041,8 @@ class TestPersistence:
 
     def test_unsupported_version(self, trained):
         text, _ = self.roundtrip(trained)
-        bumped = text.replace("borrowings-crf 1", "borrowings-crf 2", 1)
+        bumped = text.replace("borrowings-crf 2", "borrowings-crf 3", 1)
+        assert bumped != text
         with pytest.raises(ModelVersionError, match="version"):
             load_model(io.StringIO(bumped))
 
@@ -1043,7 +1066,7 @@ class TestPersistence:
             load_model(io.StringIO("".join(lines[: header_at + 1]) + half))
 
     def test_end_inside_attribute_names_is_truncation(self, trained):
-        text, _ = self.roundtrip(trained)
+        text = saved_text(save_model_v1, trained)
         lines = text.splitlines(keepends=True)
         first = lines.index("attribute_names\n") + 1
         last = first + trained.n_features
@@ -1056,12 +1079,43 @@ class TestPersistence:
                 load_model(io.StringIO(cut.rstrip("\n")))
 
     def test_duplicate_attribute_names_rejected(self, trained):
-        text, _ = self.roundtrip(trained)
+        text = saved_text(save_model_v1, trained)
         lines = text.splitlines(keepends=True)
         first = lines.index("attribute_names\n") + 1
         lines[first + 2] = lines[first]
         with pytest.raises(ModelFormatError, match="duplicate attribute names"):
             load_model(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize(
+        "name", ["bias", "[+3]bias", "[1]bias", "[+0]bias", "[2]", "]bias", "[0"]
+    )
+    def test_v1_names_outside_the_window_rejected(self, trained, name):
+        text = saved_text(save_model_v1, trained)
+        lines = text.split("\n")
+        lines[lines.index("attribute_names") + 2] = name
+        with pytest.raises(ModelFormatError, match=r"is not \[k\]base with \|k\| <= 2"):
+            load_model(io.StringIO("\n".join(lines)))
+
+    def test_v1_file_loads_to_the_model_of_its_v2_resave(self, trained):
+        v1 = load_model(io.StringIO(saved_text(save_model_v1, trained)))
+        text, v2 = self.roundtrip(trained)
+        assert_same_model(v1, v2)
+        assert saved_text(save_model, v1) == text
+
+    def test_a_model_without_attributes_round_trips(self, trained):
+        empty = dataclasses.replace(
+            trained, index=FeatureIndex.from_names([]), state=np.zeros((0, 5))
+        )
+        text, loaded = self.roundtrip(empty)
+        assert "base_names\t0\nattribute_ids\nstate_weights\t0\n" in text
+        assert loaded.n_features == 0
+        assert self.roundtrip(loaded)[0] == text
+
+    def test_unwindowed_names_cannot_be_saved(self, trained):
+        names = ["bias", *trained.index.names()[1:]]
+        model = dataclasses.replace(trained, index=FeatureIndex.from_names(names))
+        with pytest.raises(ValidationError, match="windowed names"):
+            save_model(model, io.StringIO())
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section", ["start", "end", "transitions", "state"])
@@ -1237,10 +1291,151 @@ class TestPersistence:
         assert np.array_equal(reloaded.state, sparse.state)
 
 
+def assert_same_model(a, b):
+    """Equal labels, attribute names, configurations and weights."""
+    assert a.alphabet == b.alphabet
+    assert a.index.names() == b.index.names()
+    assert a.feature_config == b.feature_config
+    assert a.train_config == b.train_config
+    for field in ("state", "transition", "start", "end"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def v2_sections(text):
+    """The file's lines, and where its base names and its id rows start."""
+    lines = text.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("base_names\t"))
+    n_bases = int(lines[at].split("\t")[1])
+    assert lines[at + n_bases + 1] == "attribute_ids"
+    return lines, at + 1, at + n_bases + 2
+
+
+class TestVersion2Faults:
+    """Faults in the base-name table of a version-2 file raise their
+    documented error, for the first fault in file order."""
+
+    @pytest.fixture
+    def text(self, trained):
+        return saved_text(save_model, trained)
+
+    def test_layout(self, text, trained):
+        lines, bases_at, rows_at = v2_sections(text)
+        assert lines[0] == "borrowings-crf 2"
+        assert f"attributes\t{trained.n_features}" in lines
+        n_bases = rows_at - bases_at - 1
+        rows = lines[rows_at : rows_at + n_bases]
+        ids = np.array([row.split("\t") for row in rows], dtype=np.int64)
+        assert ids.shape == (n_bases, 5)
+        assert np.array_equal(np.sort(ids[ids >= 0]), np.arange(trained.n_features))
+        # Bases in order of their first id.
+        first = np.where(ids >= 0, ids, trained.n_features).min(axis=1)
+        assert np.all(np.diff(first) > 0)
+        names = trained.index.names()
+        for base, row in zip(lines[bases_at:rows_at - 1], ids.tolist()):
+            for slot, i in enumerate(row):
+                if i >= 0:
+                    assert names[i] == offset_prefix(slot - 2) + base
+
+    @pytest.mark.parametrize("section", ["bases", "rows"])
+    def test_end_inside_a_section_is_truncation(self, text, section):
+        lines, bases_at, rows_at = v2_sections(text)
+        start = bases_at if section == "bases" else rows_at
+        for keep in (start, start + 1):
+            with pytest.raises(ModelTruncatedError):
+                load_model(io.StringIO("\n".join(lines[:keep])))
+
+    @pytest.mark.parametrize("count", ["100000", str(10**20)])
+    def test_more_attributes_than_table_cells(self, text, count):
+        lines = text.split("\n")
+        lines[2] = f"attributes\t{count}"
+        with pytest.raises(ModelDimensionError, match="do not fit"):
+            load_model(io.StringIO("\n".join(lines)))
+
+    def test_repeated_base_name(self, text):
+        lines, bases_at, _ = v2_sections(text)
+        lines[bases_at + 3] = lines[bases_at + 1]
+        with pytest.raises(ModelFormatError, match="repeated base name"):
+            load_model(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            # (row, field, value) edits of the id rows; field None
+            # replaces the whole row.
+            ([(1, None, "0\t-1\t-1\t-1")], "expected 5 ids, got 4"),
+            ([(1, None, "0\t-1\t-1\t-1\t-1\t-1")], "expected 5 ids, got 6"),
+            ([(2, 1, "x")], "non-integer attribute id 'x'"),
+            ([(2, 1, "1.0")], "non-integer attribute id"),
+            ([(2, 1, "+1")], "non-integer attribute id"),
+            ([(2, 1, " 1")], "non-integer attribute id"),
+            ([(2, 1, "")], "non-integer attribute id"),
+            ([(2, 1, "-")], "non-integer attribute id"),
+            ([(2, 1, "1-2")], "non-integer attribute id"),
+            ([(2, 1, "9" * 19)], "non-integer attribute id"),
+            ([(2, 1, "N_FEATURES")], "not a permutation"),
+            ([(2, 1, "-2")], "not a permutation"),
+            ([(2, 4, "FIRST_ID")], "not a permutation"),
+            ([(0, 0, "-1")], "not a permutation.*missing"),
+            # The first fault in file order wins.
+            ([(1, 2, "x"), (3, None, "0")], "non-integer attribute id"),
+            ([(1, None, "0"), (3, 2, "x")], "expected 5 ids"),
+            ([(1, 1, "N_FEATURES"), (3, 2, "x")], "not a permutation"),
+            ([(1, 1, "x"), (3, 1, "N_FEATURES")], "non-integer attribute id"),
+            ([(2, 0, "N_FEATURES"), (2, 2, "x")], "not a permutation"),
+            ([(2, 0, "x"), (2, 2, "N_FEATURES")], "non-integer attribute id"),
+        ],
+    )
+    def test_id_table_faults(self, text, trained, edits, error):
+        lines, bases_at, rows_at = v2_sections(text)
+        first_id = lines[rows_at].split("\t")[0]
+        for row, field, value in edits:
+            value = value.replace("N_FEATURES", str(trained.n_features))
+            value = value.replace("FIRST_ID", first_id)
+            if field is None:
+                lines[rows_at + row] = value
+            else:
+                fields = lines[rows_at + row].split("\t")
+                fields[field] = value
+                lines[rows_at + row] = "\t".join(fields)
+        shape_fault = "expected 5 ids" in error
+        with pytest.raises(
+            ModelDimensionError if shape_fault else ModelFormatError, match=error
+        ):
+            load_model(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize("key", ["N_FEATURES", "-1", "x", "1.5", ""])
+    def test_weight_line_for_an_id_out_of_range(self, text, trained, key):
+        lines = text.split("\n")
+        at = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        )
+        fields = lines[at + 2].split("\t")
+        fields[0] = key.replace("N_FEATURES", str(trained.n_features))
+        lines[at + 2] = "\t".join(fields)
+        with pytest.raises(ModelDimensionError, match="unknown attribute"):
+            load_model(io.StringIO("\n".join(lines)))
+
+
+CANARY = Path(__file__).resolve().parent.parent / "benchmarks" / "canary.crf"
+
+
+def test_canary_v1_file_loads_to_the_model_of_its_v2_resave():
+    text = CANARY.read_text(encoding="utf-8")
+    assert text.startswith("borrowings-crf 1\n")
+    v1 = load_model(io.StringIO(text))
+    v2 = load_model(io.StringIO(saved_text(save_model, v1)))
+    assert_same_model(v1, v2)
+    # The version-1 oracle writes the canary back byte for byte.
+    assert saved_text(save_model_v1, v2) == text
+    feed = open_vocabulary_corpus(60, seed=17)
+    assert tag(v1, feed) == tag(v2, feed)
+
+
 @pytest.fixture(scope="module")
 def saved_models():
     """`save_model` text of a sparse (c1 = 0.05) and a dense (c1 = 0) fit
-    to an open-vocabulary corpus."""
+    to an open-vocabulary corpus, and their version-1 renderings
+    (`sparse-v1`, `dense-v1`)."""
     corpus = open_vocabulary_corpus(30, seed=4)
     texts = {}
     for kind, c1 in (("sparse", 0.05), ("dense", 0.0)):
@@ -1250,10 +1445,12 @@ def saved_models():
             None,
             TrainConfig(c1=c1, c2=0.01, max_iterations=30),
         )
-        buffer = io.StringIO()
-        save_model(model, buffer)
-        texts[kind] = buffer.getvalue()
+        texts[kind] = saved_text(save_model, model)
+        texts[f"{kind}-v1"] = saved_text(save_model_v1, model)
     return texts
+
+
+KINDS = ["sparse", "dense", "sparse-v1", "dense-v1"]
 
 
 # Field values a corrupted model file may hold.
@@ -1296,18 +1493,27 @@ def mutate(text, mutation):
 
 
 class TestCorruptedModelFiles:
-    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_unmutated_files_round_trip_byte_for_byte(self, saved_models, kind):
+        # A version-1 file saves as the version-2 file of its model.
         text = saved_models[kind]
         again = io.StringIO()
         save_model(load_model(io.StringIO(text)), again)
-        assert again.getvalue() == text
+        assert again.getvalue() == saved_models[kind.removesuffix("-v1")]
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_v1_renderings_load_and_tag_as_their_v2_files(self, saved_models, kind):
+        v1 = load_model(io.StringIO(saved_models[f"{kind}-v1"]))
+        v2 = load_model(io.StringIO(saved_models[kind]))
+        assert_same_model(v1, v2)
+        feed = open_vocabulary_corpus(40, seed=8)
+        assert tag(v1, feed) == tag(v2, feed)
 
     def test_the_dense_model_has_tens_of_thousands_of_weight_lines(self, saved_models):
         declared = re.search(r"^state_weights\t(\d+)$", saved_models["dense"], re.M)
         assert int(declared[1]) >= 20_000
 
-    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=150, deadline=None)
     @given(mutations=st.lists(model_mutations(), min_size=1, max_size=3))
     @example(mutations=[("field", 1, 1, "junk")])
