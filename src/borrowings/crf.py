@@ -59,6 +59,11 @@ ids by base name and slot (`features.BaseTable`); tagging looks each
 distinct base name of a batch up once in the model's table and drops
 the entries it has no id for.
 
+A trained model keeps only the attributes with a nonzero state weight,
+as CRFsuite's models do: with an L1 penalty most end at exactly zero,
+and an attribute without a weight adds nothing to any score.  Its ids
+are renumbered in their order, so decoding is unchanged bit for bit.
+
 A model is saved as versioned UTF-8 text (`save_model`, format 2), with
 the model's attribute dictionary in the form the tagger reads, as
 CRFsuite reads its own as is.  After the header, configuration, start,
@@ -73,6 +78,8 @@ rejects a name that is not `[k]base` within the model's window.  Each
 section is read in one pass and validated on whole columns, and a fault
 is reported for the first faulty line in file order, with the same
 error for each kind of fault as a line-by-line reader would raise.
+Loading keeps every attribute a file lists, weighted or not, so every
+valid file reads and saves back as it is.
 """
 
 from __future__ import annotations
@@ -124,10 +131,12 @@ DivergenceError = optim.DivergenceError
 # its 4,100 distinct base names are looked up once each in the model's
 # table, for 18,000 distinct (slot, base name) keys.  That is about
 # 3 MB at the peak, freed once the chunk is encoded.  What is
-# kept is about 15 entries and 5 visits per token.  In decoding a cell
-# entry takes 32 bytes (id, value, cell, one scratch value), a visit 8
-# and a cell's scores 8 per label: some 0.6 KB per token with the
-# emissions, and about 3 MB per chunk.
+# kept is 5 visits per token and the entries of the model's attributes:
+# about 5 per token with the L1-sparse `tag-feeds` model, up to all 18
+# with a dense one.  In decoding a cell entry takes 32 bytes (id, value,
+# cell, one scratch value), a visit 8 and a cell's scores 8 per label:
+# at most some 0.7 KB per token with the emissions, and about 3 MB per
+# chunk.
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
@@ -179,8 +188,12 @@ class CrfModel:
     """Trained weights plus everything needed to reapply them.
 
     A model `train` returns keeps the optimizer's result as
-    `diagnostics`, and its weight arrays are views of `diagnostics.x`;
-    a loaded model has `diagnostics=None`.
+    `diagnostics`, and `transition`, `start` and `end` are views of
+    `diagnostics.x`.  Its index holds only the attributes with a nonzero
+    state weight, so `state` is a view of `diagnostics.x` only when no
+    attribute was dropped, and otherwise a copy of the kept rows.  A
+    loaded model has `diagnostics=None`, and holds every attribute its
+    file lists.
     """
 
     alphabet: TagAlphabet
@@ -1018,7 +1031,8 @@ def train(
 
     Optimization starts from all-zero weights and is deterministic for
     identical inputs.  `progress` receives (iteration, objective) after
-    every accepted optimizer step.
+    every accepted optimizer step.  The model keeps only the attributes
+    with a nonzero state weight; with c1 > 0 most end at exactly zero.
     """
     dataset, index, alphabet = encode_training_set(
         corpus, config, embeddings, ignore_other
@@ -1039,6 +1053,7 @@ def train(
     state, transition, start, end = _unpack(
         result.x, dataset.n_features, dataset.n_labels
     )
+    index, state = _active(index, state, config.window_radius)
     return CrfModel(
         alphabet=alphabet,
         index=index,
@@ -1050,6 +1065,34 @@ def train(
         train_config=train_config,
         diagnostics=result,
     )
+
+
+def _active(
+    index: FeatureIndex, state: np.ndarray, radius: int
+) -> tuple[FeatureIndex, np.ndarray]:
+    """The index and state rows of the attributes with a nonzero state
+    weight, renumbered in their id order; `index` and `state` themselves
+    when every attribute has one.
+
+    A dropped attribute adds only ±0.0 to an emission sum, so the kept
+    ones decode exactly as all of them do.  Bases are numbered in order
+    of their first kept id, and a base with none is dropped, so the
+    table is the one `load_model(save_model(...))` gives.
+    """
+    active = np.any(state != 0, axis=1)
+    if active.all():
+        return index, state
+    table = index.table(radius)
+    # New id by old id; the last entry maps the table's -1 to -1.
+    new_id = np.full(active.size + 1, -1, dtype=np.int64)
+    new_id[np.flatnonzero(active)] = np.arange(np.count_nonzero(active))
+    ids = new_id[table.ids]
+    first = np.where(ids >= 0, ids, active.size).min(axis=1)
+    kept = np.flatnonzero(first < active.size)
+    order = kept[np.argsort(first[kept])]
+    bases = list(table.rows)
+    rows = dict(zip(map(bases.__getitem__, order.tolist()), itertools.count()))
+    return FeatureIndex.from_table(BaseTable(rows, ids[order])), state[active]
 
 
 def tag(

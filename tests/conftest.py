@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 from borrowings.corpus import Corpus, Headline, LabeledSpan, TagAlphabet, Token
-from borrowings.crf import CrfModel, TrainConfig, _config_echo, _format_float
+from borrowings.crf import (
+    CrfModel,
+    TrainConfig,
+    _config_echo,
+    _format_float,
+    _unpack,
+    encode_training_set,
+)
 from borrowings.embeddings import EmbeddingTable
 from borrowings.features import FeatureConfig, FeatureIndex
 
@@ -441,6 +448,34 @@ def save_model_v1(model: CrfModel, stream) -> None:
         "end_of_model",
     ]
     stream.write("\n".join(lines) + "\n")
+
+
+def full_model(model: CrfModel, corpus: Corpus) -> CrfModel:
+    """The model `train` fitted to `corpus` without embeddings, with
+    every attribute of the corpus kept: the index `encode_training_set`
+    assigns, and the state rows of all of `diagnostics.x`."""
+    _, index, alphabet = encode_training_set(corpus, model.feature_config)
+    state = _unpack(model.diagnostics.x, len(index), len(alphabet))[0]
+    return dataclasses.replace(model, index=index, state=state)
+
+
+def without_inactive_v1(text: str) -> str:
+    """A version-1 model text with the attribute names that no state
+    weight line names removed, and the attribute count fixed to match:
+    the file of the model with only its active attributes."""
+    lines = text.split("\n")
+    names_at = lines.index("attribute_names") + 1
+    weights_at = next(
+        i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+    )
+    weighted = {
+        line.split("\t")[0]
+        for line in lines[weights_at + 1 : lines.index("end_of_model")]
+    }
+    kept = [name for name in lines[names_at:weights_at] if name in weighted]
+    count_at = lines.index(f"attributes\t{weights_at - names_at}")
+    lines[count_at] = f"attributes\t{len(kept)}"
+    return "\n".join(lines[:names_at] + kept + lines[weights_at:])
 
 
 def model_from_matrices(e, transition, start, end) -> tuple[CrfModel, list[dict]]:

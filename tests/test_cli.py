@@ -315,12 +315,12 @@ class TestTrainTagEval:
                 ["--c1", "0.1"],
                 ("_two_loop", lambda grad, *history, out, tmp: np.copyto(out, grad)),
                 "trained 0 iterations (stalled), final objective 225.321308, "
-                "1136 attributes",
+                "0 attributes",
             ),
             (
                 [], ("_MAX_BACKTRACKS", 0),
                 "trained 0 iterations (line search failed), "
-                "final objective 225.321308, 1136 attributes",
+                "final objective 225.321308, 0 attributes",
             ),
         ],
         ids=["converged", "iteration-cap", "stalled", "line-search-failed"],

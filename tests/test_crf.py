@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ from borrowings.corpus import (
     LabeledSpan,
     Token,
     bio_to_spans,
+    write_corpus,
 )
 from borrowings.crf import (
     CrfModel,
@@ -56,6 +58,7 @@ from conftest import (
     dp_best_path_min_index,
     enumerate_scores,
     expand_encoding,
+    full_model,
     model_from_matrices,
     open_vocabulary_corpus,
     reference_nll_and_gradient,
@@ -63,6 +66,7 @@ from conftest import (
     save_model_v1,
     synthetic_corpus,
     synthetic_embeddings,
+    without_inactive_v1,
 )
 
 
@@ -966,9 +970,10 @@ class TestTag:
 
 
 # sha256 of the version-1 model file (`save_model_v1`) of a 30-iteration
-# fit to `synthetic_corpus(120, seed=21)`, per (c1, c2).  Recorded before
-# the optimizer reused its work vectors; any change to the iterates or
-# the objective changes them.
+# fit to `synthetic_corpus(120, seed=21)`, per (c1, c2), with every
+# attribute of the corpus kept (`full_model`).  Recorded before the
+# optimizer reused its work vectors; any change to the iterates or the
+# objective changes them.
 PINNED_MODEL_DIGESTS = {
     (0.05, 0.01): "72effef0593ab89c2631e8fc5fd550b95cdc0cb0a25731990229bd3281476839",
     (0.0, 0.01): "862f347ec02f0f6662e45104f6d17adbb8dd439ba35a135ff608133683b8b7a4",
@@ -979,6 +984,14 @@ PINNED_V2_MODEL_DIGESTS = {
     (0.05, 0.01): "62f292a35206d16794a44d235b8072633dfdb11626dd795cd684eb03bd39ecab",
     (0.0, 0.01): "353d2bbcb9dffc1ea037500d7cefcc41e72240d9f490e351354669ee313b9521",
     (0.1, 0.0): "84fd0f833735974255edde128c6a3f56ff54e4b47fcc4f123b45f0f4c214db36",
+}
+# sha256 of the `save_model` text of the models `train` returns, which
+# keep only their active attributes.  The c1 = 0 fit has no inactive
+# one, so its file is the full model's.
+PINNED_ACTIVE_MODEL_DIGESTS = {
+    (0.05, 0.01): "60b4f3e2f1b7521845712e55368030a1aa94f6aa6a043f857337249b96bc7c42",
+    (0.0, 0.01): "353d2bbcb9dffc1ea037500d7cefcc41e72240d9f490e351354669ee313b9521",
+    (0.1, 0.0): "f10c8aa3d3e2bfa6fbc2d936f3132ebcae467573738715310ae5933639b4bc48",
 }
 
 
@@ -995,15 +1008,97 @@ def sha256_of_text(write, model):
 
 @pytest.mark.parametrize("c1, c2", list(PINNED_MODEL_DIGESTS))
 def test_pinned_model_bytes(c1, c2):
+    corpus = synthetic_corpus(120, seed=21)
     model = train(
-        synthetic_corpus(120, seed=21),
-        FeatureConfig(),
-        None,
-        TrainConfig(c1=c1, c2=c2, max_iterations=30),
+        corpus, FeatureConfig(), None, TrainConfig(c1=c1, c2=c2, max_iterations=30)
     )
     assert model.diagnostics.iterations == 30
-    assert sha256_of_text(save_model_v1, model) == PINNED_MODEL_DIGESTS[c1, c2]
-    assert sha256_of_text(save_model, model) == PINNED_V2_MODEL_DIGESTS[c1, c2]
+    full = full_model(model, corpus)
+    assert sha256_of_text(save_model_v1, full) == PINNED_MODEL_DIGESTS[c1, c2]
+    assert sha256_of_text(save_model, full) == PINNED_V2_MODEL_DIGESTS[c1, c2]
+    assert saved_text(save_model_v1, model) == without_inactive_v1(
+        saved_text(save_model_v1, full)
+    )
+    assert sha256_of_text(save_model, model) == PINNED_ACTIVE_MODEL_DIGESTS[c1, c2]
+
+
+def tagged_text(model, corpus):
+    buffer = io.StringIO()
+    write_corpus(tag(model, corpus), buffer)
+    return buffer.getvalue()
+
+
+# Large enough that every state weight of the fits below ends at zero.
+ZEROING_C1 = 1e4
+
+
+class TestActiveAttributes:
+    """`train` keeps only the attributes with a nonzero state weight."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        c1=st.sampled_from([0.0, 0.05, 0.5, ZEROING_C1]),
+    )
+    def test_trained_model_is_the_full_model_without_its_inactive_rows(
+        self, seed, c1
+    ):
+        corpus = open_vocabulary_corpus(12, seed=seed)
+        model = train(
+            corpus,
+            FeatureConfig(),
+            None,
+            TrainConfig(c1=c1, c2=0.01, max_iterations=15),
+        )
+        full = full_model(model, corpus)
+        active = np.any(full.state != 0, axis=1)
+        assert model.n_features == np.count_nonzero(active)
+        assert c1 != ZEROING_C1 or model.n_features == 0
+        # Kept ids keep their relative order.
+        assert model.index.names() == tuple(
+            itertools.compress(full.index.names(), active.tolist())
+        )
+        assert np.array_equal(model.state, full.state[active])
+        radius = model.feature_config.window_radius
+        table = model.index.table(radius)
+        loaded = load_model(io.StringIO(saved_text(save_model, model)))
+        assert list(table.rows.items()) == list(loaded.index.table(radius).rows.items())
+        assert np.array_equal(table.ids, loaded.index.table(radius).ids)
+        for weights in (model.transition, model.start, model.end):
+            assert weights.base is model.diagnostics.x
+        feed = open_vocabulary_corpus(20, seed=seed + 1)
+        assert tagged_text(model, feed) == tagged_text(full, feed)
+
+    def test_a_model_without_attributes_saves_loads_and_tags_o(self):
+        corpus = open_vocabulary_corpus(12, seed=5)
+        model = train(
+            corpus, FeatureConfig(), None, TrainConfig(c1=ZEROING_C1, max_iterations=15)
+        )
+        assert model.n_features == 0
+        text = saved_text(save_model, model)
+        assert "\nattributes\t0\nfeature_config\t" in text
+        assert "\nbase_names\t0\nattribute_ids\nstate_weights\t0\n" in text
+        loaded = load_model(io.StringIO(text))
+        assert saved_text(save_model, loaded) == text
+        feed = open_vocabulary_corpus(20, seed=6)
+        tagged = tag(loaded, feed)
+        assert tagged == tag(model, feed)
+        assert all(not headline.spans for headline in tagged)
+
+    def test_loading_keeps_inactive_attributes(self):
+        corpus = open_vocabulary_corpus(30, seed=4)
+        model = train(
+            corpus,
+            FeatureConfig(),
+            None,
+            TrainConfig(c1=0.05, c2=0.01, max_iterations=30),
+        )
+        full = full_model(model, corpus)
+        assert model.n_features < full.n_features
+        text = saved_text(save_model, full)
+        loaded = load_model(io.StringIO(text))
+        assert loaded.n_features == full.n_features
+        assert saved_text(save_model, loaded) == text
 
 
 class TestPersistence:
