@@ -6,15 +6,22 @@ labeled spans marking unassimilated lexical borrowings, either English
 (ENG) or from another donor language (OTHER).  Spans are stored as
 half-open token intervals and converted to per-token BIO tags only at
 serialization and training time.
+
+Fields are checked once, where they enter: the public constructors
+(`Token`, `Headline`, ...) check their arguments, and `read_corpus`
+checks all token lines of a file in whole-text passes.  Objects built from fields
+already checked (by the reader, or from a model's predicted tags in
+`with_tags`) are made without running those checks again.
 """
 
 from __future__ import annotations
 
 import datetime
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from itertools import repeat
+from typing import IO, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from .errors import ValidationError
 from .rounding import fmt2
@@ -57,8 +64,8 @@ class TagAlphabet:
 
 FULL_ALPHABET = TagAlphabet(("O", "B-ENG", "I-ENG", "B-OTHER", "I-OTHER"))
 ENG_ALPHABET = TagAlphabet(("O", "B-ENG", "I-ENG"))
-# The corpus tags, for the per-token checks of the reader and of
-# `repair_bio`: a set lookup, not a `TagAlphabet.__contains__` call.
+# The corpus tags, for the tag checks of the reader, of `with_tags` and
+# of `repair_bio`: set lookups, not `TagAlphabet.__contains__` calls.
 _CORPUS_TAGS = frozenset(FULL_ALPHABET.tags)
 
 
@@ -255,51 +262,167 @@ def bio_to_spans(tags: Iterable[str]) -> list[LabeledSpan]:
     return spans
 
 
+# Objects whose fields the reader or the tagger has already checked are
+# made with the idiom `Headline.__post_init__` uses, so that no
+# `__post_init__` checks them again.
+_new = object.__new__
+_set = object.__setattr__
+_T = TypeVar("_T")
+
+
+def _build(cls: type[_T], **columns: Sequence[object]) -> list[_T]:
+    """Instances of the frozen dataclass `cls`, one per row of `columns`
+    (one sequence of checked values per field), made column by column.
+
+    The first instance gets all its fields before the others are made.
+    CPython (3.11 to 3.13) sizes a new instance's attribute storage by
+    the fields its class's instances have had so far; instances made before any had
+    all of them would each carry a dict of their own, about 3.5 times
+    the size, and so would every later instance of the class.
+    """
+    n = len(next(iter(columns.values())))
+    if not n:
+        return []
+    first = _new(cls)
+    for name, values in columns.items():
+        _set(first, name, values[0])
+    made = [first, *map(_new, repeat(cls, n - 1))]
+    for name, values in columns.items():
+        deque(map(_set, made, repeat(name), values), maxlen=0)
+    return made
+
+
+def _span(start: int, end: int, label: str) -> LabeledSpan:
+    span = _new(LabeledSpan)
+    _set(span, "start", start)
+    _set(span, "end", end)
+    _set(span, "label", label)
+    return span
+
+
+def _decode_spans(tags: Sequence[str]) -> tuple[LabeledSpan, ...]:
+    """`bio_to_spans(tags)` in one pass, for tags known to be corpus tags.
+
+    An I-X tag continues a span only while an X span is open; otherwise
+    it starts one, as `repair_bio` would have rewritten it to B-X.
+    """
+    if tags.count("O") == len(tags):
+        return ()
+    spans = []
+    start = 0
+    label = None
+    for i, tag in enumerate(tags):
+        if tag == "O":
+            if label is not None:
+                spans.append(_span(start, i, label))
+                label = None
+        elif tag[0] == "B" or tag[2:] != label:
+            if label is not None:
+                spans.append(_span(start, i, label))
+            start, label = i, tag[2:]
+    if label is not None:
+        spans.append(_span(start, len(tags), label))
+    return tuple(spans)
+
+
+def _headlines(
+    ids: Sequence[str],
+    tokens: Sequence[tuple[Token, ...]],
+    tags: list[str],
+    bounds: list[int],
+    dates: Sequence[datetime.date | None],
+    sections: Sequence[str | None],
+) -> list[Headline]:
+    """Headlines from checked columns; headline i gets the spans decoded
+    from its corpus tags `tags[bounds[i]:bounds[i + 1]]`."""
+    spans = [_decode_spans(tags[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return _build(
+        Headline, id=ids, tokens=tokens, spans=spans, date=dates, section=sections
+    )
+
+
+def with_tags(
+    headlines: Sequence[Headline], tags: list[str], bounds: list[int]
+) -> list[Headline]:
+    """`headlines` with their spans replaced by `bio_to_spans` of their
+    slices `tags[bounds[i]:bounds[i + 1]]`; nothing else is checked again."""
+    if not _CORPUS_TAGS.issuperset(tags):
+        unknown = next(tag for tag in tags if tag not in _CORPUS_TAGS)
+        raise ValidationError(f"unknown tag {unknown!r}")
+    return _headlines(
+        [h.id for h in headlines],
+        [h.tokens for h in headlines],
+        tags,
+        bounds,
+        [h.date for h in headlines],
+        [h.section for h in headlines],
+    )
+
+
 _META_KEYS = ("id", "date", "section")
+_META_RE = re.compile(r"#\s*([^=\s]+)\s*=\s*(.*\S)\s*$")
 
 
-class _Block:
-    """Mutable accumulator for the headline block being parsed."""
-
-    def __init__(self) -> None:
-        self.meta: dict[str, str] = {}
-        self.tokens: list[Token] = []
-        self.tags: list[str] = []
-        self.first_line = 0
-
-    def empty(self) -> bool:
-        return not self.meta and not self.tokens
-
-
-def _fail(lineno: int, message: str) -> None:
+def _fail(lineno: int, message: str) -> NoReturn:
     raise ValidationError(f"line {lineno}: {message}")
 
 
-def _finish_block(block: _Block, lineno: int) -> Headline:
-    if "id" not in block.meta:
-        _fail(block.first_line, "headline block is missing an id")
-    if not block.tokens:
-        _fail(block.first_line, "headline block has no token lines")
-    date = None
-    if "date" in block.meta:
+def _read_meta(lines: list[str], first: int, stop: int) -> dict[str, str]:
+    """The metadata of the comment lines `lines[first:stop]`."""
+    meta: dict[str, str] = {}
+    for lineno, line in enumerate(lines[first:stop], first + 1):
+        match = _META_RE.match(line)
+        if not match:
+            _fail(lineno, f"malformed metadata comment {line!r}")
+        key, value = match.groups()
+        if key not in _META_KEYS:
+            _fail(lineno, f"unknown metadata key {key!r}")
+        if key in meta:
+            _fail(lineno, f"duplicate metadata key {key!r}")
+        meta[key] = value
+    return meta
+
+
+# A valid token line: a text that does not start with `#`, a POS field
+# and a corpus tag, separated by tabs.  `\S` matches exactly the
+# characters `str.isspace` rejects, so both fields pass
+# `_check_token_field`.  Within a block's token lines, a line starting
+# with `#` is a metadata comment after token lines.
+_TOKEN_LINE = r"[^\s#]\S*\t\S+\t(?:%s)" % "|".join(FULL_ALPHABET.tags)
+_TOKEN_LINES = re.compile(rf"{_TOKEN_LINE}(?:\n{_TOKEN_LINE})*")
+
+
+def _columns(rows: list[str]) -> list[str] | None:
+    """The fields of the token lines `rows`, three per line, or None when
+    one of them is not a valid token line.
+
+    All lines are checked by one pass of `_TOKEN_LINES` over their text
+    and split into fields by one more.
+    """
+    if not rows:
+        return []
+    if _TOKEN_LINES.fullmatch("\n".join(rows)) is None:
+        return None
+    return "\t".join(rows).split("\t")
+
+
+def _scan_rows(lines: list[str], first: int, stop: int) -> None:
+    """Raise the error of the first faulty token line in `lines[first:stop]`."""
+    for lineno, line in enumerate(lines[first:stop], first + 1):
+        if line.startswith("#"):
+            _fail(lineno, "metadata comment after token lines")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            _fail(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+        text, pos, tag = fields
+        if tag not in _CORPUS_TAGS:
+            _fail(lineno, f"unknown tag {tag!r}")
         try:
-            date = datetime.date.fromisoformat(block.meta["date"])
-        except ValueError:
-            _fail(block.first_line, f"bad date {block.meta['date']!r}")
-    try:
-        spans = bio_to_spans(block.tags)
-        return Headline(
-            id=block.meta["id"],
-            tokens=tuple(block.tokens),
-            spans=tuple(spans),
-            date=date,
-            section=block.meta.get("section"),
-        )
-    except ValidationError as exc:
-        _fail(block.first_line, str(exc))
-
-
-_META_RE = re.compile(r"#\s*([^=\s]+)\s*=\s*(.*\S)\s*$")
+            _check_token_field(text, "token text")
+            if pos != "_":
+                _check_token_field(pos, "pos tag")
+        except ValidationError as exc:
+            _fail(lineno, str(exc))
 
 
 def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
@@ -308,47 +431,63 @@ def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
     Blocks of TOKEN<TAB>POS<TAB>TAG lines are separated by blank lines
     and preceded by `# key = value` metadata comments; `_` marks an
     absent POS tag.  Every format violation raises ValidationError with
-    the offending line number.
+    the line number of the first one in file order.
+
+    The token lines of all blocks are checked together and split into
+    columns in whole-text passes (`_columns`); only when that check
+    fails is each block checked on its own, and a failing block scanned
+    line by line for its first faulty line.
     """
-    headlines: list[Headline] = []
-    block = _Block()
-    lineno = 0
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            if not block.empty():
-                headlines.append(_finish_block(block, lineno))
-                block = _Block()
-            continue
-        if block.empty():
-            block.first_line = lineno
-        if line.startswith("#"):
-            if block.tokens:
-                _fail(lineno, "metadata comment after token lines")
-            match = _META_RE.match(line)
-            if not match:
-                _fail(lineno, f"malformed metadata comment {line!r}")
-            key, value = match.group(1), match.group(2)
-            if key not in _META_KEYS:
-                _fail(lineno, f"unknown metadata key {key!r}")
-            if key in block.meta:
-                _fail(lineno, f"duplicate metadata key {key!r}")
-            block.meta[key] = value
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            _fail(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-        text, pos, tag = fields
-        if tag not in _CORPUS_TAGS:
-            _fail(lineno, f"unknown tag {tag!r}")
-        try:
-            block.tokens.append(Token(text, None if pos == "_" else pos))
-        except ValidationError as exc:
-            _fail(lineno, str(exc))
-        block.tags.append(tag)
-    if not block.empty():
-        headlines.append(_finish_block(block, lineno + 1))
-    return Corpus(name, tuple(headlines))
+    text = stream.read()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    edges = [-1]
+    edges += [i for i, line in enumerate(lines) if not line.strip()]
+    edges.append(len(lines))
+    # (first line, first token line, end) of each block.
+    blocks = []
+    rows: list[str] = []
+    for blank, end in zip(edges, edges[1:]):
+        first = row = blank + 1
+        if first < end:
+            while row < end and lines[row].startswith("#"):
+                row += 1
+            blocks.append((first, row, end))
+            rows += lines[row:end]
+    fields = _columns(rows)
+    ids, dates, sections, bounds = [], [], [], [0]
+    for first, row, end in blocks:
+        meta = _read_meta(lines, first, row)
+        if fields is None and _columns(lines[row:end]) is None:
+            _scan_rows(lines, row, end)
+        if "id" not in meta:
+            _fail(first + 1, "headline block is missing an id")
+        if row == end:
+            _fail(first + 1, "headline block has no token lines")
+        date = meta.get("date")
+        if date is not None:
+            try:
+                date = datetime.date.fromisoformat(date)
+            except ValueError:
+                _fail(first + 1, f"bad date {date!r}")
+        ids.append(meta["id"])
+        dates.append(date)
+        sections.append(meta.get("section"))
+        bounds.append(bounds[-1] + end - row)
+    # A faulty token line was raised above, in file order.
+    assert fields is not None
+    tokens = _build(
+        Token,
+        text=fields[0::3],
+        pos=[None if pos == "_" else pos for pos in fields[1::3]],
+    )
+    tokens_of = [tuple(tokens[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return Corpus(
+        name, _headlines(ids, tokens_of, fields[2::3], bounds, dates, sections)
+    )
 
 
 def write_corpus(corpus: Corpus, stream: IO[str]) -> None:

@@ -99,8 +99,8 @@ from .corpus import (
     Headline,
     TagAlphabet,
     alphabet_for,
-    bio_to_spans,
     spans_to_bio,
+    with_tags,
 )
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, ValidationError
@@ -1117,11 +1117,7 @@ def tag(
             chunk, model.feature_config, embeddings, model.index
         )
         tags = [model.alphabet.tags[i] for i in _decode(model, enc).tolist()]
-        bounds = enc.offsets.tolist()
-        tagged.extend(
-            dataclasses.replace(headline, spans=tuple(bio_to_spans(tags[lo:hi])))
-            for headline, lo, hi in zip(chunk, bounds, bounds[1:])
-        )
+        tagged += with_tags(chunk, tags, enc.offsets.tolist())
     return Corpus(corpus.name, tuple(tagged))
 
 

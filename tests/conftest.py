@@ -9,13 +9,24 @@ token in `vvk`, while filler tokens never do.
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from borrowings.corpus import Corpus, Headline, LabeledSpan, TagAlphabet, Token
+from borrowings.corpus import (
+    FULL_ALPHABET,
+    Corpus,
+    Headline,
+    LabeledSpan,
+    TagAlphabet,
+    Token,
+    bio_to_spans,
+)
 from borrowings.crf import (
     CrfModel,
     TrainConfig,
@@ -23,9 +34,11 @@ from borrowings.crf import (
     _format_float,
     _unpack,
     encode_training_set,
+    viterbi,
 )
 from borrowings.embeddings import EmbeddingTable
-from borrowings.features import FeatureConfig, FeatureIndex
+from borrowings.errors import ValidationError
+from borrowings.features import FeatureConfig, FeatureIndex, windowed_attributes
 
 FILLERS = (
     "casa", "mercado", "gobierno", "serie", "nueva", "temporada",
@@ -476,6 +489,153 @@ def without_inactive_v1(text: str) -> str:
     count_at = lines.index(f"attributes\t{weights_at - names_at}")
     lines[count_at] = f"attributes\t{len(kept)}"
     return "\n".join(lines[:names_at] + kept + lines[weights_at:])
+
+
+_ORACLE_META_KEYS = ("id", "date", "section")
+
+
+class _OracleBlock:
+    """Mutable accumulator for the headline block being parsed."""
+
+    def __init__(self) -> None:
+        self.meta: dict[str, str] = {}
+        self.tokens: list[Token] = []
+        self.tags: list[str] = []
+        self.first_line = 0
+
+    def empty(self) -> bool:
+        return not self.meta and not self.tokens
+
+
+def _oracle_fail(lineno: int, message: str) -> None:
+    raise ValidationError(f"line {lineno}: {message}")
+
+
+def _oracle_finish_block(block: _OracleBlock, lineno: int) -> Headline:
+    if "id" not in block.meta:
+        _oracle_fail(block.first_line, "headline block is missing an id")
+    if not block.tokens:
+        _oracle_fail(block.first_line, "headline block has no token lines")
+    date = None
+    if "date" in block.meta:
+        try:
+            date = datetime.date.fromisoformat(block.meta["date"])
+        except ValueError:
+            _oracle_fail(block.first_line, f"bad date {block.meta['date']!r}")
+    try:
+        spans = bio_to_spans(block.tags)
+        return Headline(
+            id=block.meta["id"],
+            tokens=tuple(block.tokens),
+            spans=tuple(spans),
+            date=date,
+            section=block.meta.get("section"),
+        )
+    except ValidationError as exc:
+        _oracle_fail(block.first_line, str(exc))
+
+
+_ORACLE_META_RE = re.compile(r"#\s*([^=\s]+)\s*=\s*(.*\S)\s*$")
+
+
+def read_corpus_oracle(stream, name: str = "corpus") -> Corpus:
+    """The line-by-line corpus reader, kept as an oracle for
+    `read_corpus`: each line is checked as it is read, each token by
+    `Token`, each headline by `bio_to_spans` and `Headline`, and a
+    block's own faults (no id, no tokens, a bad date) are raised when
+    the line after it is read."""
+    headlines: list[Headline] = []
+    block = _OracleBlock()
+    lineno = 0
+    for lineno, raw in enumerate(stream, 1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            if not block.empty():
+                headlines.append(_oracle_finish_block(block, lineno))
+                block = _OracleBlock()
+            continue
+        if block.empty():
+            block.first_line = lineno
+        if line.startswith("#"):
+            if block.tokens:
+                _oracle_fail(lineno, "metadata comment after token lines")
+            match = _ORACLE_META_RE.match(line)
+            if not match:
+                _oracle_fail(lineno, f"malformed metadata comment {line!r}")
+            key, value = match.group(1), match.group(2)
+            if key not in _ORACLE_META_KEYS:
+                _oracle_fail(lineno, f"unknown metadata key {key!r}")
+            if key in block.meta:
+                _oracle_fail(lineno, f"duplicate metadata key {key!r}")
+            block.meta[key] = value
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            _oracle_fail(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+        text, pos, tag = fields
+        if tag not in FULL_ALPHABET:
+            _oracle_fail(lineno, f"unknown tag {tag!r}")
+        try:
+            block.tokens.append(Token(text, None if pos == "_" else pos))
+        except ValidationError as exc:
+            _oracle_fail(lineno, str(exc))
+        block.tags.append(tag)
+    if not block.empty():
+        headlines.append(_oracle_finish_block(block, lineno + 1))
+    return Corpus(name, tuple(headlines))
+
+
+def tag_oracle(model: CrfModel, corpus: Corpus, embeddings=None) -> Corpus:
+    """`crf.tag` one headline at a time: each headline's Viterbi path
+    decoded by `bio_to_spans` and put in with `dataclasses.replace`."""
+    return Corpus(corpus.name, tuple(
+        dataclasses.replace(headline, spans=tuple(bio_to_spans(viterbi(
+            model, windowed_attributes(headline, model.feature_config, embeddings)
+        ))))
+        for headline in corpus
+    ))
+
+
+@st.composite
+def line_mutations(draw, fields, lines=(), kinds=("drop", "duplicate", "swap", "field", "cut")):
+    """One edit of a text's lines: drop, duplicate or swap lines, replace
+    a field with one of `fields`, cut the text at an offset, insert one of
+    `lines`, or end a line with a carriage return (`cr`).  Line numbers
+    are taken modulo the text's length; small ones hit its head."""
+    line = st.integers(0, 40) | st.integers(0, 10**6)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "field":
+        return kind, draw(line), draw(st.integers(0, 10)), draw(st.sampled_from(fields))
+    if kind == "insert":
+        return kind, draw(line), draw(st.sampled_from(lines))
+    if kind == "cut":
+        return kind, draw(st.integers(0, 10**7))
+    return kind, draw(line), draw(line)
+
+
+def mutate(text: str, mutation, sep: str = "\t") -> str:
+    """`text` with one `line_mutations` edit made; fields are split at `sep`."""
+    kind, *args = mutation
+    if kind == "cut":
+        return text[: args[0] % (len(text) + 1)]
+    lines = text.split("\n")
+    i = args[0] % len(lines)
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(args[1] % (len(lines) + 1), lines[i])
+    elif kind == "swap":
+        j = args[1] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "insert":
+        lines.insert(i, args[1])
+    elif kind == "cr":
+        lines[i] += "\r"
+    else:
+        fields = lines[i].split(sep)
+        fields[args[1] % len(fields)] = args[2]
+        lines[i] = sep.join(fields)
+    return "\n".join(lines)
 
 
 def model_from_matrices(e, transition, start, end) -> tuple[CrfModel, list[dict]]:

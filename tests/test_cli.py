@@ -6,14 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import borrowings
 from borrowings import cli
 from borrowings.cli import RunConfig, run
 from borrowings.corpus import read_corpus, write_corpus
 from borrowings.crf import TrainConfig
+from borrowings.errors import ConfigError, ValidationError
 from borrowings.features import FeatureConfig
 from conftest import (
+    line_mutations,
+    mutate,
     open_vocabulary_corpus,
     synthetic_corpus,
     synthetic_embeddings,
@@ -426,6 +430,59 @@ class TestConfigFile:
         train_keys = {f.name for f in fields(TrainConfig)}
         assert not own & (feature_keys | train_keys)
         assert set(cli._KEY_PARSERS) == own | feature_keys | train_keys
+
+
+# A configuration file to corrupt, and the fields (split at `=`) and
+# lines a corrupted one may hold.
+CONFIG_TEXT = """# pipeline settings
+
+train_corpus = train.tsv
+c1 = 0.05
+c2 = 0.01
+max_iterations = 40
+window_radius = 2
+embedding = false
+embedding_scaling = 1.5
+ignore_other = true
+c1_values = 0.05, 0.1
+embedding_tables = none, table.vec
+"""
+JUNK_CONFIG_FIELDS = (
+    "", " ", "-1", "0", "nan", "inf", "1e999", "true", "yes", ",", "none",
+    "c1", "mystery", "\x00", "\u2028", "0x10", "1" * 5000,
+)
+JUNK_CONFIG_LINES = ("", "  ", "#", "=", "c2 = 0.2", "period = 0", "lbfgs_memory = -3")
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "run.conf"
+
+
+class TestCorruptedConfigFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mutations=st.lists(
+            line_mutations(
+                JUNK_CONFIG_FIELDS,
+                JUNK_CONFIG_LINES,
+                ("drop", "duplicate", "swap", "field", "cut", "insert", "cr"),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_only_validation_or_config_errors_are_raised(self, config_path, mutations):
+        text = CONFIG_TEXT
+        for mutation in mutations:
+            text = mutate(text, mutation, sep="=")
+        with open(config_path, "w", encoding="utf-8", newline="") as stream:
+            stream.write(text)
+        try:
+            cli.read_config_file(str(config_path))
+            cli.build_run_config(str(config_path), {})
+        except (ValidationError, ConfigError):
+            pass
 
 
 class TestNonFiniteSettings:

@@ -1,9 +1,12 @@
 import datetime
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from borrowings.corpus import (
     ENG_ALPHABET,
@@ -22,9 +25,11 @@ from borrowings.corpus import (
     spans_to_bio,
     tokenize,
     validate_spans,
+    with_tags,
     write_corpus,
 )
 from borrowings.errors import ValidationError
+from conftest import line_mutations, mutate, open_vocabulary_corpus, read_corpus_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -327,6 +332,147 @@ class TestReadWrite:
         text = "# id = h\n \t_\tO\n"
         with pytest.raises(ValidationError, match="line 2"):
             read_corpus(io.StringIO(text))
+
+
+def written(corpus):
+    out = io.StringIO()
+    write_corpus(corpus, out)
+    return out.getvalue()
+
+
+# Valid corpus texts that the mutations start from.
+BASE_TEXTS = (
+    SAMPLE_TEXT,
+    (DATA / "sample.tsv").read_text(encoding="utf-8"),
+    written(open_vocabulary_corpus(6, seed=5)),
+    # Stray inside tags, CRLF line ends and whitespace-only separators.
+    "# id = a\r\n# date = 2021-01-31\r\nx\t_\tI-ENG\r\ny\tNOUN\tI-OTHER\r\n"
+    " \t \r\n# id = b\r\n# section = tv\r\nz\t_\tB-OTHER\r\nw\t_\tI-ENG\r\n",
+)
+# Fields and whole lines a mutated corpus text may hold: empty and
+# whitespace-only fields, characters `str.split` treats as whitespace
+# (\x1c, \x85, \u2028) or not (NUL, BOM), tags and metadata.
+JUNK_FIELDS = (
+    "", " ", "_", "\x00", "\ufeff", "\x1c", "\x85", "\u2028", "\r", "a b",
+    "#", "#x", "O", "I-ENG", "B-OTHER", "B-FRA", "x\ty",
+)
+JUNK_LINES = (
+    "", " ", "\t", " \r", "\x1c", "\u2028", "#", "# id = dup", "# id = h1",
+    "# date = 2020-02-30", "# date = 2021-03-04", "# section = tv",
+    "# author = x", "x\t_\tI-ENG", "x\tNOUN\tO", "x\tNOUN", "x\t_\tO\t",
+    "#x\t_\tO",
+)
+CORPUS_MUTATIONS = line_mutations(
+    JUNK_FIELDS, JUNK_LINES, ("drop", "duplicate", "swap", "field", "cut", "insert", "cr")
+)
+
+
+@st.composite
+def mutated_texts(draw):
+    text = draw(st.sampled_from(BASE_TEXTS))
+    for mutation in draw(st.lists(CORPUS_MUTATIONS, max_size=4)):
+        text = mutate(text, mutation)
+    return text
+
+
+def outcome(reader, text):
+    """What `reader` makes of `text`: its corpus, or its error message."""
+    try:
+        return reader(io.StringIO(text))
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestReaderMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(text=mutated_texts())
+    @example(text="")
+    @example(text="# id = h\nsolo\t_\tO")
+    @example(text="# id = h\nsolo\t_\tO\n# section = tv\nmore\t_\tB-FRA\n")
+    @example(text="# id = a\nx\t_\tO\n \t\x1c\n# id = b\ny\t_\tI-ENG\n")
+    @example(text="# id = a\nx\tO\n\n# id\ny\t_\tO\n")
+    @example(text="x\t_\tO\n\n# id = b\n\n# id = c\ny\t_\tO\n")
+    @example(text="# id = a\n# date = 2020-13-45\nx\t_\tO\n\n# id = b\n#x\t_\tO\n")
+    @example(text="# id = a\nx\t_\tO\n\n# id = a\ny\t_\tZ\n")
+    @example(text="# id = a\nx\t_\tO\n#y\t_\tO\n")
+    def test_same_corpus_or_same_error(self, text):
+        expected = outcome(read_corpus_oracle, text)
+        assert outcome(read_corpus, text) == expected
+        if isinstance(expected, Corpus):
+            # Equal headlines: the same ids, tokens, spans, dates and
+            # sections; and the same bytes written back.
+            assert written(read_corpus(io.StringIO(text))) == written(expected)
+
+    @pytest.mark.parametrize("base", range(len(BASE_TEXTS)))
+    def test_written_text_reads_back_to_itself(self, base):
+        text = written(read_corpus(io.StringIO(BASE_TEXTS[base])))
+        assert written(read_corpus(io.StringIO(text))) == text
+
+    def test_reads_a_file_with_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(SAMPLE_TEXT.replace("\n", "\r\n").encode("utf-8"))
+        with open(path, encoding="utf-8") as stream:
+            assert read_corpus(stream) == read_corpus(io.StringIO(SAMPLE_TEXT))
+
+
+def kept_bytes(reader: str, text: str) -> int:
+    """Bytes still allocated after `reader` read `text`, in a fresh
+    interpreter whose corpus classes have made no instance yet."""
+    code = (
+        "import io, sys, tracemalloc\n"
+        "from borrowings.corpus import read_corpus\n"
+        "from conftest import read_corpus_oracle\n"
+        "text = sys.stdin.read()\n"
+        "tracemalloc.start()\n"
+        f"corpus = {reader}(io.StringIO(text))\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        input=text,
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return int(done.stdout)
+
+
+def test_read_headlines_take_no_more_memory_than_constructed_ones():
+    # Objects made field by field must share their class's attribute
+    # layout, as constructed ones do, not carry a dict each.
+    text = written(open_vocabulary_corpus(200, seed=6))
+    assert kept_bytes("read_corpus", text) <= 1.05 * kept_bytes("read_corpus_oracle", text)
+
+
+class TestDecodedSpans:
+    @settings(max_examples=300, deadline=None)
+    @given(tags=st.lists(st.sampled_from(FULL_ALPHABET.tags), min_size=1, max_size=12))
+    def test_with_tags_decodes_as_bio_to_spans(self, tags):
+        tokens = tuple(Token(f"w{i}") for i in range(len(tags)))
+        headline = Headline("h", tokens, date=datetime.date(2020, 1, 2), section="tv")
+        (out,) = with_tags([headline], list(tags), [0, len(tags)])
+        assert out == Headline(
+            "h", tokens, tuple(bio_to_spans(tags)), datetime.date(2020, 1, 2), "tv"
+        )
+        assert all(type(span) is LabeledSpan for span in out.spans)
+
+    def test_with_tags_slices_each_headline(self):
+        h1 = Headline("a", (Token("x"), Token("y")), (LabeledSpan(0, 1, "ENG"),))
+        h2 = Headline("b", (Token("z"),))
+        out = with_tags([h1, h2], ["O", "I-OTHER", "B-ENG"], [0, 2, 3])
+        assert [h.spans for h in out] == [
+            (LabeledSpan(1, 2, "OTHER"),), (LabeledSpan(0, 1, "ENG"),)
+        ]
+        assert [h.id for h in out] == ["a", "b"]
+        assert out[0].tokens is h1.tokens
+
+    def test_with_tags_rejects_the_first_unknown_tag(self):
+        h = Headline("a", (Token("x"), Token("y"), Token("z")))
+        with pytest.raises(ValidationError, match="unknown tag 'B-FRA'"):
+            with_tags([h], ["O", "B-FRA", "X"], [0, 3])
 
 
 def make_headline(hid, n_tokens, spans=(), section=None):

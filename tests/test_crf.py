@@ -17,6 +17,7 @@ from borrowings.corpus import (
     Corpus,
     Headline,
     LabeledSpan,
+    TagAlphabet,
     Token,
     bio_to_spans,
     write_corpus,
@@ -59,13 +60,16 @@ from conftest import (
     enumerate_scores,
     expand_encoding,
     full_model,
+    line_mutations,
     model_from_matrices,
+    mutate,
     open_vocabulary_corpus,
     reference_nll_and_gradient,
     reference_partition_and_pairs,
     save_model_v1,
     synthetic_corpus,
     synthetic_embeddings,
+    tag_oracle,
     without_inactive_v1,
 )
 
@@ -1022,10 +1026,14 @@ def test_pinned_model_bytes(c1, c2):
     assert sha256_of_text(save_model, model) == PINNED_ACTIVE_MODEL_DIGESTS[c1, c2]
 
 
-def tagged_text(model, corpus):
+def written_text(corpus):
     buffer = io.StringIO()
-    write_corpus(tag(model, corpus), buffer)
+    write_corpus(corpus, buffer)
     return buffer.getvalue()
+
+
+def tagged_text(model, corpus):
+    return written_text(tag(model, corpus))
 
 
 # Large enough that every state weight of the fits below ends at zero.
@@ -1552,41 +1560,6 @@ KINDS = ["sparse", "dense", "sparse-v1", "dense-v1"]
 JUNK_FIELDS = ("junk", "nan", "inf", "-inf", "")
 
 
-@st.composite
-def model_mutations(draw):
-    """One edit of a model file's lines: drop, duplicate or swap lines,
-    replace a field, or cut the text at an offset.  Line numbers are
-    taken modulo the file's length; small ones hit the header."""
-    line = st.integers(0, 40) | st.integers(0, 10**6)
-    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "field", "cut")))
-    if kind == "field":
-        field = draw(st.integers(0, 10))
-        return kind, draw(line), field, draw(st.sampled_from(JUNK_FIELDS))
-    if kind == "cut":
-        return kind, draw(st.integers(0, 10**7))
-    return kind, draw(line), draw(line)
-
-
-def mutate(text, mutation):
-    kind, *args = mutation
-    if kind == "cut":
-        return text[: args[0] % (len(text) + 1)]
-    lines = text.split("\n")
-    i = args[0] % len(lines)
-    if kind == "drop":
-        del lines[i]
-    elif kind == "duplicate":
-        lines.insert(args[1] % (len(lines) + 1), lines[i])
-    elif kind == "swap":
-        j = args[1] % len(lines)
-        lines[i], lines[j] = lines[j], lines[i]
-    else:
-        fields = lines[i].split("\t")
-        fields[args[1] % len(fields)] = args[2]
-        lines[i] = "\t".join(fields)
-    return "\n".join(lines)
-
-
 class TestCorruptedModelFiles:
     @pytest.mark.parametrize("kind", KINDS)
     def test_unmutated_files_round_trip_byte_for_byte(self, saved_models, kind):
@@ -1610,7 +1583,7 @@ class TestCorruptedModelFiles:
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=150, deadline=None)
-    @given(mutations=st.lists(model_mutations(), min_size=1, max_size=3))
+    @given(mutations=st.lists(line_mutations(JUNK_FIELDS), min_size=1, max_size=3))
     @example(mutations=[("field", 1, 1, "junk")])
     @example(mutations=[("swap", 1, 2)])
     def test_only_model_format_errors_are_raised(self, saved_models, kind, mutations):
@@ -1626,3 +1599,33 @@ class TestCorruptedModelFiles:
         save_model(model, again)
         reloaded = load_model(io.StringIO(again.getvalue()))
         assert reloaded.index.names() == model.index.names()
+
+
+class TestTagMatchesReplaceOracle:
+    # The sparse model is fitted with c1 = 0.05, the dense one with c1 = 0.
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("chunk", [7, 512])
+    def test_tagged_headlines_equal_the_oracle(
+        self, saved_models, kind, chunk, monkeypatch
+    ):
+        monkeypatch.setattr(crf, "_TAG_CHUNK", chunk)
+        model = load_model(io.StringIO(saved_models[kind]))
+        for seed in (8, 9):
+            feed = open_vocabulary_corpus(40, seed=seed)
+            expected = tag_oracle(model, feed)
+            assert any(headline.spans for headline in expected)
+            tagged = tag(model, feed)
+            assert tagged == expected
+            assert tagged_text(model, feed) == written_text(expected)
+
+    def test_unknown_predicted_tag_is_rejected(self, saved_models):
+        model = load_model(io.StringIO(saved_models["sparse"]))
+        renamed = TagAlphabet(tuple(
+            "B-FRA" if t == "B-ENG" else t for t in model.alphabet.tags
+        ))
+        feed = open_vocabulary_corpus(40, seed=8)
+        assert any(
+            span.label == "ENG" for h in tag(model, feed) for span in h.spans
+        )
+        with pytest.raises(ValidationError, match="unknown tag 'B-FRA'"):
+            tag(dataclasses.replace(model, alphabet=renamed), feed)

@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borrowings.corpus import Headline, Token
 from borrowings.embeddings import EmbeddingTable, load_embeddings
 from borrowings.errors import ValidationError
 from borrowings.features import FeatureConfig, extract_token_attributes
+from conftest import line_mutations, mutate
 
 
 def load(text, **kwargs):
@@ -122,3 +124,40 @@ def test_scaling_linearity():
         )
         for i in range(3):
             assert scaled[f"emb{i}"] == pytest.approx(s * base[f"emb{i}"])
+
+
+# A small table to corrupt, and the fields and lines a corrupted one may hold.
+TABLE_TEXT = "3 3\ncasa 0.1 0.2 0.3\nperro 1 2 3\ngato -1e-3 4 5.5\ncasa 7 8 9\n"
+JUNK_COMPONENTS = (
+    "", "x", "nan", "inf", "-inf", "1e999", "\x00", "0x1", "\u0661", "1_0",
+    "\u2028", "\x85", "\ufeff", "3 3", "casa",
+)
+JUNK_LINES = ("", " ", "2 3", "0 3", "3", "casa", "perro 1 2", "gato 1 2 3 4", "\x1c")
+
+
+class TestCorruptedTables:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mutations=st.lists(
+            line_mutations(
+                JUNK_COMPONENTS,
+                JUNK_LINES,
+                ("drop", "duplicate", "swap", "field", "cut", "insert", "cr"),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        expected_dim=st.sampled_from([None, 3]),
+    )
+    def test_only_validation_errors_are_raised(self, mutations, expected_dim):
+        text = TABLE_TEXT
+        for mutation in mutations:
+            text = mutate(text, mutation, sep=" ")
+        try:
+            table = load(text, expected_dim=expected_dim)
+        except ValidationError:
+            return
+        assert table.dim >= 1 and len(table) >= 1
+        for vector in table.vectors.values():
+            assert vector.shape == (table.dim,)
+            assert np.isfinite(vector).all()

@@ -2,10 +2,12 @@ import datetime
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borrowings.corpus import read_corpus, write_corpus
 from borrowings.errors import ValidationError
 from borrowings.ingest import FeedItem, items_to_corpus, parse_rss
+from conftest import line_mutations, mutate
 
 
 def feed(items_xml):
@@ -191,3 +193,64 @@ class TestItemsToCorpus:
         corpus, summary = items_to_corpus([])
         assert len(corpus) == 0
         assert (summary.added, summary.duplicates, summary.collisions) == (0, 0, 0)
+
+
+# A feed to corrupt, one element per line, and the fields (split at `>`)
+# and lines a corrupted feed may hold.
+FEED_TEXT = """<?xml version='1.0'?>
+<rss version='2.0'>
+<channel>
+<title>Diario</title>
+<item>
+<title>El 'streaming' llega</title>
+<pubDate>Mon, 03 Feb 2020 08:00:00 +0100</pubDate>
+<link>https://example.com/tecnologia/1</link>
+</item>
+<item>
+<title>Otra noticia</title>
+</item>
+</channel>
+</rss>
+"""
+JUNK_FIELDS = (
+    "", "<", "&", "&amp;", "&#0;", "]]>", "<item", "</item", "<title", "</title",
+    "\x00", " ", "<![CDATA[x]]", "<?xml version='1.0' encoding='utf-16'?",
+    "Mon, 99 Feb 2020 08:00:00 +0100</pubDate", "32 Feb 99999 08:00:00 +9999</pubDate",
+)
+JUNK_LINES = (
+    "<item><title>   </title></item>",
+    "<item><title>El 'streaming' llega</title>"
+    "<pubDate>Mon, 03 Feb 2020 08:00:00 +0100</pubDate></item>",
+    "<item><title>#hashtag</title><pubDate>Tue, 04 Feb 2020</pubDate></item>",
+    "<pubDate>Mon, 03 Feb 2020 25:61:00 +0100</pubDate>",
+    "<pubDate>Mon, 03 Feb 10000 08:00:00 -2400</pubDate>",
+    "<link>https://example.com/</link>",
+    "<channel>",
+    "</rss>",
+)
+
+
+class TestCorruptedFeeds:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mutations=st.lists(
+            line_mutations(
+                JUNK_FIELDS,
+                JUNK_LINES,
+                ("drop", "duplicate", "swap", "field", "cut", "insert", "cr"),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_only_validation_errors_are_raised(self, mutations):
+        text = FEED_TEXT
+        for mutation in mutations:
+            text = mutate(text, mutation, sep=">")
+        try:
+            items, _ = parse_rss(io.StringIO(text))
+        except ValidationError:
+            return
+        corpus, summary = items_to_corpus(items, existing_ids={"nodate-0001"})
+        assert summary.added == len(corpus)
+        assert all(len(headline) > 0 for headline in corpus)
