@@ -32,15 +32,23 @@ visits, plus the token offset of every sequence.  Emissions take one
 `np.bincount` per label over the cell entries, giving a score per cell,
 and then one gather per window slot; the state gradient sums the
 residuals of each cell's visits first, then takes one `np.bincount` per
-label over the cell entries.  Forward-backward and Viterbi then loop
-once over time steps for the whole batch, as packed sequences do in
-cuDNN: step t takes token t of every sequence longer than t, with the
-sequences ranked by descending length, so each step is one contiguous
-block of rows that continues the first rows of the step before.  No
-sequence is padded, and each token's marginals and best label are
-those of its sequence decoded alone, bit for bit.  Sums over tokens
-and sequences (log Z, pair marginals) run in packed row order, which
-the sequence lengths and their input order fix.
+label over the cell entries.  Each cell sums its entries in entry
+order, starting from 0.0.  The training objective keeps that order but
+interleaves the cells: it visits entry 0 of every cell, then entry 1
+of every cell that has one, and so on, with the cells ranked by
+descending entry count, as the sequences are below.  Each rank then
+adds one weight row onto each of the first cells, as one block for
+every label at once, and consecutive adds never go to the same cell;
+every score is the same to the bit.  The state gradient, which sums
+by attribute id, keeps the stored order.  Forward-backward and Viterbi
+then loop once over time steps for the whole batch, as packed
+sequences do in cuDNN: step t takes token t of every sequence longer
+than t, with the sequences ranked by descending length, so each step
+is one contiguous block of rows that continues the first rows of the
+step before.  No sequence is padded, and each token's marginals and
+best label are those of its sequence decoded alone, bit for bit.  Sums
+over tokens and sequences (log Z, pair marginals) run in packed row
+order, which the sequence lengths and their input order fix.
 
 Corpora are encoded without building any windowed attribute name per
 token, and with Python work that grows with the token types and the
@@ -598,8 +606,10 @@ def index_corpus(
 def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
     """(n_tokens, L) emission scores.
 
-    Each cell's entries are summed in entry order, then each token's
-    cell scores in ascending slot order.
+    Each cell's entries are summed in entry order, from 0.0, then each
+    token's cell scores in ascending slot order.  The training objective
+    gets the same bits with the cells interleaved
+    (`_rank_major_emissions`).
     """
     n_cells = enc.n_cells
     per_cell = np.empty((n_cells, state.shape[1]))
@@ -607,7 +617,11 @@ def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
     for label in range(state.shape[1]):
         _scaled_gather(state[:, label], enc.ids, enc.vals, out=scaled)
         per_cell[:, label] = np.bincount(enc.cell, weights=scaled, minlength=n_cells)
-    visits = enc.visits
+    return _visit_sums(per_cell, enc.visits)
+
+
+def _visit_sums(per_cell: np.ndarray, visits: np.ndarray) -> np.ndarray:
+    """Each token's cell scores summed in ascending slot order."""
     e = np.take(per_cell, visits[:, 0], axis=0)
     row = np.empty_like(e)
     for k in range(1, visits.shape[1]):
@@ -616,39 +630,118 @@ def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
     return e
 
 
-def _scatter_state(enc: Encoding, residual: np.ndarray, g_state: np.ndarray) -> None:
+class _RankMajor(NamedTuple):
+    """The entries of a training encoding, cell-interleaved.
+
+    Cells are renumbered by descending entry count, ties in cell order,
+    and `visits` is the encoding's visit table in the new numbers.  The
+    entries are listed rank-major: `ids[bounds[r]:bounds[r + 1]]` are
+    the attribute ids of entry r of cells 0, 1, 2, ... (new numbers),
+    that is, of every cell with more than r entries, which by the
+    renumbering come first.  `vals` are the values in the same order,
+    or None when every value is 1.0.
+    """
+
+    ids: np.ndarray
+    vals: np.ndarray | None
+    bounds: list[int]
+    visits: np.ndarray
+    n_cells: int
+
+
+def _rank_major(enc: Encoding, vals: np.ndarray | None) -> _RankMajor:
+    """The entries of `enc`, with values `vals`, rank-major."""
+    n_cells = enc.n_cells
+    counts = np.bincount(enc.cell, minlength=n_cells)
+    by_count = np.argsort(-counts, kind="stable")
+    # First entry of every cell, in the new numbering; alive[r] counts
+    # the cells with more than r entries.
+    starts = (np.cumsum(counts) - counts)[by_count]
+    alive = np.cumsum(np.bincount(counts, minlength=1)[::-1])[-2::-1]
+    bounds = np.concatenate([[0], np.cumsum(alive)]).tolist()
+    ids = np.empty_like(enc.ids)
+    ranked_vals = None if vals is None else np.empty_like(vals)
+    for rank, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        at = starts[: hi - lo] + rank
+        np.take(enc.ids, at, out=ids[lo:hi], mode="clip")
+        if vals is not None:
+            np.take(vals, at, out=ranked_vals[lo:hi], mode="clip")
+    renumber = np.empty_like(by_count)
+    renumber[by_count] = np.arange(n_cells)
+    return _RankMajor(ids, ranked_vals, bounds, renumber[enc.visits], n_cells)
+
+
+def _rank_major_emissions(entries: _RankMajor, state: np.ndarray) -> np.ndarray:
+    """(n_tokens, L) emission scores, the same to the bit as `_emissions`.
+
+    Each cell's entries are summed in entry order, then each token's
+    cell scores in ascending slot order, as in `_emissions`; but the
+    entries are visited cell-interleaved: entry 0 of every cell, then
+    entry 1 of every cell that has one, and so on.  Rank r's entries
+    belong to the first cells, one each, so their weight rows are
+    gathered as one block and added onto those cells' rows, for every
+    label at once: consecutive adds go to different cells, and no
+    entry-sized array is needed.  Every cell starts at 0.0, as a
+    `bincount` bin does.
+    """
+    per_cell = np.zeros((entries.n_cells, state.shape[1]))
+    rows = np.empty_like(per_cell)
+    for lo, hi in zip(entries.bounds, entries.bounds[1:]):
+        block = rows[: hi - lo]
+        # Ids are in range; mode="raise" would make take() allocate.
+        np.take(state, entries.ids[lo:hi], axis=0, out=block, mode="clip")
+        if entries.vals is not None:
+            block *= entries.vals[lo:hi, None]
+        per_cell[: hi - lo] += block
+    return _visit_sums(per_cell, entries.visits)
+
+
+def _scatter_state(
+    enc: Encoding,
+    residual: np.ndarray,
+    g_state: np.ndarray,
+    unit_values: bool = False,
+) -> None:
     """g_state[a, l] += sum of v * residual[t, l] over token t's entries (a, v).
 
     The residuals of each cell's visits are summed first, slot by slot
     and tokens ascending within a slot; then every cell's entries are
     scattered by id, in entry order, and each sum is added to g_state.
+    With `unit_values` every value is taken to be 1.0, and none is
+    multiplied.
     """
     n_cells = enc.n_cells
-    width = enc.visits.shape[1]
-    # Slot-major visits, and the residual rows repeated to match them.
+    n_tokens, width = enc.visits.shape
+    # Slot-major visits, and one label's residuals repeated to match
+    # them.
     flat = enc.visits.ravel(order="F")
-    repeated = np.tile(residual.T, width)
+    repeated = np.empty(width * n_tokens)
     per_cell = np.empty((residual.shape[1], n_cells))
     for label in range(residual.shape[1]):
-        per_cell[label] = np.bincount(
-            flat, weights=repeated[label], minlength=n_cells
-        )
+        np.copyto(repeated.reshape(width, n_tokens), residual[:, label])
+        per_cell[label] = np.bincount(flat, weights=repeated, minlength=n_cells)
+    vals = None if unit_values else enc.vals
     scaled = np.empty(enc.ids.size)
     for label in range(g_state.shape[1]):
-        _scaled_gather(per_cell[label], enc.cell, enc.vals, out=scaled)
+        _scaled_gather(per_cell[label], enc.cell, vals, out=scaled)
         g_state[:, label] += np.bincount(
             enc.ids, weights=scaled, minlength=g_state.shape[0]
         )
 
 
 def _scaled_gather(
-    column: np.ndarray, index: np.ndarray, vals: np.ndarray, out: np.ndarray
+    column: np.ndarray,
+    index: np.ndarray,
+    vals: np.ndarray | None,
+    out: np.ndarray,
 ) -> None:
-    """out = vals * column[index], in one entry-sized buffer."""
+    """out = vals * column[index], in one entry-sized buffer; with vals
+    None, out = column[index]."""
     # Indices come from the encoding and are in range; mode="raise"
     # would make take() allocate a second buffer.
     np.take(column, index, out=out, mode="clip")
-    out *= vals
+    if vals is not None:
+        out *= vals
 
 
 def _path_counts(
@@ -701,6 +794,20 @@ def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
     """exp(a - max(a)) and max(a)."""
     shift = float(a.max())
     return np.exp(a - shift), shift
+
+
+class _Steps(NamedTuple):
+    """The packed steps of an encoding: `Encoding.steps` as a list, and
+    its `_step_links`."""
+
+    bounds: list[int]
+    prev: np.ndarray
+    last: np.ndarray
+
+
+def _steps(enc: Encoding) -> _Steps:
+    bounds = enc.steps.tolist()
+    return _Steps(bounds, *_step_links(bounds))
 
 
 def _step_links(bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -763,18 +870,19 @@ def _forward_backward(
     transition: np.ndarray,
     start: np.ndarray,
     end: np.ndarray,
+    steps: _Steps | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Summed log Z, unary marginals (n_tokens, L) and summed pair marginals.
 
-    `e` holds the log-space emissions of every token of `enc`.
+    `e` holds the log-space emissions of every token of `enc`; `steps`
+    are `_steps(enc)`, computed here when not given.
     """
+    bounds, prev, last = _steps(enc) if steps is None else steps
     shift = e.max(axis=1, keepdims=True)
     t_exp, t_shift = _exp_shifted(transition)
     s_exp, s_shift = _exp_shifted(start)
     e_exp, e_shift = _exp_shifted(end)
     f = np.exp(e - shift)[enc.order]
-    bounds = enc.steps.tolist()
-    prev, last = _step_links(bounds)
     alpha, c, z = _scaled_forward(f, bounds, last, t_exp, s_exp, e_exp)
     n_seq = last.size
     log_z = float(shift.sum()) + float(np.log(c).sum() + np.log(z).sum())
@@ -892,7 +1000,15 @@ def viterbi(model: CrfModel, attrs: Sequence[AttributeVector]) -> list[str]:
 # --- training objective ------------------------------------------------------
 
 class TrainingSet:
-    """Flat-encoded corpus with gold tags and the parameter layout."""
+    """Flat-encoded corpus with gold tags and the parameter layout.
+
+    It also holds, built once, what every evaluation of the objective
+    reads besides the encoding: the entries rank-major for the
+    emissions (`_rank_major`), the packed steps, and the token numbers
+    that index the gold tags.  When every entry value is 1.0, which is
+    so without embeddings, no value is multiplied and none is kept:
+    `encoding.vals` is then a read-only broadcast 1.0.
+    """
 
     def __init__(
         self,
@@ -907,11 +1023,21 @@ class TrainingSet:
             raise ValidationError(
                 f"expected {encoding.n_tokens} gold tags, got {gold.shape}"
             )
+        self._unit_values = bool(np.all(encoding.vals == 1.0))
+        if self._unit_values:
+            encoding = dataclasses.replace(
+                encoding, vals=np.broadcast_to(1.0, encoding.vals.shape)
+            )
         self.encoding = encoding
         self.gold = gold
         self.n_features = n_features
         self.n_labels = n_labels
         self.empirical = _path_counts(gold, encoding.offsets, n_labels)
+        self._rank_major = _rank_major(
+            encoding, None if self._unit_values else encoding.vals
+        )
+        self._steps = _steps(encoding)
+        self._tokens = np.arange(encoding.n_tokens)
 
     @property
     def n_parameters(self) -> int:
@@ -952,10 +1078,12 @@ class TrainingSet:
         state, transition, start, end = _unpack(
             weights, self.n_features, self.n_labels
         )
-        e = _emissions(enc, state)
+        e = _rank_major_emissions(self._rank_major, state)
         # Unary marginals, turned into residuals once the gold one-hot
         # is subtracted below.
-        log_z, marginal, pair = _forward_backward(e, enc, transition, start, end)
+        log_z, marginal, pair = _forward_backward(
+            e, enc, transition, start, end, self._steps
+        )
         n_transition, n_start, n_end = self.empirical
         value = float(
             log_z
@@ -982,8 +1110,8 @@ class TrainingSet:
             (g_end, marginal_end - n_end),
         ):
             part += values
-        marginal[np.arange(enc.n_tokens), self.gold] -= 1.0
-        _scatter_state(enc, marginal, g_state)
+        marginal[self._tokens, self.gold] -= 1.0
+        _scatter_state(enc, marginal, g_state, self._unit_values)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise DivergenceError("objective diverged to a non-finite value")
         return value, grad
@@ -1038,11 +1166,13 @@ def train(
         corpus, config, embeddings, ignore_other
     )
     # One gradient buffer for every evaluation: `minimize` copies what
-    # it keeps.
+    # it keeps.  It copies the start point too, so a read-only zero view
+    # stands for it, and no parameter-sized array of zeros stays alive
+    # through the fit.
     gradient = np.empty(dataset.n_parameters)
     result = optim.minimize(
         lambda w: dataset.nll_and_gradient(w, train_config.c2, out=gradient),
-        np.zeros(dataset.n_parameters),
+        np.broadcast_to(0.0, dataset.n_parameters),
         l1=train_config.c1,
         memory=train_config.lbfgs_memory,
         max_iterations=train_config.max_iterations,

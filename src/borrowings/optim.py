@@ -26,9 +26,13 @@ After setup, `minimize` allocates no array of the variables' size: it
 works in a fixed set of vectors (current and trial point, accepted
 gradient, direction and, with l1 > 0, the pseudo-gradient, the orthant
 and one mask), plus the curvature pairs.
-Buffer ownership between `minimize` and the objective `fun(x) ->
-(value, grad)`:
+Buffer ownership between `minimize`, its caller and the objective
+`fun(x) -> (value, grad)`:
 
+- `x0` belongs to the caller.  `minimize` copies it into its own point
+  buffer before the first call to `fun`, never writes it, and keeps no
+  reference to it.  So `x0` may be read-only, or a broadcast view such
+  as `np.broadcast_to(0.0, n)` that holds no n-sized buffer at all.
 - `x` belongs to `minimize`.  It is one of two point buffers that swap
   roles as steps are accepted, so `fun` must not modify it, and must
   copy it to keep it past the call.
@@ -127,6 +131,22 @@ def _pseudo_gradient(
     out -= tmp
 
 
+def _project(
+    trial: np.ndarray, orthant: np.ndarray, *, tmp: np.ndarray, mask: np.ndarray
+) -> None:
+    """Project `trial` onto `orthant` in place.
+
+    Every coordinate whose sign is opposite to the orthant's becomes
+    +0.0; every other keeps its bits, -0.0 included.
+    """
+    np.multiply(trial, orthant, out=tmp)
+    np.less(tmp, 0, out=mask)
+    # A masked copy of a scalar measured no slower than `np.putmask`,
+    # index arrays from `np.flatnonzero` or a bitwise AND with a mask
+    # widened to 64 bits, on the masks of real fits (0-20% set).
+    np.copyto(trial, 0.0, where=mask)
+
+
 def _two_loop(
     grad: np.ndarray,
     s_list: Sequence[np.ndarray],
@@ -188,6 +208,7 @@ def minimize(
     # vector is the `y` of the spare curvature pair, which is written
     # only once a step is accepted.
     x = np.array(x0, dtype=float)
+    del x0
     trial = np.empty_like(x)
     grad = np.empty_like(x)
     direction = np.empty_like(x)
@@ -246,9 +267,7 @@ def minimize(
             np.multiply(direction, step, out=trial)
             np.add(x, trial, out=trial)
             if l1 > 0:
-                np.multiply(trial, orthant, out=tmp)
-                np.less(tmp, 0, out=mask)
-                np.copyto(trial, 0.0, where=mask)
+                _project(trial, orthant, tmp=tmp, mask=mask)
             try:
                 f_new, returned = _evaluate(fun, trial)
             except DivergenceError:

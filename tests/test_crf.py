@@ -339,6 +339,28 @@ def flat_training_sets(draw):
     return dataset, weights, c2
 
 
+@st.composite
+def rank_major_cases(draw):
+    """(sequences, n_features, n_labels, weights) for the rank-major
+    emissions: cells with no entries, unit or non-unit values, and
+    weights that include both signed zeros."""
+    n_labels = draw(st.sampled_from([1, 3, 5]))
+    n_features = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        value = st.just(1.0)
+    else:
+        value = st.sampled_from([1.0, -0.0, 0.5, -2.0, 1e-300])
+    names = st.lists(st.integers(0, n_features + 1), max_size=5, unique=True)
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    sequences = [
+        [{f"a{k}": draw(value) for k in draw(names)} for _ in range(n)]
+        for n in lengths
+    ]
+    weight = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 3e10, -7e-5])
+    weights = tuple(draw(st.lists(weight, min_size=1, max_size=n_features * n_labels)))
+    return sequences, n_features, n_labels, weights
+
+
 def mixed_length_dataset(n_labels=5, n_features=4, seed=21):
     """Lengths 1 to 5, some tokens without attributes, random gold."""
     rng = np.random.default_rng(seed)
@@ -417,6 +439,42 @@ class TestFlatEncoding:
         got = crf._emissions(enc, state)
         assert got.tobytes() == cell_order_emissions(enc, state).tobytes()
 
+    @settings(max_examples=120, deadline=None)
+    @given(rank_major_cases())
+    @example(([[{"a0": 1.0}]], 1, 3, (-0.0, 0.0, 2.5)))
+    @example(([[{}], [{"a9": 2.0}, {}]], 2, 2, (0.0,)))
+    @example(([[{"a0": -0.0, "a1": 1.0}, {}, {"a1": 0.5, "a0": 3.0}]], 2, 3, (-0.0, 1.0)))
+    def test_rank_major_emissions_sum_cells_then_slots_exactly(self, case):
+        sequences, n_features, n_labels, weights = case
+        enc = encode_attributes(sequences, indexed_lookup(n_features))
+        dataset = TrainingSet(
+            enc, np.zeros(enc.n_tokens, dtype=np.int64), n_features, n_labels
+        )
+        state = np.resize(np.array(weights), (n_features, n_labels))
+        got = crf._rank_major_emissions(dataset._rank_major, state)
+        assert got.tobytes() == cell_order_emissions(enc, state).tobytes()
+        assert got.tobytes() == crf._emissions(enc, state).tobytes()
+
+    @pytest.mark.parametrize("embedding", [False, True])
+    def test_rank_major_emissions_of_window_cells(self, embedding):
+        corpus = synthetic_corpus(30, seed=29)
+        table = synthetic_embeddings(corpus) if embedding else None
+        config = FeatureConfig(embedding=embedding)
+        dataset, _, _ = encode_training_set(corpus, config, table)
+        enc = dataset.encoding
+        # Cells are shared across tokens and hold different numbers of
+        # entries, so cells and entries are both reordered.
+        assert enc.visits.shape[1] == 5
+        assert len(dataset._rank_major.bounds) > 2
+        assert dataset._unit_values is not embedding
+        assert (dataset._rank_major.vals is None) is not embedding
+        rng = np.random.default_rng(30)
+        state = rng.normal(size=(dataset.n_features, dataset.n_labels))
+        state[rng.random(state.shape) < 0.3] = -0.0
+        state[rng.random(state.shape) < 0.3] = 0.0
+        got = crf._rank_major_emissions(dataset._rank_major, state)
+        assert got.tobytes() == cell_order_emissions(enc, state).tobytes()
+
     def test_state_scatter_sums_visits_then_entries_exactly(self):
         dataset, _, _ = encode_small()
         rng = np.random.default_rng(23)
@@ -452,6 +510,40 @@ class TestBatchedObjective:
             ref_value, ref_grad = reference_nll_and_gradient(dataset, w, 0.1)
             assert value == pytest.approx(ref_value, rel=1e-12)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+
+    def test_interleaved_evaluations_and_sets_share_no_buffer(self):
+        first, _, _ = encode_small(n=30, seed=31)
+        second, _, _ = encode_small(n=30, seed=31)
+        rng = np.random.default_rng(32)
+        w1, w2 = rng.normal(scale=0.5, size=(2, first.n_parameters))
+        out1, out2 = np.empty(first.n_parameters), np.empty(first.n_parameters)
+        value1, grad1 = first.nll_and_gradient(w1, 0.1)
+        kept1 = grad1.tobytes()
+        _, grad2 = second.nll_and_gradient(w2, 0.1, out=out2)
+        kept2 = grad2.tobytes()
+        first.nll_and_gradient(w2, 0.1, out=out1)
+        assert out1.tobytes() == kept2
+        again_value, again_grad = first.nll_and_gradient(w1, 0.1)
+        assert repr(again_value) == repr(value1)
+        assert again_grad.tobytes() == grad1.tobytes() == kept1
+        assert out2.tobytes() == kept2
+        assert not np.may_share_memory(grad1, again_grad)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(obj):
+                for field in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, field.name))
+
+        held = [list(arrays(list(vars(s).values()))) for s in (first, second)]
+        assert len(held[0]) == len(held[1]) > 10
+        for a in held[0]:
+            for b in held[1]:
+                assert not np.may_share_memory(a, b)
 
     def test_repeated_evaluations_are_bit_identical(self):
         dataset, _, _ = encode_small()
@@ -1024,6 +1116,25 @@ def test_pinned_model_bytes(c1, c2):
         saved_text(save_model_v1, full)
     )
     assert sha256_of_text(save_model, model) == PINNED_ACTIVE_MODEL_DIGESTS[c1, c2]
+
+
+# sha256 of the `save_model` text of a fit whose entry values are not
+# all 1.0 (embedding values), recorded while the objective still summed
+# its emissions cell by cell.
+PINNED_EMBEDDING_MODEL_DIGEST = (
+    "bc11408c73fa84df5b5c9cadd82136177ffc695da522b544e19a43c91975db92"
+)
+
+
+def test_pinned_embedding_model_bytes():
+    corpus = synthetic_corpus(120, seed=21)
+    table = synthetic_embeddings(corpus, dim=5, seed=12)
+    config = FeatureConfig(embedding=True, embedding_scaling=0.5)
+    model = train(
+        corpus, config, table, TrainConfig(c1=0.05, c2=0.01, max_iterations=30)
+    )
+    assert model.diagnostics.iterations == 30
+    assert sha256_of_text(save_model, model) == PINNED_EMBEDDING_MODEL_DIGEST
 
 
 def written_text(corpus):

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from borrowings import optim
 from borrowings.optim import (
@@ -243,6 +244,48 @@ class TestPseudoGradient:
         assert pg.tobytes() == np.array(expected).tobytes()
 
 
+class TestOrthantProjection:
+    def test_signed_zeros(self):
+        # Every sign of trial against every orthant sign, ±0.0 included.
+        values = [-2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0]
+        signs = [-1.0, -0.0, 0.0, 1.0]
+        trial = np.array([v for v in values for _ in signs])
+        orthant = np.array([o for _ in values for o in signs])
+        # np.where copies trial's own bits where it keeps them.
+        expected = np.where(trial * orthant < 0, 0.0, trial)
+        got = trial.copy()
+        optim._project(
+            got, orthant, tmp=np.empty_like(got), mask=np.empty(got.shape, dtype=bool)
+        )
+        assert got.tobytes() == expected.tobytes()
+        # Opposite signs become +0.0; -0.0 stays wherever it was not one.
+        crossed = trial * orthant < 0
+        assert crossed.sum() == 4
+        assert not np.signbit(got[crossed]).any()
+        kept_negative_zero = (trial == 0) & np.signbit(trial)
+        assert np.signbit(got[kept_negative_zero]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-1.5, -0.0, 0.0, 2.0, -1e-310, 1e-310]),
+                st.sampled_from([-1.0, 0.0, 1.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_a_select(self, pairs):
+        trial, orthant = (np.array(column) for column in zip(*pairs))
+        expected = np.where(trial * orthant < 0, 0.0, trial)
+        got = trial.copy()
+        optim._project(
+            got, orthant, tmp=np.empty_like(got), mask=np.empty(got.shape, dtype=bool)
+        )
+        assert got.tobytes() == expected.tobytes()
+
+
 def ill_conditioned(n, seed):
     """f(x) = 0.5 * sum(a * x^2) - b.x, so each y of a curvature pair is a * s."""
     rng = np.random.default_rng(seed)
@@ -396,6 +439,17 @@ class TestBufferContract:
         x0 = np.ones(50)
         minimize(fun, x0, l1=0.1, max_iterations=10)
         assert np.array_equal(x0, np.ones(50))
+
+    @pytest.mark.parametrize("l1", [0.0, 0.1])
+    def test_a_broadcast_start_point_gives_the_same_result(self, l1):
+        # A read-only zero-stride view, as `crf.train` passes.
+        _, fun = ill_conditioned(200, seed=15)
+        x0 = np.broadcast_to(0.0, 200)
+        assert not x0.flags.writeable
+        result = minimize(fun, x0, l1=l1, max_iterations=20, delta=1e-15)
+        expected = minimize(fun, np.zeros(200), l1=l1, max_iterations=20, delta=1e-15)
+        assert_same_result(result, expected)
+        assert result.x.flags.writeable and result.x.flags.c_contiguous
 
 
 # sha256 of `x.tobytes()` followed by `repr(trace)` for 60 iterations
