@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Container, NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .corpus import Corpus, corpus_stats, read_corpus, render_stats, write_corpus
 from .crf import (
@@ -543,17 +543,8 @@ _SUBCOMMANDS: dict[
 }
 
 
-def build_parser(commands: Container[str] | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.
-
-    Every subcommand is registered with its help line, but only those
-    in `commands` (all of them when None) get their arguments and
-    handler; top-level help and errors never show a subcommand's
-    arguments, so a parser built for the subcommands named in an argv
-    parses it as the full parser does.
-    """
-    if commands is None:
-        commands = _SUBCOMMANDS
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser."""
     parser = argparse.ArgumentParser(
         prog="borrowings",
         description=(
@@ -565,12 +556,8 @@ def build_parser(commands: Container[str] | None = None) -> argparse.ArgumentPar
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, handler) in _SUBCOMMANDS.items():
         p = subparsers.add_parser(name, help=help_line)
-        # Adding a subcommand's arguments is most of the cost of building
-        # the parser, so it is skipped for those argparse will not
-        # dispatch to.
-        if name in commands:
-            add_arguments(p)
-            p.set_defaults(handler=handler)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -592,8 +579,8 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     When argv starts with a subcommand and asks for no help, a parser of
     that subcommand alone, built as `build_parser` builds it, parses the
     rest: the two agree on every argv it accepts.  Anything else, a usage
-    error included, is parsed by `build_parser(set(argv))`, so help,
-    errors and exit codes are its own.
+    error included, is parsed by `build_parser()`, so help, errors and
+    exit codes are its own.
     """
     command = argv[0] if argv else None
     if command in _SUBCOMMANDS and not {"-h", "--help"}.intersection(argv):
@@ -605,9 +592,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
             return lean.parse_args(argv[1:])
         except _UsageError:
             pass
-    # The subcommand argparse dispatches to is one of the arguments, so
-    # only the subcommands named among them need their own.
-    return build_parser(set(argv)).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

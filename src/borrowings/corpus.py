@@ -383,6 +383,12 @@ def _read_meta(lines: list[str], first: int, stop: int) -> dict[str, str]:
     return meta
 
 
+# A token text that is zero or more `\` and then `#` is written with one
+# more `\` before it, so that its line does not read as a comment; the
+# reader drops one `\` from a text that is one or more `\` and then `#`.
+_NEEDS_ESCAPE = re.compile(r"\\*#")
+_ESCAPED = re.compile(r"\\+#")
+
 # A valid token line: a text that does not start with `#`, a POS field
 # and a corpus tag, separated by tabs.  `\S` matches exactly the
 # characters `str.isspace` rejects, so both fields pass
@@ -436,7 +442,9 @@ def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
     The token lines of all blocks are checked together and split into
     columns in whole-text passes (`_columns`); only when that check
     fails is each block checked on its own, and a failing block scanned
-    line by line for its first faulty line.
+    line by line for its first faulty line.  Lines are checked as
+    written; a token text that is one or more `\\` and then `#` then
+    loses its first `\\` (see `write_corpus`).
     """
     text = stream.read()
     lines = text.split("\n")
@@ -479,9 +487,12 @@ def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
         bounds.append(bounds[-1] + end - row)
     # A faulty token line was raised above, in file order.
     assert fields is not None
+    texts = fields[0::3]
+    if "\\#" in text:
+        texts = [t[1:] if _ESCAPED.match(t) else t for t in texts]
     tokens = _build(
         Token,
-        text=fields[0::3],
+        text=texts,
         pos=[None if pos == "_" else pos for pos in fields[1::3]],
     )
     tokens_of = [tuple(tokens[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
@@ -493,7 +504,8 @@ def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
 def write_corpus(corpus: Corpus, stream: IO[str]) -> None:
     """Serialize a corpus in the format accepted by read_corpus.
 
-    Each headline's block goes to `stream` in one write.
+    Each headline's block goes to `stream` in one write.  A token text
+    that is zero or more `\\` and then `#` gets one more `\\` before it.
     """
     for headline in corpus:
         block = [f"# id = {headline.id}\n"]
@@ -503,8 +515,11 @@ def write_corpus(corpus: Corpus, stream: IO[str]) -> None:
             block.append(f"# section = {headline.section}\n")
         tags = spans_to_bio(headline.spans, len(headline))
         for token, tag in zip(headline.tokens, tags):
+            text = token.text
+            if _NEEDS_ESCAPE.match(text):
+                text = "\\" + text
             pos = token.pos if token.pos is not None else "_"
-            block.append(f"{token.text}\t{pos}\t{tag}\n")
+            block.append(f"{text}\t{pos}\t{tag}\n")
         block.append("\n")
         stream.write("".join(block))
 

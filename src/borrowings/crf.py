@@ -61,11 +61,12 @@ every (token, window slot) visit is keyed by its cell, (type, slot,
 quoted), and cells are numbered by first visit; each cell's entries are
 gathered from its type's base ids and keyed by (slot, base id).  No
 key becomes a prefixed name.  Training numbers the distinct keys by
-first appearance, so ids are exactly those of adding every windowed
-name to an index one by one, and the index holds them as a table of
-ids by base name and slot (`features.BaseTable`); tagging looks each
-distinct base name of a batch up once in the model's table and drops
-the entries it has no id for.
+first appearance, so ids are exactly those of numbering the windowed
+names one by one as the tokens list them, and the index holds them as
+a table of ids by base name and slot (`features.BaseTable`); tagging
+looks each distinct base name of a batch up once in the model's table
+and drops the entries it has no id for.  Without embeddings every
+entry's value is 1.0, and none is kept or multiplied.
 
 A trained model keeps only the attributes with a nonzero state weight,
 as CRFsuite's models do: with an L1 penalty most end at exactly zero,
@@ -247,13 +248,15 @@ class Encoding:
     """A batch of sequences as window cells and the tokens' visits to them.
 
     A cell is a list of attribute entries: entry k gives attribute
-    `ids[k]` the value `vals[k]` and belongs to cell `cell[k]`.  Entries
-    are stored cell by cell, so `cell` ascends, and each cell once,
-    however many tokens visit it.  Row t of the (n_tokens, width) table
-    `visits` lists the cells token t visits, one per window slot in
-    ascending slot order; its entries are those of all these cells, in
-    that order.  `visits` is column-major, so each slot's column is
-    contiguous.  Every cell is visited at least once.
+    `ids[k]` the value `vals[k]` and belongs to cell `cell[k]`; `vals` is
+    None when every value is 1.0, as in an encoding of windowed
+    attributes without embedding entries.  Entries are stored cell by
+    cell, so `cell` ascends, and each cell once, however many tokens
+    visit it.  Row t of the (n_tokens, width) table `visits` lists the
+    cells token t visits, one per window slot in ascending slot order;
+    its entries are those of all these cells, in that order.  `visits`
+    is column-major, so each slot's column is contiguous.  Every cell is
+    visited at least once.
 
     Sequence i covers the tokens `offsets[i]:offsets[i + 1]`.  `order`
     lists the token indices step-major, as packed sequences do: rank the
@@ -264,7 +267,7 @@ class Encoding:
     """
 
     ids: np.ndarray
-    vals: np.ndarray
+    vals: np.ndarray | None
     cell: np.ndarray
     visits: np.ndarray
     offsets: np.ndarray
@@ -314,7 +317,7 @@ def encode_attributes(
 
 def _flat_encoding(
     ids: np.ndarray,
-    vals: np.ndarray,
+    vals: np.ndarray | None,
     cell: np.ndarray,
     visits: np.ndarray,
     seq_lengths: np.ndarray,
@@ -357,14 +360,15 @@ class _Types(NamedTuple):
     of the CSR table `src`, `src[rows[t]:rows[t + 1]]`, holds type t's
     base ids: its `n_before[t]` names before `quot=1`, the rest of its
     `n_names[t]` names, then its embedding names, with their values in
-    `src_vals`.  `src[0]` is `quot=1` itself.  `base_names` lists the
+    `src_vals`, which is None when there are no embedding names and every
+    value is 1.0.  `src[0]` is `quot=1` itself.  `base_names` lists the
     base names by base id.  Token i has type `token_types[i]` and is
     quoted if `quoted[i]`.
     """
 
     base_names: list[str]
     src: np.ndarray
-    src_vals: np.ndarray
+    src_vals: np.ndarray | None
     rows: np.ndarray
     n_before: np.ndarray
     n_names: np.ndarray
@@ -399,10 +403,10 @@ def _intern_types(
     row_lengths[:2] = 1
     rows = np.concatenate([[1], 1 + np.cumsum(row_lengths)])
     src = np.empty(rows[-1], dtype=np.int64)
-    src_vals = np.ones(rows[-1])
+    src_vals = np.ones(rows[-1]) if dim else None
     src[:3] = (0, 1, 2)
     src[_ranges(rows[2:-1], n_names[2:])] = attrs.ids + len(fixed)
-    if config.embedding and types:
+    if dim and types:
         at = _ranges(rows[2:-1] + n_names[2:], np.full(len(types), dim))
         src[at] = np.tile(np.arange(3, 3 + dim), len(types))
         texts = [text for text, _ in types]
@@ -500,9 +504,10 @@ def _encode_windows(
     entries are those of `encode_attributes` over `windowed_attributes`,
     in the same order.  Cells are numbered in order of first visit, and
     each is stored once.  Without `index`, every name gets an id, in
-    order of first appearance, and the new frozen index is returned;
+    order of first appearance, and a new index of them is returned;
     with one, names are looked up in it, those it lacks are dropped, and
     `index` itself is returned.  Either way no prefixed name is built.
+    The values are None unless the embedding family adds entries.
 
     Python work grows with the token types and the distinct names, not
     with the tokens or the entries.  Each type's base names and
@@ -556,7 +561,7 @@ def _encode_windows(
             cell = np.repeat(np.arange(cells.size), sizes)[known]
             sizes = np.bincount(cell, minlength=cells.size)
             keys, at = keys[known], at[known]
-    vals = types.src_vals[at]
+    vals = None if types.src_vals is None else types.src_vals[at]
     del at
     cell = np.repeat(np.arange(cells.size), sizes)
     return _flat_encoding(keys, vals, cell, visits, types.lengths), index
@@ -595,7 +600,7 @@ def index_corpus(
     config: FeatureConfig,
     embeddings: EmbeddingTable | None = None,
 ) -> tuple[Encoding, FeatureIndex]:
-    """Flat encoding of a corpus, with the frozen index it assigns.
+    """Flat encoding of a corpus, with the index of the ids it assigns.
 
     Ids follow the order in which names first appear in the windowed
     vectors; the encoding is `_encode_windows` without an index.
@@ -639,7 +644,7 @@ class _RankMajor(NamedTuple):
     the attribute ids of entry r of cells 0, 1, 2, ... (new numbers),
     that is, of every cell with more than r entries, which by the
     renumbering come first.  `vals` are the values in the same order,
-    or None when every value is 1.0.
+    or None when the encoding's are.
     """
 
     ids: np.ndarray
@@ -649,8 +654,8 @@ class _RankMajor(NamedTuple):
     n_cells: int
 
 
-def _rank_major(enc: Encoding, vals: np.ndarray | None) -> _RankMajor:
-    """The entries of `enc`, with values `vals`, rank-major."""
+def _rank_major(enc: Encoding) -> _RankMajor:
+    """The entries of `enc`, rank-major."""
     n_cells = enc.n_cells
     counts = np.bincount(enc.cell, minlength=n_cells)
     by_count = np.argsort(-counts, kind="stable")
@@ -659,6 +664,7 @@ def _rank_major(enc: Encoding, vals: np.ndarray | None) -> _RankMajor:
     starts = (np.cumsum(counts) - counts)[by_count]
     alive = np.cumsum(np.bincount(counts, minlength=1)[::-1])[-2::-1]
     bounds = np.concatenate([[0], np.cumsum(alive)]).tolist()
+    vals = enc.vals
     ids = np.empty_like(enc.ids)
     ranked_vals = None if vals is None else np.empty_like(vals)
     for rank, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -697,18 +703,13 @@ def _rank_major_emissions(entries: _RankMajor, state: np.ndarray) -> np.ndarray:
 
 
 def _scatter_state(
-    enc: Encoding,
-    residual: np.ndarray,
-    g_state: np.ndarray,
-    unit_values: bool = False,
+    enc: Encoding, residual: np.ndarray, g_state: np.ndarray
 ) -> None:
     """g_state[a, l] += sum of v * residual[t, l] over token t's entries (a, v).
 
     The residuals of each cell's visits are summed first, slot by slot
     and tokens ascending within a slot; then every cell's entries are
     scattered by id, in entry order, and each sum is added to g_state.
-    With `unit_values` every value is taken to be 1.0, and none is
-    multiplied.
     """
     n_cells = enc.n_cells
     n_tokens, width = enc.visits.shape
@@ -720,10 +721,9 @@ def _scatter_state(
     for label in range(residual.shape[1]):
         np.copyto(repeated.reshape(width, n_tokens), residual[:, label])
         per_cell[label] = np.bincount(flat, weights=repeated, minlength=n_cells)
-    vals = None if unit_values else enc.vals
     scaled = np.empty(enc.ids.size)
     for label in range(g_state.shape[1]):
-        _scaled_gather(per_cell[label], enc.cell, vals, out=scaled)
+        _scaled_gather(per_cell[label], enc.cell, enc.vals, out=scaled)
         g_state[:, label] += np.bincount(
             enc.ids, weights=scaled, minlength=g_state.shape[0]
         )
@@ -1005,9 +1005,8 @@ class TrainingSet:
     It also holds, built once, what every evaluation of the objective
     reads besides the encoding: the entries rank-major for the
     emissions (`_rank_major`), the packed steps, and the token numbers
-    that index the gold tags.  When every entry value is 1.0, which is
-    so without embeddings, no value is multiplied and none is kept:
-    `encoding.vals` is then a read-only broadcast 1.0.
+    that index the gold tags.  Without embeddings the encoder keeps no
+    values (`Encoding.vals` is None), and none is multiplied.
     """
 
     def __init__(
@@ -1023,19 +1022,12 @@ class TrainingSet:
             raise ValidationError(
                 f"expected {encoding.n_tokens} gold tags, got {gold.shape}"
             )
-        self._unit_values = bool(np.all(encoding.vals == 1.0))
-        if self._unit_values:
-            encoding = dataclasses.replace(
-                encoding, vals=np.broadcast_to(1.0, encoding.vals.shape)
-            )
         self.encoding = encoding
         self.gold = gold
         self.n_features = n_features
         self.n_labels = n_labels
         self.empirical = _path_counts(gold, encoding.offsets, n_labels)
-        self._rank_major = _rank_major(
-            encoding, None if self._unit_values else encoding.vals
-        )
+        self._rank_major = _rank_major(encoding)
         self._steps = _steps(encoding)
         self._tokens = np.arange(encoding.n_tokens)
 
@@ -1111,7 +1103,7 @@ class TrainingSet:
         ):
             part += values
         marginal[self._tokens, self.gold] -= 1.0
-        _scatter_state(enc, marginal, g_state, self._unit_values)
+        _scatter_state(enc, marginal, g_state)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise DivergenceError("objective diverged to a non-finite value")
         return value, grad
@@ -1217,12 +1209,19 @@ def _active(
     new_id = np.full(active.size + 1, -1, dtype=np.int64)
     new_id[np.flatnonzero(active)] = np.arange(np.count_nonzero(active))
     ids = new_id[table.ids]
-    first = np.where(ids >= 0, ids, active.size).min(axis=1)
-    kept = np.flatnonzero(first < active.size)
-    order = kept[np.argsort(first[kept])]
+    order = _bases_by_first_id(ids)
     bases = list(table.rows)
     rows = dict(zip(map(bases.__getitem__, order.tolist()), itertools.count()))
     return FeatureIndex.from_table(BaseTable(rows, ids[order])), state[active]
+
+
+def _bases_by_first_id(ids: np.ndarray) -> np.ndarray:
+    """The rows of the `BaseTable` ids `ids` in order of their first
+    (lowest) id, without the rows that have none."""
+    # No id of a table reaches its size.
+    first = np.where(ids >= 0, ids, ids.size).min(axis=1)
+    kept = np.flatnonzero(first < ids.size)
+    return kept[np.argsort(first[kept])]
 
 
 def tag(
@@ -1315,9 +1314,7 @@ def save_model(model: CrfModel, stream: IO[str]) -> None:
             "cannot save attribute names that are not windowed names of the "
             "model's window"
         )
-    # Bases in order of their first id; a base without ids is left out.
-    first = np.where(table.ids >= 0, table.ids, n_features).min(axis=1)
-    order = np.argsort(first, kind="stable")[: np.count_nonzero(first < n_features)]
+    order = _bases_by_first_id(table.ids)
     bases = list(table.rows)
     # The id rows as one block, formatted in one call.
     row = "\t".join(["%d"] * table.ids.shape[1])

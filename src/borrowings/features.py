@@ -512,27 +512,26 @@ def window_table(names: Sequence[str], radius: int) -> BaseTable:
 
 
 class FeatureIndex:
-    """Dense attribute-name-to-id mapping, frozen before training.
+    """Dense, immutable attribute-name-to-id mapping.
 
-    An index holds its windowed names either as a list, or as a
+    An index is made from its windowed names (`from_names`), or from a
     `BaseTable` (`from_table`), which is how training, tagging and model
     files use it.  Each form is derived from the other on first use: the
-    table by `table`, the names by `names`, `name`, `get`, `ids_of` and
-    `add`, which look names up in a dict built once.
+    table by `table`, the names by `names`, `name`, `get` and `ids_of`,
+    which look names up in a dict built once.
     """
 
-    def __init__(self) -> None:
-        self._names: list[str] | None = []
-        self._ids: dict[str, int] | None = {}
-        self._table: BaseTable | None = None
-        self._frozen = False
+    def __init__(self, names: list[str] | None, table: BaseTable | None) -> None:
+        """Use `from_names` or `from_table`."""
+        self._names = names
+        self._ids: dict[str, int] | None = None
+        self._table = table
+        self._size = (
+            len(names) if names is not None else int(np.count_nonzero(table.ids >= 0))
+        )
 
     def __len__(self) -> int:
-        return len(self._names) if self._names is not None else self._size
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
+        return self._size
 
     def _name_ids(self) -> dict[str, int]:
         if self._ids is None:
@@ -552,19 +551,6 @@ class FeatureIndex:
             names[table.ids[row, slot]] = prefixes[slot] + bases[row]
             self._names = names.tolist()
         return self._names
-
-    def add(self, name: str) -> int:
-        """Id for `name`, assigning the next id on first sight."""
-        ids = self._name_ids()
-        existing = ids.get(name)
-        if existing is not None:
-            return existing
-        if self._frozen:
-            raise ConfigError("cannot add attributes to a frozen index")
-        ids[name] = len(self._names)
-        self._names.append(name)
-        self._table = None
-        return ids[name]
 
     def get(self, name: str) -> int | None:
         """Id for `name`, or None if it was never indexed."""
@@ -590,29 +576,19 @@ class FeatureIndex:
             self._table = window_table(self._name_list(), radius)
         return self._table
 
-    def freeze(self) -> "FeatureIndex":
-        self._frozen = True
-        return self
-
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "FeatureIndex":
-        """Frozen index giving each name its position; names must be distinct."""
-        index = cls()
-        index._names = list(names)
-        index._ids = dict(zip(index._names, range(len(index._names))))
-        if len(index._ids) != len(index._names):
+        """Index giving each name its position; names must be distinct."""
+        index = cls(list(names), None)
+        if len(index._name_ids()) != len(index):
             raise ConfigError("duplicate attribute names")
-        return index.freeze()
+        return index
 
     @classmethod
     def from_table(cls, table: BaseTable) -> "FeatureIndex":
-        """Frozen index of the names of `table`, whose ids must be a
-        permutation of range(n) for some n, with -1 elsewhere."""
-        index = cls()
-        index._names = index._ids = None
-        index._table = table
-        index._size = int(np.count_nonzero(table.ids >= 0))
-        return index.freeze()
+        """Index of the names of `table`, whose ids must be a permutation
+        of range(n) for some n, with -1 elsewhere."""
+        return cls(None, table)
 
 
 def build_index(
@@ -620,7 +596,8 @@ def build_index(
     config: FeatureConfig,
     embeddings: EmbeddingTable | None = None,
 ) -> FeatureIndex:
-    """Frozen index over every attribute the corpus produces."""
+    """Index over every attribute the corpus produces, numbered by first
+    appearance."""
     # The encoder that assigns ids lives with the flat encoding in `crf`,
     # which imports this module.
     from .crf import index_corpus

@@ -283,6 +283,23 @@ def dp_best_path_min_index(e, transition, start, end) -> list[int]:
 
 # --- encodings spelled out -------------------------------------------------
 
+class FirstSeenIds(dict):
+    """Attribute ids by first sight, as training numbers them: `add` is
+    the lookup that gives a name seen first the next id."""
+
+    def add(self, name: str) -> int:
+        return self.setdefault(name, len(self))
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(self)
+
+
+def entry_values(enc):
+    """The value of every entry of `enc`: its `vals`, or 1.0 throughout
+    when it keeps none."""
+    return np.ones(enc.ids.size) if enc.vals is None else enc.vals
+
+
 def expand_encoding(enc):
     """(ids, vals, token) of every token's entries, token by token.
 
@@ -291,12 +308,13 @@ def expand_encoding(enc):
     gives windowed attribute vectors.
     """
     starts = np.searchsorted(enc.cell, np.arange(enc.n_cells + 1))
+    values = entry_values(enc)
     ids, vals, token = [], [], []
     for t, row in enumerate(enc.visits.tolist()):
         for c in row:
             lo, hi = starts[c], starts[c + 1]
             ids.extend(enc.ids[lo:hi].tolist())
-            vals.extend(enc.vals[lo:hi].tolist())
+            vals.extend(values[lo:hi].tolist())
             token.extend([t] * (hi - lo))
     return (
         np.array(ids, dtype=np.int64),
@@ -312,7 +330,7 @@ def cell_order_emissions(enc, state):
     of every token in ascending slot order.
     """
     per_cell = np.zeros((enc.n_cells, state.shape[1]))
-    np.add.at(per_cell, enc.cell, enc.vals[:, None] * state[enc.ids])
+    np.add.at(per_cell, enc.cell, entry_values(enc)[:, None] * state[enc.ids])
     e = np.zeros((enc.n_tokens, state.shape[1]))
     for k in range(enc.visits.shape[1]):
         e += per_cell[enc.visits[:, k]]
@@ -330,7 +348,7 @@ def cell_order_state_gradient(enc, residual, n_features):
     for k in range(enc.visits.shape[1]):
         np.add.at(per_cell, enc.visits[:, k], residual)
     g_state = np.zeros((n_features, residual.shape[1]))
-    np.add.at(g_state, enc.ids, enc.vals[:, None] * per_cell[enc.cell])
+    np.add.at(g_state, enc.ids, entry_values(enc)[:, None] * per_cell[enc.cell])
     return g_state
 
 
@@ -541,7 +559,8 @@ _ORACLE_META_RE = re.compile(r"#\s*([^=\s]+)\s*=\s*(.*\S)\s*$")
 def read_corpus_oracle(stream, name: str = "corpus") -> Corpus:
     """The line-by-line corpus reader, kept as an oracle for
     `read_corpus`: each line is checked as it is read, each token by
-    `Token`, each headline by `bio_to_spans` and `Headline`, and a
+    `Token` once an escaped `\\...\\#` text has lost its first `\\`,
+    each headline by `bio_to_spans` and `Headline`, and a
     block's own faults (no id, no tokens, a bad date) are raised when
     the line after it is read."""
     headlines: list[Headline] = []
@@ -575,6 +594,8 @@ def read_corpus_oracle(stream, name: str = "corpus") -> Corpus:
         text, pos, tag = fields
         if tag not in FULL_ALPHABET:
             _oracle_fail(lineno, f"unknown tag {tag!r}")
+        if text.startswith("\\") and text.lstrip("\\").startswith("#"):
+            text = text[1:]
         try:
             block.tokens.append(Token(text, None if pos == "_" else pos))
         except ValidationError as exc:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -86,17 +88,71 @@ def subcommand_parsers(parser):
     return action.choices
 
 
-class TestLazyParser:
-    """`run` builds only the subcommands its argv names; what a user sees
-    must equal what the full parser gives."""
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
 
-    def test_subcommand_help_matches_the_full_parser(self):
-        full = subcommand_parsers(cli.build_parser())
-        assert tuple(full) == COMMANDS
-        for command in COMMANDS:
-            lazy = subcommand_parsers(cli.build_parser({command}))
-            assert lazy[command].format_help() == full[command].format_help()
-        assert cli.build_parser(set()).format_help() == cli.build_parser().format_help()
+
+def parse_outcome(parse, argv):
+    """What `parse` makes of argv: its namespace, or its exit code, and
+    what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# Values and stray words an argv may hold besides the flags: numbers,
+# lists, paths, choices, prefixes of flags and a separator.
+ARGV_VALUES = (
+    "1", "2", "0.5", "-1", "two", "0.1,0.2", "none,t.vec", "a.tsv", "m.crf", "tsv",
+)
+ARGV_WORDS = (
+    "--", "-", "--out", "--mod", "--c", "--he", "-h", "--c1=", "-mm.crf", "tag",
+)
+
+
+@st.composite
+def subcommand_argvs(draw):
+    """A subcommand and words for it: most often its required arguments,
+    then its flags with values, positionals and stray words in any order."""
+    command = draw(st.sampled_from(COMMANDS))
+    parser = subcommand_parsers(cli.build_parser())[command]
+    actions = [a for a in parser._actions if a.dest != "help"]
+    values = st.sampled_from(ARGV_VALUES)
+
+    def words(action):
+        if not action.option_strings:
+            return [draw(values)]
+        flag = draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:
+            return [flag]
+        if action.choices:
+            value = draw(st.sampled_from(action.choices) | values)
+        else:
+            value = draw(values)
+        if flag.startswith("--") and draw(st.booleans()):
+            return [f"{flag}={value}"]
+        return [flag, value]
+
+    units = []
+    if draw(st.integers(0, 3)):
+        units += [words(a) for a in actions if a.required]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)):
+            units.append(words(draw(st.sampled_from(actions))))
+        else:
+            units.append([draw(st.sampled_from(ARGV_WORDS))])
+    units = draw(st.permutations(units))
+    return [command, *(word for unit in units for word in unit)]
+
+
+class TestLazyParser:
+    """`run` parses an argv that names a subcommand with a parser of that
+    subcommand alone; what a user sees must equal what the full parser
+    gives."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -119,13 +175,19 @@ class TestLazyParser:
         self, argv, capsys, monkeypatch
     ):
         code = run(argv)
-        lazy = capsys.readouterr()
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda commands=None: build())
+        lean = capsys.readouterr()
+        monkeypatch.setattr(cli, "_parse", full_parse)
         assert run(argv) == code
         full = capsys.readouterr()
-        assert (lazy.out, lazy.err) == (full.out, full.err)
-        assert lazy.out or lazy.err
+        assert (lean.out, lean.err) == (full.out, full.err)
+        assert lean.out or lean.err
+
+    @settings(max_examples=300, deadline=None)
+    @given(subcommand_argvs())
+    def test_drawn_argv_parses_as_the_full_parser_does(self, argv):
+        # The same namespace when both accept; the same exit code and
+        # output when either rejects.
+        assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
 
     @pytest.mark.parametrize(
         "argv",

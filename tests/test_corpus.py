@@ -273,6 +273,16 @@ class TestReadWrite:
         write_corpus(read_corpus(io.StringIO(first.getvalue())), second)
         assert first.getvalue() == second.getvalue()
 
+    def test_texts_that_start_with_a_hash_round_trip_escaped(self):
+        texts = ("#", "#MeToo", "\\#x", "\\\\#", "\\x", "x#", "\\", "a\\#")
+        written_as = ("\\#", "\\#MeToo", "\\\\#x", "\\\\\\#", "\\x", "x#", "\\", "a\\#")
+        corpus = Corpus("c", (Headline(id="h", tokens=tuple(map(Token, texts))),))
+        out = io.StringIO()
+        write_corpus(corpus, out)
+        lines = out.getvalue().split("\n")[1:-2]
+        assert tuple(line.split("\t")[0] for line in lines) == written_as
+        assert read_corpus(io.StringIO(out.getvalue()), name="c") == corpus
+
     def test_stray_inside_tag_becomes_span_start(self):
         text = "# id = h\na\t_\tO\nb\t_\tI-ENG\nc\t_\tI-ENG\n"
         corpus = read_corpus(io.StringIO(text))
@@ -354,13 +364,13 @@ BASE_TEXTS = (
 # (\x1c, \x85, \u2028) or not (NUL, BOM), tags and metadata.
 JUNK_FIELDS = (
     "", " ", "_", "\x00", "\ufeff", "\x1c", "\x85", "\u2028", "\r", "a b",
-    "#", "#x", "O", "I-ENG", "B-OTHER", "B-FRA", "x\ty",
+    "#", "#x", "\\#x", "\\\\#", "O", "I-ENG", "B-OTHER", "B-FRA", "x\ty",
 )
 JUNK_LINES = (
     "", " ", "\t", " \r", "\x1c", "\u2028", "#", "# id = dup", "# id = h1",
     "# date = 2020-02-30", "# date = 2021-03-04", "# section = tv",
     "# author = x", "x\t_\tI-ENG", "x\tNOUN\tO", "x\tNOUN", "x\t_\tO\t",
-    "#x\t_\tO",
+    "#x\t_\tO", "\\#x\t_\tO", "\\\\#\tNOUN\tB-ENG",
 )
 CORPUS_MUTATIONS = line_mutations(
     JUNK_FIELDS, JUNK_LINES, ("drop", "duplicate", "swap", "field", "cut", "insert", "cr")
@@ -395,6 +405,7 @@ class TestReaderMatchesOracle:
     @example(text="# id = a\n# date = 2020-13-45\nx\t_\tO\n\n# id = b\n#x\t_\tO\n")
     @example(text="# id = a\nx\t_\tO\n\n# id = a\ny\t_\tZ\n")
     @example(text="# id = a\nx\t_\tO\n#y\t_\tO\n")
+    @example(text="# id = a\n\\#x\t_\tO\n\\\\#\t_\tO\n\n# id = b\nx\t_\tZ\n")
     def test_same_corpus_or_same_error(self, text):
         expected = outcome(read_corpus_oracle, text)
         assert outcome(read_corpus, text) == expected

@@ -466,7 +466,7 @@ class TestFlatEncoding:
         # entries, so cells and entries are both reordered.
         assert enc.visits.shape[1] == 5
         assert len(dataset._rank_major.bounds) > 2
-        assert dataset._unit_values is not embedding
+        assert (dataset.encoding.vals is None) is not embedding
         assert (dataset._rank_major.vals is None) is not embedding
         rng = np.random.default_rng(30)
         state = rng.normal(size=(dataset.n_features, dataset.n_labels))
@@ -484,6 +484,26 @@ class TestFlatEncoding:
         crf._scatter_state(enc, residual, got)
         expected = cell_order_state_gradient(enc, residual, dataset.n_features)
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c2", [0.0, 0.3])
+    def test_unit_value_array_gives_the_bytes_of_none(self, c2):
+        dataset, _, _ = encode_small()
+        enc = dataset.encoding
+        assert enc.vals is None
+        ones = TrainingSet(
+            dataclasses.replace(enc, vals=np.ones(enc.ids.size)),
+            dataset.gold,
+            dataset.n_features,
+            dataset.n_labels,
+        )
+        assert ones._rank_major.vals is not None
+        rng = np.random.default_rng(24)
+        weights = rng.normal(size=dataset.n_parameters)
+        weights[rng.random(weights.size) < 0.3] = -0.0
+        value, grad = dataset.nll_and_gradient(weights, c2)
+        value_ones, grad_ones = ones.nll_and_gradient(weights, c2)
+        assert np.float64(value).tobytes() == np.float64(value_ones).tobytes()
+        assert grad.tobytes() == grad_ones.tobytes()
 
     def test_gold_length_must_match(self):
         enc = encode_attributes([[{}, {}]], {}.get)
@@ -886,7 +906,7 @@ class TestEncodeTrainingSet:
             Corpus("c", (h,)), FeatureConfig()
         )
         assert alphabet == FULL_ALPHABET
-        assert index.frozen
+        assert len(index) == dataset.n_features
         gold = dataset.gold
         assert [alphabet.tags[i] for i in gold] == ["B-ENG", "I-ENG", "B-OTHER"]
 

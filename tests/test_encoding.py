@@ -33,7 +33,9 @@ from borrowings.features import (
     windowed_attributes,
 )
 from conftest import (
+    FirstSeenIds,
     cell_order_emissions,
+    entry_values,
     expand_encoding,
     open_vocabulary_corpus,
     synthetic_corpus,
@@ -105,8 +107,9 @@ def assert_same_encoding(got, expected):
         expand_encoding(got), expand_encoding(expected), ("ids", "vals", "token")
     ):
         assert a.tobytes() == b.tobytes(), field
-    for field in ("ids", "vals", "cell", "visits"):
+    for field in ("ids", "cell", "visits"):
         assert getattr(got, field).dtype == getattr(expected, field).dtype, field
+    assert entry_values(got).dtype == expected.vals.dtype
     assert got.visits.shape[0] == got.n_tokens
     assert np.array_equal(got.offsets, expected.offsets)
     for field in ("order", "steps"):
@@ -140,7 +143,7 @@ class TestTrainingEncoding:
     @given(corpora(), configs())
     def test_matches_oracle(self, corpus, config_and_table):
         config, table = config_and_table
-        index = FeatureIndex()
+        index = FirstSeenIds()
         expected = oracle(corpus, config, table, index.add)
         dataset, got_index, _ = encode_training_set(corpus, config, table)
         assert got_index.names() == index.names()
@@ -152,7 +155,7 @@ class TestTrainingEncoding:
         corpus = synthetic_corpus(60, seed=41)
         table = synthetic_embeddings(corpus, dim=4, seed=42) if embedding else None
         config = FeatureConfig(embedding=embedding)
-        index = FeatureIndex()
+        index = FirstSeenIds()
         expected = oracle(corpus, config, table, index.add)
         dataset, got_index, _ = encode_training_set(corpus, config, table)
         assert got_index.names() == index.names()
@@ -219,10 +222,14 @@ class TestTaggingEncoding:
 
 def encoding_digest(enc, names):
     """sha256 of an encoding's arrays (values, dtypes, shapes, memory
-    order) and of the index names."""
+    order) and of the index names.  Values of None are hashed as the
+    1.0 they stand for, so an encoding keeps the digest it had when the
+    encoder kept an array of them."""
     h = hashlib.sha256()
     for field in dataclasses.fields(enc):
         a = getattr(enc, field.name)
+        if a is None:
+            a = entry_values(enc)
         h.update(
             f"{field.name} {a.dtype.str} {a.shape} "
             f"{a.flags.c_contiguous} {a.flags.f_contiguous}\n".encode()
@@ -281,6 +288,30 @@ class TestPinnedBytes:
         assert encoding_digest(enc, index.names()) == PINNED_DIGESTS["tag"]
 
 
+class TestUnitValues:
+    """The encoder keeps entry values only when the embedding family adds
+    entries; otherwise every value is 1.0 and `vals` is None."""
+
+    @pytest.mark.parametrize(
+        "embedding, table, kept",
+        [(False, None, False), (False, TABLE, False), (True, None, False),
+         (True, TABLE, True)],
+        ids=["off", "off-with-table", "on-without-table", "on"],
+    )
+    def test_vals_none_unless_embedding_entries(self, embedding, table, kept):
+        config = FeatureConfig(embedding=embedding)
+        corpus = synthetic_corpus(20, seed=8)
+        enc, index = index_corpus(corpus, config, table)
+        assert (enc.vals is not None) is kept
+        feed = open_vocabulary_corpus(10, seed=9)
+        tagged = tag_encoding(feed.headlines, config, table, index)
+        assert (tagged.vals is not None) is kept
+        if embedding and table is None:
+            return  # the dict oracle needs the table the family reads
+        assert_same_encoding(enc, oracle(corpus, config, table, FirstSeenIds().add))
+        assert_same_encoding(tagged, oracle(feed, config, table, index.get))
+
+
 class TestEdgeCases:
     """Small inputs against the dict oracle, when training and tagging."""
 
@@ -289,10 +320,10 @@ class TestEdgeCases:
         config = FeatureConfig(embedding=embedding)
         table = TABLE if embedding else None
         empty = Corpus("empty", ())
-        index = FeatureIndex()
+        index = FirstSeenIds()
         enc, got_index = index_corpus(empty, config, table)
         assert_same_encoding(enc, oracle(empty, config, table, index.add))
-        assert len(got_index) == 0 and got_index.frozen
+        assert len(got_index) == 0
         model_index = index_corpus(synthetic_corpus(5, seed=1), config, table)[1]
         got = tag_encoding((), config, table, model_index)
         assert_same_encoding(got, oracle(empty, config, table, model_index.get))
@@ -313,7 +344,7 @@ class TestEdgeCases:
         config = FeatureConfig(embedding=embedding, window_radius=3)
         table = TABLE if embedding else None
         corpus = Corpus("one", (Headline(id="h", tokens=(Token("casa", "NOUN"),)),))
-        index = FeatureIndex()
+        index = FirstSeenIds()
         expected = oracle(corpus, config, table, index.add)
         enc, got_index = index_corpus(corpus, config, table)
         assert got_index.names() == index.names()

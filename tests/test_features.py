@@ -21,9 +21,11 @@ from borrowings.features import (
     quotation_flags,
     type_attributes,
     windowed_attributes,
+    window_table,
     word_shape,
 )
 from conftest import (
+    FirstSeenIds,
     base_attributes_oracle,
     is_title_oracle,
     is_upper_oracle,
@@ -347,23 +349,25 @@ class TestFeatureConfig:
 
 class TestFeatureIndex:
     def test_dense_first_seen_ids(self):
-        index = FeatureIndex()
-        assert index.add("a") == 0
-        assert index.add("b") == 1
-        assert index.add("a") == 0
+        index = FeatureIndex.from_names(["a", "b"])
+        assert (index.get("a"), index.get("b")) == (0, 1)
         assert len(index) == 2
         assert index.names() == ("a", "b")
         assert index.name(1) == "b"
+        assert index.ids_of(["b", "new", "a"]).tolist() == [1, -1, 0]
+        names = ("[0]a", "[-1]a", "[+1]b")
+        from_table = FeatureIndex.from_table(window_table(names, 1))
+        assert len(from_table) == 3 and from_table.names() == names
 
     def test_freeze_contract(self):
+        """An index is made whole and never grows: a name it lacks has no
+        id, and there is no way to give it one."""
         index = FeatureIndex.from_names(["a", "b"])
-        assert index.frozen
         assert index.get("a") == 0
         assert index.get("unseen") is None
         assert len(index) == 2
-        assert index.add("a") == 0  # existing names still resolve
-        with pytest.raises(ConfigError):
-            index.add("new")
+        for method in ("add", "freeze", "frozen"):
+            assert not hasattr(index, method)
 
     def test_from_names_rejects_duplicates(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -373,7 +377,7 @@ class TestFeatureIndex:
         corpus = synthetic_corpus(12, seed=7)
         config = FeatureConfig()
         _, trained_index, _ = encode_training_set(corpus, config)
-        oracle = FeatureIndex()
+        oracle = FirstSeenIds()
         for h in corpus:
             for vec in windowed_attributes(h, config):
                 for name in vec:
@@ -387,5 +391,4 @@ class TestFeatureIndex:
         first = build_index(corpus, config)
         second = build_index(corpus, config)
         assert first.names() == second.names()
-        assert first.frozen
         assert len(first) > 0

@@ -4,6 +4,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borrowings.cli import run
 from borrowings.corpus import read_corpus, write_corpus
 from borrowings.errors import ValidationError
 from borrowings.ingest import FeedItem, items_to_corpus, parse_rss
@@ -193,6 +194,43 @@ class TestItemsToCorpus:
         corpus, summary = items_to_corpus([])
         assert len(corpus) == 0
         assert (summary.added, summary.duplicates, summary.collisions) == (0, 0, 0)
+
+
+class TestHashtagTokens:
+    """A token that starts with `#` is written escaped, so its line does
+    not read as a metadata comment, and reads back as it was."""
+
+    ITEMS = (
+        item_xml("#MeToo llega a la moda", "Mon, 03 Feb 2020 08:00:00 +0100")
+        + item_xml("La moda y el #MeToo", "Mon, 03 Feb 2020 09:00:00 +0100")
+    )
+
+    def test_feed_to_corpus_text_and_back(self):
+        items, _ = parse_rss(feed(self.ITEMS))
+        corpus, _ = items_to_corpus(items, name="ingested")
+        first, mid = corpus.headlines
+        assert first.tokens[0].text == mid.tokens[-1].text == "#MeToo"
+        buffer = io.StringIO()
+        write_corpus(corpus, buffer)
+        text = buffer.getvalue()
+        assert text.count("\n\\#MeToo\t_\tO\n") == 2
+        reread = read_corpus(io.StringIO(text), name="ingested")
+        assert tuple(reread) == tuple(corpus)
+
+    def test_second_ingest_into_the_same_file(self, tmp_path):
+        rss, out = tmp_path / "feed.xml", tmp_path / "corpus.tsv"
+        rss.write_text(feed(self.ITEMS).getvalue(), encoding="utf-8")
+        assert run(["ingest", str(rss), "-o", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert run(["ingest", str(rss), "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == text
+        more = item_xml("#Brexit: otra semana", "Tue, 04 Feb 2020 08:00:00 +0100")
+        rss.write_text(feed(self.ITEMS + more).getvalue(), encoding="utf-8")
+        assert run(["ingest", str(rss), "-o", str(out)]) == 0
+        with open(out, encoding="utf-8") as stream:
+            corpus = read_corpus(stream)
+        assert [h.tokens[0].text for h in corpus] == ["#MeToo", "La", "#Brexit"]
+        assert out.read_text(encoding="utf-8").startswith(text)
 
 
 # A feed to corrupt, one element per line, and the fields (split at `>`)
