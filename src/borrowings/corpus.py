@@ -386,7 +386,8 @@ def _read_meta(lines: list[str], first: int, stop: int) -> dict[str, str]:
 # A token text that is zero or more `\` and then `#` is written with one
 # more `\` before it, so that its line does not read as a comment; the
 # reader drops one `\` from a text that is one or more `\` and then `#`.
-_NEEDS_ESCAPE = re.compile(r"\\*#")
+# The writer matches at the start of each token line of a block.
+_NEEDS_ESCAPE = re.compile(r"^(?=\\*#)", re.MULTILINE)
 _ESCAPED = re.compile(r"\\+#")
 
 # A valid token line: a text that does not start with `#`, a POS field
@@ -508,20 +509,19 @@ def write_corpus(corpus: Corpus, stream: IO[str]) -> None:
     that is zero or more `\\` and then `#` gets one more `\\` before it.
     """
     for headline in corpus:
-        block = [f"# id = {headline.id}\n"]
+        head = f"# id = {headline.id}\n"
         if headline.date is not None:
-            block.append(f"# date = {headline.date.isoformat()}\n")
+            head += f"# date = {headline.date.isoformat()}\n"
         if headline.section is not None:
-            block.append(f"# section = {headline.section}\n")
+            head += f"# section = {headline.section}\n"
         tags = spans_to_bio(headline.spans, len(headline))
-        for token, tag in zip(headline.tokens, tags):
-            text = token.text
-            if _NEEDS_ESCAPE.match(text):
-                text = "\\" + text
-            pos = token.pos if token.pos is not None else "_"
-            block.append(f"{text}\t{pos}\t{tag}\n")
-        block.append("\n")
-        stream.write("".join(block))
+        rows = "".join([
+            f"{token.text}\t{'_' if token.pos is None else token.pos}\t{tag}\n"
+            for token, tag in zip(headline.tokens, tags)
+        ])
+        if "#" in rows:
+            rows = _NEEDS_ESCAPE.sub(r"\\", rows)
+        stream.write(f"{head}{rows}\n")
 
 
 @dataclass(frozen=True)

@@ -406,11 +406,13 @@ def _intern_types(
     src_vals = np.ones(rows[-1]) if dim else None
     src[:3] = (0, 1, 2)
     src[_ranges(rows[2:-1], n_names[2:])] = attrs.ids + len(fixed)
-    if dim and types:
-        at = _ranges(rows[2:-1] + n_names[2:], np.full(len(types), dim))
-        src[at] = np.tile(np.arange(3, 3 + dim), len(types))
-        texts = [text for text, _ in types]
-        src_vals[at] = embedding_rows(texts, config, embeddings).ravel()
+    if config.embedding and types:
+        # Raises ConfigError when the family is on but no table was given.
+        values = embedding_rows([text for text, _ in types], config, embeddings)
+        if dim:
+            at = _ranges(rows[2:-1] + n_names[2:], np.full(len(types), dim))
+            src[at] = np.tile(np.arange(3, 3 + dim), len(types))
+            src_vals[at] = values.ravel()
     return _Types(
         base_names=[*fixed, *attrs.names],
         src=src,

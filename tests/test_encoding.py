@@ -24,6 +24,7 @@ from borrowings.crf import (
     tag,
 )
 from borrowings.embeddings import EmbeddingTable
+from borrowings.errors import ConfigError
 from borrowings.features import (
     FAMILIES,
     FeatureConfig,
@@ -294,9 +295,8 @@ class TestUnitValues:
 
     @pytest.mark.parametrize(
         "embedding, table, kept",
-        [(False, None, False), (False, TABLE, False), (True, None, False),
-         (True, TABLE, True)],
-        ids=["off", "off-with-table", "on-without-table", "on"],
+        [(False, None, False), (False, TABLE, False), (True, TABLE, True)],
+        ids=["off", "off-with-table", "on"],
     )
     def test_vals_none_unless_embedding_entries(self, embedding, table, kept):
         config = FeatureConfig(embedding=embedding)
@@ -306,10 +306,30 @@ class TestUnitValues:
         feed = open_vocabulary_corpus(10, seed=9)
         tagged = tag_encoding(feed.headlines, config, table, index)
         assert (tagged.vals is not None) is kept
-        if embedding and table is None:
-            return  # the dict oracle needs the table the family reads
         assert_same_encoding(enc, oracle(corpus, config, table, FirstSeenIds().add))
         assert_same_encoding(tagged, oracle(feed, config, table, index.get))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            index_corpus,
+            build_index,
+            encode_training_set,
+            lambda corpus, config, table: crf.train(
+                corpus, config, table, TrainConfig(max_iterations=1)
+            ),
+        ],
+        ids=["index_corpus", "build_index", "encode_training_set", "train"],
+    )
+    def test_family_on_without_a_table_raises(self, build):
+        config = FeatureConfig(embedding=True)
+        corpus = synthetic_corpus(20, seed=8)
+        with pytest.raises(ConfigError, match="embedding"):
+            build(corpus, config, None)
+        index = index_corpus(corpus, config, TABLE)[1]
+        feed = open_vocabulary_corpus(10, seed=9)
+        with pytest.raises(ConfigError, match="embedding"):
+            tag_encoding(feed.headlines, config, None, index)
 
 
 class TestEdgeCases:
