@@ -23,7 +23,6 @@ from .features import (
     FeatureConfig,
     FeatureIndex,
     build_index,
-    extract_token_attributes,
     windowed_attributes,
 )
 from .ingest import FeedItem, items_to_corpus, parse_rss
@@ -52,7 +51,6 @@ __all__ = [
     "build_index",
     "corpus_stats",
     "evaluate",
-    "extract_token_attributes",
     "f1",
     "grid_search",
     "items_to_corpus",

@@ -18,8 +18,8 @@ overflows, and log Z is the sum of the log scales and the shifts.
 Scores still underflow when weights are extreme: if the mass through
 one position falls more than about 700 nats below the shifted maxima
 (transition and emission gaps of several hundred on every path), a
-scale becomes 0 or subnormal, and the objective and `log_partition`
-raise `DivergenceError` rather than return an inaccurate value.
+scale becomes 0 or subnormal, and the objective raises
+`DivergenceError` rather than return an inaccurate value.
 Decoding stays in log space (max-plus Viterbi).
 
 A batch of sequences (a training corpus, or the headlines being tagged)
@@ -96,9 +96,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,7 +116,6 @@ from .features import (
     BOS,
     EOS,
     QUOTATION,
-    AttributeVector,
     BaseTable,
     FeatureConfig,
     FeatureIndex,
@@ -125,6 +123,7 @@ from .features import (
     embedding_rows,
     quotation_flags,
     type_attributes,
+    window_table,
 )
 
 DivergenceError = optim.DivergenceError
@@ -281,38 +280,6 @@ class Encoding:
     @property
     def n_cells(self) -> int:
         return int(self.visits.max(initial=-1)) + 1
-
-
-def encode_attributes(
-    sequences: Iterable[Sequence[AttributeVector]],
-    lookup: Callable[[str], int | None],
-) -> Encoding:
-    """Flat encoding of attribute sequences, one cell per token.
-
-    `lookup` maps an attribute name to its id, or to None for attributes
-    that are dropped.
-    """
-    ids = array("q")
-    vals = array("d")
-    sizes = array("q")
-    seq_lengths = array("q")
-    for vecs in sequences:
-        seq_lengths.append(len(vecs))
-        for vec in vecs:
-            before = len(ids)
-            for name, value in vec.items():
-                i = lookup(name)
-                if i is not None:
-                    ids.append(i)
-                    vals.append(value)
-            sizes.append(len(ids) - before)
-    return _flat_encoding(
-        np.frombuffer(ids, dtype=np.int64),
-        np.frombuffer(vals, dtype=float),
-        np.repeat(np.arange(len(sizes)), np.frombuffer(sizes, dtype=np.int64)),
-        np.arange(len(sizes)).reshape(-1, 1),
-        np.frombuffer(seq_lengths, dtype=np.int64),
-    )
 
 
 def _flat_encoding(
@@ -502,11 +469,15 @@ def _encode_windows(
     """Cell encoding of the windowed attributes of `headlines`, and its index.
 
     Each token visits one cell per window slot: the entries its type
-    contributes there, quoted or not.  Laid out visit by visit, the
-    entries are those of `encode_attributes` over `windowed_attributes`,
-    in the same order.  Cells are numbered in order of first visit, and
-    each is stored once.  Without `index`, every name gets an id, in
-    order of first appearance, and a new index of them is returned;
+    contributes there, quoted or not.  Laid out visit by visit, a
+    token's entries are its windowed attributes in order, which
+    `features.windowed_attributes` names: slot by slot from offset
+    -radius, BOS or EOS outside the headline, and otherwise the
+    neighbor's names before `quot=1`, `quot=1` if the family is on and
+    the neighbor quoted, the names after it, and at the centre the
+    embedding components.  Cells are numbered in order of first visit,
+    and each is stored once.  Without `index`, every name gets an id,
+    in order of first appearance, and a new index of them is returned;
     with one, names are looked up in it, those it lacks are dropped, and
     `index` itself is returned.  Either way no prefixed name is built.
     The values are None unless the embedding family adds entries.
@@ -544,11 +515,11 @@ def _encode_windows(
         ids[base_id, slot] = np.arange(distinct.size)
         names = map(types.base_names.__getitem__, bases.tolist())
         rows = dict(zip(names, itertools.count()))
-        index = FeatureIndex.from_table(BaseTable(rows, ids))
+        index = FeatureIndex(BaseTable(rows, ids))
     else:
         # Each base name of the batch is looked up once, and its row of
         # the model's table gives its ids at every slot.
-        table = index.table(radius)
+        table = index.table
         row = np.fromiter(
             map(table.rows.get, types.base_names, itertools.repeat(-1)),
             np.int64,
@@ -959,46 +930,6 @@ def _decode(model: CrfModel, enc: Encoding) -> np.ndarray:
     return paths
 
 
-def _encode_one(model: CrfModel, attrs: Sequence[AttributeVector]) -> Encoding:
-    if not attrs:
-        raise ValidationError("attribute sequence must be non-empty")
-    return encode_attributes([attrs], model.index.get)
-
-
-def score_sequence(
-    model: CrfModel, attrs: Sequence[AttributeVector], y: Sequence[str]
-) -> float:
-    """Unnormalized score of tag sequence `y`; unknown attributes add 0."""
-    if len(attrs) != len(y):
-        raise ValidationError(
-            f"{len(attrs)} attribute vectors but {len(y)} tags"
-        )
-    enc = _encode_one(model, attrs)
-    gold = np.array([model.alphabet.index(tag) for tag in y], dtype=np.int64)
-    counts = _path_counts(gold, enc.offsets, model.n_labels)
-    e = _emissions(enc, model.state)
-    return _path_score(e, gold, counts, model.transition, model.start, model.end)
-
-
-def log_partition(model: CrfModel, attrs: Sequence[AttributeVector]) -> float:
-    """log of the summed exponentiated scores of all tag sequences.
-
-    Raises DivergenceError where the scaled forward pass underflows.
-    """
-    enc = _encode_one(model, attrs)
-    e = _emissions(enc, model.state)
-    log_z, _, _ = _forward_backward(
-        e, enc, model.transition, model.start, model.end
-    )
-    return log_z
-
-
-def viterbi(model: CrfModel, attrs: Sequence[AttributeVector]) -> list[str]:
-    """Highest-scoring tag sequence, lower tag index winning ties."""
-    path = _decode(model, _encode_one(model, attrs))
-    return [model.alphabet.tags[i] for i in path]
-
-
 # --- training objective ------------------------------------------------------
 
 class TrainingSet:
@@ -1177,7 +1108,7 @@ def train(
     state, transition, start, end = _unpack(
         result.x, dataset.n_features, dataset.n_labels
     )
-    index, state = _active(index, state, config.window_radius)
+    index, state = _active(index, state)
     return CrfModel(
         alphabet=alphabet,
         index=index,
@@ -1192,7 +1123,7 @@ def train(
 
 
 def _active(
-    index: FeatureIndex, state: np.ndarray, radius: int
+    index: FeatureIndex, state: np.ndarray
 ) -> tuple[FeatureIndex, np.ndarray]:
     """The index and state rows of the attributes with a nonzero state
     weight, renumbered in their id order; `index` and `state` themselves
@@ -1206,7 +1137,7 @@ def _active(
     active = np.any(state != 0, axis=1)
     if active.all():
         return index, state
-    table = index.table(radius)
+    table = index.table
     # New id by old id; the last entry maps the table's -1 to -1.
     new_id = np.full(active.size + 1, -1, dtype=np.int64)
     new_id[np.flatnonzero(active)] = np.arange(np.count_nonzero(active))
@@ -1214,7 +1145,7 @@ def _active(
     order = _bases_by_first_id(ids)
     bases = list(table.rows)
     rows = dict(zip(map(bases.__getitem__, order.tolist()), itertools.count()))
-    return FeatureIndex.from_table(BaseTable(rows, ids[order])), state[active]
+    return FeatureIndex(BaseTable(rows, ids[order])), state[active]
 
 
 def _bases_by_first_id(ids: np.ndarray) -> np.ndarray:
@@ -1306,15 +1237,16 @@ def _config_echo(config: object) -> str:
 def save_model(model: CrfModel, stream: IO[str]) -> None:
     """Write the model losslessly as versioned UTF-8 text (format 2).
 
-    Raises ValidationError if an attribute name is not a windowed name
-    of the model's window, which the format cannot hold.
+    Raises ValidationError if the index's window is not the model's,
+    which the format cannot hold.
     """
     n_features = model.n_features
-    table = model.index.table(model.feature_config.window_radius)
-    if np.count_nonzero(table.ids >= 0) != n_features:
+    table = model.index.table
+    radius = model.feature_config.window_radius
+    if table.ids.shape[1] != 2 * radius + 1:
         raise ValidationError(
-            "cannot save attribute names that are not windowed names of the "
-            "model's window"
+            f"cannot save an index of window width {table.ids.shape[1]} with a "
+            f"model of window_radius {radius}"
         )
     order = _bases_by_first_id(table.ids)
     bases = list(table.rows)
@@ -1470,27 +1402,30 @@ def _int_rows(lines: list[str], width: int) -> np.ndarray:
     return np.fromstring(text, dtype=np.int64, sep="\t")
 
 
-def _read_names(reader: _Reader, n_features: int, radius: int) -> FeatureIndex:
-    """The index of a version-1 file: one windowed name per line, in id
-    order, from which the (base name, slot) table is derived."""
+def _read_names(
+    reader: _Reader, n_features: int, radius: int
+) -> tuple[FeatureIndex, dict[str, int]]:
+    """The index of a version-1 file, and its ids by name: one windowed
+    name per line, in id order, from which the (base name, slot) table
+    is derived.  A repeated name is reported before a name that is not
+    `[k]base` within the window, and of those the first in id order."""
     if reader.next_line("attribute names") != "attribute_names":
         raise ModelFormatError("missing attribute_names section")
-    try:
-        index = FeatureIndex.from_names(
-            reader.next_lines(n_features, "attribute names")
-        )
-    except ConfigError:
-        raise ModelFormatError("duplicate attribute names") from None
-    ids = index.table(radius).ids
+    names = reader.next_lines(n_features, "attribute names")
+    by_name = dict(zip(names, itertools.count()))
+    if len(by_name) != n_features:
+        raise ModelFormatError("duplicate attribute names")
+    table = window_table(names, radius)
+    ids = table.ids
     if np.count_nonzero(ids >= 0) < n_features:
         # The first name the table leaves out.
         missing = np.ones(n_features, dtype=bool)
         missing[ids[ids >= 0]] = False
-        name = index.name(int(np.argmax(missing)))
+        name = names[int(np.argmax(missing))]
         raise ModelFormatError(
             f"attribute name {name!r} is not [k]base with |k| <= {radius}"
         )
-    return index
+    return FeatureIndex(table), by_name
 
 
 def _read_table(reader: _Reader, n_features: int, width: int) -> FeatureIndex:
@@ -1543,7 +1478,7 @@ def _read_table(reader: _Reader, n_features: int, width: int) -> FeatureIndex:
         raise ModelFormatError(f"non-integer attribute id {fields[column]!r}")
     if at.size != n_features:
         raise ModelFormatError(f"{not_permutation}: ids are missing")
-    return FeatureIndex.from_table(BaseTable(rows, ids.reshape(n_bases, width)))
+    return FeatureIndex(BaseTable(rows, ids.reshape(n_bases, width)))
 
 
 def _parse_ids(keys: list[str], n_features: int) -> np.ndarray:
@@ -1614,7 +1549,7 @@ def load_model(stream: IO[str]) -> CrfModel:
         )
     radius = feature_config.window_radius
     if header[1] == "1":
-        index = _read_names(reader, n_features, radius)
+        index, by_name = _read_names(reader, n_features, radius)
     else:
         index = _read_table(reader, n_features, 2 * radius + 1)
     sw_parts = reader.next_line("state weight count").split("\t")
@@ -1635,7 +1570,9 @@ def load_model(stream: IO[str]) -> CrfModel:
     fields = "\t".join(present[:n_shaped]).split("\t") if n_shaped else []
     # A version-1 line names its attribute, a version-2 line gives its id.
     if header[1] == "1":
-        rows = index.ids_of(fields[0::3])
+        rows = np.fromiter(
+            map(by_name.get, fields[0::3], itertools.repeat(-1)), np.int64, n_shaped
+        )
     else:
         rows = _parse_ids(fields[0::3], n_features)
     tag_ids = {tag_name: i for i, tag_name in enumerate(alphabet.tags)}

@@ -3,21 +3,23 @@
 Ten independently switchable families describe a token.  All but two
 depend only on the token's type, its (text, POS) pair:
 `type_attributes` gives the binary attribute names of a batch of types
-in family order, as interned ids, and `base_attributes` those of one
-type, split where the quotation attribute goes.  The quotation flag
-depends on the token's place in its headline (`quotation_flags` marks
-a whole headline at once), and the scaled embedding components
-(`embedding_rows`, named `emb0`, `emb1`, ...) are emitted at the
-centre of the window only.
+in family order, as interned ids, split where the quotation attribute
+goes.  The quotation flag depends on the token's place in its headline
+(`quotation_flags` marks a whole headline at once), and the scaled
+embedding components (`embedding_rows`, named `emb0`, `emb1`, ...) are
+emitted at the centre of the window only.
 
-The dict view builds on the same functions.  An attribute vector is an
-ordered mapping from attribute name to a finite value.  A position's
-windowed vector (`windowed_attributes`) is the union of its neighbors'
+A position's windowed attributes are the union of its neighbors'
 attributes within a symmetric window, each name prefixed with the
 originating offset (`[-2]`, `[-1]`, `[0]`, `[+1]`, `[+2]`).  Offsets
 outside the headline contribute a single `[o]BOS` or `[o]EOS`
 attribute.  The CRF encodes corpora from the base names directly,
-without building these dicts; see `crf`.
+without building any prefixed name (`crf._encode_windows`), and a
+`FeatureIndex` holds the ids it assigns as a table by base name and
+window slot (`BaseTable`).  `windowed_attributes` and `build_index`
+are views of that one encoding: the first gives each token's
+attributes as an ordered mapping from attribute name to a finite
+value, the second the index of a corpus.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Headline, Token
+from .corpus import Corpus, Headline
 from .embeddings import EmbeddingTable
 from .errors import ConfigError
 
@@ -154,22 +156,6 @@ def _upper_flags(texts: Sequence[str], tables: CharTables) -> np.ndarray:
     return np.fromiter(upper, np.int64, len(letters))
 
 
-def word_shape(text: str) -> str:
-    """Collapse the token to a character-class sketch.
-
-    Uppercase letters map to X, lowercase to x, digits to d, everything
-    else stays verbatim; runs of more than four identical output
-    characters are truncated to four.
-    """
-    return _word_shapes(_shape_classes((text,), char_tables((text,))))[0]
-
-
-def char_trigrams(text: str) -> list[str]:
-    """All character trigrams of the token padded with ^ and $."""
-    padded = f"^{text}$"
-    return [padded[i : i + 3] for i in range(len(padded) - 2)]
-
-
 # Quote characters that open a quotation region, with their closers.
 _QUOTE_PAIRS = {
     "«": "»",  # « »
@@ -201,16 +187,6 @@ def quotation_flags(headline: Headline) -> list[bool]:
         if closer is not None:
             flags[i] = True
     return flags
-
-
-def _is_upper(text: str) -> bool:
-    """Whether `text` has a letter and no lowercase one."""
-    return bool(_upper_flags((text,), char_tables((text,)))[0])
-
-
-def _is_title(text: str) -> bool:
-    """Whether only the first character of `text` is uppercase."""
-    return bool(_title_flags(_shape_classes((text,), char_tables((text,))))[0])
 
 
 QUOTATION = "quot=1"
@@ -351,20 +327,6 @@ _TRI = np.array([ord(ch) for ch in "tri="], dtype=np.uint32)
 _SEVEN = re.compile(".{7}", re.DOTALL)
 
 
-def base_attributes(
-    text: str, pos: str | None, config: FeatureConfig
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Binary attribute names of a token type, before and after `quot=1`.
-
-    Names come in family order.  A trigram that occurs twice in the
-    token is named once, at its first occurrence.
-    """
-    attrs = type_attributes(((text, pos),), config)
-    names = tuple(map(attrs.names.__getitem__, attrs.ids.tolist()))
-    split = int(attrs.n_before[0])
-    return names[:split], names[split:]
-
-
 def embedding_names(dim: int) -> tuple[str, ...]:
     return tuple(f"emb{i}" for i in range(dim))
 
@@ -382,49 +344,6 @@ def embedding_rows(
     return rows.reshape(len(texts), embeddings.dim) * config.embedding_scaling
 
 
-def embedding_values(
-    text: str, config: FeatureConfig, embeddings: EmbeddingTable | None
-) -> list[float]:
-    """The token's embedding components times the configured scaling."""
-    return embedding_rows((text,), config, embeddings)[0].tolist()
-
-
-def _extract(
-    token: Token,
-    quoted: bool,
-    config: FeatureConfig,
-    embeddings: EmbeddingTable | None,
-    emit_embedding: bool,
-) -> AttributeVector:
-    before, after = base_attributes(token.text, token.pos, config)
-    attrs = dict.fromkeys(before, 1.0)
-    if quoted:
-        attrs[QUOTATION] = 1.0
-    attrs.update(dict.fromkeys(after, 1.0))
-    if config.embedding and emit_embedding:
-        values = embedding_values(token.text, config, embeddings)
-        attrs.update(zip(embedding_names(len(values)), values))
-    return attrs
-
-
-def quoted_tokens(headline: Headline, config: FeatureConfig) -> list[bool]:
-    """Which tokens get `quot=1`: none when the family is off."""
-    if config.quotation:
-        return quotation_flags(headline)
-    return [False] * len(headline)
-
-
-def extract_token_attributes(
-    headline: Headline,
-    t: int,
-    config: FeatureConfig,
-    embeddings: EmbeddingTable | None = None,
-) -> AttributeVector:
-    """Attribute vector of a single token, before windowing."""
-    quoted = quoted_tokens(headline, config)[t]
-    return _extract(headline.tokens[t], quoted, config, embeddings, True)
-
-
 def offset_prefix(offset: int) -> str:
     """The prefix that marks attributes of the neighbor at `offset`."""
     return "[0]" if offset == 0 else f"[{offset:+d}]"
@@ -435,35 +354,25 @@ def windowed_attributes(
     config: FeatureConfig,
     embeddings: EmbeddingTable | None = None,
 ) -> list[AttributeVector]:
-    """Window-expanded attribute vectors for every position."""
-    n = len(headline)
-    radius = config.window_radius
-    quoted = quoted_tokens(headline, config)
-    center = [
-        _extract(token, q, config, embeddings, emit_embedding=True)
-        for token, q in zip(headline.tokens, quoted)
-    ]
-    if config.embedding:
-        neighbor = [
-            _extract(token, q, config, embeddings, emit_embedding=False)
-            for token, q in zip(headline.tokens, quoted)
-        ]
-    else:
-        neighbor = center
+    """Window-expanded attribute vectors for every position.
+
+    A view of the headline's encoding alone (`crf._encode_windows`):
+    each token's vector holds the entries of the cells it visits, in
+    slot order, each named through the encoding's index.
+    """
+    from .crf import _encode_windows
+
+    enc, index = _encode_windows((headline,), config, embeddings)
+    names = map(index.names().__getitem__, enc.ids.tolist())
+    vals = itertools.repeat(1.0) if enc.vals is None else enc.vals.tolist()
+    entries = list(zip(names, vals))
+    starts = np.searchsorted(enc.cell, np.arange(enc.n_cells + 1)).tolist()
+    cells = [dict(entries[lo:hi]) for lo, hi in zip(starts, starts[1:])]
     out: list[AttributeVector] = []
-    for t in range(n):
+    for row in enc.visits.tolist():
         vec: AttributeVector = {}
-        for offset in range(-radius, radius + 1):
-            prefix = offset_prefix(offset)
-            j = t + offset
-            if j < 0:
-                vec[prefix + BOS] = 1.0
-            elif j >= n:
-                vec[prefix + EOS] = 1.0
-            else:
-                source = center[j] if offset == 0 else neighbor[j]
-                for name, value in source.items():
-                    vec[f"{prefix}{name}"] = value
+        for cell in row:
+            vec.update(cells[cell])
         out.append(vec)
     return out
 
@@ -512,35 +421,24 @@ def window_table(names: Sequence[str], radius: int) -> BaseTable:
 
 
 class FeatureIndex:
-    """Dense, immutable attribute-name-to-id mapping.
-
-    An index is made from its windowed names (`from_names`), or from a
-    `BaseTable` (`from_table`), which is how training, tagging and model
-    files use it.  Each form is derived from the other on first use: the
-    table by `table`, the names by `names`, `name`, `get` and `ids_of`,
-    which look names up in a dict built once.
+    """Dense, immutable attribute-name-to-id mapping, held as the
+    `BaseTable` `table`, whose ids are a permutation of range(n) for
+    some n, with -1 elsewhere.  Training, tagging and model files read
+    the table; `names` spells the windowed names out on first use.
     """
 
-    def __init__(self, names: list[str] | None, table: BaseTable | None) -> None:
-        """Use `from_names` or `from_table`."""
-        self._names = names
-        self._ids: dict[str, int] | None = None
-        self._table = table
-        self._size = (
-            len(names) if names is not None else int(np.count_nonzero(table.ids >= 0))
-        )
+    def __init__(self, table: BaseTable) -> None:
+        self.table = table
+        self._size = int(np.count_nonzero(table.ids >= 0))
+        self._names: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
         return self._size
 
-    def _name_ids(self) -> dict[str, int]:
-        if self._ids is None:
-            self._ids = dict(zip(self._name_list(), itertools.count()))
-        return self._ids
-
-    def _name_list(self) -> list[str]:
+    def names(self) -> tuple[str, ...]:
+        """The windowed names, by id."""
         if self._names is None:
-            table = self._table
+            table = self.table
             radius = table.radius
             prefixes = np.array(
                 [offset_prefix(k) for k in range(-radius, radius + 1)], dtype=object
@@ -549,46 +447,8 @@ class FeatureIndex:
             row, slot = np.nonzero(table.ids >= 0)
             names = np.empty(self._size, dtype=object)
             names[table.ids[row, slot]] = prefixes[slot] + bases[row]
-            self._names = names.tolist()
+            self._names = tuple(names.tolist())
         return self._names
-
-    def get(self, name: str) -> int | None:
-        """Id for `name`, or None if it was never indexed."""
-        return self._name_ids().get(name)
-
-    def ids_of(self, names: Iterable[str]) -> np.ndarray:
-        """Ids of `names` as an int64 array, -1 for names never indexed."""
-        return np.fromiter(
-            map(self._name_ids().get, names, itertools.repeat(-1)), dtype=np.int64
-        )
-
-    def name(self, i: int) -> str:
-        return self._name_list()[i]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._name_list())
-
-    def table(self, radius: int) -> BaseTable:
-        """The (base name, slot) view of the windowed names of a window
-        of `radius`; names that are not windowed names of that window
-        are left out of it."""
-        if self._table is None or self._table.radius != radius:
-            self._table = window_table(self._name_list(), radius)
-        return self._table
-
-    @classmethod
-    def from_names(cls, names: Iterable[str]) -> "FeatureIndex":
-        """Index giving each name its position; names must be distinct."""
-        index = cls(list(names), None)
-        if len(index._name_ids()) != len(index):
-            raise ConfigError("duplicate attribute names")
-        return index
-
-    @classmethod
-    def from_table(cls, table: BaseTable) -> "FeatureIndex":
-        """Index of the names of `table`, whose ids must be a permutation
-        of range(n) for some n, with -1 elsewhere."""
-        return cls(None, table)
 
 
 def build_index(
@@ -597,9 +457,9 @@ def build_index(
     embeddings: EmbeddingTable | None = None,
 ) -> FeatureIndex:
     """Index over every attribute the corpus produces, numbered by first
-    appearance."""
-    # The encoder that assigns ids lives with the flat encoding in `crf`,
-    # which imports this module.
-    from .crf import index_corpus
+    appearance: the index of the corpus's encoding."""
+    # The encoder lives with the flat encoding in `crf`, which imports
+    # this module.
+    from .crf import _encode_windows
 
-    return index_corpus(corpus, config, embeddings)[1]
+    return _encode_windows(corpus.headlines, config, embeddings)[1]

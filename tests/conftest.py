@@ -1,4 +1,12 @@
-"""Shared generators and brute-force oracles for the test suite.
+"""Shared generators, brute-force oracles and per-instance references
+for the test suite.
+
+The batch code in `borrowings` is checked against slower references
+kept here, which only tests call: the dict view of windowed attributes
+built one token and one name at a time (`windowed_attributes_oracle`),
+the one-cell-per-token encoding of attribute dicts
+(`encode_attributes`), and scoring, log Z and Viterbi of one attribute
+sequence (`score_sequence`, `log_partition`, `viterbi`).
 
 The synthetic corpus is deterministic given a seed and perfectly
 separable: every borrowing-initial token ends in the sentinel suffix
@@ -13,6 +21,7 @@ import datetime
 import itertools
 import random
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -29,16 +38,32 @@ from borrowings.corpus import (
 )
 from borrowings.crf import (
     CrfModel,
+    Encoding,
     TrainConfig,
     _config_echo,
+    _decode,
+    _emissions,
+    _flat_encoding,
     _format_float,
+    _forward_backward,
+    _path_counts,
+    _path_score,
     _unpack,
     encode_training_set,
-    viterbi,
 )
 from borrowings.embeddings import EmbeddingTable
 from borrowings.errors import ValidationError
-from borrowings.features import FeatureConfig, FeatureIndex, windowed_attributes
+from borrowings.features import (
+    BOS,
+    EOS,
+    QUOTATION,
+    FeatureConfig,
+    FeatureIndex,
+    embedding_names,
+    offset_prefix,
+    quotation_flags,
+    window_table,
+)
 
 FILLERS = (
     "casa", "mercado", "gobierno", "serie", "nueva", "temporada",
@@ -159,7 +184,7 @@ def write_embeddings_file(table: EmbeddingTable, path) -> None:
 # --- per-character feature oracles ---------------------------------------
 
 def word_shape_oracle(text: str) -> str:
-    """`features.word_shape`, one character at a time."""
+    """`features._word_shapes`, one character at a time."""
     out: list[str] = []
     last = ""
     run = 0
@@ -180,13 +205,13 @@ def word_shape_oracle(text: str) -> str:
 
 
 def is_upper_oracle(text: str) -> bool:
-    """`features._is_upper`: a letter, and no lowercase one."""
+    """`features._upper_flags`: a letter, and no lowercase one."""
     cased = [ch for ch in text if ch.isalpha()]
     return bool(cased) and all(not ch.islower() for ch in cased)
 
 
 def is_title_oracle(text: str) -> bool:
-    """`features._is_title`: only the first character is uppercase."""
+    """`features._title_flags`: only the first character is uppercase."""
     if not text[0].isupper():
         return False
     return all(not ch.isupper() for ch in text[1:])
@@ -195,7 +220,8 @@ def is_title_oracle(text: str) -> bool:
 def base_attributes_oracle(
     text: str, pos: str | None, config: FeatureConfig
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """`features.base_attributes`, one type and one name at a time."""
+    """The names `features.type_attributes` gives one (text, POS) type,
+    before and after `quot=1`, one name at a time."""
     before: list[str] = []
     if config.bias:
         before.append("bias")
@@ -217,6 +243,126 @@ def base_attributes_oracle(
     if config.shape:
         after.append(f"shape={word_shape_oracle(text)}")
     return tuple(before), tuple(after)
+
+
+def windowed_attributes_oracle(
+    headline: Headline,
+    config: FeatureConfig,
+    embeddings: EmbeddingTable | None = None,
+) -> list[dict[str, float]]:
+    """`features.windowed_attributes`, one token and one name at a time.
+
+    Each token's names are those of `base_attributes_oracle`, with
+    `quot=1` between its halves where `quotation_flags` marks the
+    token; the centre slot adds the embedding components times the
+    scaling.  Offsets outside the headline give BOS or EOS.
+    """
+    n = len(headline)
+    quoted = quotation_flags(headline) if config.quotation else [False] * n
+    plain: list[dict[str, float]] = []
+    centre: list[dict[str, float]] = []
+    for token, q in zip(headline.tokens, quoted):
+        before, after = base_attributes_oracle(token.text, token.pos, config)
+        names = [*before, *([QUOTATION] if q else []), *after]
+        plain.append(dict.fromkeys(names, 1.0))
+        own = dict(plain[-1])
+        if config.embedding:
+            vector = embeddings.lookup(token.text)
+            own.update(
+                (name, float(v) * config.embedding_scaling)
+                for name, v in zip(embedding_names(embeddings.dim), vector)
+            )
+        centre.append(own)
+    out: list[dict[str, float]] = []
+    radius = config.window_radius
+    for t in range(n):
+        vec: dict[str, float] = {}
+        for offset in range(-radius, radius + 1):
+            prefix = offset_prefix(offset)
+            j = t + offset
+            if j < 0:
+                vec[prefix + BOS] = 1.0
+            elif j >= n:
+                vec[prefix + EOS] = 1.0
+            else:
+                source = centre[j] if offset == 0 else plain[j]
+                vec.update((prefix + name, v) for name, v in source.items())
+        out.append(vec)
+    return out
+
+
+# --- per-instance references of the batch encoding and inference -----------
+
+def encode_attributes(sequences, lookup) -> Encoding:
+    """Flat encoding of attribute sequences, one cell per token.
+
+    `lookup` maps an attribute name to its id, or to None for attributes
+    that are dropped.
+    """
+    ids = array("q")
+    vals = array("d")
+    sizes = array("q")
+    seq_lengths = array("q")
+    for vecs in sequences:
+        seq_lengths.append(len(vecs))
+        for vec in vecs:
+            before = len(ids)
+            for name, value in vec.items():
+                i = lookup(name)
+                if i is not None:
+                    ids.append(i)
+                    vals.append(value)
+            sizes.append(len(ids) - before)
+    return _flat_encoding(
+        np.frombuffer(ids, dtype=np.int64),
+        np.frombuffer(vals, dtype=float),
+        np.repeat(np.arange(len(sizes)), np.frombuffer(sizes, dtype=np.int64)),
+        np.arange(len(sizes)).reshape(-1, 1),
+        np.frombuffer(seq_lengths, dtype=np.int64),
+    )
+
+
+def name_lookup(index: FeatureIndex):
+    """The id of a windowed name in `index`, or None where it has none."""
+    return dict(zip(index.names(), itertools.count())).get
+
+
+def _encode_one(model: CrfModel, attrs) -> Encoding:
+    if not attrs:
+        raise ValidationError("attribute sequence must be non-empty")
+    return encode_attributes([attrs], name_lookup(model.index))
+
+
+def score_sequence(model: CrfModel, attrs, y) -> float:
+    """Unnormalized score of tag sequence `y`; unknown attributes add 0."""
+    if len(attrs) != len(y):
+        raise ValidationError(
+            f"{len(attrs)} attribute vectors but {len(y)} tags"
+        )
+    enc = _encode_one(model, attrs)
+    gold = np.array([model.alphabet.index(tag) for tag in y], dtype=np.int64)
+    counts = _path_counts(gold, enc.offsets, model.n_labels)
+    e = _emissions(enc, model.state)
+    return _path_score(e, gold, counts, model.transition, model.start, model.end)
+
+
+def log_partition(model: CrfModel, attrs) -> float:
+    """log of the summed exponentiated scores of all tag sequences.
+
+    Raises DivergenceError where the scaled forward pass underflows.
+    """
+    enc = _encode_one(model, attrs)
+    e = _emissions(enc, model.state)
+    log_z, _, _ = _forward_backward(
+        e, enc, model.transition, model.start, model.end
+    )
+    return log_z
+
+
+def viterbi(model: CrfModel, attrs) -> list[str]:
+    """Highest-scoring tag sequence, lower tag index winning ties."""
+    path = _decode(model, _encode_one(model, attrs))
+    return [model.alphabet.tags[i] for i in path]
 
 
 # --- brute-force inference oracles ----------------------------------------
@@ -611,7 +757,8 @@ def tag_oracle(model: CrfModel, corpus: Corpus, embeddings=None) -> Corpus:
     decoded by `bio_to_spans` and put in with `dataclasses.replace`."""
     return Corpus(corpus.name, tuple(
         dataclasses.replace(headline, spans=tuple(bio_to_spans(viterbi(
-            model, windowed_attributes(headline, model.feature_config, embeddings)
+            model,
+            windowed_attributes_oracle(headline, model.feature_config, embeddings),
         ))))
         for headline in corpus
     ))
@@ -660,9 +807,12 @@ def mutate(text: str, mutation, sep: str = "\t") -> str:
 
 
 def model_from_matrices(e, transition, start, end) -> tuple[CrfModel, list[dict]]:
-    """Model whose emissions for the returned attrs equal `e` exactly."""
+    """Model whose emissions for the returned attrs equal `e` exactly:
+    token t has the one attribute `[0]p<t>`."""
     n, n_labels = e.shape
-    index = FeatureIndex.from_names([f"p{t}" for t in range(n)])
+    config = FeatureConfig()
+    names = [f"[0]p{t}" for t in range(n)]
+    index = FeatureIndex(window_table(names, config.window_radius))
     model = CrfModel(
         alphabet=alphabet_of_size(n_labels),
         index=index,
@@ -670,11 +820,10 @@ def model_from_matrices(e, transition, start, end) -> tuple[CrfModel, list[dict]
         transition=np.array(transition, dtype=float),
         start=np.array(start, dtype=float),
         end=np.array(end, dtype=float),
-        feature_config=FeatureConfig(),
+        feature_config=config,
         train_config=TrainConfig(),
     )
-    attrs = [{f"p{t}": 1.0} for t in range(n)]
-    return model, attrs
+    return model, [{name: 1.0} for name in names]
 
 
 @pytest.fixture(scope="session")

@@ -31,11 +31,9 @@ from borrowings.crf import (
     TrainConfig,
     encode_training_set,
     load_model,
-    log_partition,
     save_model,
     tag,
     train,
-    viterbi,
 )
 from borrowings.evaluation import BORROWING, evaluate, f1
 from borrowings.features import FeatureConfig
@@ -45,8 +43,10 @@ from conftest import (
     brute_best_path,
     brute_log_partition,
     dp_best_path_min_index,
+    log_partition,
     model_from_matrices,
     synthetic_corpus,
+    viterbi,
 )
 from test_evaluation import headline, oracle_counts, random_span_layout
 

@@ -31,16 +31,12 @@ from borrowings.crf import (
     ModelTruncatedError,
     ModelVersionError,
     TrainConfig,
-    encode_attributes,
     encode_training_set,
     load_model,
-    log_partition,
     n_parameters,
     save_model,
-    score_sequence,
     tag,
     train,
-    viterbi,
 )
 from borrowings.errors import ConfigError, ValidationError
 from borrowings.evaluation import evaluate
@@ -48,7 +44,7 @@ from borrowings.features import (
     FeatureConfig,
     FeatureIndex,
     offset_prefix,
-    windowed_attributes,
+    window_table,
 )
 from conftest import (
     alphabet_of_size,
@@ -57,19 +53,25 @@ from conftest import (
     cell_order_emissions,
     cell_order_state_gradient,
     dp_best_path_min_index,
+    encode_attributes,
     enumerate_scores,
     expand_encoding,
     full_model,
     line_mutations,
+    log_partition,
     model_from_matrices,
     mutate,
+    name_lookup,
     open_vocabulary_corpus,
     reference_nll_and_gradient,
     reference_partition_and_pairs,
     save_model_v1,
+    score_sequence,
     synthetic_corpus,
     synthetic_embeddings,
     tag_oracle,
+    viterbi,
+    windowed_attributes_oracle,
     without_inactive_v1,
 )
 
@@ -125,7 +127,7 @@ class TestScoreSequence:
     def test_attribute_values_scale_contribution(self):
         model, _ = zero_model(1, 3)
         model.state[0] = np.array([0.5, 1.5, -1.0])
-        assert score_sequence(model, [{"p0": 2.0}], ["B-ENG"]) == pytest.approx(3.0)
+        assert score_sequence(model, [{"[0]p0": 2.0}], ["B-ENG"]) == pytest.approx(3.0)
 
     def test_unknown_attributes_contribute_zero(self):
         rng = np.random.default_rng(2)
@@ -803,7 +805,7 @@ def packed_case(lengths, seed):
     n_labels = int(rng.integers(2, 6))
     e, t, s, end = random_matrices(rng, sum(lengths), n_labels, scale=2.0)
     model, seqs = split_model(lengths, e, t, s, end)
-    return model, seqs, e, encode_attributes(seqs, model.index.get)
+    return model, seqs, e, encode_attributes(seqs, name_lookup(model.index))
 
 
 class TestPackedSteps:
@@ -826,7 +828,7 @@ class TestPackedSteps:
         log_z, marginal, pair = crf._forward_backward(e, enc, t, s, end)
         ref_log_z, ref_pair = 0.0, np.zeros_like(t)
         for seq, lo, hi in zip(seqs, enc.offsets[:-1], enc.offsets[1:]):
-            alone = encode_attributes([seq], model.index.get)
+            alone = encode_attributes([seq], name_lookup(model.index))
             assert paths[lo:hi].tolist() == crf._decode(model, alone).tolist()
             _, own, _ = crf._forward_backward(e[lo:hi], alone, t, s, end)
             assert marginal[lo:hi].tobytes() == own.tobytes()
@@ -838,7 +840,7 @@ class TestPackedSteps:
 
     def test_zero_sequences(self):
         model, _, _, _ = packed_case([3], 5)
-        enc = encode_attributes([], model.index.get)
+        enc = encode_attributes([], name_lookup(model.index))
         assert enc.order.size == 0 and enc.steps.tolist() == [0]
         paths = crf._decode(model, enc)
         assert paths.shape == (0,) and paths.dtype == np.int64
@@ -859,7 +861,7 @@ class TestBucketedViterbi:
             lengths = rng.integers(1, 6, size=int(rng.integers(1, 8))).tolist()
             e, t, s, end = random_matrices(rng, sum(lengths), n_labels, scale=2.0)
             model, seqs = split_model(lengths, e, t, s, end)
-            enc = encode_attributes(seqs, model.index.get)
+            enc = encode_attributes(seqs, name_lookup(model.index))
             paths = crf._decode(model, enc)
             for lo, hi in zip(enc.offsets[:-1], enc.offsets[1:]):
                 best_path, _ = brute_best_path(e[lo:hi], t, s, end)
@@ -875,7 +877,7 @@ class TestBucketedViterbi:
             s = rng.integers(0, 2, size=n_labels).astype(float)
             end = rng.integers(0, 2, size=n_labels).astype(float)
             model, seqs = split_model(lengths, e, t, s, end)
-            enc = encode_attributes(seqs, model.index.get)
+            enc = encode_attributes(seqs, name_lookup(model.index))
             paths = crf._decode(model, enc)
             for lo, hi in zip(enc.offsets[:-1], enc.offsets[1:]):
                 assert paths[lo:hi].tolist() == dp_best_path_min_index(
@@ -890,7 +892,7 @@ class TestBucketedViterbi:
         predicted = tag(trained, small_corpus_module)
         assert len(predicted) == len(small_corpus_module)
         for headline, out in zip(small_corpus_module, predicted):
-            attrs = windowed_attributes(headline, trained.feature_config)
+            attrs = windowed_attributes_oracle(headline, trained.feature_config)
             expected = tuple(bio_to_spans(viterbi(trained, attrs)))
             assert out.spans == expected
 
@@ -1198,11 +1200,10 @@ class TestActiveAttributes:
             itertools.compress(full.index.names(), active.tolist())
         )
         assert np.array_equal(model.state, full.state[active])
-        radius = model.feature_config.window_radius
-        table = model.index.table(radius)
+        table = model.index.table
         loaded = load_model(io.StringIO(saved_text(save_model, model)))
-        assert list(table.rows.items()) == list(loaded.index.table(radius).rows.items())
-        assert np.array_equal(table.ids, loaded.index.table(radius).ids)
+        assert list(table.rows.items()) == list(loaded.index.table.rows.items())
+        assert np.array_equal(table.ids, loaded.index.table.ids)
         for weights in (model.transition, model.start, model.end):
             assert weights.base is model.diagnostics.x
         feed = open_vocabulary_corpus(20, seed=seed + 1)
@@ -1330,6 +1331,24 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match=r"is not \[k\]base with \|k\| <= 2"):
             load_model(io.StringIO("\n".join(lines)))
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("[+9]bias", "bias"), ("bias", "[+9]bias"), ("[-3]w=x", "[0")],
+    )
+    def test_v1_names_outside_the_window_are_named_in_id_order(
+        self, trained, first, second
+    ):
+        text = saved_text(save_model_v1, trained)
+        lines = text.split("\n")
+        at = lines.index("attribute_names") + 1
+        lines[at + 1], lines[at + 4] = first, second
+        with pytest.raises(ModelFormatError, match=re.escape(repr(first))):
+            load_model(io.StringIO("\n".join(lines)))
+        # A repeated name is reported ahead of them, wherever it is.
+        lines[at + 6] = lines[at + 5]
+        with pytest.raises(ModelFormatError, match="duplicate attribute names"):
+            load_model(io.StringIO("\n".join(lines)))
+
     def test_v1_file_loads_to_the_model_of_its_v2_resave(self, trained):
         v1 = load_model(io.StringIO(saved_text(save_model_v1, trained)))
         text, v2 = self.roundtrip(trained)
@@ -1338,17 +1357,17 @@ class TestPersistence:
 
     def test_a_model_without_attributes_round_trips(self, trained):
         empty = dataclasses.replace(
-            trained, index=FeatureIndex.from_names([]), state=np.zeros((0, 5))
+            trained, index=FeatureIndex(window_table([], 2)), state=np.zeros((0, 5))
         )
         text, loaded = self.roundtrip(empty)
         assert "base_names\t0\nattribute_ids\nstate_weights\t0\n" in text
         assert loaded.n_features == 0
         assert self.roundtrip(loaded)[0] == text
 
-    def test_unwindowed_names_cannot_be_saved(self, trained):
-        names = ["bias", *trained.index.names()[1:]]
-        model = dataclasses.replace(trained, index=FeatureIndex.from_names(names))
-        with pytest.raises(ValidationError, match="windowed names"):
+    def test_a_window_mismatch_cannot_be_saved(self, trained):
+        config = dataclasses.replace(trained.feature_config, window_radius=1)
+        model = dataclasses.replace(trained, feature_config=config)
+        with pytest.raises(ValidationError, match="window width 5 .* window_radius 1"):
             save_model(model, io.StringIO())
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from borrowings.corpus import Headline, Token
 from borrowings.embeddings import EmbeddingTable, load_embeddings
 from borrowings.errors import ValidationError
-from borrowings.features import FeatureConfig, extract_token_attributes
+from borrowings.features import FeatureConfig, windowed_attributes
 from conftest import line_mutations, mutate
 
 
@@ -115,15 +115,15 @@ def test_scaling_linearity():
         vectors={"casa": np.array([0.3, -1.2, 2.5])},
     )
     h = Headline(id="h", tokens=(Token("casa"),))
-    base = extract_token_attributes(
-        h, 0, FeatureConfig(embedding=True, embedding_scaling=1.0), table
+    (base,) = windowed_attributes(
+        h, FeatureConfig(embedding=True, embedding_scaling=1.0), table
     )
     for s in (0.5, 2.0, 4.0):
-        scaled = extract_token_attributes(
-            h, 0, FeatureConfig(embedding=True, embedding_scaling=s), table
+        (scaled,) = windowed_attributes(
+            h, FeatureConfig(embedding=True, embedding_scaling=s), table
         )
         for i in range(3):
-            assert scaled[f"emb{i}"] == pytest.approx(s * base[f"emb{i}"])
+            assert scaled[f"[0]emb{i}"] == pytest.approx(s * base[f"[0]emb{i}"])
 
 
 # A small table to corrupt, and the fields and lines a corrupted one may hold.

@@ -1,9 +1,11 @@
-"""The interned window encoder against the dict-based oracle.
+"""The interned window encoder against the per-token dict oracle.
 
-`encode_attributes` over `windowed_attributes` spells out every
-windowed attribute name; the interned encoder behind
-`encode_training_set`, `build_index` and `tag` never builds them.  The
-two must agree entry for entry, when training and when tagging.
+`encode_attributes` over `windowed_attributes_oracle` (both in
+`conftest`) spells out every windowed attribute name, one token and
+one name at a time; the interned encoder behind `encode_training_set`,
+`build_index`, `tag` and the dict view `windowed_attributes` never
+builds them.  The two must agree entry for entry, when training and
+when tagging, and the dict view must equal the oracle's dicts.
 """
 
 import dataclasses
@@ -18,7 +20,6 @@ from borrowings.corpus import Corpus, Headline, Token, bio_to_spans
 from borrowings.crf import (
     CrfModel,
     TrainConfig,
-    encode_attributes,
     encode_training_set,
     index_corpus,
     tag,
@@ -29,18 +30,22 @@ from borrowings.features import (
     FAMILIES,
     FeatureConfig,
     FeatureIndex,
-    base_attributes,
     build_index,
+    type_attributes,
+    window_table,
     windowed_attributes,
 )
 from conftest import (
     FirstSeenIds,
     cell_order_emissions,
+    encode_attributes,
     entry_values,
     expand_encoding,
+    name_lookup,
     open_vocabulary_corpus,
     synthetic_corpus,
     synthetic_embeddings,
+    windowed_attributes_oracle,
 )
 
 # Texts and a POS tag that spell other attribute names, or the `]` and
@@ -94,7 +99,7 @@ def configs(draw):
 
 def oracle(corpus, config, table, lookup):
     return encode_attributes(
-        (windowed_attributes(h, config, table) for h in corpus), lookup
+        (windowed_attributes_oracle(h, config, table) for h in corpus), lookup
     )
 
 
@@ -118,25 +123,65 @@ def assert_same_encoding(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
+def split_names(text, pos, config):
+    """The names `type_attributes` gives one type, before and after
+    `quot=1`."""
+    attrs = type_attributes([(text, pos)], config)
+    names = tuple(attrs.names[i] for i in attrs.ids.tolist())
+    return names[: attrs.n_before[0]], names[attrs.n_before[0] :]
+
+
 class TestBaseAttributes:
     def test_repeated_trigrams_are_named_once(self):
-        before, after = base_attributes("aaaa", None, FeatureConfig())
+        before, after = split_names("aaaa", None, FeatureConfig())
         assert before == ("bias", "w=aaaa", "tri=^aa", "tri=aaa", "tri=aa$")
         assert after == ("suf3=aaa", "shape=xxxx")
-        before, _ = base_attributes("ababab", None, FeatureConfig())
+        before, _ = split_names("ababab", None, FeatureConfig())
         assert before[2:] == ("tri=^ab", "tri=aba", "tri=bab", "tri=ab$")
 
     def test_families_split_around_the_quotation_attribute(self):
-        before, after = base_attributes("DJ", "PROPN", FeatureConfig())
+        before, after = split_names("DJ", "PROPN", FeatureConfig())
         assert before == ("bias", "w=DJ", "upper=1", "tri=^DJ", "tri=DJ$")
         assert after == ("suf3=DJ", "pos=PROPN", "shape=XX")
 
     def test_dict_view_orders_quotation_between_the_halves(self):
         h = Headline(id="h", tokens=(Token("'"), Token("big", "NOUN"), Token("'")))
         config = FeatureConfig(window_radius=0)
-        before, after = base_attributes("big", "NOUN", config)
+        before, after = split_names("big", "NOUN", config)
         names = [name[3:] for name in windowed_attributes(h, config)[1]]
         assert names == [*before, "quot=1", *after]
+
+
+class TestWindowedView:
+    """`windowed_attributes`, a view of the encoder, against the
+    per-token oracle: the same names and value bits, in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # WORDS holds the ADVERSARIAL texts and every quote character.
+        corpora(max_headlines=2),
+        st.integers(0, 3),
+        st.sampled_from((None, *FAMILIES)),
+        st.booleans(),
+        st.sampled_from([0.5, 1.0, 2.5]),
+    )
+    def test_matches_the_per_token_oracle(
+        self, corpus, radius, off, embedding, scaling
+    ):
+        config = FeatureConfig(
+            window_radius=radius, embedding=embedding, embedding_scaling=scaling
+        )
+        if off is not None:
+            config = config.without(off)
+        table = TABLE if config.embedding else None
+        for h in corpus:
+            got = windowed_attributes(h, config, table)
+            expected = windowed_attributes_oracle(h, config, table)
+            assert [list(vec) for vec in got] == [list(vec) for vec in expected]
+            for vec, ref in zip(got, expected):
+                values = np.array(list(vec.values()), dtype=float)
+                ref_values = np.array(list(ref.values()), dtype=float)
+                assert values.tobytes() == ref_values.tobytes()
 
 
 class TestTrainingEncoding:
@@ -199,7 +244,7 @@ class TestTaggingEncoding:
     def test_matches_oracle(self, corpus, feed, config_and_table, seed, zero_share):
         config, table = config_and_table
         model = random_model(corpus, config, table, seed, zero_share)
-        expected = oracle(feed, config, table, model.index.get)
+        expected = oracle(feed, config, table, name_lookup(model.index))
         got, _ = crf._encode_windows(feed.headlines, config, table, model.index)
         assert_same_encoding(got, expected)
         e_got = crf._emissions(got, model.state)
@@ -307,7 +352,7 @@ class TestUnitValues:
         tagged = tag_encoding(feed.headlines, config, table, index)
         assert (tagged.vals is not None) is kept
         assert_same_encoding(enc, oracle(corpus, config, table, FirstSeenIds().add))
-        assert_same_encoding(tagged, oracle(feed, config, table, index.get))
+        assert_same_encoding(tagged, oracle(feed, config, table, name_lookup(index)))
 
     @pytest.mark.parametrize(
         "build",
@@ -346,7 +391,7 @@ class TestEdgeCases:
         assert len(got_index) == 0
         model_index = index_corpus(synthetic_corpus(5, seed=1), config, table)[1]
         got = tag_encoding((), config, table, model_index)
-        assert_same_encoding(got, oracle(empty, config, table, model_index.get))
+        assert_same_encoding(got, oracle(empty, config, table, name_lookup(model_index)))
         assert got.n_tokens == 0 and got.ids.size == 0
 
     @pytest.mark.parametrize("embedding", [False, True])
@@ -354,9 +399,11 @@ class TestEdgeCases:
         config = FeatureConfig(embedding=embedding)
         table = TABLE if embedding else None
         feed = synthetic_corpus(8, seed=2)
-        index = FeatureIndex.from_names(["[0]w=absent", "[+9]bias"])
+        # BOS is a base name of every batch, but never at offset 0.
+        names = ["[0]w=absent", "[0]BOS"]
+        index = FeatureIndex(window_table(names, config.window_radius))
         got = tag_encoding(feed.headlines, config, table, index)
-        assert_same_encoding(got, oracle(feed, config, table, index.get))
+        assert_same_encoding(got, oracle(feed, config, table, name_lookup(index)))
         assert got.ids.size == 0 and got.n_tokens == sum(map(len, feed))
 
     @pytest.mark.parametrize("embedding", [False, True])
@@ -371,4 +418,4 @@ class TestEdgeCases:
         assert_same_encoding(enc, expected)
         assert enc.visits.shape == (1, 7)
         got = tag_encoding(corpus.headlines, config, table, got_index)
-        assert_same_encoding(got, oracle(corpus, config, table, got_index.get))
+        assert_same_encoding(got, oracle(corpus, config, table, name_lookup(got_index)))

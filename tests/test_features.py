@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +13,16 @@ from borrowings.features import (
     FAMILIES,
     FeatureConfig,
     FeatureIndex,
-    _is_title,
-    _is_upper,
+    _shape_classes,
+    _title_flags,
+    _upper_flags,
+    _word_shapes,
     build_index,
     char_tables,
-    char_trigrams,
-    extract_token_attributes,
     quotation_flags,
     type_attributes,
     windowed_attributes,
     window_table,
-    word_shape,
 )
 from conftest import (
     FirstSeenIds,
@@ -31,6 +31,7 @@ from conftest import (
     is_upper_oracle,
     synthetic_corpus,
     synthetic_embeddings,
+    windowed_attributes_oracle,
     word_shape_oracle,
 )
 
@@ -40,6 +41,24 @@ def headline(*texts, pos=None):
     return Headline(
         id="h", tokens=tuple(Token(t, p) for t, p in zip(texts, pos))
     )
+
+
+def word_shapes(texts):
+    return _word_shapes(_shape_classes(texts, char_tables(texts)))
+
+
+def case_flags(texts):
+    """The uppercase and the titlecase flag of each text, as bools."""
+    tables = char_tables(texts)
+    upper = _upper_flags(texts, tables)
+    title = _title_flags(_shape_classes(texts, tables))
+    return upper.astype(bool).tolist(), title.astype(bool).tolist()
+
+
+def token_attributes(h, t, config, embeddings=None):
+    """Token t's own attributes: its vector at radius 0, unprefixed."""
+    vec = windowed_attributes(h, replace(config, window_radius=0), embeddings)[t]
+    return {name.removeprefix("[0]"): value for name, value in vec.items()}
 
 
 class TestWordShape:
@@ -57,10 +76,10 @@ class TestWordShape:
         ],
     )
     def test_examples(self, text, shape):
-        assert word_shape(text) == shape
+        assert word_shapes([text]) == [shape]
 
     def test_run_cap_resets_between_classes(self):
-        assert word_shape("aaaaaBBBBB") == "xxxxXXXX"
+        assert word_shapes(["aaaaaBBBBB"]) == ["xxxxXXXX"]
 
 
 # Token texts: non-empty and without whitespace, as `Token` requires.
@@ -75,20 +94,24 @@ BASE_FAMILIES = [f for f in FAMILIES if f not in ("quotation", "embedding")]
 
 
 class TestCharacterClasses:
+    @staticmethod
+    def assert_match_the_oracles(texts):
+        assert word_shapes(texts) == list(map(word_shape_oracle, texts))
+        upper, title = case_flags(texts)
+        assert upper == list(map(is_upper_oracle, texts))
+        assert title == list(map(is_title_oracle, texts))
+
     @pytest.mark.parametrize("text", NAMED_TEXTS)
     def test_named_cases_match_the_oracles(self, text):
-        assert word_shape(text) == word_shape_oracle(text)
-        assert _is_upper(text) == is_upper_oracle(text)
-        assert _is_title(text) == is_title_oracle(text)
+        self.assert_match_the_oracles([text])
 
     @settings(max_examples=400, deadline=None)
-    @given(TEXTS)
-    @example("Ⅷ")
-    @example("ǅ")
-    def test_translated_classes_match_the_per_character_oracles(self, text):
-        assert word_shape(text) == word_shape_oracle(text)
-        assert _is_upper(text) == is_upper_oracle(text)
-        assert _is_title(text) == is_title_oracle(text)
+    @given(st.lists(TEXTS | st.sampled_from(NAMED_TEXTS), min_size=1, max_size=6))
+    @example(["Ⅷ"])
+    @example(["ǅ"])
+    @example(list(NAMED_TEXTS))
+    def test_translated_classes_match_the_per_character_oracles(self, texts):
+        self.assert_match_the_oracles(texts)
 
     def test_tables_agree_with_the_str_predicates_on_every_code_point(self):
         every = "".join(map(chr, range(0x110000)))
@@ -128,9 +151,17 @@ class TestCharacterClasses:
 
 class TestCharTrigrams:
     def test_examples(self):
-        assert char_trigrams("big") == ["^bi", "big", "ig$"]
-        assert char_trigrams("a") == ["^a$"]
-        assert char_trigrams("data") == ["^da", "dat", "ata", "ta$"]
+        config = FeatureConfig(
+            **{family: False for family in FAMILIES if family != "char_trigram"}
+        )
+        attrs = type_attributes([("big", None), ("a", None), ("data", None)], config)
+        names = [attrs.names[i] for i in attrs.ids.tolist()]
+        assert attrs.rows.tolist() == [0, 3, 4, 8]
+        assert names == [
+            "tri=^bi", "tri=big", "tri=ig$",
+            "tri=^a$",
+            "tri=^da", "tri=dat", "tri=ata", "tri=ta$",
+        ]
 
 
 class TestQuotation:
@@ -159,7 +190,7 @@ class TestQuotation:
 class TestExtract:
     def test_streaming_binary_families(self):
         config = FeatureConfig()
-        attrs = extract_token_attributes(headline("streaming"), 0, config)
+        attrs = token_attributes(headline("streaming"), 0, config)
         assert attrs["bias"] == 1.0
         assert attrs["w=streaming"] == 1.0
         assert "upper=1" not in attrs
@@ -171,22 +202,22 @@ class TestExtract:
         assert "pos=" not in "".join(attrs)  # no POS on the token
 
     def test_dj_upper_not_title(self):
-        attrs = extract_token_attributes(headline("DJ"), 0, FeatureConfig())
+        attrs = token_attributes(headline("DJ"), 0, FeatureConfig())
         assert "upper=1" in attrs
         assert "title=1" not in attrs
 
     def test_title_not_upper(self):
-        attrs = extract_token_attributes(headline("Netflix"), 0, FeatureConfig())
+        attrs = token_attributes(headline("Netflix"), 0, FeatureConfig())
         assert "title=1" in attrs
         assert "upper=1" not in attrs
 
     def test_short_token_suffix_is_whole_token(self):
-        attrs = extract_token_attributes(headline("ya"), 0, FeatureConfig())
+        attrs = token_attributes(headline("ya"), 0, FeatureConfig())
         assert "suf3=ya" in attrs
 
     def test_pos_attribute_only_when_present(self):
         h = headline("casa", pos=["NOUN"])
-        attrs = extract_token_attributes(h, 0, FeatureConfig())
+        attrs = token_attributes(h, 0, FeatureConfig())
         assert attrs["pos=NOUN"] == 1.0
 
     def test_embedding_scaling(self):
@@ -194,26 +225,26 @@ class TestExtract:
             name="t", dim=2, vectors={"Boom": np.array([0.2, -0.4])}
         )
         config = FeatureConfig(embedding=True, embedding_scaling=0.5)
-        attrs = extract_token_attributes(headline("Boom"), 0, config, table)
+        attrs = token_attributes(headline("Boom"), 0, config, table)
         assert attrs["emb0"] == pytest.approx(0.1)
         assert attrs["emb1"] == pytest.approx(-0.2)
 
     def test_embedding_without_table_is_config_error(self):
         config = FeatureConfig(embedding=True)
         with pytest.raises(ConfigError, match="embedding"):
-            extract_token_attributes(headline("Boom"), 0, config)
+            token_attributes(headline("Boom"), 0, config)
 
     def test_quotation_attribute(self):
         h = headline("'", "single", "'")
-        attrs = extract_token_attributes(h, 1, FeatureConfig())
+        attrs = token_attributes(h, 1, FeatureConfig())
         assert attrs["quot=1"] == 1.0
-        attrs0 = extract_token_attributes(h, 0, FeatureConfig())
+        attrs0 = token_attributes(h, 0, FeatureConfig())
         assert "quot=1" not in attrs0
 
     def test_deterministic_ordering(self):
         h = headline("Crash", pos=["NOUN"])
-        a = extract_token_attributes(h, 0, FeatureConfig())
-        b = extract_token_attributes(h, 0, FeatureConfig())
+        a = token_attributes(h, 0, FeatureConfig())
+        b = token_attributes(h, 0, FeatureConfig())
         assert list(a.items()) == list(b.items())
 
 
@@ -226,12 +257,16 @@ class TestWindow:
         assert any(k.startswith("[0]w=") for k in keys)
 
     def test_radius_zero_is_prefixed_extraction(self):
-        h = headline("uno", "dos")
-        config = FeatureConfig(window_radius=0)
-        vecs = windowed_attributes(h, config)
-        for t in range(2):
-            plain = extract_token_attributes(h, t, config)
-            assert vecs[t] == {f"[0]{k}": v for k, v in plain.items()}
+        """A radius-0 vector is the centre slot of a wider window, in
+        order, embedding components included."""
+        h = headline("'", "uno", "dos")
+        table = EmbeddingTable(name="t", dim=2, vectors={"uno": np.array([0.5, 3.0])})
+        for config in (FeatureConfig(), FeatureConfig(embedding=True)):
+            narrow = windowed_attributes(h, replace(config, window_radius=0), table)
+            wide = windowed_attributes(h, config, table)
+            for t in range(3):
+                centre = [(k, v) for k, v in wide[t].items() if k.startswith("[0]")]
+                assert list(narrow[t].items()) == centre
 
     def test_neighbor_attributes_present(self):
         h = headline("uno", "dos", "tres")
@@ -349,29 +384,22 @@ class TestFeatureConfig:
 
 class TestFeatureIndex:
     def test_dense_first_seen_ids(self):
-        index = FeatureIndex.from_names(["a", "b"])
-        assert (index.get("a"), index.get("b")) == (0, 1)
-        assert len(index) == 2
-        assert index.names() == ("a", "b")
-        assert index.name(1) == "b"
-        assert index.ids_of(["b", "new", "a"]).tolist() == [1, -1, 0]
         names = ("[0]a", "[-1]a", "[+1]b")
-        from_table = FeatureIndex.from_table(window_table(names, 1))
-        assert len(from_table) == 3 and from_table.names() == names
+        index = FeatureIndex(window_table(names, 1))
+        assert len(index) == 3
+        assert index.names() == names
+        assert index.table.radius == 1
+        assert index.table.rows == {"a": 0, "b": 1}
+        assert index.table.ids.tolist() == [[1, 0, -1], [-1, -1, 2]]
 
     def test_freeze_contract(self):
         """An index is made whole and never grows: a name it lacks has no
         id, and there is no way to give it one."""
-        index = FeatureIndex.from_names(["a", "b"])
-        assert index.get("a") == 0
-        assert index.get("unseen") is None
+        index = FeatureIndex(window_table(["[0]a", "[0]b"], 0))
+        assert index.names() == ("[0]a", "[0]b")
         assert len(index) == 2
-        for method in ("add", "freeze", "frozen"):
+        for method in ("add", "freeze", "frozen", "get", "from_names"):
             assert not hasattr(index, method)
-
-    def test_from_names_rejects_duplicates(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            FeatureIndex.from_names(["a", "b", "a"])
 
     def test_build_index_matches_training_and_oracle(self):
         corpus = synthetic_corpus(12, seed=7)
@@ -379,7 +407,7 @@ class TestFeatureIndex:
         _, trained_index, _ = encode_training_set(corpus, config)
         oracle = FirstSeenIds()
         for h in corpus:
-            for vec in windowed_attributes(h, config):
+            for vec in windowed_attributes_oracle(h, config):
                 for name in vec:
                     oracle.add(name)
         names = build_index(corpus, config).names()
