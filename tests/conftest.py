@@ -6,7 +6,10 @@ kept here, which only tests call: the dict view of windowed attributes
 built one token and one name at a time (`windowed_attributes_oracle`),
 the one-cell-per-token encoding of attribute dicts
 (`encode_attributes`), and scoring, log Z and Viterbi of one attribute
-sequence (`score_sequence`, `log_partition`, `viterbi`).
+sequence (`score_sequence`, `log_partition`, `viterbi`).  The writers
+of model formats 1 and 2 (`save_model_v1`, `save_model_v2`), which
+`save_model` no longer writes, make the old files the loader still
+reads.
 
 The synthetic corpus is deterministic given a seed and perfectly
 separable: every borrowing-initial token ends in the sentinel suffix
@@ -40,6 +43,7 @@ from borrowings.crf import (
     CrfModel,
     Encoding,
     TrainConfig,
+    _bases_by_first_id,
     _config_echo,
     _decode,
     _emissions,
@@ -620,6 +624,51 @@ def save_model_v1(model: CrfModel, stream) -> None:
         f"state_weights\t{len(rows)}",
         *(
             f"{names[r]}\t{tags[c]}\t{_format_float(w)}"
+            for r, c, w in zip(rows.tolist(), cols.tolist(), weights.tolist())
+        ),
+        "end_of_model",
+    ]
+    stream.write("\n".join(lines) + "\n")
+
+
+def save_model_v2(model: CrfModel, stream) -> None:
+    """The version-2 model file writer, kept as an oracle: each base
+    name's row of ids as a line of tab-separated integers, and one
+    `id<TAB>tag<TAB>weight` line per nonzero state weight.  Its digests
+    pin the weights bit for bit across format changes."""
+    n_features = model.n_features
+    table = model.index.table
+    radius = model.feature_config.window_radius
+    if table.ids.shape[1] != 2 * radius + 1:
+        raise ValidationError(
+            f"cannot save an index of window width {table.ids.shape[1]} with a "
+            f"model of window_radius {radius}"
+        )
+    order = _bases_by_first_id(table.ids)
+    bases = list(table.rows)
+    # The id rows as one block, formatted in one call.
+    row = "\t".join(["%d"] * table.ids.shape[1])
+    id_rows = "\n".join([row] * order.size) % tuple(table.ids[order].ravel().tolist())
+    tags = model.alphabet.tags
+    rows, cols = np.nonzero(model.state)
+    weights = model.state[rows, cols]
+    lines = [
+        "borrowings-crf 2",
+        "labels\t" + "\t".join(tags),
+        f"attributes\t{n_features}",
+        "feature_config\t" + _config_echo(model.feature_config),
+        "train_config\t" + _config_echo(model.train_config),
+        "start\t" + "\t".join(_format_float(x) for x in model.start),
+        "end\t" + "\t".join(_format_float(x) for x in model.end),
+        "transitions",
+        *("\t".join(_format_float(x) for x in row) for row in model.transition),
+        f"base_names\t{order.size}",
+        *map(bases.__getitem__, order.tolist()),
+        "attribute_ids",
+        *([id_rows] if order.size else []),
+        f"state_weights\t{len(rows)}",
+        *(
+            f"{r}\t{tags[c]}\t{_format_float(w)}"
             for r, c, w in zip(rows.tolist(), cols.tolist(), weights.tolist())
         ),
         "end_of_model",

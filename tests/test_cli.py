@@ -275,7 +275,7 @@ class TestTrainTagEval:
         assert "iteration" in err and "objective" in err
         assert "trained" in err
         header = model.read_text(encoding="utf-8").splitlines()[0]
-        assert header == "borrowings-crf 2"
+        assert header == "borrowings-crf 3"
 
         assert run(
             ["tag", "-m", str(model), str(corpora / "apply.tsv"), "-o", str(pred)]

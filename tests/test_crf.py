@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import io
@@ -66,6 +67,7 @@ from conftest import (
     reference_nll_and_gradient,
     reference_partition_and_pairs,
     save_model_v1,
+    save_model_v2,
     score_sequence,
     synthetic_corpus,
     synthetic_embeddings,
@@ -511,6 +513,24 @@ class TestFlatEncoding:
         enc = encode_attributes([[{}, {}]], {}.get)
         with pytest.raises(ValidationError, match="gold tags"):
             TrainingSet(enc, np.zeros(3, dtype=np.int64), 1, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(
+            st.integers(0, 300)
+            | st.sampled_from([0, 255, 256, 65_535, 65_536, 70_000, 2**40]),
+            max_size=80,
+        )
+    )
+    @example(counts=[])
+    @example(counts=[0, 0, 0])
+    @example(counts=[70_000, 3, 0, 70_000, 3, 65_536, 0])
+    def test_descending_is_the_stable_argsort_of_negated_counts(self, counts):
+        # Maxima up to 255 and 65,535 give 8- and 16-bit keys, which numpy
+        # radix-sorts; larger ones give 32- and 64-bit keys, which it does not.
+        counts = np.array(counts, dtype=np.int64)
+        expected = np.argsort(-counts, kind="stable")
+        assert np.array_equal(crf._descending(counts), expected)
 
 
 class TestBatchedObjective:
@@ -1086,6 +1106,18 @@ class TestTag:
         with pytest.raises(ConfigError, match="embedding table"):
             tag(needy, Corpus("c", (Headline(id="x", tokens=(Token("a"),)),)))
 
+    def test_a_window_mismatch_is_a_validation_error(
+        self, trained, small_corpus_module
+    ):
+        # The index is 5 slots wide, the config's window 3.
+        narrow = dataclasses.replace(
+            trained, feature_config=FeatureConfig(window_radius=1)
+        )
+        with pytest.raises(
+            ValidationError, match="width 5 .* window_radius 1, which needs width 3"
+        ):
+            tag(narrow, small_corpus_module)
+
 
 # sha256 of the version-1 model file (`save_model_v1`) of a 30-iteration
 # fit to `synthetic_corpus(120, seed=21)`, per (c1, c2), with every
@@ -1097,13 +1129,13 @@ PINNED_MODEL_DIGESTS = {
     (0.0, 0.01): "862f347ec02f0f6662e45104f6d17adbb8dd439ba35a135ff608133683b8b7a4",
     (0.1, 0.0): "ea53ef9de6e317163c747b74329759bb01326dcec3dbe75cfbb1bfd6ad448a6c",
 }
-# sha256 of the `save_model` (version-2) text of the same fits.
+# sha256 of the version-2 text (`save_model_v2`) of the same fits.
 PINNED_V2_MODEL_DIGESTS = {
     (0.05, 0.01): "62f292a35206d16794a44d235b8072633dfdb11626dd795cd684eb03bd39ecab",
     (0.0, 0.01): "353d2bbcb9dffc1ea037500d7cefcc41e72240d9f490e351354669ee313b9521",
     (0.1, 0.0): "84fd0f833735974255edde128c6a3f56ff54e4b47fcc4f123b45f0f4c214db36",
 }
-# sha256 of the `save_model` text of the models `train` returns, which
+# sha256 of the version-2 text of the models `train` returns, which
 # keep only their active attributes.  The c1 = 0 fit has no inactive
 # one, so its file is the full model's.
 PINNED_ACTIVE_MODEL_DIGESTS = {
@@ -1111,10 +1143,23 @@ PINNED_ACTIVE_MODEL_DIGESTS = {
     (0.0, 0.01): "353d2bbcb9dffc1ea037500d7cefcc41e72240d9f490e351354669ee313b9521",
     (0.1, 0.0): "f10c8aa3d3e2bfa6fbc2d936f3132ebcae467573738715310ae5933639b4bc48",
 }
+# sha256 of the `save_model` (version-3) text of the full models and of
+# the models `train` returns.
+PINNED_V3_MODEL_DIGESTS = {
+    (0.05, 0.01): "ee1ef73a189aebdbe76f8653d04a3242b278948648e28fa4a73bfe6daf28eedc",
+    (0.0, 0.01): "0e9123c5602fbcff067a712baf6d924fdc44b52720abd1cc791649d3a8ad00e1",
+    (0.1, 0.0): "0933f875cfdde60a9a95a89045eb03902577b56e3e90ed47384cfd0a2d03a378",
+}
+PINNED_V3_ACTIVE_MODEL_DIGESTS = {
+    (0.05, 0.01): "768d0e9985dd442ca7139c8ba95dd02db6df0fbb2cd3a7713d92c66f89022743",
+    (0.0, 0.01): "0e9123c5602fbcff067a712baf6d924fdc44b52720abd1cc791649d3a8ad00e1",
+    (0.1, 0.0): "f7202b2f706bcd8852fde98cf8c115a14a304e7a2782d8517a147b88d128772c",
+}
 
 
 def saved_text(write, model):
-    """The text `write` (`save_model` or `save_model_v1`) gives for model."""
+    """The text `write` (`save_model`, `save_model_v1` or `save_model_v2`)
+    gives for model."""
     buffer = io.StringIO()
     write(model, buffer)
     return buffer.getvalue()
@@ -1133,18 +1178,28 @@ def test_pinned_model_bytes(c1, c2):
     assert model.diagnostics.iterations == 30
     full = full_model(model, corpus)
     assert sha256_of_text(save_model_v1, full) == PINNED_MODEL_DIGESTS[c1, c2]
-    assert sha256_of_text(save_model, full) == PINNED_V2_MODEL_DIGESTS[c1, c2]
+    assert sha256_of_text(save_model_v2, full) == PINNED_V2_MODEL_DIGESTS[c1, c2]
     assert saved_text(save_model_v1, model) == without_inactive_v1(
         saved_text(save_model_v1, full)
     )
-    assert sha256_of_text(save_model, model) == PINNED_ACTIVE_MODEL_DIGESTS[c1, c2]
+    assert sha256_of_text(save_model_v2, model) == PINNED_ACTIVE_MODEL_DIGESTS[c1, c2]
+    assert sha256_of_text(save_model, full) == PINNED_V3_MODEL_DIGESTS[c1, c2]
+    assert sha256_of_text(save_model, model) == PINNED_V3_ACTIVE_MODEL_DIGESTS[c1, c2]
+    # The three files of a model load to the same arrays, bit for bit.
+    for kept in (full, model):
+        v3 = load_model(io.StringIO(saved_text(save_model, kept)))
+        for write in (save_model_v1, save_model_v2):
+            assert_same_model(load_model(io.StringIO(saved_text(write, kept))), v3)
 
 
-# sha256 of the `save_model` text of a fit whose entry values are not
-# all 1.0 (embedding values), recorded while the objective still summed
-# its emissions cell by cell.
+# sha256 of the version-2 text of a fit whose entry values are not all
+# 1.0 (embedding values), recorded while the objective still summed its
+# emissions cell by cell, and of its `save_model` (version-3) text.
 PINNED_EMBEDDING_MODEL_DIGEST = (
     "bc11408c73fa84df5b5c9cadd82136177ffc695da522b544e19a43c91975db92"
+)
+PINNED_V3_EMBEDDING_MODEL_DIGEST = (
+    "099a5759ac270fd6e7821911426e8ad2a4f530ad8a34be6a552b2b8ad9b6239b"
 )
 
 
@@ -1156,7 +1211,8 @@ def test_pinned_embedding_model_bytes():
         corpus, config, table, TrainConfig(c1=0.05, c2=0.01, max_iterations=30)
     )
     assert model.diagnostics.iterations == 30
-    assert sha256_of_text(save_model, model) == PINNED_EMBEDDING_MODEL_DIGEST
+    assert sha256_of_text(save_model_v2, model) == PINNED_EMBEDDING_MODEL_DIGEST
+    assert sha256_of_text(save_model, model) == PINNED_V3_EMBEDDING_MODEL_DIGEST
 
 
 def written_text(corpus):
@@ -1217,7 +1273,13 @@ class TestActiveAttributes:
         assert model.n_features == 0
         text = saved_text(save_model, model)
         assert "\nattributes\t0\nfeature_config\t" in text
-        assert "\nbase_names\t0\nattribute_ids\nstate_weights\t0\n" in text
+        # Both blocks are empty lines.
+        assert text.endswith(
+            "\nbase_names\t0\nattribute_ids\n\nstate_weights\n\nend_of_model\n"
+        )
+        assert "\nbase_names\t0\nattribute_ids\nstate_weights\t0\n" in saved_text(
+            save_model_v2, model
+        )
         loaded = load_model(io.StringIO(text))
         assert saved_text(save_model, loaded) == text
         feed = open_vocabulary_corpus(20, seed=6)
@@ -1242,10 +1304,14 @@ class TestActiveAttributes:
 
 
 class TestPersistence:
-    def roundtrip(self, model):
-        buffer = io.StringIO()
-        save_model(model, buffer)
-        return buffer.getvalue(), load_model(io.StringIO(buffer.getvalue()))
+    """Round trips through `save_model` (version 3), and faults in the
+    sections every version shares, in its files and in version-2 files
+    (`save_model_v2`).  Faults in state weight lines are checked in
+    version-2 files, and faults in blocks in `TestVersion3Blocks`."""
+
+    def roundtrip(self, model, write=save_model):
+        text = saved_text(write, model)
+        return text, load_model(io.StringIO(text))
 
     def test_exact_weight_round_trip(self, trained):
         text, loaded = self.roundtrip(trained)
@@ -1276,7 +1342,7 @@ class TestPersistence:
 
     def test_unsupported_version(self, trained):
         text, _ = self.roundtrip(trained)
-        bumped = text.replace("borrowings-crf 2", "borrowings-crf 3", 1)
+        bumped = text.replace("borrowings-crf 3", "borrowings-crf 4", 1)
         assert bumped != text
         with pytest.raises(ModelVersionError, match="version"):
             load_model(io.StringIO(bumped))
@@ -1284,14 +1350,15 @@ class TestPersistence:
     def test_truncated_file(self, trained):
         # Dropping whole trailing lines leaves every remaining line
         # intact, so the loader must report a clean early EOF.
-        text, _ = self.roundtrip(trained)
-        lines = text.splitlines(keepends=True)
-        for keep in (2, len(lines) // 4, len(lines) // 2, len(lines) - 1):
-            with pytest.raises(ModelTruncatedError):
-                load_model(io.StringIO("".join(lines[:keep])))
+        for write in (save_model, save_model_v2):
+            text, _ = self.roundtrip(trained, write)
+            lines = text.splitlines(keepends=True)
+            for keep in (2, len(lines) // 4, len(lines) // 2, len(lines) - 1):
+                with pytest.raises(ModelTruncatedError):
+                    load_model(io.StringIO("".join(lines[:keep])))
 
     def test_midline_cut_is_a_format_error(self, trained):
-        text, _ = self.roundtrip(trained)
+        text, _ = self.roundtrip(trained, save_model_v2)
         lines = text.splitlines(keepends=True)
         header_at = next(
             i for i, line in enumerate(lines) if line.startswith("state_weights\t")
@@ -1351,18 +1418,25 @@ class TestPersistence:
 
     def test_v1_file_loads_to_the_model_of_its_v2_resave(self, trained):
         v1 = load_model(io.StringIO(saved_text(save_model_v1, trained)))
-        text, v2 = self.roundtrip(trained)
+        v2_text, v2 = self.roundtrip(trained, save_model_v2)
+        text, v3 = self.roundtrip(trained)
         assert_same_model(v1, v2)
-        assert saved_text(save_model, v1) == text
+        assert_same_model(v1, v3)
+        # Every version saves as version 3.
+        assert saved_text(save_model, v1) == saved_text(save_model, v2) == text
+        assert saved_text(save_model_v2, v1) == v2_text
 
     def test_a_model_without_attributes_round_trips(self, trained):
         empty = dataclasses.replace(
             trained, index=FeatureIndex(window_table([], 2)), state=np.zeros((0, 5))
         )
         text, loaded = self.roundtrip(empty)
-        assert "base_names\t0\nattribute_ids\nstate_weights\t0\n" in text
+        assert "base_names\t0\nattribute_ids\n\nstate_weights\n\nend_of_model\n" in text
         assert loaded.n_features == 0
         assert self.roundtrip(loaded)[0] == text
+        v2_text, loaded = self.roundtrip(empty, save_model_v2)
+        assert "base_names\t0\nattribute_ids\nstate_weights\t0\n" in v2_text
+        assert saved_text(save_model, loaded) == text
 
     def test_a_window_mismatch_cannot_be_saved(self, trained):
         config = dataclasses.replace(trained.feature_config, window_radius=1)
@@ -1373,7 +1447,7 @@ class TestPersistence:
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section", ["start", "end", "transitions", "state"])
     def test_non_finite_weights_rejected(self, trained, section, weight):
-        text, _ = self.roundtrip(trained)
+        text, _ = self.roundtrip(trained, save_model_v2)
         lines = text.splitlines(keepends=True)
         if section == "state":
             at = next(
@@ -1390,7 +1464,7 @@ class TestPersistence:
             load_model(io.StringIO("".join(lines)))
 
     def test_repeated_state_weight_line_rejected(self, trained):
-        text, _ = self.roundtrip(trained)
+        text, _ = self.roundtrip(trained, save_model_v2)
         lines = text.splitlines(keepends=True)
         first = next(
             i for i, line in enumerate(lines) if line.startswith("state_weights\t")
@@ -1403,13 +1477,14 @@ class TestPersistence:
             load_model(io.StringIO("".join(lines)))
 
     def test_missing_trailer_is_truncation(self, trained):
-        text, _ = self.roundtrip(trained)
-        trimmed = text[: text.rindex("end_of_model")]
-        with pytest.raises(ModelTruncatedError):
-            load_model(io.StringIO(trimmed))
+        for write in (save_model, save_model_v2):
+            text, _ = self.roundtrip(trained, write)
+            trimmed = text[: text.rindex("end_of_model")]
+            with pytest.raises(ModelTruncatedError):
+                load_model(io.StringIO(trimmed))
 
     def test_fewer_state_weights_than_declared(self, trained):
-        text, _ = self.roundtrip(trained)
+        text, _ = self.roundtrip(trained, save_model_v2)
         lines = text.splitlines(keepends=True)
         header_at = next(
             i for i, line in enumerate(lines) if line.startswith("state_weights\t")
@@ -1422,7 +1497,7 @@ class TestPersistence:
                 load_model(io.StringIO("".join(cut)))
 
     def test_extra_state_weights_rejected(self, trained):
-        text, _ = self.roundtrip(trained)
+        text, _ = self.roundtrip(trained, save_model_v2)
         lines = text.splitlines(keepends=True)
         header_at = next(
             i for i, line in enumerate(lines) if line.startswith("state_weights\t")
@@ -1440,7 +1515,7 @@ class TestPersistence:
             load_model(io.StringIO("".join(lines)))
 
     def test_unknown_attribute_in_weights(self, trained):
-        text, _ = self.roundtrip(trained)
+        text, _ = self.roundtrip(trained, save_model_v2)
         lines = text.splitlines(keepends=True)
         header_at = next(
             i for i, line in enumerate(lines) if line.startswith("state_weights\t")
@@ -1452,7 +1527,7 @@ class TestPersistence:
             load_model(io.StringIO("".join(lines)))
 
     def test_unknown_tag_in_weights(self, trained):
-        text, _ = self.roundtrip(trained)
+        text, _ = self.roundtrip(trained, save_model_v2)
         lines = text.splitlines(keepends=True)
         first = next(
             i for i, line in enumerate(lines) if line.startswith("state_weights\t")
@@ -1478,7 +1553,7 @@ class TestPersistence:
     def test_state_weight_faults_are_reported_in_file_order(
         self, trained, faults, error
     ):
-        text, _ = self.roundtrip(trained)
+        text, _ = self.roundtrip(trained, save_model_v2)
         lines = text.split("\n")
         header_at = next(
             i for i, line in enumerate(lines) if line.startswith("state_weights\t")
@@ -1528,20 +1603,21 @@ class TestPersistence:
             load_model(io.StringIO("\n".join(lines)))
 
     def test_l1_model_files_stay_small(self, small_corpus_module):
-        # Sparse models persist only their nonzero weights.
+        # Sparse models persist only their nonzero weights in version 2,
+        # and only the rows of their active attributes in version 3.
         sparse = train(
             small_corpus_module, FeatureConfig(), None,
             TrainConfig(c1=1.0, max_iterations=60),
         )
-        buffer = io.StringIO()
-        save_model(sparse, buffer)
+        text = saved_text(save_model_v2, sparse)
         declared = next(
-            line for line in buffer.getvalue().splitlines()
-            if line.startswith("state_weights\t")
+            line for line in text.splitlines() if line.startswith("state_weights\t")
         )
         assert int(declared.split("\t")[1]) == int(np.sum(sparse.state != 0.0))
-        reloaded = load_model(io.StringIO(buffer.getvalue()))
-        assert np.array_equal(reloaded.state, sparse.state)
+        assert np.all(np.any(sparse.state != 0.0, axis=1))
+        for text in (text, saved_text(save_model, sparse)):
+            reloaded = load_model(io.StringIO(text))
+            assert np.array_equal(reloaded.state, sparse.state)
 
 
 def assert_same_model(a, b):
@@ -1569,7 +1645,7 @@ class TestVersion2Faults:
 
     @pytest.fixture
     def text(self, trained):
-        return saved_text(save_model, trained)
+        return saved_text(save_model_v2, trained)
 
     def test_layout(self, text, trained):
         lines, bases_at, rows_at = v2_sections(text)
@@ -1669,6 +1745,262 @@ class TestVersion2Faults:
             load_model(io.StringIO("\n".join(lines)))
 
 
+def v3_blocks(text):
+    """The file's lines, and the line numbers of its attribute id block
+    and its state weight block."""
+    lines = text.split("\n")
+    ids_at = lines.index("attribute_ids") + 1
+    weights_at = lines.index("state_weights") + 1
+    assert weights_at == ids_at + 2
+    return lines, ids_at, weights_at
+
+
+def decoded(block, dtype):
+    """A block's values, as the README reads them."""
+    return np.frombuffer(base64.b64decode(block), dtype=dtype)
+
+
+def encoded(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
+
+
+# Weights a version-3 block must carry bit for bit.
+EDGE_WEIGHTS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -0.5]
+)
+
+
+@st.composite
+def random_models(draw):
+    """A model with random attributes at random window slots, and state
+    weights among them -0.0, subnormals, +-1e308 and rows of one
+    nonzero weight."""
+    radius = draw(st.integers(0, 2))
+    alphabet = draw(st.sampled_from([FULL_ALPHABET, ENG_ALPHABET]))
+    n_labels = len(alphabet)
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(-radius, radius), st.integers(0, 6)),
+            unique=True,
+            max_size=12,
+        )
+    )
+    names = [offset_prefix(k) + f"w={base}" for k, base in keys]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = []
+    for _ in names:
+        kind = draw(st.sampled_from(["any", "one", "zero"]))
+        if kind == "any":
+            weight = EDGE_WEIGHTS | finite
+            row = draw(st.lists(weight, min_size=n_labels, max_size=n_labels))
+        else:
+            row = [draw(st.sampled_from([0.0, -0.0])) for _ in range(n_labels)]
+            if kind == "one":
+                at = draw(st.integers(0, n_labels - 1))
+                row[at] = draw(EDGE_WEIGHTS.filter(bool))
+        rows.append(row)
+    size = n_labels * (n_labels + 2)
+    square = draw(st.lists(finite, min_size=size, max_size=size))
+    weights = np.array(square).reshape(n_labels + 2, n_labels)
+    return CrfModel(
+        alphabet=alphabet,
+        index=FeatureIndex(window_table(names, radius)),
+        state=np.array(rows, dtype=float).reshape(len(names), n_labels),
+        transition=weights[:n_labels],
+        start=weights[n_labels],
+        end=weights[n_labels + 1],
+        feature_config=FeatureConfig(window_radius=radius),
+        train_config=TrainConfig(),
+    )
+
+
+# Quiet and signalling NaNs, and both infinities.
+NON_FINITE_BITS = [
+    0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000001,
+    0x7FF0000000000000, 0xFFF0000000000000,
+]
+BLOCK_FAULTS = st.sampled_from(
+    ["char", "cut", "byte+", "byte-", "pad", "nan", "repeat", "range"]
+)
+
+
+def corrupt_block(block, fault, dtype, data):
+    """`block` with one `BLOCK_FAULTS` fault; every one makes the block
+    invalid."""
+    if fault == "char":
+        at = data.draw(st.integers(0, len(block)))
+        return block[:at] + data.draw(st.sampled_from("!-_ .é\t\r")) + block[at:]
+    if fault == "cut":
+        return block[: data.draw(st.integers(0, len(block) - 1))]
+    if fault == "pad":
+        return block + "="
+    values = np.frombuffer(base64.b64decode(block), dtype=np.uint8)
+    if fault == "byte+":
+        values = np.append(values, np.uint8(data.draw(st.integers(0, 255))))
+    elif fault == "byte-":
+        values = values[:-1]
+    else:
+        values = values.view(dtype).copy()
+        at = data.draw(st.integers(0, values.size - 1))
+        if fault == "nan":
+            # A NaN or infinity bit pattern; as an id it is out of range.
+            values.view("<u8")[at] = data.draw(st.sampled_from(NON_FINITE_BITS))
+        elif dtype == "<i8":
+            if fault == "repeat":
+                kept = np.flatnonzero(values >= 0)
+                other = data.draw(st.sampled_from(kept[kept != at].tolist()))
+                values[at] = values[other]
+            else:
+                out_of_range = [-2, values.max() + 1, 2**62, -(2**63)]
+                values[at] = data.draw(st.sampled_from(out_of_range))
+        else:
+            # Weights have no range and may repeat: both become NaN.
+            values[at] = math.nan
+    return base64.b64encode(values.tobytes()).decode()
+
+
+class TestVersion3Blocks:
+    """Version-3 files: the id table and the state weights as one base64
+    block each."""
+
+    def test_layout(self, trained):
+        text = saved_text(save_model, trained)
+        lines, ids_at, weights_at = v3_blocks(text)
+        assert lines[0] == "borrowings-crf 3"
+        assert lines[weights_at + 1 :] == ["end_of_model", ""]
+        # The README's reading of the weights block.
+        state = decoded(lines[weights_at], "<f8").reshape(trained.n_features, -1)
+        assert state.tobytes() == trained.state.tobytes()
+        ids = decoded(lines[ids_at], "<i8").reshape(-1, 5)
+        bases = lines[lines.index(f"base_names\t{len(ids)}") + 1 : ids_at - 1]
+        table = trained.index.table
+        assert np.array_equal(ids, table.ids[[table.rows[base] for base in bases]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=random_models())
+    def test_round_trip_is_bit_exact(self, model):
+        text = saved_text(save_model, model)
+        loaded = load_model(io.StringIO(text))
+        # Every zero is written as +0.0; every other bit is kept.
+        assert loaded.state.tobytes() == (model.state + 0.0).tobytes()
+        for field in ("transition", "start", "end"):
+            assert getattr(loaded, field).tobytes() == getattr(model, field).tobytes()
+        assert loaded.index.names() == model.index.names()
+        assert loaded.state.flags.writeable and loaded.index.table.ids.flags.writeable
+        assert saved_text(save_model, loaded) == text
+        # The version-2 file of the model loads to the same arrays.
+        v2 = load_model(io.StringIO(saved_text(save_model_v2, model)))
+        assert_same_model(v2, loaded)
+
+    def test_negative_zero_is_written_as_positive_zero(self, trained):
+        model = dataclasses.replace(trained, state=trained.state.copy())
+        model.state[0, :] = -0.0
+        lines, _, weights_at = v3_blocks(saved_text(save_model, model))
+        row = decoded(lines[weights_at], "<f8")[: model.n_labels]
+        assert row.tobytes() == np.zeros(model.n_labels).tobytes()
+
+    def test_a_block_of_another_window_is_a_dimension_error(self, trained):
+        # One attribute per base name, so that the count fits either window.
+        names = ["[0]a", "[-1]b", "[2]c"]
+        model = dataclasses.replace(
+            trained,
+            index=FeatureIndex(window_table(names, 2)),
+            state=np.ones((3, trained.n_labels)),
+        )
+        text = saved_text(save_model, model)
+        narrow = text.replace("window_radius=2", "window_radius=1", 1)
+        assert narrow != text
+        with pytest.raises(
+            ModelDimensionError, match="window width 5 .* window_radius 1, which needs"
+        ):
+            load_model(io.StringIO(narrow))
+
+    @pytest.mark.parametrize(
+        "block, value, error",
+        [
+            ("ids", "!", "attribute ids: not a base64 block"),
+            ("ids", "é", "attribute ids: not a base64 block"),
+            ("ids", "A=", "attribute ids: not a base64 block"),
+            ("ids", "AAAAAAAAAA==", "attribute ids: 7 bytes are not"),
+            ("weights", "?", "state weights: not a base64 block"),
+            ("weights", "", "state weights: expected"),
+            ("weights", encoded([math.nan] * 5, "<f8"), "state weights: expected"),
+        ],
+    )
+    def test_a_replaced_block_raises_its_error(self, trained, block, value, error):
+        lines, ids_at, weights_at = v3_blocks(saved_text(save_model, trained))
+        lines[ids_at if block == "ids" else weights_at] = value
+        with pytest.raises(ModelFormatError, match=error):
+            load_model(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, trained, weight):
+        lines, _, weights_at = v3_blocks(saved_text(save_model, trained))
+        state = trained.state.copy()
+        state[-1, -1] = weight
+        lines[weights_at] = encoded(state, "<f8")
+        with pytest.raises(ModelFormatError, match="non-finite state weight"):
+            load_model(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            ("N_FEATURES", "not a permutation"),
+            (-2, "not a permutation"),
+            ("REPEAT", "not a permutation"),
+            ("DROP", "not a permutation.*missing"),
+        ],
+    )
+    def test_id_faults(self, trained, edit, error):
+        lines, ids_at, _ = v3_blocks(saved_text(save_model, trained))
+        ids = decoded(lines[ids_at], "<i8").copy()
+        first = int(np.flatnonzero(ids >= 0)[0])
+        last = int(np.flatnonzero(ids >= 0)[-1])
+        ids[last] = {
+            "N_FEATURES": trained.n_features, "REPEAT": ids[first], "DROP": -1
+        }.get(edit, edit)
+        lines[ids_at] = encoded(ids, "<i8")
+        with pytest.raises(ModelFormatError, match=error):
+            load_model(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        id_fault=st.none() | BLOCK_FAULTS,
+        weight_fault=st.none() | BLOCK_FAULTS,
+        swapped=st.booleans(),
+        data=st.data(),
+    )
+    @example(id_fault=None, weight_fault=None, swapped=True, data=None)
+    def test_corrupted_blocks_raise_only_model_errors(
+        self, saved_models, kind, id_fault, weight_fault, swapped, data
+    ):
+        lines, ids_at, weights_at = v3_blocks(saved_models[kind])
+        for at, fault, dtype in (
+            (ids_at, id_fault, "<i8"), (weights_at, weight_fault, "<f8")
+        ):
+            if fault is not None:
+                lines[at] = corrupt_block(lines[at], fault, dtype, data)
+        if swapped:
+            lines[ids_at], lines[weights_at] = lines[weights_at], lines[ids_at]
+        if id_fault is weight_fault is None and not swapped:
+            assert_same_model(
+                load_model(io.StringIO("\n".join(lines))),
+                load_model(io.StringIO(saved_models[f"{kind}-v2"])),
+            )
+            return
+        with pytest.raises(ModelFormatError) as raised:
+            load_model(io.StringIO("\n".join(lines)))
+        assert type(raised.value) in (
+            ModelFormatError, ModelDimensionError, ModelTruncatedError
+        )
+        # A fault in the id block is reported before one in the weights.
+        if id_fault is not None or swapped:
+            assert "attribute id" in str(raised.value)
+        else:
+            assert "state weight" in str(raised.value)
+
+
 CANARY = Path(__file__).resolve().parent.parent / "benchmarks" / "canary.crf"
 
 
@@ -1676,19 +2008,24 @@ def test_canary_v1_file_loads_to_the_model_of_its_v2_resave():
     text = CANARY.read_text(encoding="utf-8")
     assert text.startswith("borrowings-crf 1\n")
     v1 = load_model(io.StringIO(text))
-    v2 = load_model(io.StringIO(saved_text(save_model, v1)))
+    v2 = load_model(io.StringIO(saved_text(save_model_v2, v1)))
+    v3_text = saved_text(save_model, v1)
+    assert v3_text.startswith("borrowings-crf 3\n")
+    v3 = load_model(io.StringIO(v3_text))
     assert_same_model(v1, v2)
+    assert_same_model(v1, v3)
     # The version-1 oracle writes the canary back byte for byte.
     assert saved_text(save_model_v1, v2) == text
+    assert saved_text(save_model_v1, v3) == text
     feed = open_vocabulary_corpus(60, seed=17)
-    assert tag(v1, feed) == tag(v2, feed)
+    assert tag(v1, feed) == tag(v2, feed) == tag(v3, feed)
 
 
 @pytest.fixture(scope="module")
 def saved_models():
-    """`save_model` text of a sparse (c1 = 0.05) and a dense (c1 = 0) fit
-    to an open-vocabulary corpus, and their version-1 renderings
-    (`sparse-v1`, `dense-v1`)."""
+    """`save_model` (version-3) text of a sparse (c1 = 0.05) and a dense
+    (c1 = 0) fit to an open-vocabulary corpus, and their version-1 and
+    version-2 renderings (`sparse-v1`, `dense-v2`, ...)."""
     corpus = open_vocabulary_corpus(30, seed=4)
     texts = {}
     for kind, c1 in (("sparse", 0.05), ("dense", 0.0)):
@@ -1700,10 +2037,11 @@ def saved_models():
         )
         texts[kind] = saved_text(save_model, model)
         texts[f"{kind}-v1"] = saved_text(save_model_v1, model)
+        texts[f"{kind}-v2"] = saved_text(save_model_v2, model)
     return texts
 
 
-KINDS = ["sparse", "dense", "sparse-v1", "dense-v1"]
+KINDS = ["sparse", "dense", "sparse-v1", "dense-v1", "sparse-v2", "dense-v2"]
 
 
 # Field values a corrupted model file may hold.
@@ -1713,22 +2051,25 @@ JUNK_FIELDS = ("junk", "nan", "inf", "-inf", "")
 class TestCorruptedModelFiles:
     @pytest.mark.parametrize("kind", KINDS)
     def test_unmutated_files_round_trip_byte_for_byte(self, saved_models, kind):
-        # A version-1 file saves as the version-2 file of its model.
+        # A version-1 or version-2 file saves as the version-3 file of
+        # its model.
         text = saved_models[kind]
         again = io.StringIO()
         save_model(load_model(io.StringIO(text)), again)
-        assert again.getvalue() == saved_models[kind.removesuffix("-v1")]
+        assert again.getvalue() == saved_models[kind.split("-")[0]]
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     def test_v1_renderings_load_and_tag_as_their_v2_files(self, saved_models, kind):
         v1 = load_model(io.StringIO(saved_models[f"{kind}-v1"]))
-        v2 = load_model(io.StringIO(saved_models[kind]))
+        v2 = load_model(io.StringIO(saved_models[f"{kind}-v2"]))
+        v3 = load_model(io.StringIO(saved_models[kind]))
         assert_same_model(v1, v2)
+        assert_same_model(v1, v3)
         feed = open_vocabulary_corpus(40, seed=8)
-        assert tag(v1, feed) == tag(v2, feed)
+        assert tagged_text(v1, feed) == tagged_text(v2, feed) == tagged_text(v3, feed)
 
     def test_the_dense_model_has_tens_of_thousands_of_weight_lines(self, saved_models):
-        declared = re.search(r"^state_weights\t(\d+)$", saved_models["dense"], re.M)
+        declared = re.search(r"^state_weights\t(\d+)$", saved_models["dense-v2"], re.M)
         assert int(declared[1]) >= 20_000
 
     @pytest.mark.parametrize("kind", KINDS)
