@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, NoReturn, Sequence
+from typing import IO, Callable, NoReturn, Sequence
 
 from .corpus import Corpus, corpus_stats, read_corpus, render_stats, write_corpus
 from .crf import (
@@ -562,28 +562,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _UsageError(Exception):
-    """A usage error the lean parser leaves to the full one to report."""
+    """A usage error or a request for help, which the lean parser leaves
+    to the full one to answer."""
 
 
 class _LeanParser(argparse.ArgumentParser):
-    """The parser of one subcommand, raising on a usage error instead of
-    printing it and exiting."""
+    """The parser of one subcommand, raising on a usage error or a
+    request for help instead of printing it and exiting."""
 
     def error(self, message: str) -> NoReturn:
         raise _UsageError(message)
+
+    def print_help(self, file: IO[str] | None = None) -> NoReturn:
+        raise _UsageError("help")
+
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        # `add_argument` builds a formatter to check each metavar, and the
+        # default one asks the terminal for its width.  This parser prints
+        # neither help nor usage, so any fixed width will do.
+        return argparse.HelpFormatter(self.prog, width=80)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The namespace `build_parser` gives for argv.
 
-    When argv starts with a subcommand and asks for no help, a parser of
-    that subcommand alone, built as `build_parser` builds it, parses the
-    rest: the two agree on every argv it accepts.  Anything else, a usage
-    error included, is parsed by `build_parser()`, so help, errors and
-    exit codes are its own.
+    When argv starts with a subcommand, a parser of that subcommand
+    alone, built as `build_parser` builds it, parses the rest: the two
+    agree on every argv it accepts.  Anything else, a usage error or a
+    request for help included, is parsed by `build_parser()`, so help,
+    errors and exit codes are its own.
     """
     command = argv[0] if argv else None
-    if command in _SUBCOMMANDS and not {"-h", "--help"}.intersection(argv):
+    if command in _SUBCOMMANDS:
         _, add_arguments, handler = _SUBCOMMANDS[command]
         lean = _LeanParser(prog=f"borrowings {command}")
         add_arguments(lean)

@@ -89,10 +89,11 @@ writes each id row as a line of integers and one `id<TAB>tag<TAB>weight`
 line per nonzero state weight, and format 1, which lists the windowed
 names one per line in id order and keys each state weight line by
 name; it derives the table from those names, and rejects a name that
-is not `[k]base` within the model's window.  Each text section is read
-in one pass and validated on whole columns, and a fault is reported for
-the first faulty line in file order, with the same error for each kind
-of fault as a line-by-line reader would raise.  Loading keeps every
+is not `[k]base` within the model's window.  These text sections are
+read line by line, with one loop per section, and a fault is reported
+for the first faulty line in file order; only the checks that need a
+whole section (a repeated name, the declared line count, non-finite
+weights, a repeated weight line) wait for it.  Loading keeps every
 attribute a file lists, weighted or not, so every valid file reads and
 saves back as it is, a version-3 file byte for byte.
 """
@@ -1370,60 +1371,11 @@ def _parse_config_echo(line: str, prefix: str, cls: type) -> object:
         raise ModelFormatError(f"bad {prefix}: {exc}") from None
 
 
-def _well_formed_lines(lines: list[str]) -> int:
-    """How many of `lines` come before the first that does not hold
-    exactly three tab-separated fields."""
-    # The code points of the joined lines: numpy stores text as UCS-4.
-    code = np.array(["\n".join(lines)]).view(np.uint32)
-    separators = code[(code == 9) | (code == 10)]
-    # Two tabs per line, and a newline between lines.
-    expected = np.tile(np.array([9, 9, 10], dtype=np.uint32), len(lines))[:-1]
-    n = min(separators.size, expected.size)
-    wrong = np.flatnonzero(separators[:n] != expected[:n])
-    first = int(wrong[0]) if wrong.size else n
-    return len(lines) if first == expected.size == separators.size else first // 3
-
-
-def _int_rows(lines: list[str], width: int) -> np.ndarray:
-    """The integers of `lines`, `width` tab-separated ones each, up to
-    the first fault in file order: the first field of a line without
-    `width` fields, or a field that is not an integer (an optional minus,
-    then digits, 18 chars at most, so that it fits in an int64)."""
-    n = len(lines) * width
-    if not n:
-        return np.empty(0, dtype=np.int64)
-    text = "\n".join(lines)
-    code = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    sep = (code == 9) | (code == 10)
-    digit = (code - 48) < 10
-    after_sep = np.concatenate([[True], sep[:-1]])
-    before_digit = np.concatenate([digit[1:], [False]])
-    after_digit = np.concatenate([[False], digit[:-1]])
-    # A minus comes first in its field and before a digit; a separator
-    # comes after a field's last digit.
-    ok = digit | (code == 45) & after_sep & before_digit | sep & after_digit
-    ends = np.flatnonzero(sep)
-    lengths = np.diff(ends, prepend=-1, append=code.size) - 1
-    # A line ends after every width-th field, and only there.
-    at_width = np.arange(ends.size) % width == width - 1
-    wrong = np.flatnonzero((code[ends] == 10) != at_width)
-    if wrong.size:
-        shape = int(wrong[0])
-    else:
-        shape = n if ends.size + 1 == n else ends.size
-    first = min(
-        [
-            shape // width * width,
-            *np.searchsorted(ends, np.flatnonzero(~ok)[:1]).tolist(),
-            *np.flatnonzero((lengths == 0) | (lengths > 18))[:1].tolist(),
-        ]
-    )
-    if first < n:
-        if first == 0:
-            return np.empty(0, dtype=np.int64)
-        text = text[: ends[first - 1]]
-    # A newline matches the tab separator, as any whitespace does.
-    return np.fromstring(text, dtype=np.int64, sep="\t")
+def _integer(field: str) -> int | None:
+    """The value of `field` if it is an optional minus then digits, 18
+    chars at most (so that it fits in an int64), else None."""
+    digits = len(field) <= 18 and field.isascii() and field.removeprefix("-").isdigit()
+    return int(field) if digits else None
 
 
 def _read_names(
@@ -1440,12 +1392,9 @@ def _read_names(
     if len(by_name) != n_features:
         raise ModelFormatError("duplicate attribute names")
     table = window_table(names, radius)
-    ids = table.ids
-    if np.count_nonzero(ids >= 0) < n_features:
+    if np.count_nonzero(table.ids >= 0) < n_features:
         # The first name the table leaves out.
-        missing = np.ones(n_features, dtype=bool)
-        missing[ids[ids >= 0]] = False
-        name = names[int(np.argmax(missing))]
+        name = names[np.setdiff1d(np.arange(n_features), table.ids)[0]]
         raise ModelFormatError(
             f"attribute name {name!r} is not [k]base with |k| <= {radius}"
         )
@@ -1486,9 +1435,9 @@ def _read_table(
     Faults are reported for the first one in file order: more attributes
     than the table has cells (ModelDimensionError), a repeated base name,
     then a row without its fields or a block without its size
-    (ModelDimensionError), a field that is not an integer or a block
-    that is not base64, or an id out of range or repeating one before
-    it; then ids missing from range(n_features).
+    (ModelDimensionError), a field that is not an integer (`_integer`)
+    or a block that is not base64, or an id out of range or repeating
+    one before it; then ids missing from range(n_features).
     """
     width = 2 * radius + 1
     count = reader.next_line("base name count").split("\t")
@@ -1507,9 +1456,26 @@ def _read_table(
         raise ModelFormatError(f"repeated base name {repeated!r}")
     if reader.next_line("attribute ids") != "attribute_ids":
         raise ModelFormatError("missing attribute_ids section")
+    not_permutation = f"attribute ids are not a permutation of range({n_features})"
     if version == "2":
-        lines = reader.next_lines(n_bases, "attribute ids")
-        ids = _int_rows(lines, width)
+        # One line per row, each id checked as it is read.
+        ids = np.empty(n_bases * width, dtype=np.int64)
+        # One flag per id, and a spare last one that the -1 cells set.
+        seen = bytearray(n_features + 1)
+        for row, line in enumerate(reader.next_lines(n_bases, "attribute ids")):
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ModelDimensionError(
+                    f"attribute id row {row}: expected {width} ids, got {len(fields)}"
+                )
+            for cell, field in enumerate(fields, row * width):
+                i = _integer(field)
+                if i is None:
+                    raise ModelFormatError(f"non-integer attribute id {field!r}")
+                if not -1 <= i < n_features or i >= 0 and seen[i]:
+                    raise ModelFormatError(f"{not_permutation}: {i} in row {row}")
+                seen[i] = 1
+                ids[cell] = i
     else:
         ids = _read_block(reader, "attribute ids", np.int64)
         # The block holds one row per base name, as wide as the window.
@@ -1519,39 +1485,22 @@ def _read_table(
                 f"attribute ids: {ids.size} ids are not {n_bases} rows"
             )
         _check_window(found, radius, ModelDimensionError)
-    # Each id at most once: faulty where out of range, or where it
-    # repeats an id before it.
-    faulty = (ids < -1) | (ids >= n_features)
-    at = np.flatnonzero(~faulty & (ids >= 0))
-    if np.bincount(ids[at], minlength=n_features).max(initial=0) > 1:
-        first = np.full(n_features, ids.size)
-        np.minimum.at(first, ids[at], at)
-        faulty[at] = first[ids[at]] != at
-    bad = int(np.argmax(faulty)) if faulty.any() else ids.size
-    not_permutation = f"attribute ids are not a permutation of range({n_features})"
-    if bad < ids.size:
-        raise ModelFormatError(f"{not_permutation}: {ids[bad]} in row {bad // width}")
-    if ids.size < n_bases * width:
-        # Only a version-2 row can stop the parse early.
-        row, column = divmod(ids.size, width)
-        fields = lines[row].split("\t")
-        if len(fields) != width:
-            raise ModelDimensionError(
-                f"attribute id row {row}: expected {width} ids, got {len(fields)}"
+        # Each id at most once: faulty where out of range, or where it
+        # repeats an id before it.
+        faulty = (ids < -1) | (ids >= n_features)
+        at = np.flatnonzero(~faulty & (ids >= 0))
+        if np.bincount(ids[at], minlength=n_features).max(initial=0) > 1:
+            first = np.full(n_features, ids.size)
+            np.minimum.at(first, ids[at], at)
+            faulty[at] = first[ids[at]] != at
+        if faulty.any():
+            bad = int(np.argmax(faulty))
+            raise ModelFormatError(
+                f"{not_permutation}: {ids[bad]} in row {bad // width}"
             )
-        raise ModelFormatError(f"non-integer attribute id {fields[column]!r}")
-    if at.size != n_features:
+    if np.count_nonzero(ids >= 0) != n_features:
         raise ModelFormatError(f"{not_permutation}: ids are missing")
     return FeatureIndex(BaseTable(rows, ids.reshape(n_bases, width)))
-
-
-def _parse_ids(keys: list[str], n_features: int) -> np.ndarray:
-    """The attribute ids `keys` give, -1 for an id out of range and for
-    every key from the first that is not a decimal integer on."""
-    ids = np.full(len(keys), -1, dtype=np.int64)
-    given = _int_rows(keys, 1)
-    ids[: given.size] = np.where((given >= 0) & (given < n_features), given, -1)
-    return ids
 
 
 def _parse_count(raw: str, context: str) -> int:
@@ -1586,74 +1535,49 @@ def _read_weight_lines(
         )
     # Lines are checked before the count is, so a bad line or an early
     # end_of_model is reported ahead of a truncated file: the first line
-    # with a fault in file order, checked for its fields, name, tag and
+    # with a fault in file order, checked for its fields, key, tag and
     # weight in that order, then all weights for finiteness.
-    present = reader.peek_lines(declared)
-    n_shaped = _well_formed_lines(present)
-    fields = "\t".join(present[:n_shaped]).split("\t") if n_shaped else []
-    # A version-1 line names its attribute, a version-2 line gives its id.
-    if by_name is not None:
-        rows = np.fromiter(
-            map(by_name.get, fields[0::3], itertools.repeat(-1)), np.int64, n_shaped
-        )
-    else:
-        rows = _parse_ids(fields[0::3], n_features)
     tag_ids = {tag_name: i for i, tag_name in enumerate(alphabet.tags)}
-    cols = np.fromiter(
-        map(tag_ids.get, fields[1::3], itertools.repeat(-1)), np.int64, n_shaped
-    )
+    present = reader.peek_lines(declared)
+    than_declared = f"state weight lines than the declared {declared}"
+    cells: list[int] = []
     weights: list[float] = []
-    try:
-        weights.extend(map(float, fields[2::3]))
-    except ValueError:
-        # `weights` keeps the weights before the first non-numeric one.
-        pass
-    bad = min(
-        n_shaped,
-        len(weights),
-        *np.flatnonzero(rows < 0)[:1].tolist(),
-        *np.flatnonzero(cols < 0)[:1].tolist(),
-    )
-    if bad < n_shaped:
-        if rows[bad] < 0:
-            name = fields[3 * bad]
-            raise ModelDimensionError(f"state weight for unknown attribute {name!r}")
-        if cols[bad] < 0:
-            tag_name = fields[3 * bad + 1]
+    for line in present:
+        fields = line.split("\t")
+        if len(fields) != 3:
+            if line == "end_of_model":
+                raise ModelDimensionError(f"fewer {than_declared}")
+            raise ModelFormatError("state weight line needs name, tag, weight")
+        key, tag_name, weight = fields
+        # A version-1 line names its attribute, a version-2 line gives its id.
+        row = by_name.get(key) if by_name is not None else _integer(key)
+        if row is None or not 0 <= row < n_features:
+            raise ModelDimensionError(f"state weight for unknown attribute {key!r}")
+        col = tag_ids.get(tag_name)
+        if col is None:
             raise ModelDimensionError(f"state weight for unknown tag {tag_name!r}")
-        raise ModelFormatError("non-numeric state weight")
-    if bad < len(present):
-        if present[bad] == "end_of_model":
-            raise ModelDimensionError(
-                f"fewer state weight lines than the declared {declared}"
-            )
-        raise ModelFormatError("state weight line needs name, tag, weight")
-    values = np.array(weights, dtype=float)
-    non_finite = np.flatnonzero(~np.isfinite(values))
-    if non_finite.size:
-        raise ModelFormatError(
-            f"non-finite state weight: {present[non_finite[0]]!r}"
-        )
+        try:
+            weights.append(float(weight))
+        except ValueError:
+            raise ModelFormatError("non-numeric state weight") from None
+        cells.append(row * n_labels + col)
+    finite = np.isfinite(weights)
+    if not finite.all():
+        raise ModelFormatError(f"non-finite state weight: {present[finite.argmin()]!r}")
     reader.next_lines(declared, "state weights")
-    state = np.zeros((n_features, n_labels))
-    state[rows, cols] = values
     trailer = reader.next_line("trailer")
     if trailer != "end_of_model":
         if len(trailer.split("\t")) == 3:
-            raise ModelDimensionError(
-                f"more state weight lines than the declared {declared}"
-            )
+            raise ModelDimensionError(f"more {than_declared}")
         raise ModelFormatError(f"expected end_of_model, got {trailer!r}")
     # Checked once the count is known to match, so a surplus line that
-    # repeats another is reported as a surplus.  A stable sort puts each
-    # repeat after the line it repeats; save_model writes sorted keys.
-    keys = rows * n_labels + cols
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    if repeats.size:
-        raise ModelFormatError(
-            f"repeated state weight line: {present[repeats.min()]!r}"
-        )
+    # repeats another is reported as a surplus.
+    first = np.unique(cells, return_index=True)[1]
+    if first.size < len(cells):
+        repeat = np.setdiff1d(np.arange(len(cells)), first)[0]
+        raise ModelFormatError(f"repeated state weight line: {present[repeat]!r}")
+    state = np.zeros((n_features, n_labels))
+    state.flat[cells] = weights
     return state
 
 
@@ -1684,7 +1608,9 @@ def load_model(stream: IO[str]) -> CrfModel:
     disagrees with the declared label or attribute counts.  Any other
     malformed content raises ModelFormatError, among it a weight that
     is `nan` or infinite, a block that is not base64, and two state
-    weight lines for the same (attribute, tag) pair.
+    weight lines for the same (attribute, tag) pair.  The text sections
+    of formats 1 and 2 are read line by line, and the error is that of
+    the first fault in file order.
     """
     reader = _Reader(stream)
     header = reader.next_line("header").split(" ")

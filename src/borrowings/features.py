@@ -401,23 +401,18 @@ def window_table(names: Sequence[str], radius: int) -> BaseTable:
 
     Bases are numbered in order of their first name.
     """
-    # Prefixes without their `]`: a name holds the `]` unless it has none.
-    slot_of = {offset_prefix(k)[:-1]: k + radius for k in range(-radius, radius + 1)}
-    parts = map(str.partition, names, itertools.repeat("]"))
-    heads, seps, bases = tuple(zip(*parts)) or ((), (), ())
-    slots = np.fromiter(
-        map(slot_of.get, heads, itertools.repeat(-1)), np.int64, len(names)
-    )
-    if seps.count("]") < len(seps):
-        slots[[not sep for sep in seps]] = -1
-    kept = slots >= 0
-    rows: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    base_rows = np.fromiter(
-        map(rows.__getitem__, itertools.compress(bases, kept.tolist())), np.int64
-    )
-    ids = np.full((len(rows), 2 * radius + 1), -1, dtype=np.int64)
-    ids[base_rows, slots[kept]] = np.flatnonzero(kept)
-    return BaseTable(dict(rows), ids)
+    width = 2 * radius + 1
+    slot_of = {offset_prefix(k): k + radius for k in range(-radius, radius + 1)}
+    rows: dict[str, int] = {}
+    ids_by_cell: dict[int, int] = {}
+    for i, name in enumerate(names):
+        head, sep, base = name.partition("]")
+        slot = slot_of.get(head + sep)
+        if slot is not None:
+            ids_by_cell[rows.setdefault(base, len(rows)) * width + slot] = i
+    ids = np.full(len(rows) * width, -1, dtype=np.int64)
+    ids[list(ids_by_cell)] = list(ids_by_cell.values())
+    return BaseTable(rows, ids.reshape(len(rows), width))
 
 
 class FeatureIndex:

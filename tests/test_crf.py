@@ -1303,11 +1303,18 @@ class TestActiveAttributes:
         assert saved_text(save_model, loaded) == text
 
 
+# The writers of the two text formats: state weight lines keyed by
+# attribute name (version 1) and by attribute id (version 2).
+LEGACY_WRITERS = (save_model_v1, save_model_v2)
+
+
 class TestPersistence:
     """Round trips through `save_model` (version 3), and faults in the
     sections every version shares, in its files and in version-2 files
     (`save_model_v2`).  Faults in state weight lines are checked in
-    version-2 files, and faults in blocks in `TestVersion3Blocks`."""
+    version-1 and version-2 files (`LEGACY_WRITERS`), whose lines are
+    keyed by attribute name and by attribute id, and faults in blocks in
+    `TestVersion3Blocks`."""
 
     def roundtrip(self, model, write=save_model):
         text = saved_text(write, model)
@@ -1350,7 +1357,7 @@ class TestPersistence:
     def test_truncated_file(self, trained):
         # Dropping whole trailing lines leaves every remaining line
         # intact, so the loader must report a clean early EOF.
-        for write in (save_model, save_model_v2):
+        for write in (save_model, *LEGACY_WRITERS):
             text, _ = self.roundtrip(trained, write)
             lines = text.splitlines(keepends=True)
             for keep in (2, len(lines) // 4, len(lines) // 2, len(lines) - 1):
@@ -1358,14 +1365,15 @@ class TestPersistence:
                     load_model(io.StringIO("".join(lines[:keep])))
 
     def test_midline_cut_is_a_format_error(self, trained):
-        text, _ = self.roundtrip(trained, save_model_v2)
-        lines = text.splitlines(keepends=True)
-        header_at = next(
-            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-        )
-        half = lines[header_at + 1][: len(lines[header_at + 1]) // 2]
-        with pytest.raises(ModelFormatError):
-            load_model(io.StringIO("".join(lines[: header_at + 1]) + half))
+        for write in LEGACY_WRITERS:
+            text, _ = self.roundtrip(trained, write)
+            lines = text.splitlines(keepends=True)
+            header_at = next(
+                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+            )
+            half = lines[header_at + 1][: len(lines[header_at + 1]) // 2]
+            with pytest.raises(ModelFormatError):
+                load_model(io.StringIO("".join(lines[: header_at + 1]) + half))
 
     def test_end_inside_attribute_names_is_truncation(self, trained):
         text = saved_text(save_model_v1, trained)
@@ -1447,64 +1455,72 @@ class TestPersistence:
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section", ["start", "end", "transitions", "state"])
     def test_non_finite_weights_rejected(self, trained, section, weight):
-        text, _ = self.roundtrip(trained, save_model_v2)
-        lines = text.splitlines(keepends=True)
-        if section == "state":
-            at = next(
-                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-            ) + 1
-        elif section == "transitions":
-            at = lines.index("transitions\n") + 1
-        else:
-            at = next(i for i, line in enumerate(lines) if line.startswith(section + "\t"))
-        fields = lines[at].rstrip("\n").split("\t")
-        fields[-1] = weight
-        lines[at] = "\t".join(fields) + "\n"
-        with pytest.raises(ModelFormatError, match="non-finite"):
-            load_model(io.StringIO("".join(lines)))
+        for write in LEGACY_WRITERS:
+            text, _ = self.roundtrip(trained, write)
+            lines = text.splitlines(keepends=True)
+            if section == "state":
+                at = next(
+                    i for i, line in enumerate(lines)
+                    if line.startswith("state_weights\t")
+                ) + 1
+            elif section == "transitions":
+                at = lines.index("transitions\n") + 1
+            else:
+                at = next(
+                    i for i, line in enumerate(lines) if line.startswith(section + "\t")
+                )
+            fields = lines[at].rstrip("\n").split("\t")
+            fields[-1] = weight
+            lines[at] = "\t".join(fields) + "\n"
+            with pytest.raises(ModelFormatError, match="non-finite"):
+                load_model(io.StringIO("".join(lines)))
 
     def test_repeated_state_weight_line_rejected(self, trained):
-        text, _ = self.roundtrip(trained, save_model_v2)
-        lines = text.splitlines(keepends=True)
-        first = next(
-            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-        ) + 1
-        name, tag_name, _ = lines[first].split("\t")
-        # The count still matches: the second line now repeats the first
-        # line's (attribute, tag) pair with another weight.
-        lines[first + 1] = f"{name}\t{tag_name}\t0.5\n"
-        with pytest.raises(ModelFormatError, match="repeated state weight"):
-            load_model(io.StringIO("".join(lines)))
+        for write in LEGACY_WRITERS:
+            text, _ = self.roundtrip(trained, write)
+            lines = text.splitlines(keepends=True)
+            first = next(
+                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+            ) + 1
+            name, tag_name, _ = lines[first].split("\t")
+            # The count still matches: the second line now repeats the first
+            # line's (attribute, tag) pair with another weight.
+            lines[first + 1] = f"{name}\t{tag_name}\t0.5\n"
+            with pytest.raises(ModelFormatError, match="repeated state weight"):
+                load_model(io.StringIO("".join(lines)))
 
     def test_missing_trailer_is_truncation(self, trained):
-        for write in (save_model, save_model_v2):
+        for write in (save_model, *LEGACY_WRITERS):
             text, _ = self.roundtrip(trained, write)
             trimmed = text[: text.rindex("end_of_model")]
             with pytest.raises(ModelTruncatedError):
                 load_model(io.StringIO(trimmed))
 
     def test_fewer_state_weights_than_declared(self, trained):
-        text, _ = self.roundtrip(trained, save_model_v2)
-        lines = text.splitlines(keepends=True)
-        header_at = next(
-            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-        )
-        # With two lines missing the file also ends early; the missing
-        # lines are still reported first, as end_of_model comes before EOF.
-        for missing in (1, 2):
-            cut = lines[: header_at + 1] + lines[header_at + 1 + missing :]
-            with pytest.raises(ModelDimensionError, match="fewer state weight"):
-                load_model(io.StringIO("".join(cut)))
+        for write in LEGACY_WRITERS:
+            text, _ = self.roundtrip(trained, write)
+            lines = text.splitlines(keepends=True)
+            header_at = next(
+                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+            )
+            # With two lines missing the file also ends early; the missing
+            # lines are still reported first, as end_of_model comes before EOF.
+            for missing in (1, 2):
+                cut = lines[: header_at + 1] + lines[header_at + 1 + missing :]
+                with pytest.raises(ModelDimensionError, match="fewer state weight"):
+                    load_model(io.StringIO("".join(cut)))
 
     def test_extra_state_weights_rejected(self, trained):
-        text, _ = self.roundtrip(trained, save_model_v2)
-        lines = text.splitlines(keepends=True)
-        header_at = next(
-            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-        )
-        lines.insert(header_at + 1, lines[header_at + 1])
-        with pytest.raises(ModelDimensionError, match="more state weight"):
-            load_model(io.StringIO("".join(lines)))
+        for write in LEGACY_WRITERS:
+            text, _ = self.roundtrip(trained, write)
+            lines = text.splitlines(keepends=True)
+            header_at = next(
+                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+            )
+            # The surplus line repeats the next one: the surplus is reported.
+            lines.insert(header_at + 1, lines[header_at + 1])
+            with pytest.raises(ModelDimensionError, match="more state weight"):
+                load_model(io.StringIO("".join(lines)))
 
     def test_transition_row_dimension_error(self, trained):
         text, _ = self.roundtrip(trained)
@@ -1515,27 +1531,29 @@ class TestPersistence:
             load_model(io.StringIO("".join(lines)))
 
     def test_unknown_attribute_in_weights(self, trained):
-        text, _ = self.roundtrip(trained, save_model_v2)
-        lines = text.splitlines(keepends=True)
-        header_at = next(
-            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-        )
-        weight = lines[header_at + 1].split("\t")
-        weight[0] = "no-such-attribute"
-        lines[header_at + 1] = "\t".join(weight)
-        with pytest.raises(ModelDimensionError, match="unknown attribute"):
-            load_model(io.StringIO("".join(lines)))
+        for write in LEGACY_WRITERS:
+            text, _ = self.roundtrip(trained, write)
+            lines = text.splitlines(keepends=True)
+            header_at = next(
+                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+            )
+            weight = lines[header_at + 1].split("\t")
+            weight[0] = "no-such-attribute"
+            lines[header_at + 1] = "\t".join(weight)
+            with pytest.raises(ModelDimensionError, match="unknown attribute"):
+                load_model(io.StringIO("".join(lines)))
 
     def test_unknown_tag_in_weights(self, trained):
-        text, _ = self.roundtrip(trained, save_model_v2)
-        lines = text.splitlines(keepends=True)
-        first = next(
-            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-        ) + 1
-        name, _, weight = lines[first].split("\t")
-        lines[first] = f"{name}\tB-XYZ\t{weight}"
-        with pytest.raises(ModelDimensionError, match="unknown tag 'B-XYZ'"):
-            load_model(io.StringIO("".join(lines)))
+        for write in LEGACY_WRITERS:
+            text, _ = self.roundtrip(trained, write)
+            lines = text.splitlines(keepends=True)
+            first = next(
+                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+            ) + 1
+            name, _, weight = lines[first].split("\t")
+            lines[first] = f"{name}\tB-XYZ\t{weight}"
+            with pytest.raises(ModelDimensionError, match="unknown tag 'B-XYZ'"):
+                load_model(io.StringIO("".join(lines)))
 
     @pytest.mark.parametrize(
         "faults, error",
@@ -1548,25 +1566,28 @@ class TestPersistence:
             ([(1, 2, "nan"), (2, 2, "abc")], "non-numeric state weight"),
             ([(2, 2, "abc"), (3, None, "a\tb")], "non-numeric state weight"),
             ([(2, None, "a\tb"), (3, 2, "abc")], "needs name, tag, weight"),
+            # A non-finite weight is reported only once every line parses.
+            ([(1, 2, "nan"), (2, 1, "B-XYZ")], "unknown tag"),
         ],
     )
     def test_state_weight_faults_are_reported_in_file_order(
         self, trained, faults, error
     ):
-        text, _ = self.roundtrip(trained, save_model_v2)
-        lines = text.split("\n")
-        header_at = next(
-            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-        )
-        for offset, field, value in faults:
-            fields = lines[header_at + offset].split("\t")
-            if field is None:
-                fields = [value]
-            else:
-                fields[field] = value
-            lines[header_at + offset] = "\t".join(fields)
-        with pytest.raises(ModelFormatError, match=error):
-            load_model(io.StringIO("\n".join(lines)))
+        for write in LEGACY_WRITERS:
+            text, _ = self.roundtrip(trained, write)
+            lines = text.split("\n")
+            header_at = next(
+                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+            )
+            for offset, field, value in faults:
+                fields = lines[header_at + offset].split("\t")
+                if field is None:
+                    fields = [value]
+                else:
+                    fields[field] = value
+                lines[header_at + offset] = "\t".join(fields)
+            with pytest.raises(ModelFormatError, match=error):
+                load_model(io.StringIO("\n".join(lines)))
 
     @pytest.mark.parametrize(
         "field, corrupted",
