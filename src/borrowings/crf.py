@@ -22,33 +22,32 @@ scale becomes 0 or subnormal, and the objective raises
 `DivergenceError` rather than return an inaccurate value.
 Decoding stays in log space (max-plus Viterbi).
 
-A batch of sequences (a training corpus, or the headlines being tagged)
-is encoded once into flat arrays, as in CRFsuite, but factored by
-window cell: a cell is the list of (attribute id, value) entries one
-token type contributes at one window slot, inside a quotation or
-outside one.  Each distinct cell is stored once, and a
-(token, slot) table of cell numbers records which cells every token
-visits, plus the token offset of every sequence.  Emissions take one
-`np.bincount` per label over the cell entries, giving a score per cell,
-and then one gather per window slot; the state gradient sums the
-residuals of each cell's visits first, then takes one `np.bincount` per
-label over the cell entries.  Each cell sums its entries in entry
-order, starting from 0.0.  The training objective keeps that order but
-interleaves the cells: it visits entry 0 of every cell, then entry 1
-of every cell that has one, and so on, with the cells ranked by
-descending entry count, as the sequences are below.  Each rank then
-adds one weight row onto each of the first cells, as one block for
-every label at once, and consecutive adds never go to the same cell;
-every score is the same to the bit.  The state gradient, which sums
-by attribute id, keeps the stored order.  Forward-backward and Viterbi
-then loop once over time steps for the whole batch, as packed
-sequences do in cuDNN: step t takes token t of every sequence longer
-than t, with the sequences ranked by descending length, so each step
-is one contiguous block of rows that continues the first rows of the
-step before.  No sequence is padded, and each token's marginals and
-best label are those of its sequence decoded alone, bit for bit.  Sums
-over tokens and sequences (log Z, pair marginals) run in packed row
-order, which the sequence lengths and their input order fix.
+A batch of sequences (a training corpus, or the headlines being
+tagged) is encoded once into flat arrays, as in CRFsuite, but factored
+by window cell: a cell is the list of (attribute id, value) entries
+one token type contributes at one window slot, inside a quotation or
+outside one.  Each distinct cell is stored once, and a (token, slot)
+table of cell numbers records which cells every token visits, plus the
+token offset of every sequence.  Training and tagging sum emissions
+the same way (`_rank_major_emissions`): each cell sums its entries in
+entry order, starting from 0.0, and each token its cells' scores in
+ascending slot order.  The entries are visited cell-interleaved: entry
+0 of every cell, then entry 1 of every cell that has one, and so on,
+with the cells ranked by descending entry count, as the sequences are
+below.  Each rank adds one weight row onto each of the first cells, as
+one block for every label at once, and consecutive adds never go to
+the same cell.  The state gradient, which sums by attribute id, keeps
+the stored order: it sums the residuals of each cell's visits first,
+then takes one `np.bincount` per label over the cell entries.
+Forward-backward and Viterbi then loop once over time steps for the
+whole batch, as packed sequences do in cuDNN: step t takes token t of
+every sequence longer than t, with the sequences ranked by descending
+length, so each step is one contiguous block of rows that continues
+the first rows of the step before.  No sequence is padded, and each
+token's marginals and best label are those of its sequence decoded
+alone, bit for bit.  Sums over tokens and sequences (log Z, pair
+marginals) run in packed row order, which the sequence lengths and
+their input order fix.
 
 Corpora are encoded without building any windowed attribute name per
 token, and with Python work that grows with the token types and the
@@ -149,10 +148,12 @@ DivergenceError = optim.DivergenceError
 # 3 MB at the peak, freed once the chunk is encoded.  What is
 # kept is 5 visits per token and the entries of the model's attributes:
 # about 5 per token with the L1-sparse `tag-feeds` model, up to all 18
-# with a dense one.  In decoding a cell entry takes 32 bytes (id, value,
-# cell, one scratch value), a visit 8 and a cell's scores 8 per label:
-# at most some 0.7 KB per token with the emissions, and about 3 MB per
-# chunk.
+# with a dense one.  In decoding a cell entry takes 40 bytes: its id,
+# value and cell, and its id and value again in the rank-major order the
+# emissions read (`_rank_major`).  A visit takes 16 (its cell in both
+# numberings), and a cell 16 per label (its scores and one gathered
+# row): at most some 0.9 KB per token with the emissions, and about 4 MB
+# per chunk.
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
@@ -601,48 +602,9 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def index_corpus(
-    corpus: Corpus,
-    config: FeatureConfig,
-    embeddings: EmbeddingTable | None = None,
-) -> tuple[Encoding, FeatureIndex]:
-    """Flat encoding of a corpus, with the index of the ids it assigns.
-
-    Ids follow the order in which names first appear in the windowed
-    vectors; the encoding is `_encode_windows` without an index.
-    """
-    return _encode_windows(corpus.headlines, config, embeddings)
-
-
-def _emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
-    """(n_tokens, L) emission scores.
-
-    Each cell's entries are summed in entry order, from 0.0, then each
-    token's cell scores in ascending slot order.  The training objective
-    gets the same bits with the cells interleaved
-    (`_rank_major_emissions`).
-    """
-    n_cells = enc.n_cells
-    per_cell = np.empty((n_cells, state.shape[1]))
-    scaled = np.empty(enc.ids.size)
-    for label in range(state.shape[1]):
-        _scaled_gather(state[:, label], enc.ids, enc.vals, out=scaled)
-        per_cell[:, label] = np.bincount(enc.cell, weights=scaled, minlength=n_cells)
-    return _visit_sums(per_cell, enc.visits)
-
-
-def _visit_sums(per_cell: np.ndarray, visits: np.ndarray) -> np.ndarray:
-    """Each token's cell scores summed in ascending slot order."""
-    e = np.take(per_cell, visits[:, 0], axis=0)
-    row = np.empty_like(e)
-    for k in range(1, visits.shape[1]):
-        np.take(per_cell, visits[:, k], axis=0, out=row)
-        e += row
-    return e
-
-
 class _RankMajor(NamedTuple):
-    """The entries of a training encoding, cell-interleaved.
+    """The entries of an encoding, cell-interleaved, as the emissions
+    of training and tagging visit them.
 
     Cells are renumbered by descending entry count, ties in cell order,
     and `visits` is the encoding's visit table in the new numbers.  The
@@ -684,17 +646,16 @@ def _rank_major(enc: Encoding) -> _RankMajor:
 
 
 def _rank_major_emissions(entries: _RankMajor, state: np.ndarray) -> np.ndarray:
-    """(n_tokens, L) emission scores, the same to the bit as `_emissions`.
+    """(n_tokens, L) emission scores, for training and tagging alike.
 
-    Each cell's entries are summed in entry order, then each token's
-    cell scores in ascending slot order, as in `_emissions`; but the
-    entries are visited cell-interleaved: entry 0 of every cell, then
-    entry 1 of every cell that has one, and so on.  Rank r's entries
-    belong to the first cells, one each, so their weight rows are
-    gathered as one block and added onto those cells' rows, for every
-    label at once: consecutive adds go to different cells, and no
-    entry-sized array is needed.  Every cell starts at 0.0, as a
-    `bincount` bin does.
+    Each cell's entries are summed in entry order, starting from 0.0,
+    then each token's cell scores in ascending slot order.  The entries
+    are visited cell-interleaved: entry 0 of every cell, then entry 1
+    of every cell that has one, and so on.  Rank r's entries belong to
+    the first cells, one each, so their weight rows are gathered as one
+    block and added onto those cells' rows, for every label at once:
+    consecutive adds go to different cells, and no entry-sized array is
+    needed.
     """
     per_cell = np.zeros((entries.n_cells, state.shape[1]))
     rows = np.empty_like(per_cell)
@@ -705,7 +666,13 @@ def _rank_major_emissions(entries: _RankMajor, state: np.ndarray) -> np.ndarray:
         if entries.vals is not None:
             block *= entries.vals[lo:hi, None]
         per_cell[: hi - lo] += block
-    return _visit_sums(per_cell, entries.visits)
+    visits = entries.visits
+    e = np.take(per_cell, visits[:, 0], axis=0)
+    slot = np.empty_like(e)
+    for k in range(1, visits.shape[1]):
+        np.take(per_cell, visits[:, k], axis=0, out=slot)
+        e += slot
+    return e
 
 
 def _scatter_state(
@@ -729,25 +696,14 @@ def _scatter_state(
         per_cell[label] = np.bincount(flat, weights=repeated, minlength=n_cells)
     scaled = np.empty(enc.ids.size)
     for label in range(g_state.shape[1]):
-        _scaled_gather(per_cell[label], enc.cell, enc.vals, out=scaled)
+        # Cell numbers are in range; mode="raise" would make take()
+        # allocate a second entry-sized buffer.
+        np.take(per_cell[label], enc.cell, out=scaled, mode="clip")
+        if enc.vals is not None:
+            scaled *= enc.vals
         g_state[:, label] += np.bincount(
             enc.ids, weights=scaled, minlength=g_state.shape[0]
         )
-
-
-def _scaled_gather(
-    column: np.ndarray,
-    index: np.ndarray,
-    vals: np.ndarray | None,
-    out: np.ndarray,
-) -> None:
-    """out = vals * column[index], in one entry-sized buffer; with vals
-    None, out = column[index]."""
-    # Indices come from the encoding and are in range; mode="raise"
-    # would make take() allocate a second buffer.
-    np.take(column, index, out=out, mode="clip")
-    if vals is not None:
-        out *= vals
 
 
 def _path_counts(
@@ -803,8 +759,9 @@ def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class _Steps(NamedTuple):
-    """The packed steps of an encoding: `Encoding.steps` as a list, and
-    its `_step_links`."""
+    """The packed steps of an encoding: `Encoding.steps` as a list, the
+    packed row of the predecessor of every row after step 0, in row
+    order, and the last row of every sequence."""
 
     bounds: list[int]
     prev: np.ndarray
@@ -812,24 +769,14 @@ class _Steps(NamedTuple):
 
 
 def _steps(enc: Encoding) -> _Steps:
-    bounds = enc.steps.tolist()
-    return _Steps(bounds, *_step_links(bounds))
-
-
-def _step_links(bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Packed row of every row's predecessor, and every sequence's last row.
-
-    `bounds` are the step offsets (`Encoding.steps`).  The predecessors
-    are those of the rows after step 0, in row order.
-    """
-    alive = np.diff(bounds)
-    n_rows = bounds[-1]
+    alive = np.diff(enc.steps)
+    n_rows = int(enc.steps[-1])
     prev = np.arange(n_rows - alive[1:].sum(), n_rows) - np.repeat(
         alive[:-1], alive[1:]
     )
     is_last = np.ones(n_rows, dtype=bool)
     is_last[prev] = False
-    return prev, np.flatnonzero(is_last)
+    return _Steps(enc.steps.tolist(), prev, np.flatnonzero(is_last))
 
 
 def _scaled_forward(
@@ -876,14 +823,14 @@ def _forward_backward(
     transition: np.ndarray,
     start: np.ndarray,
     end: np.ndarray,
-    steps: _Steps | None = None,
+    steps: _Steps,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Summed log Z, unary marginals (n_tokens, L) and summed pair marginals.
 
-    `e` holds the log-space emissions of every token of `enc`; `steps`
-    are `_steps(enc)`, computed here when not given.
+    `e` holds the log-space emissions of every token of `enc`, and
+    `steps` are `_steps(enc)`.
     """
-    bounds, prev, last = _steps(enc) if steps is None else steps
+    bounds, prev, last = steps
     shift = e.max(axis=1, keepdims=True)
     t_exp, t_shift = _exp_shifted(transition)
     s_exp, s_shift = _exp_shifted(start)
@@ -915,14 +862,14 @@ def _forward_backward(
 
 def _viterbi_ids(
     e: np.ndarray,
-    bounds: list[int],
+    steps: _Steps,
     transition: np.ndarray,
     start: np.ndarray,
     end: np.ndarray,
 ) -> np.ndarray:
     """Best tag id of every packed row, given packed emissions."""
     n_rows, n_labels = e.shape
-    _, last = _step_links(bounds)
+    bounds, _, last = steps
     into = transition.T.copy()
     # Flat index of scores[r, j, 0] below, for every row r and label j.
     score_rows = np.arange(last.size * n_labels).reshape(-1, n_labels) * n_labels
@@ -955,10 +902,10 @@ def _viterbi_ids(
 
 def _decode(model: CrfModel, enc: Encoding) -> np.ndarray:
     """Best tag id of every token."""
-    e = _emissions(enc, model.state)
+    e = _rank_major_emissions(_rank_major(enc), model.state)
     paths = np.empty(enc.n_tokens, dtype=np.int64)
     paths[enc.order] = _viterbi_ids(
-        e[enc.order], enc.steps.tolist(), model.transition, model.start, model.end
+        e[enc.order], _steps(enc), model.transition, model.start, model.end
     )
     return paths
 
@@ -1087,7 +1034,7 @@ def encode_training_set(
     the three-tag alphabet is used.
     """
     alphabet = alphabet_for(ignore_other)
-    enc, index = index_corpus(corpus, config, embeddings)
+    enc, index = _encode_windows(corpus.headlines, config, embeddings)
     dataset = TrainingSet(
         enc, _gold(corpus, alphabet, ignore_other), len(index), len(alphabet)
     )

@@ -45,13 +45,12 @@ from borrowings.crf import (
     TrainConfig,
     _bases_by_first_id,
     _config_echo,
-    _decode,
-    _emissions,
     _flat_encoding,
     _format_float,
     _forward_backward,
     _path_counts,
     _path_score,
+    _steps,
     _unpack,
     encode_training_set,
 )
@@ -346,7 +345,7 @@ def score_sequence(model: CrfModel, attrs, y) -> float:
     enc = _encode_one(model, attrs)
     gold = np.array([model.alphabet.index(tag) for tag in y], dtype=np.int64)
     counts = _path_counts(gold, enc.offsets, model.n_labels)
-    e = _emissions(enc, model.state)
+    e = cell_order_emissions(enc, model.state)
     return _path_score(e, gold, counts, model.transition, model.start, model.end)
 
 
@@ -356,16 +355,22 @@ def log_partition(model: CrfModel, attrs) -> float:
     Raises DivergenceError where the scaled forward pass underflows.
     """
     enc = _encode_one(model, attrs)
-    e = _emissions(enc, model.state)
+    e = cell_order_emissions(enc, model.state)
     log_z, _, _ = _forward_backward(
-        e, enc, model.transition, model.start, model.end
+        e, enc, model.transition, model.start, model.end, _steps(enc)
     )
     return log_z
 
 
 def viterbi(model: CrfModel, attrs) -> list[str]:
-    """Highest-scoring tag sequence, lower tag index winning ties."""
-    path = _decode(model, _encode_one(model, attrs))
+    """Highest-scoring tag sequence, lower tag index winning ties.
+
+    Computed without `crf`'s decoder: the `np.add.at` emissions of
+    `cell_order_emissions` and the pure-Python Viterbi of
+    `dp_best_path_min_index`.
+    """
+    e = cell_order_emissions(_encode_one(model, attrs), model.state)
+    path = dp_best_path_min_index(e, model.transition, model.start, model.end)
     return [model.alphabet.tags[i] for i in path]
 
 
@@ -474,7 +479,8 @@ def expand_encoding(enc):
 
 
 def cell_order_emissions(enc, state):
-    """Emissions summed as `crf._emissions` documents, by `np.add.at`.
+    """Emissions summed as `crf._rank_major_emissions` documents, by
+    `np.add.at`.
 
     Each cell's entries are added up in entry order, then the cell rows
     of every token in ascending slot order.

@@ -434,15 +434,6 @@ class TestFlatEncoding:
         ids, _, _ = expand_encoding(enc)
         assert enc.ids.size == entries.sum() < ids.size == (visited * entries).sum()
 
-    def test_emissions_sum_cells_then_slots_exactly(self):
-        dataset, _, _ = encode_small()
-        rng = np.random.default_rng(22)
-        state = rng.normal(size=(dataset.n_features, dataset.n_labels))
-        enc = dataset.encoding
-        assert enc.visits.shape[1] == 5
-        got = crf._emissions(enc, state)
-        assert got.tobytes() == cell_order_emissions(enc, state).tobytes()
-
     @settings(max_examples=120, deadline=None)
     @given(rank_major_cases())
     @example(([[{"a0": 1.0}]], 1, 3, (-0.0, 0.0, 2.5)))
@@ -457,7 +448,6 @@ class TestFlatEncoding:
         state = np.resize(np.array(weights), (n_features, n_labels))
         got = crf._rank_major_emissions(dataset._rank_major, state)
         assert got.tobytes() == cell_order_emissions(enc, state).tobytes()
-        assert got.tobytes() == crf._emissions(enc, state).tobytes()
 
     @pytest.mark.parametrize("embedding", [False, True])
     def test_rank_major_emissions_of_window_cells(self, embedding):
@@ -845,12 +835,16 @@ class TestPackedSteps:
         model, seqs, e, enc = packed_case(lengths, seed)
         t, s, end = model.transition, model.start, model.end
         paths = crf._decode(model, enc)
-        log_z, marginal, pair = crf._forward_backward(e, enc, t, s, end)
+        log_z, marginal, pair = crf._forward_backward(
+            e, enc, t, s, end, crf._steps(enc)
+        )
         ref_log_z, ref_pair = 0.0, np.zeros_like(t)
         for seq, lo, hi in zip(seqs, enc.offsets[:-1], enc.offsets[1:]):
             alone = encode_attributes([seq], name_lookup(model.index))
             assert paths[lo:hi].tolist() == crf._decode(model, alone).tolist()
-            _, own, _ = crf._forward_backward(e[lo:hi], alone, t, s, end)
+            _, own, _ = crf._forward_backward(
+                e[lo:hi], alone, t, s, end, crf._steps(alone)
+            )
             assert marginal[lo:hi].tobytes() == own.tobytes()
             seq_log_z, seq_pair = reference_partition_and_pairs(e[lo:hi], t, s, end)
             ref_log_z += seq_log_z
@@ -866,7 +860,12 @@ class TestPackedSteps:
         assert paths.shape == (0,) and paths.dtype == np.int64
         n_labels = model.n_labels
         log_z, marginal, pair = crf._forward_backward(
-            np.empty((0, n_labels)), enc, model.transition, model.start, model.end
+            np.empty((0, n_labels)),
+            enc,
+            model.transition,
+            model.start,
+            model.end,
+            crf._steps(enc),
         )
         assert log_z == 0.0
         assert marginal.shape == (0, n_labels)

@@ -21,7 +21,6 @@ from borrowings.crf import (
     CrfModel,
     TrainConfig,
     encode_training_set,
-    index_corpus,
     tag,
 )
 from borrowings.embeddings import EmbeddingTable
@@ -247,12 +246,12 @@ class TestTaggingEncoding:
         expected = oracle(feed, config, table, name_lookup(model.index))
         got, _ = crf._encode_windows(feed.headlines, config, table, model.index)
         assert_same_encoding(got, expected)
-        e_got = crf._emissions(got, model.state)
+        e_got = crf._rank_major_emissions(crf._rank_major(got), model.state)
         assert e_got.tobytes() == cell_order_emissions(got, model.state).tobytes()
         # The oracle sums each token's entries in one run; relative to
         # the summed magnitudes, the two orders agree to rounding.
-        e_expected = crf._emissions(expected, model.state)
-        magnitude = crf._emissions(
+        e_expected = cell_order_emissions(expected, model.state)
+        magnitude = cell_order_emissions(
             dataclasses.replace(expected, vals=np.abs(expected.vals)),
             np.abs(model.state),
         )
@@ -323,12 +322,12 @@ class TestPinnedBytes:
             if config.embedding
             else None
         )
-        enc, index = index_corpus(PINNED_CORPUS, config, table)
+        enc, index = crf._encode_windows(PINNED_CORPUS.headlines, config, table)
         assert encoding_digest(enc, index.names()) == PINNED_DIGESTS[name]
 
     def test_tag_encoding_of_an_unseen_heavy_feed(self):
         config = FeatureConfig()
-        _, index = index_corpus(PINNED_CORPUS, config)
+        _, index = crf._encode_windows(PINNED_CORPUS.headlines, config, None)
         feed = open_vocabulary_corpus(40, seed=13)
         enc = tag_encoding(feed.headlines, config, None, index)
         assert encoding_digest(enc, index.names()) == PINNED_DIGESTS["tag"]
@@ -346,7 +345,7 @@ class TestUnitValues:
     def test_vals_none_unless_embedding_entries(self, embedding, table, kept):
         config = FeatureConfig(embedding=embedding)
         corpus = synthetic_corpus(20, seed=8)
-        enc, index = index_corpus(corpus, config, table)
+        enc, index = crf._encode_windows(corpus.headlines, config, table)
         assert (enc.vals is not None) is kept
         feed = open_vocabulary_corpus(10, seed=9)
         tagged = tag_encoding(feed.headlines, config, table, index)
@@ -357,21 +356,23 @@ class TestUnitValues:
     @pytest.mark.parametrize(
         "build",
         [
-            index_corpus,
+            lambda corpus, config, table: crf._encode_windows(
+                corpus.headlines, config, table
+            ),
             build_index,
             encode_training_set,
             lambda corpus, config, table: crf.train(
                 corpus, config, table, TrainConfig(max_iterations=1)
             ),
         ],
-        ids=["index_corpus", "build_index", "encode_training_set", "train"],
+        ids=["encode_windows", "build_index", "encode_training_set", "train"],
     )
     def test_family_on_without_a_table_raises(self, build):
         config = FeatureConfig(embedding=True)
         corpus = synthetic_corpus(20, seed=8)
         with pytest.raises(ConfigError, match="embedding"):
             build(corpus, config, None)
-        index = index_corpus(corpus, config, TABLE)[1]
+        index = crf._encode_windows(corpus.headlines, config, TABLE)[1]
         feed = open_vocabulary_corpus(10, seed=9)
         with pytest.raises(ConfigError, match="embedding"):
             tag_encoding(feed.headlines, config, None, index)
@@ -386,10 +387,11 @@ class TestEdgeCases:
         table = TABLE if embedding else None
         empty = Corpus("empty", ())
         index = FirstSeenIds()
-        enc, got_index = index_corpus(empty, config, table)
+        enc, got_index = crf._encode_windows(empty.headlines, config, table)
         assert_same_encoding(enc, oracle(empty, config, table, index.add))
         assert len(got_index) == 0
-        model_index = index_corpus(synthetic_corpus(5, seed=1), config, table)[1]
+        model_corpus = synthetic_corpus(5, seed=1)
+        model_index = crf._encode_windows(model_corpus.headlines, config, table)[1]
         got = tag_encoding((), config, table, model_index)
         assert_same_encoding(got, oracle(empty, config, table, name_lookup(model_index)))
         assert got.n_tokens == 0 and got.ids.size == 0
@@ -413,7 +415,7 @@ class TestEdgeCases:
         corpus = Corpus("one", (Headline(id="h", tokens=(Token("casa", "NOUN"),)),))
         index = FirstSeenIds()
         expected = oracle(corpus, config, table, index.add)
-        enc, got_index = index_corpus(corpus, config, table)
+        enc, got_index = crf._encode_windows(corpus.headlines, config, table)
         assert got_index.names() == index.names()
         assert_same_encoding(enc, expected)
         assert enc.visits.shape == (1, 7)
