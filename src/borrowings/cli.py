@@ -18,15 +18,7 @@ from pathlib import Path
 from typing import IO, Callable, NoReturn, Sequence
 
 from .corpus import Corpus, corpus_stats, read_corpus, render_stats, write_corpus
-from .crf import (
-    TYPE_PARSERS,
-    TrainConfig,
-    field_parsers,
-    load_model,
-    save_model,
-    tag,
-    train,
-)
+from .crf import TYPE_PARSERS, TrainConfig, load_model, save_model, tag, train
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, ValidationError
 from .evaluation import evaluate, render_report_text, render_report_tsv
@@ -48,8 +40,9 @@ from .tune import (
 class RunConfig:
     """Every setting a subcommand can take, file- or flag-sourced.
 
-    The feature and training keys are the fields of `features` and
-    `training`.
+    Each field but `features` and `training` is a configuration key, and
+    the fields of those two are the feature and training keys.  A key's
+    declared type picks its parser (`_KEY_PARSERS`).
     """
 
     train_corpus: str | None = None
@@ -89,23 +82,20 @@ def _parse_str_list(raw: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-_PATH_KEYS = (
-    "train_corpus",
-    "dev_corpus",
-    "embeddings",
-    "model",
-    "output_dir",
-)
-
+# The configuration keys are the fields of `RunConfig`, `FeatureConfig`
+# and `TrainConfig`, each parsed by its declared type, in a config file
+# and in the flag that sets it alike.
+_TYPE_PARSERS = {
+    **TYPE_PARSERS,
+    "str | None": _parse_path,
+    "tuple[float, ...]": _parse_float_list,
+    "tuple[str, ...]": _parse_str_list,
+}
 _KEY_PARSERS: dict[str, Callable[[str], object]] = {
-    **{key: _parse_path for key in _PATH_KEYS},
-    "ignore_other": TYPE_PARSERS["bool"],
-    **field_parsers(FeatureConfig),
-    **field_parsers(TrainConfig),
-    "c1_values": _parse_float_list,
-    "c2_values": _parse_float_list,
-    "scaling_values": _parse_float_list,
-    "embedding_tables": _parse_str_list,
+    f.name: _TYPE_PARSERS[f.type]
+    for cls in (RunConfig, FeatureConfig, TrainConfig)
+    for f in fields(cls)
+    if f.name not in ("features", "training")
 }
 
 
@@ -399,33 +389,29 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", help="path to a key = value config file")
 
 
+def _add_key_flags(
+    parser: argparse.ArgumentParser, flags: Sequence[tuple[str, str]]
+) -> None:
+    """Add each (flag, help): it sets the key its name spells, parsed as
+    a config file parses that key."""
+    for flag, help_line in flags:
+        dest = flag[2:].replace("-", "_")
+        parser.add_argument(flag, dest=dest, type=_KEY_PARSERS[dest], help=help_line)
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--train", dest="train_corpus", help="training corpus TSV")
     parser.add_argument("--embeddings", help="word embedding table (word2vec text)")
-    parser.add_argument(
-        "--c1", type=_parse_float, help="L1 regularization coefficient"
-    )
-    parser.add_argument(
-        "--c2", type=_parse_float, help="L2 regularization coefficient"
-    )
-    parser.add_argument(
-        "--delta", type=_parse_float, help="relative-improvement stopping threshold"
-    )
-    parser.add_argument(
-        "--period", type=_parse_int, help="iterations per improvement measurement"
-    )
-    parser.add_argument(
-        "--max-iterations", type=_parse_int, help="optimizer iteration cap"
-    )
-    parser.add_argument(
-        "--lbfgs-memory", type=_parse_int, help="quasi-Newton history size"
-    )
-    parser.add_argument(
-        "--window-radius", type=_parse_int, help="attribute window radius"
-    )
-    parser.add_argument(
-        "--embedding-scaling", type=_parse_float, help="embedding value multiplier"
-    )
+    _add_key_flags(parser, (
+        ("--c1", "L1 regularization coefficient"),
+        ("--c2", "L2 regularization coefficient"),
+        ("--delta", "relative-improvement stopping threshold"),
+        ("--period", "iterations per improvement measurement"),
+        ("--max-iterations", "optimizer iteration cap"),
+        ("--lbfgs-memory", "quasi-Newton history size"),
+        ("--window-radius", "attribute window radius"),
+        ("--embedding-scaling", "embedding value multiplier"),
+    ))
 
 
 def _ingest_arguments(p: argparse.ArgumentParser) -> None:
@@ -484,22 +470,15 @@ def _tune_arguments(p: argparse.ArgumentParser) -> None:
         help="worker processes for the distinct runs, forked with the POSIX "
         "fork start method; output is identical at any value (default 1)",
     )
-    p.add_argument(
-        "--c1-values", dest="c1_values", type=_parse_float_list,
-        help="comma-separated c1 grid values",
-    )
-    p.add_argument(
-        "--c2-values", dest="c2_values", type=_parse_float_list,
-        help="comma-separated c2 grid values",
-    )
-    p.add_argument(
-        "--scaling-values", dest="scaling_values", type=_parse_float_list,
-        help="comma-separated embedding scaling grid values",
-    )
-    p.add_argument(
-        "--embedding-tables", dest="embedding_tables", type=_parse_str_list,
-        help="comma-separated embedding table paths, `none` for no embeddings",
-    )
+    _add_key_flags(p, (
+        ("--c1-values", "comma-separated c1 grid values"),
+        ("--c2-values", "comma-separated c2 grid values"),
+        ("--scaling-values", "comma-separated embedding scaling grid values"),
+        (
+            "--embedding-tables",
+            "comma-separated embedding table paths, `none` for no embeddings",
+        ),
+    ))
     _add_train_flags(p)
 
 

@@ -1,13 +1,15 @@
 """Token attribute extraction and the windowed feature representation.
 
-Ten independently switchable families describe a token.  All but two
-depend only on the token's type, its (text, POS) pair:
-`type_attributes` gives the binary attribute names of a batch of types
-in family order, as interned ids, split where the quotation attribute
-goes.  The quotation flag depends on the token's place in its headline
-(`quotation_flags` marks a whole headline at once), and the scaled
-embedding components (`embedding_rows`, named `emb0`, `emb1`, ...) are
-emitted at the centre of the window only.
+Ten independently switchable families describe a token.  They are the
+boolean fields of `FeatureConfig`, and their declaration order is the
+family order (`FAMILIES`).  All but two depend only on the token's
+type, its (text, POS) pair: `type_attributes` gives the binary
+attribute names of a batch of types in family order, as interned ids,
+split where the quotation attribute goes.  The quotation flag depends
+on the token's place in its headline (`quotation_flags` marks a whole
+headline at once), and the scaled embedding components
+(`embedding_rows`, named `emb0`, `emb1`, ...) are emitted at the
+centre of the window only.
 
 A position's windowed attributes are the union of its neighbors'
 attributes within a symmetric window, each name prefixed with the
@@ -29,7 +31,7 @@ import math
 import operator
 import re
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,23 +42,14 @@ from .errors import ConfigError
 
 AttributeVector = dict[str, float]
 
-FAMILIES = (
-    "bias",
-    "token",
-    "uppercase",
-    "titlecase",
-    "char_trigram",
-    "quotation",
-    "suffix3",
-    "pos",
-    "shape",
-    "embedding",
-)
-
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Which attribute families are active, plus window and scaling knobs."""
+    """Which attribute families are active, plus window and scaling knobs.
+
+    Each boolean field switches the family of its name, and their order
+    is the family order (`FAMILIES`).
+    """
 
     bias: bool = True
     token: bool = True
@@ -87,6 +80,10 @@ class FeatureConfig:
         if family not in FAMILIES:
             raise ConfigError(f"unknown attribute family {family!r}")
         return replace(self, **{family: False})
+
+
+# The attribute families in family order.
+FAMILIES = tuple(f.name for f in fields(FeatureConfig) if f.type == "bool")
 
 
 class CharTables(NamedTuple):
@@ -164,7 +161,6 @@ _QUOTE_PAIRS = {
     '"': '"',
     "'": "'",
 }
-_QUOTE_CHARS = set(_QUOTE_PAIRS) | set(_QUOTE_PAIRS.values())
 
 
 def quotation_flags(headline: Headline) -> list[bool]:

@@ -3,13 +3,13 @@
 Feeds are read offline from files or streams; titles become tokenized
 headlines with every tag O, ready for manual annotation or tagging.
 The section is guessed from the first path segment of the item link.
+The XML and date parsers are imported by the functions that use them,
+so that only reading a feed loads them, not importing the package.
 """
 
 from __future__ import annotations
 
 import datetime
-import email.utils
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 from urllib.parse import urlparse
@@ -41,6 +41,8 @@ def _normalize_title(title: str) -> str:
 
 
 def _parse_pub_date(text: str | None) -> datetime.date | None:
+    import email.utils
+
     if text is None or not text.strip():
         return None
     try:
@@ -55,6 +57,8 @@ def parse_rss(stream: IO[str] | IO[bytes]) -> tuple[list[FeedItem], int]:
     Returns the items plus a count of items skipped for having no
     title.  Malformed XML and a missing channel element are errors.
     """
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.parse(stream).getroot()
     except ET.ParseError as exc:

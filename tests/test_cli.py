@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -90,6 +91,37 @@ def subcommand_parsers(parser):
 
 def full_parse(argv):
     return cli.build_parser().parse_args(argv)
+
+
+def argument_table(parser):
+    """What each action of `parser` accepts and sets.  The help layout
+    is left out: Python 3.13 formats it differently from 3.10-3.12."""
+    return [
+        {
+            "action": type(action).__name__,
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "type": getattr(action.type, "__name__", None),
+            "default": action.default,
+            "required": action.required,
+            "nargs": action.nargs,
+            "choices": None if action.choices is None else list(action.choices),
+            "help": action.help,
+        }
+        for action in parser._actions
+    ]
+
+
+def cli_surface():
+    """The argument table of `build_parser()` and of each subcommand."""
+    parser = cli.build_parser()
+    return {
+        "borrowings": argument_table(parser),
+        **{
+            name: argument_table(sub)
+            for name, sub in subcommand_parsers(parser).items()
+        },
+    }
 
 
 def parse_outcome(parse, argv):
@@ -545,6 +577,80 @@ class TestCorruptedConfigFiles:
             cli.build_run_config(str(config_path), {})
         except (ValidationError, ConfigError):
             pass
+
+
+class TestCliSurface:
+    def test_arguments_match_the_recorded_table(self):
+        recorded = json.loads((DATA / "cli_surface.json").read_text(encoding="utf-8"))
+        assert cli_surface() == recorded
+
+
+# The declared type of each configuration key, and raw texts of that
+# type: a flag value or the right-hand side of a config file line.
+KEY_TYPES = {
+    f.name: f.type
+    for cls in (RunConfig, FeatureConfig, TrainConfig)
+    for f in fields(cls)
+    if f.name not in ("features", "training")
+}
+RAW_FLOATS = st.floats(
+    min_value=-1.0, max_value=1e6, allow_nan=False, allow_infinity=False
+).map(repr)
+RAW_VALUES = {
+    "int": st.integers(-3, 2000).map(str),
+    "float": RAW_FLOATS,
+    "tuple[float, ...]": st.lists(RAW_FLOATS, min_size=1, max_size=4).map(",".join),
+    "tuple[str, ...]": st.lists(
+        st.sampled_from(("none", "a.vec", "tables/b.vec")), min_size=1, max_size=3
+    ).map(",".join),
+}
+TYPED_KEY_FLAGS = [
+    (command, action)
+    for command, parser in subcommand_parsers(cli.build_parser()).items()
+    for action in parser._actions
+    if action.dest in KEY_TYPES and action.type is not None
+]
+
+
+def config_or_error(build):
+    """The repr of the config `build` returns, which tells 5 from 5.0,
+    or the error it raises."""
+    try:
+        return repr(build())
+    except (ValidationError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFlagsAndConfigFileAgree:
+    @pytest.mark.parametrize(
+        "command, action",
+        TYPED_KEY_FLAGS,
+        ids=[f"{c} {a.option_strings[0]}" for c, a in TYPED_KEY_FLAGS],
+    )
+    def test_flag_parses_as_the_config_file_does(self, command, action):
+        assert action.type is cli._KEY_PARSERS[action.dest]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_flag_and_file_give_the_same_config(self, config_path, data):
+        command, action = data.draw(st.sampled_from(TYPED_KEY_FLAGS))
+        raw = data.draw(RAW_VALUES[KEY_TYPES[action.dest]])
+        args = cli.build_parser().parse_args(
+            [command, f"{action.option_strings[0]}={raw}"]
+        )
+        from_flag = config_or_error(
+            lambda: cli.build_run_config(None, cli._flag_values(args))
+        )
+        config_path.write_text(f"{action.dest} = {raw}\n", encoding="utf-8")
+        from_file = config_or_error(
+            lambda: cli.build_run_config(str(config_path), {})
+        )
+        assert from_flag == from_file
+
+    def test_every_typed_key_flag_is_covered(self):
+        flags = {a.option_strings[0] for _, a in TYPED_KEY_FLAGS}
+        assert len(flags) == 12
+        assert {KEY_TYPES[a.dest] for _, a in TYPED_KEY_FLAGS} == set(RAW_VALUES)
 
 
 class TestNonFiniteSettings:

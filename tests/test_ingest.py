@@ -1,9 +1,14 @@
 import datetime
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import borrowings
 from borrowings.cli import run
 from borrowings.corpus import read_corpus, write_corpus
 from borrowings.errors import ValidationError
@@ -292,3 +297,23 @@ class TestCorruptedFeeds:
         corpus, summary = items_to_corpus(items, existing_ids={"nodate-0001"})
         assert summary.added == len(corpus)
         assert all(len(headline) > 0 for headline in corpus)
+
+
+def test_importing_the_cli_loads_no_feed_parser():
+    # Only `ingest` reads feeds, so the other commands need not load the
+    # XML and e-mail date parsers.
+    src = str(Path(borrowings.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, borrowings.cli; "
+        "print([m for m in ('xml.etree.ElementTree', 'email.utils') "
+        "if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    assert result.stdout == "[]\n"
