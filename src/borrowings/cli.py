@@ -390,19 +390,23 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_key_flags(
-    parser: argparse.ArgumentParser, flags: Sequence[tuple[str, str]]
+    parser: argparse.ArgumentParser, flags: Sequence[tuple[str, ...]], **kwargs: object
 ) -> None:
-    """Add each (flag, help): it sets the key its name spells, parsed as
-    a config file parses that key."""
-    for flag, help_line in flags:
-        dest = flag[2:].replace("-", "_")
-        parser.add_argument(flag, dest=dest, type=_KEY_PARSERS[dest], help=help_line)
+    """Add each (flags, help) or (flags, help, key): the space-separated
+    option strings set `key`, by default the key the last one spells,
+    parsed as a config file parses that key.  `kwargs` go to every flag."""
+    for names, help_line, *key in flags:
+        options = names.split()
+        dest = key[0] if key else options[-1][2:].replace("-", "_")
+        parser.add_argument(
+            *options, dest=dest, type=_KEY_PARSERS[dest], help=help_line, **kwargs
+        )
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--train", dest="train_corpus", help="training corpus TSV")
-    parser.add_argument("--embeddings", help="word embedding table (word2vec text)")
     _add_key_flags(parser, (
+        ("--train", "training corpus TSV", "train_corpus"),
+        ("--embeddings", "word embedding table (word2vec text)"),
         ("--c1", "L1 regularization coefficient"),
         ("--c2", "L2 regularization coefficient"),
         ("--delta", "relative-improvement stopping threshold"),
@@ -438,10 +442,10 @@ def _train_arguments(p: argparse.ArgumentParser) -> None:
 
 def _tag_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
-    p.add_argument("-m", "--model", required=True, help="trained model file")
+    _add_key_flags(p, (("-m --model", "trained model file"),), required=True)
     p.add_argument("corpus", help="corpus TSV to tag")
     p.add_argument("-o", "--output", required=True, help="prediction TSV to write")
-    p.add_argument("--embeddings", help="word embedding table (word2vec text)")
+    _add_key_flags(p, (("--embeddings", "word embedding table (word2vec text)"),))
 
 
 def _eval_arguments(p: argparse.ArgumentParser) -> None:
@@ -464,7 +468,7 @@ def _eval_arguments(p: argparse.ArgumentParser) -> None:
 def _tune_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
     p.add_argument("-o", "--output", help="ranked results TSV to write")
-    p.add_argument("--dev", dest="dev_corpus", help="development corpus TSV")
+    _add_key_flags(p, (("--dev", "development corpus TSV", "dev_corpus"),))
     p.add_argument(
         "--jobs", type=_parse_int, default=1,
         help="worker processes for the distinct runs, forked with the POSIX "
@@ -485,7 +489,7 @@ def _tune_arguments(p: argparse.ArgumentParser) -> None:
 def _ablate_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
     p.add_argument("-o", "--output", help="ablation table TSV to write")
-    p.add_argument("--dev", dest="dev_corpus", help="development corpus TSV")
+    _add_key_flags(p, (("--dev", "development corpus TSV", "dev_corpus"),))
     p.add_argument(
         "--jobs", type=_parse_int, default=1,
         help="worker processes for the runs, forked with the POSIX fork start "

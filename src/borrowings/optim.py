@@ -4,13 +4,15 @@ optional exact L1 penalty.
 `minimize` finds argmin f(x) + l1 * ||x||_1 where the caller supplies
 value and gradient of the smooth part f.  With l1 = 0 this is plain
 L-BFGS with a backtracking Armijo line search.  With l1 > 0 it runs the
-orthant-wise variant: the search direction comes from the two-loop
-recursion applied to a pseudo-gradient of the full objective, the
-direction is restricted to coordinates that agree with the
-pseudo-gradient descent direction, and every trial point is projected
-back onto the orthant chosen at the current iterate, which lets
-coordinates reach and keep the value exactly 0.  Curvature pairs always
-use gradients of the smooth part only.
+orthant-wise variant (OWL-QN): the search direction comes from the
+two-loop recursion applied to a pseudo-gradient of the full objective,
+and is restricted to coordinates that agree with the pseudo-gradient
+descent direction.  Every trial point is projected onto the orthant of
+the current iterate, sign(x): a coordinate that crosses zero stops at
+exactly 0, where the penalty can keep it.  A coordinate at 0 needs no
+projection, because the restricted direction moves it only along -pg,
+the orthant that Andrew and Gao (2007) choose there.  Curvature pairs
+always use gradients of the smooth part only.
 
 A run ends in one of four ways, recorded as `OptimResult.stop`:
 `CONVERGED` (the relative improvement test passed, or the
@@ -22,10 +24,12 @@ Inner products and Euclidean norms over the variables go through `dot`,
 which, unlike `np.dot`, never hands the sum to BLAS, so the iterates do
 not depend on the BLAS thread count.
 
-After setup, `minimize` allocates no array of the variables' size: it
-works in a fixed set of vectors (current and trial point, accepted
-gradient, direction and, with l1 > 0, the pseudo-gradient, the orthant
-and one mask), plus the curvature pairs.
+`minimize` works in a fixed set of vectors (current and trial point,
+accepted gradient, direction, one scratch vector and, with l1 > 0, the
+pseudo-gradient, sign(x) and one mask) plus the curvature pairs.  An
+accepted step turns its scratch vector and spent direction into the
+newest pair, and the pair it evicts supplies the next two, so after
+the history fills no array of the variables' size is allocated.
 Buffer ownership between `minimize`, its caller and the objective
 `fun(x) -> (value, grad)`:
 
@@ -132,14 +136,14 @@ def _pseudo_gradient(
 
 
 def _project(
-    trial: np.ndarray, orthant: np.ndarray, *, tmp: np.ndarray, mask: np.ndarray
+    trial: np.ndarray, sign: np.ndarray, *, tmp: np.ndarray, mask: np.ndarray
 ) -> None:
-    """Project `trial` onto `orthant` in place.
+    """Project `trial` onto the orthant of the signs `sign` in place.
 
-    Every coordinate whose sign is opposite to the orthant's becomes
-    +0.0; every other keeps its bits, -0.0 included.
+    Every coordinate whose sign is opposite to `sign`'s becomes +0.0;
+    every other keeps its bits, -0.0 included.
     """
-    np.multiply(trial, orthant, out=tmp)
+    np.multiply(trial, sign, out=tmp)
     np.less(tmp, 0, out=mask)
     # A masked copy of a scalar measured no slower than `np.putmask`,
     # index arrays from `np.flatnonzero` or a bitwise AND with a mask
@@ -204,17 +208,18 @@ def minimize(
     if not l1 >= 0:
         raise ValueError("l1 penalty must be >= 0")
     # The work vectors of the whole run.  The current point `x` and the
-    # trial point swap buffers when a step is accepted.  The scratch
-    # vector is the `y` of the spare curvature pair, which is written
-    # only once a step is accepted.
+    # trial point swap buffers when a step is accepted.  An accepted
+    # step writes its `s` into the scratch vector and its `y` into the
+    # spent direction, and the two join the history as its newest pair.
     x = np.array(x0, dtype=float)
     del x0
     trial = np.empty_like(x)
     grad = np.empty_like(x)
     direction = np.empty_like(x)
+    tmp = np.empty_like(x)
     if l1 > 0:
         pg = np.empty_like(x)
-        orthant = np.empty_like(x)
+        sign = np.empty_like(x)
         mask = np.empty(x.shape, dtype=bool)
     else:
         pg = grad
@@ -222,36 +227,24 @@ def minimize(
     np.copyto(grad, returned)
     obj = f + l1 * np.abs(x, out=trial).sum()
     trace = [obj]
-    # The curvature history, oldest pair first.  Each iteration writes
-    # its pair into the spare buffers; an accepted pair joins the
-    # history, and the pair it evicts becomes the spare.  `gamma` is
-    # s.y / y.y of the newest pair.
+    # The curvature history, oldest pair first.  The pair a new one
+    # evicts gives its buffers to the next scratch vector and direction.
+    # `gamma` is s.y / y.y of the newest pair.
     s_list: deque[np.ndarray] = deque()
     y_list: deque[np.ndarray] = deque()
     rho_list: deque[float] = deque()
     gamma = 1.0
-    spare: tuple[np.ndarray, np.ndarray] | None = None
     stop = ITERATION_CAP
     for iteration in range(1, max_iterations + 1):
-        if spare is None:
-            spare = (np.empty_like(x), np.empty_like(x))
-        s, y = spare
-        tmp = y
         if l1 > 0:
-            # sign(x) is kept in `orthant`, where the orthant is built
-            # from it below, and x == 0 in `mask`.
-            np.sign(x, out=orthant)
+            np.sign(x, out=sign)
             np.equal(x, 0, out=mask)
-            _pseudo_gradient(orthant, mask, grad, l1, out=pg, tmp=tmp)
+            _pseudo_gradient(sign, mask, grad, l1, out=pg, tmp=tmp)
         if not np.any(pg):
             stop = CONVERGED
             break
         _two_loop(pg, s_list, y_list, rho_list, gamma, out=direction, tmp=tmp)
         if l1 > 0:
-            # Trial points keep the sign of x, or of -pg where x is 0.
-            np.sign(pg, out=tmp)
-            tmp *= mask
-            orthant -= tmp
             # Orthant-wise step: keep only coordinates that descend.
             np.multiply(direction, pg, out=tmp)
             np.less(tmp, 0, out=mask)
@@ -267,14 +260,15 @@ def minimize(
             np.multiply(direction, step, out=trial)
             np.add(x, trial, out=trial)
             if l1 > 0:
-                _project(trial, orthant, tmp=tmp, mask=mask)
+                _project(trial, sign, tmp=tmp, mask=mask)
             try:
                 f_new, returned = _evaluate(fun, trial)
             except DivergenceError:
                 step *= 0.5
                 continue
             obj_new = f_new + l1 * np.abs(trial, out=tmp).sum()
-            np.subtract(trial, x, out=s)
+            # The scratch vector takes s only once |trial| is summed.
+            s = np.subtract(trial, x, out=tmp)
             if l1 > 0:
                 accepted = obj_new <= obj + _ARMIJO_C * dot(pg, s)
             else:
@@ -285,7 +279,7 @@ def minimize(
         if not accepted:
             stop = LINE_SEARCH_FAILED
             break
-        np.subtract(returned, grad, out=y)
+        y = np.subtract(returned, grad, out=direction)
         np.copyto(grad, returned)
         sy = dot(s, y)
         yy = dot(y, y)
@@ -294,10 +288,11 @@ def minimize(
             y_list.append(y)
             rho_list.append(1.0 / sy)
             gamma = sy / yy
-            spare = None
             if len(s_list) > memory:
-                spare = (s_list.popleft(), y_list.popleft())
+                tmp, direction = s_list.popleft(), y_list.popleft()
                 rho_list.popleft()
+            else:
+                tmp, direction = np.empty_like(x), np.empty_like(x)
         x, trial = trial, x
         f, obj = f_new, obj_new
         trace.append(obj)

@@ -9,7 +9,9 @@ the one-cell-per-token encoding of attribute dicts
 sequence (`score_sequence`, `log_partition`, `viterbi`).  The writers
 of model formats 1 and 2 (`save_model_v1`, `save_model_v2`), which
 `save_model` no longer writes, make the old files the loader still
-reads.
+reads.  `reference_minimize` is the OWL-QN loop that built Andrew and
+Gao's orthant vector and kept a spare curvature pair, which
+`optim.minimize` must match bit for bit.
 
 The synthetic corpus is deterministic given a seed and perfectly
 separable: every borrowing-initial token ends in the sentinel suffix
@@ -22,14 +24,17 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import itertools
+import math
 import random
 import re
 from array import array
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from borrowings import optim
 from borrowings.corpus import (
     FULL_ALPHABET,
     Corpus,
@@ -604,6 +609,105 @@ def reference_nll_and_gradient(dataset, weights, c2):
         value += 0.5 * c2 * float(np.dot(weights, weights))
         grad += c2 * weights
     return value, grad
+
+
+# --- the OWL-QN loop with an orthant vector and a spare pair ---------------
+
+def reference_minimize(
+    fun, x0, *, l1=0.0, memory=6, max_iterations=1000, delta=1e-3, period=10
+) -> optim.OptimResult:
+    """`optim.minimize` as it was before trial points were projected
+    onto sign(x): each iteration builds Andrew and Gao's orthant vector
+    (sign(x), and sign(-pg) where x is 0), and the curvature history
+    keeps a spare pair that each iteration writes its pair into."""
+    x = np.array(x0, dtype=float)
+    trial = np.empty_like(x)
+    grad = np.empty_like(x)
+    direction = np.empty_like(x)
+    if l1 > 0:
+        pg = np.empty_like(x)
+        orthant = np.empty_like(x)
+        mask = np.empty(x.shape, dtype=bool)
+    else:
+        pg = grad
+    f, returned = optim._evaluate(fun, x)
+    np.copyto(grad, returned)
+    obj = f + l1 * np.abs(x, out=trial).sum()
+    trace = [obj]
+    s_list, y_list, rho_list = deque(), deque(), deque()
+    gamma = 1.0
+    spare = None
+    stop = optim.ITERATION_CAP
+    for iteration in range(1, max_iterations + 1):
+        if spare is None:
+            spare = (np.empty_like(x), np.empty_like(x))
+        s, y = spare
+        tmp = y
+        if l1 > 0:
+            np.sign(x, out=orthant)
+            np.equal(x, 0, out=mask)
+            optim._pseudo_gradient(orthant, mask, grad, l1, out=pg, tmp=tmp)
+        if not np.any(pg):
+            stop = optim.CONVERGED
+            break
+        optim._two_loop(pg, s_list, y_list, rho_list, gamma, out=direction, tmp=tmp)
+        if l1 > 0:
+            np.sign(pg, out=tmp)
+            tmp *= mask
+            orthant -= tmp
+            np.multiply(direction, pg, out=tmp)
+            np.less(tmp, 0, out=mask)
+            direction *= mask
+        if not np.any(direction):
+            stop = optim.STALLED
+            break
+        step = 1.0 if s_list else 1.0 / optim._norm(direction)
+        accepted = False
+        for _ in range(optim._MAX_BACKTRACKS):
+            np.multiply(direction, step, out=trial)
+            np.add(x, trial, out=trial)
+            if l1 > 0:
+                optim._project(trial, orthant, tmp=tmp, mask=mask)
+            try:
+                f_new, returned = optim._evaluate(fun, trial)
+            except optim.DivergenceError:
+                step *= 0.5
+                continue
+            obj_new = f_new + l1 * np.abs(trial, out=tmp).sum()
+            np.subtract(trial, x, out=s)
+            if l1 > 0:
+                accepted = obj_new <= obj + optim._ARMIJO_C * optim.dot(pg, s)
+            else:
+                accepted = f_new <= f + optim._ARMIJO_C * step * optim.dot(
+                    grad, direction
+                )
+            if accepted:
+                break
+            step *= 0.5
+        if not accepted:
+            stop = optim.LINE_SEARCH_FAILED
+            break
+        np.subtract(returned, grad, out=y)
+        np.copyto(grad, returned)
+        sy = optim.dot(s, y)
+        yy = optim.dot(y, y)
+        if sy > optim._CURVATURE_EPS * optim._norm(s) * math.sqrt(yy):
+            s_list.append(s)
+            y_list.append(y)
+            rho_list.append(1.0 / sy)
+            gamma = sy / yy
+            spare = None
+            if len(s_list) > memory:
+                spare = (s_list.popleft(), y_list.popleft())
+                rho_list.popleft()
+        x, trial = trial, x
+        f, obj = f_new, obj_new
+        trace.append(obj)
+        if iteration >= period:
+            if (trace[-period - 1] - obj) / max(abs(obj), 1e-12) < delta:
+                stop = optim.CONVERGED
+                break
+    return optim.OptimResult(x=x, stop=stop, trace=tuple(trace))
 
 
 def save_model_v1(model: CrfModel, stream) -> None:

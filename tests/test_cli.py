@@ -603,7 +603,11 @@ RAW_VALUES = {
     "tuple[str, ...]": st.lists(
         st.sampled_from(("none", "a.vec", "tables/b.vec")), min_size=1, max_size=3
     ).map(",".join),
+    "str | None": st.sampled_from(("none", "a.tsv", "runs/b.crf")),
 }
+# What a subcommand needs besides the flag under test: `tag` requires a
+# model, which `-m none` gives without setting the `model` key.
+REQUIRED_ARGV = {"tag": ["-m", "none", "apply.tsv", "-o", "pred.tsv"]}
 TYPED_KEY_FLAGS = [
     (command, action)
     for command, parser in subcommand_parsers(cli.build_parser()).items()
@@ -636,7 +640,8 @@ class TestFlagsAndConfigFileAgree:
         command, action = data.draw(st.sampled_from(TYPED_KEY_FLAGS))
         raw = data.draw(RAW_VALUES[KEY_TYPES[action.dest]])
         args = cli.build_parser().parse_args(
-            [command, f"{action.option_strings[0]}={raw}"]
+            [command, *REQUIRED_ARGV.get(command, ()),
+             f"{action.option_strings[0]}={raw}"]
         )
         from_flag = config_or_error(
             lambda: cli.build_run_config(None, cli._flag_values(args))
@@ -649,8 +654,33 @@ class TestFlagsAndConfigFileAgree:
 
     def test_every_typed_key_flag_is_covered(self):
         flags = {a.option_strings[0] for _, a in TYPED_KEY_FLAGS}
-        assert len(flags) == 12
+        assert len(flags) == 16
         assert {KEY_TYPES[a.dest] for _, a in TYPED_KEY_FLAGS} == set(RAW_VALUES)
+
+    @pytest.mark.parametrize(
+        "command, flag, key, message",
+        [
+            ("train", "--train", "train_corpus", "training corpus is required"),
+            ("tune", "--dev", "dev_corpus", "development corpus is required"),
+        ],
+    )
+    def test_none_is_no_path_in_a_flag_and_in_a_file(
+        self, corpora, config_path, tmp_path, capsys, command, flag, key, message
+    ):
+        argv = [command, "-o", str(tmp_path / "out")]
+        if key != "train_corpus":
+            argv += ["--train", str(corpora / "train.tsv")]
+        config_path.write_text(f"{key} = none\n", encoding="utf-8")
+        for extra in ([flag, "none"], ["-c", str(config_path)]):
+            assert run([*argv, *extra]) == 1
+            assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_tag_model_none_is_no_model_file(self, corpora, tmp_path, capsys):
+        pred = tmp_path / "pred.tsv"
+        argv = ["tag", "-m", "none", str(corpora / "apply.tsv"), "-o", str(pred)]
+        assert run(argv) == 1
+        assert "error: model file is required" in capsys.readouterr().err
 
 
 class TestNonFiniteSettings:

@@ -1,8 +1,13 @@
 import hashlib
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import reference_minimize
 
 from borrowings import optim
 from borrowings.optim import (
@@ -286,6 +291,33 @@ class TestOrthantProjection:
         assert got.tobytes() == expected.tobytes()
 
 
+def test_sign_of_x_projects_as_the_orthant_does():
+    # Andrew and Gao's orthant is sign(x), and sign(-pg) where x is 0.
+    # Where they differ, the descent-masked direction leaves x at 0 or
+    # moves it along -pg, so projecting onto sign(x) masks the same
+    # coordinates: for every sign of x, pg and the direction, with ±0.0,
+    # subnormals, ±inf and NaN.
+    values = [-math.inf, -2.0, -5e-324, -0.0, 0.0, 5e-324, 3.0, math.inf, math.nan]
+    x, pg, direction = (
+        np.array(column) for column in zip(*itertools.product(values, repeat=3))
+    )
+    with np.errstate(invalid="ignore"):
+        direction *= direction * pg < 0
+        orthant = np.sign(x) - np.sign(pg) * (x == 0)
+        crossed = 0
+        for step in (1.0, 0.5, 1e-300, 1e300):
+            trial = x + step * direction
+            by_orthant, by_sign = trial.copy(), trial.copy()
+            masks = np.empty((2, len(x)), dtype=bool)
+            tmp = np.empty_like(x)
+            optim._project(by_orthant, orthant, tmp=tmp, mask=masks[0])
+            optim._project(by_sign, np.sign(x), tmp=tmp, mask=masks[1])
+            assert np.array_equal(masks[0], masks[1])
+            assert by_orthant.tobytes() == by_sign.tobytes()
+            crossed += masks[0].sum()
+    assert crossed > 0
+
+
 def ill_conditioned(n, seed):
     """f(x) = 0.5 * sum(a * x^2) - b.x, so each y of a curvature pair is a * s."""
     rng = np.random.default_rng(seed)
@@ -344,6 +376,41 @@ class TestCurvatureHistory:
         result = minimize(fun, np.zeros(1000), memory=10**9, max_iterations=3)
         assert result.iterations == 3
         assert result.trace[-1] < result.trace[0]
+
+
+class TestWorkVectors:
+    """After setup, `minimize` holds two vectors per curvature pair and
+    a fixed set besides (see the module docstring)."""
+
+    @pytest.mark.parametrize("memory", [1, 4])
+    @pytest.mark.parametrize("l1, fixed", [(0.0, 5), (0.1, 7)])
+    def test_peak_is_the_pairs_and_the_fixed_vectors(self, l1, fixed, memory):
+        # x, trial, gradient, direction and scratch, plus pg and sign(x)
+        # with l1 > 0.  The bool mask and the finiteness check each add
+        # an eighth of a vector, under the one the floor division drops.
+        n = 100_000
+        a = np.geomspace(1.0, 1e3, n)
+        b = np.random.default_rng(16).normal(size=n)
+        grad = np.empty(n)  # the objective's own buffer, not counted
+
+        def fun(x):
+            np.multiply(a, x, out=grad)
+            value = 0.5 * optim.dot(x, grad) - optim.dot(b, x)
+            np.subtract(grad, b, out=grad)
+            return value, grad
+
+        x0 = np.broadcast_to(0.0, n)
+        iterations = memory + 4  # enough to fill the history and rotate it
+        tracemalloc.start()
+        try:
+            result = minimize(
+                fun, x0, l1=l1, memory=memory, max_iterations=iterations, delta=0.0
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == iterations
+        assert peak // (8 * n) == 2 * memory + fixed
 
 
 def reusing(fun):
@@ -450,6 +517,54 @@ class TestBufferContract:
         expected = minimize(fun, np.zeros(200), l1=l1, max_iterations=20, delta=1e-15)
         assert_same_result(result, expected)
         assert result.x.flags.writeable and result.x.flags.c_contiguous
+
+
+# Start coordinates: signed zeros and subnormals, besides plain floats.
+START_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-309]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def quadratics(draw):
+    """f(x) = 0.5 * x.Hx - b.x with a random positive definite H, and a
+    start point of the same size."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = rng.normal(size=(n, n))
+    hessian = factor @ factor.T / n + np.diag(rng.uniform(0.01, 3.0, n))
+    b = rng.normal(size=n)
+
+    def fun(x):
+        # einsum, unlike matmul, never hands the sums to BLAS.
+        hx = np.einsum("ij,j", hessian, x)
+        return 0.5 * optim.dot(x, hx) - optim.dot(b, x), hx - b
+
+    x0 = np.array(draw(st.lists(START_COORDINATES, min_size=n, max_size=n)))
+    return fun, x0
+
+
+class TestMatchesTheOrthantLoop:
+    """`minimize` projects onto sign(x) and keeps no spare pair, and
+    gives the bytes of the loop that did both (`reference_minimize`)."""
+
+    @pytest.mark.parametrize(
+        "l1s", [st.just(0.0), st.floats(1e-4, 3.0)], ids=["l1 = 0", "l1 > 0"]
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_iterates(self, l1s, data):
+        fun, x0 = data.draw(quadratics())
+        options = dict(
+            l1=data.draw(l1s),
+            memory=data.draw(st.integers(1, 8)),
+            max_iterations=data.draw(st.integers(1, 40)),
+            delta=data.draw(st.sampled_from([0.0, 1e-9, 1e-3])),
+            period=data.draw(st.integers(1, 10)),
+        )
+        got = minimize(fun, x0, **options)
+        assert_same_result(got, reference_minimize(fun, x0, **options))
 
 
 # sha256 of `x.tobytes()` followed by `repr(trace)` for 60 iterations
