@@ -285,8 +285,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_tag(args: argparse.Namespace) -> int:
     config = build_run_config(args.config, _flag_values(args))
-    _require_file(args.model, "model file")
-    with open(args.model, encoding="utf-8") as stream:
+    with open(_require_file(config.model, "model file"), encoding="utf-8") as stream:
         model = load_model(stream)
     corpus = _read_corpus_file(args.corpus, "corpus")
     table = _embedding_table(config, model.feature_config.embedding)
@@ -390,17 +389,15 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_key_flags(
-    parser: argparse.ArgumentParser, flags: Sequence[tuple[str, ...]], **kwargs: object
+    parser: argparse.ArgumentParser, flags: Sequence[tuple[str, ...]]
 ) -> None:
     """Add each (flags, help) or (flags, help, key): the space-separated
     option strings set `key`, by default the key the last one spells,
-    parsed as a config file parses that key.  `kwargs` go to every flag."""
+    parsed as a config file parses that key."""
     for names, help_line, *key in flags:
         options = names.split()
         dest = key[0] if key else options[-1][2:].replace("-", "_")
-        parser.add_argument(
-            *options, dest=dest, type=_KEY_PARSERS[dest], help=help_line, **kwargs
-        )
+        parser.add_argument(*options, dest=dest, type=_KEY_PARSERS[dest], help=help_line)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -442,7 +439,7 @@ def _train_arguments(p: argparse.ArgumentParser) -> None:
 
 def _tag_arguments(p: argparse.ArgumentParser) -> None:
     _add_config_flag(p)
-    _add_key_flags(p, (("-m --model", "trained model file"),), required=True)
+    _add_key_flags(p, (("-m --model", "trained model file"),))
     p.add_argument("corpus", help="corpus TSV to tag")
     p.add_argument("-o", "--output", required=True, help="prediction TSV to write")
     _add_key_flags(p, (("--embeddings", "word embedding table (word2vec text)"),))

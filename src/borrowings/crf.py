@@ -23,31 +23,36 @@ scale becomes 0 or subnormal, and the objective raises
 Decoding stays in log space (max-plus Viterbi).
 
 A batch of sequences (a training corpus, or the headlines being
-tagged) is encoded once into flat arrays, as in CRFsuite, but factored
-by window cell: a cell is the list of (attribute id, value) entries
-one token type contributes at one window slot, inside a quotation or
-outside one.  Each distinct cell is stored once, and a (token, slot)
-table of cell numbers records which cells every token visits, plus the
-token offset of every sequence.  Training and tagging sum emissions
-the same way (`_rank_major_emissions`): each cell sums its entries in
-entry order, starting from 0.0, and each token its cells' scores in
-ascending slot order.  The entries are visited cell-interleaved: entry
-0 of every cell, then entry 1 of every cell that has one, and so on,
-with the cells ranked by descending entry count, as the sequences are
-below.  Each rank adds one weight row onto each of the first cells, as
-one block for every label at once, and consecutive adds never go to
-the same cell.  The state gradient, which sums by attribute id, keeps
-the stored order: it sums the residuals of each cell's visits first,
-then takes one `np.bincount` per label over the cell entries.
+tagged) is encoded once into flat arrays (`Encoding`), as in CRFsuite,
+but factored by window cell: a cell is the list of (attribute id,
+value) entries one token type contributes at one window slot, inside
+a quotation or outside one.  Each distinct cell is stored once, as its
+entry count and its entries, and a (token, slot) table of cell numbers
+records which cells every token visits, plus the token offset of every
+sequence.  The encoder lays it out once for every pass that reads it
+(`_flat_encoding`), so neither training nor tagging re-derives a layout.
+Training and tagging sum emissions the same way
+(`_rank_major_emissions`): each cell sums its entries in entry order,
+starting from 0.0, and each token its cells' scores in ascending slot
+order.  The entries are visited cell-interleaved, from a rank-major
+copy: entry 0 of every cell, then entry 1 of every cell that has one,
+and so on, with the cells ranked by descending entry count, as the
+sequences are below (`_packed` lays out both).  Each rank adds one
+weight row onto each of the first cells, as one block for every label
+at once, and consecutive adds never go to the same cell.  The state
+gradient, which sums by attribute id, keeps the stored order: it sums
+the residuals of each cell's visits first, repeats each cell's sum
+over its entries, and takes one `np.bincount` per label over them.
 Forward-backward and Viterbi then loop once over time steps for the
 whole batch, as packed sequences do in cuDNN: step t takes token t of
 every sequence longer than t, with the sequences ranked by descending
 length, so each step is one contiguous block of rows that continues
-the first rows of the step before.  No sequence is padded, and each
-token's marginals and best label are those of its sequence decoded
-alone, bit for bit.  Sums over tokens and sequences (log Z, pair
-marginals) run in packed row order, which the sequence lengths and
-their input order fix.
+the first rows of the step before, and the encoding links every row
+to its predecessor's.  No sequence is padded, and each token's
+marginals and best label are those of its sequence decoded alone, bit
+for bit.  Sums over tokens and sequences (log Z, pair marginals) run
+in packed row order, which the sequence lengths and their input order
+fix.
 
 Corpora are encoded without building any windowed attribute name per
 token, and with Python work that grows with the token types and the
@@ -141,19 +146,20 @@ DivergenceError = optim.DivergenceError
 # `tag-feeds` inputs) a 512-headline chunk has about 4,600 tokens, 1,400
 # token types and 6,000 cells.  Encoding it builds every entry before
 # the names the model lacks are dropped: about 85,000 entries, 18 per
-# token, with at most three 8-byte values each alive at once (gather
-# index, key, and a cell number or scratch value), plus a 1-byte mask;
-# its 4,100 distinct base names are looked up once each in the model's
-# table, for 18,000 distinct (slot, base name) keys.  That is about
-# 3 MB at the peak, freed once the chunk is encoded.  What is
-# kept is 5 visits per token and the entries of the model's attributes:
-# about 5 per token with the L1-sparse `tag-feeds` model, up to all 18
-# with a dense one.  In decoding a cell entry takes 40 bytes: its id,
-# value and cell, and its id and value again in the rank-major order the
-# emissions read (`_rank_major`).  A visit takes 16 (its cell in both
-# numberings), and a cell 16 per label (its scores and one gathered
-# row): at most some 0.9 KB per token with the emissions, and about 4 MB
-# per chunk.
+# token, with three or four 8-byte values each alive at once (gather
+# index, key and scratch values), plus a 1-byte mask; its 4,100
+# distinct base names are looked up once each in the model's table, for
+# 18,000 distinct (slot, base name) keys.  That is about 4 MB at the
+# peak, freed once the chunk is encoded.  What is kept is 5 visits per
+# token and the entries of the model's attributes: about 5 per token
+# with the L1-sparse `tag-feeds` model, up to all 18 with a dense one.
+# A kept entry takes 16 bytes, its id in cell order and again in the
+# rank-major order the emissions read (`Encoding.ranked_ids`), and 16
+# more for its value twice when there are embedding entries.  A visit
+# takes 16 (its cell in both numberings), a cell 8 (its entry count)
+# and, in decoding, 16 per label (its scores and one gathered row):
+# about 1 MB kept per chunk with the sparse model, 2 MB with a dense
+# one, and about 1 MB more while it is decoded.
 _TAG_CHUNK = 512
 
 _FORMAT_MAGIC = "borrowings-crf"
@@ -253,34 +259,51 @@ def n_parameters(n_features: int, n_labels: int) -> int:
 
 @dataclass(frozen=True)
 class Encoding:
-    """A batch of sequences as window cells and the tokens' visits to them.
+    """A batch of sequences as window cells and the tokens' visits to
+    them, laid out once for every pass that reads it.
 
     A cell is a list of attribute entries: entry k gives attribute
-    `ids[k]` the value `vals[k]` and belongs to cell `cell[k]`; `vals` is
-    None when every value is 1.0, as in an encoding of windowed
-    attributes without embedding entries.  Entries are stored cell by
-    cell, so `cell` ascends, and each cell once, however many tokens
-    visit it.  Row t of the (n_tokens, width) table `visits` lists the
-    cells token t visits, one per window slot in ascending slot order;
-    its entries are those of all these cells, in that order.  `visits`
-    is column-major, so each slot's column is contiguous.  Every cell is
+    `ids[k]` the value `vals[k]`; `vals` is None when every value is
+    1.0, as in an encoding of windowed attributes without embedding
+    entries.  Entries are stored cell by cell, cell c holding the next
+    `sizes[c]` of them, and each cell once, however many tokens visit
+    it.  Row t of the (n_tokens, width) table `visits` lists the cells
+    token t visits, one per window slot in ascending slot order; its
+    entries are those of all these cells, in that order.  `visits` is
+    column-major, so each slot's column is contiguous.  Every cell is
     visited at least once.
+
+    The emissions read the same entries rank-major: with the cells
+    renumbered by descending entry count, ties in cell order,
+    `ranked_ids[ranks[r]:ranks[r + 1]]` are the attribute ids of entry r
+    of cells 0, 1, 2, ... (new numbers), that is, of every cell with
+    more than r entries, which by the renumbering come first.
+    `ranked_vals` are their values, None when `vals` is, and
+    `ranked_visits` is `visits` in the new numbers.
 
     Sequence i covers the tokens `offsets[i]:offsets[i + 1]`.  `order`
     lists the token indices step-major, as packed sequences do: rank the
     sequences by descending length, ties in input order; then
     `order[steps[t]:steps[t + 1]]` holds token t of every sequence
     longer than t, by rank.  The sequences alive at step t + 1 are so
-    the first ones alive at step t.
+    the first ones alive at step t.  `prev` is the packed row of the
+    predecessor of every row after step 0, in row order, and `last` the
+    last row of every sequence, ascending.
     """
 
     ids: np.ndarray
     vals: np.ndarray | None
-    cell: np.ndarray
+    sizes: np.ndarray
     visits: np.ndarray
     offsets: np.ndarray
     order: np.ndarray
     steps: np.ndarray
+    prev: np.ndarray
+    last: np.ndarray
+    ranked_ids: np.ndarray
+    ranked_vals: np.ndarray | None
+    ranks: np.ndarray
+    ranked_visits: np.ndarray
 
     @property
     def n_tokens(self) -> int:
@@ -288,40 +311,71 @@ class Encoding:
 
     @property
     def n_cells(self) -> int:
-        return int(self.visits.max(initial=-1)) + 1
+        return self.sizes.size
 
 
 def _flat_encoding(
     ids: np.ndarray,
     vals: np.ndarray | None,
-    cell: np.ndarray,
+    sizes: np.ndarray,
     visits: np.ndarray,
     seq_lengths: np.ndarray,
 ) -> Encoding:
-    """Encoding of the given cells, visits and sequence lengths."""
+    """Encoding of the given cells, visits and sequence lengths.
+
+    Entries and sequences are laid out by one rule: entry r of every
+    cell is packed as token r of every sequence is (`_packed`).
+    """
     offsets = np.concatenate([[0], np.cumsum(seq_lengths)])
-    order, steps = _packed(offsets)
+    _, order, steps = _packed(offsets)
+    # Row k of step t > 0 continues row k - alive[t - 1] of step t - 1.
+    alive = np.diff(steps)
+    n_rows = int(steps[-1])
+    prev = np.arange(n_rows - alive[1:].sum(), n_rows) - np.repeat(
+        alive[:-1], alive[1:]
+    )
+    is_last = np.ones(n_rows, dtype=bool)
+    is_last[prev] = False
+    by_size, at, ranks = _packed(np.concatenate([[0], np.cumsum(sizes)]))
+    renumber = np.empty_like(by_size)
+    renumber[by_size] = np.arange(by_size.size)
     return Encoding(
         ids=ids,
         vals=vals,
-        cell=cell,
+        sizes=sizes,
         visits=visits,
         offsets=offsets,
         order=order,
         steps=steps,
+        prev=prev,
+        last=np.flatnonzero(is_last),
+        ranked_ids=ids[at],
+        ranked_vals=None if vals is None else vals[at],
+        ranks=ranks,
+        ranked_visits=renumber[visits],
     )
 
 
-def _packed(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`Encoding.order` and `Encoding.steps` of the sequences at `offsets`."""
+def _packed(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs at `offsets`, packed.
+
+    Returns the runs ranked by descending length, ties in input order;
+    the position of every item step-major, item t of every run longer
+    than t, by rank, for t = 0, 1, ...; and the bounds of each step.
+    Of sequences these give `Encoding.order` and `Encoding.steps`, of
+    cells the renumbering and the rank-major entries and `ranks`.
+    """
     lengths = np.diff(offsets)
-    ranked = offsets[:-1][_descending(lengths)]
-    # alive[t] counts the sequences longer than t.
+    by_length = _descending(lengths)
+    ranked = offsets[:-1][by_length]
+    # alive[t] counts the runs longer than t.
     alive = np.cumsum(np.bincount(lengths, minlength=1)[::-1])[-2::-1]
     steps = np.concatenate([[0], np.cumsum(alive)])
-    step = np.repeat(np.arange(alive.size), alive)
-    rank = np.arange(steps[-1]) - steps[step]
-    return ranked[rank] + step, steps
+    order = np.empty(steps[-1], dtype=np.int64)
+    bounds = steps.tolist()
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        np.add(ranked[: hi - lo], t, out=order[lo:hi])
+    return by_length, order, steps
 
 
 def _descending(counts: np.ndarray) -> np.ndarray:
@@ -565,13 +619,13 @@ def _encode_windows(
         np.take(by_key.ravel(), keys, out=keys, mode="clip")
         known = keys >= 0
         if not known.all():
-            cell = np.repeat(np.arange(cells.size), sizes)[known]
-            sizes = np.bincount(cell, minlength=cells.size)
+            # Entries kept before each cell's end, and so in each cell.
+            kept = np.concatenate([[0], np.cumsum(known)])[np.cumsum(sizes)]
+            sizes = np.diff(kept, prepend=0)
             keys, at = keys[known], at[known]
     vals = None if types.src_vals is None else types.src_vals[at]
     del at
-    cell = np.repeat(np.arange(cells.size), sizes)
-    return _flat_encoding(keys, vals, cell, visits, types.lengths), index
+    return _flat_encoding(keys, vals, sizes, visits, types.lengths), index
 
 
 def _number_by_first_appearance(
@@ -602,71 +656,29 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-class _RankMajor(NamedTuple):
-    """The entries of an encoding, cell-interleaved, as the emissions
-    of training and tagging visit them.
-
-    Cells are renumbered by descending entry count, ties in cell order,
-    and `visits` is the encoding's visit table in the new numbers.  The
-    entries are listed rank-major: `ids[bounds[r]:bounds[r + 1]]` are
-    the attribute ids of entry r of cells 0, 1, 2, ... (new numbers),
-    that is, of every cell with more than r entries, which by the
-    renumbering come first.  `vals` are the values in the same order,
-    or None when the encoding's are.
-    """
-
-    ids: np.ndarray
-    vals: np.ndarray | None
-    bounds: list[int]
-    visits: np.ndarray
-    n_cells: int
-
-
-def _rank_major(enc: Encoding) -> _RankMajor:
-    """The entries of `enc`, rank-major."""
-    n_cells = enc.n_cells
-    counts = np.bincount(enc.cell, minlength=n_cells)
-    by_count = _descending(counts)
-    # First entry of every cell, in the new numbering; alive[r] counts
-    # the cells with more than r entries.
-    starts = (np.cumsum(counts) - counts)[by_count]
-    alive = np.cumsum(np.bincount(counts, minlength=1)[::-1])[-2::-1]
-    bounds = np.concatenate([[0], np.cumsum(alive)]).tolist()
-    vals = enc.vals
-    ids = np.empty_like(enc.ids)
-    ranked_vals = None if vals is None else np.empty_like(vals)
-    for rank, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        at = starts[: hi - lo] + rank
-        np.take(enc.ids, at, out=ids[lo:hi], mode="clip")
-        if vals is not None:
-            np.take(vals, at, out=ranked_vals[lo:hi], mode="clip")
-    renumber = np.empty_like(by_count)
-    renumber[by_count] = np.arange(n_cells)
-    return _RankMajor(ids, ranked_vals, bounds, renumber[enc.visits], n_cells)
-
-
-def _rank_major_emissions(entries: _RankMajor, state: np.ndarray) -> np.ndarray:
+def _rank_major_emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
     """(n_tokens, L) emission scores, for training and tagging alike.
 
     Each cell's entries are summed in entry order, starting from 0.0,
     then each token's cell scores in ascending slot order.  The entries
-    are visited cell-interleaved: entry 0 of every cell, then entry 1
-    of every cell that has one, and so on.  Rank r's entries belong to
-    the first cells, one each, so their weight rows are gathered as one
-    block and added onto those cells' rows, for every label at once:
-    consecutive adds go to different cells, and no entry-sized array is
-    needed.
+    are visited cell-interleaved, rank-major (`Encoding.ranked_ids`):
+    entry 0 of every cell, then entry 1 of every cell that has one, and
+    so on.  Rank r's entries belong to the first cells, one each, so
+    their weight rows are gathered as one block and added onto those
+    cells' rows, for every label at once: consecutive adds go to
+    different cells, and no entry-sized array is needed.
     """
-    per_cell = np.zeros((entries.n_cells, state.shape[1]))
+    per_cell = np.zeros((enc.n_cells, state.shape[1]))
     rows = np.empty_like(per_cell)
-    for lo, hi in zip(entries.bounds, entries.bounds[1:]):
+    ranks = enc.ranks.tolist()
+    for lo, hi in zip(ranks, ranks[1:]):
         block = rows[: hi - lo]
         # Ids are in range; mode="raise" would make take() allocate.
-        np.take(state, entries.ids[lo:hi], axis=0, out=block, mode="clip")
-        if entries.vals is not None:
-            block *= entries.vals[lo:hi, None]
+        np.take(state, enc.ranked_ids[lo:hi], axis=0, out=block, mode="clip")
+        if enc.ranked_vals is not None:
+            block *= enc.ranked_vals[lo:hi, None]
         per_cell[: hi - lo] += block
-    visits = entries.visits
+    visits = enc.ranked_visits
     e = np.take(per_cell, visits[:, 0], axis=0)
     slot = np.empty_like(e)
     for k in range(1, visits.shape[1]):
@@ -694,16 +706,15 @@ def _scatter_state(
     for label in range(residual.shape[1]):
         np.copyto(repeated.reshape(width, n_tokens), residual[:, label])
         per_cell[label] = np.bincount(flat, weights=repeated, minlength=n_cells)
-    scaled = np.empty(enc.ids.size)
     for label in range(g_state.shape[1]):
-        # Cell numbers are in range; mode="raise" would make take()
-        # allocate a second entry-sized buffer.
-        np.take(per_cell[label], enc.cell, out=scaled, mode="clip")
+        scaled = np.repeat(per_cell[label], enc.sizes)
         if enc.vals is not None:
             scaled *= enc.vals
         g_state[:, label] += np.bincount(
             enc.ids, weights=scaled, minlength=g_state.shape[0]
         )
+        # Freed before the next label's is built: one is alive at a time.
+        del scaled
 
 
 def _path_counts(
@@ -758,27 +769,6 @@ def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
     return np.exp(a - shift), shift
 
 
-class _Steps(NamedTuple):
-    """The packed steps of an encoding: `Encoding.steps` as a list, the
-    packed row of the predecessor of every row after step 0, in row
-    order, and the last row of every sequence."""
-
-    bounds: list[int]
-    prev: np.ndarray
-    last: np.ndarray
-
-
-def _steps(enc: Encoding) -> _Steps:
-    alive = np.diff(enc.steps)
-    n_rows = int(enc.steps[-1])
-    prev = np.arange(n_rows - alive[1:].sum(), n_rows) - np.repeat(
-        alive[:-1], alive[1:]
-    )
-    is_last = np.ones(n_rows, dtype=bool)
-    is_last[prev] = False
-    return _Steps(enc.steps.tolist(), prev, np.flatnonzero(is_last))
-
-
 def _scaled_forward(
     f: np.ndarray,
     bounds: list[int],
@@ -823,14 +813,12 @@ def _forward_backward(
     transition: np.ndarray,
     start: np.ndarray,
     end: np.ndarray,
-    steps: _Steps,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Summed log Z, unary marginals (n_tokens, L) and summed pair marginals.
 
-    `e` holds the log-space emissions of every token of `enc`, and
-    `steps` are `_steps(enc)`.
+    `e` holds the log-space emissions of every token of `enc`.
     """
-    bounds, prev, last = steps
+    bounds, prev, last = enc.steps.tolist(), enc.prev, enc.last
     shift = e.max(axis=1, keepdims=True)
     t_exp, t_shift = _exp_shifted(transition)
     s_exp, s_shift = _exp_shifted(start)
@@ -862,14 +850,14 @@ def _forward_backward(
 
 def _viterbi_ids(
     e: np.ndarray,
-    steps: _Steps,
+    enc: Encoding,
     transition: np.ndarray,
     start: np.ndarray,
     end: np.ndarray,
 ) -> np.ndarray:
-    """Best tag id of every packed row, given packed emissions."""
+    """Best tag id of every packed row of `enc`, given packed emissions."""
     n_rows, n_labels = e.shape
-    bounds, _, last = steps
+    bounds, last = enc.steps.tolist(), enc.last
     into = transition.T.copy()
     # Flat index of scores[r, j, 0] below, for every row r and label j.
     score_rows = np.arange(last.size * n_labels).reshape(-1, n_labels) * n_labels
@@ -902,10 +890,10 @@ def _viterbi_ids(
 
 def _decode(model: CrfModel, enc: Encoding) -> np.ndarray:
     """Best tag id of every token."""
-    e = _rank_major_emissions(_rank_major(enc), model.state)
+    e = _rank_major_emissions(enc, model.state)
     paths = np.empty(enc.n_tokens, dtype=np.int64)
     paths[enc.order] = _viterbi_ids(
-        e[enc.order], _steps(enc), model.transition, model.start, model.end
+        e[enc.order], enc, model.transition, model.start, model.end
     )
     return paths
 
@@ -915,11 +903,11 @@ def _decode(model: CrfModel, enc: Encoding) -> np.ndarray:
 class TrainingSet:
     """Flat-encoded corpus with gold tags and the parameter layout.
 
-    It also holds, built once, what every evaluation of the objective
-    reads besides the encoding: the entries rank-major for the
-    emissions (`_rank_major`), the packed steps, and the token numbers
-    that index the gold tags.  Without embeddings the encoder keeps no
-    values (`Encoding.vals` is None), and none is multiplied.
+    Every evaluation of the objective reads the encoding as the encoder
+    laid it out, plus the gold path counts and the token numbers that
+    index the gold tags, built once here.  Without embeddings the
+    encoder keeps no values (`Encoding.vals` is None), and none is
+    multiplied.
     """
 
     def __init__(
@@ -940,8 +928,6 @@ class TrainingSet:
         self.n_features = n_features
         self.n_labels = n_labels
         self.empirical = _path_counts(gold, encoding.offsets, n_labels)
-        self._rank_major = _rank_major(encoding)
-        self._steps = _steps(encoding)
         self._tokens = np.arange(encoding.n_tokens)
 
     @property
@@ -983,12 +969,10 @@ class TrainingSet:
         state, transition, start, end = _unpack(
             weights, self.n_features, self.n_labels
         )
-        e = _rank_major_emissions(self._rank_major, state)
+        e = _rank_major_emissions(enc, state)
         # Unary marginals, turned into residuals once the gold one-hot
         # is subtracted below.
-        log_z, marginal, pair = _forward_backward(
-            e, enc, transition, start, end, self._steps
-        )
+        log_z, marginal, pair = _forward_backward(e, enc, transition, start, end)
         n_transition, n_start, n_end = self.empirical
         value = float(
             log_z

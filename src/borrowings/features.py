@@ -354,16 +354,16 @@ def windowed_attributes(
 
     A view of the headline's encoding alone (`crf._encode_windows`):
     each token's vector holds the entries of the cells it visits, in
-    slot order, each named through the encoding's index.
+    slot order, each named through the encoding's index.  The cells are
+    read off the cell-major entries by their entry counts.
     """
     from .crf import _encode_windows
 
     enc, index = _encode_windows((headline,), config, embeddings)
     names = map(index.names().__getitem__, enc.ids.tolist())
     vals = itertools.repeat(1.0) if enc.vals is None else enc.vals.tolist()
-    entries = list(zip(names, vals))
-    starts = np.searchsorted(enc.cell, np.arange(enc.n_cells + 1)).tolist()
-    cells = [dict(entries[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+    entries = zip(names, vals)
+    cells = [dict(itertools.islice(entries, n)) for n in enc.sizes.tolist()]
     out: list[AttributeVector] = []
     for row in enc.visits.tolist():
         vec: AttributeVector = {}

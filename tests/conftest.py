@@ -55,7 +55,6 @@ from borrowings.crf import (
     _forward_backward,
     _path_counts,
     _path_score,
-    _steps,
     _unpack,
     encode_training_set,
 )
@@ -324,7 +323,7 @@ def encode_attributes(sequences, lookup) -> Encoding:
     return _flat_encoding(
         np.frombuffer(ids, dtype=np.int64),
         np.frombuffer(vals, dtype=float),
-        np.repeat(np.arange(len(sizes)), np.frombuffer(sizes, dtype=np.int64)),
+        np.frombuffer(sizes, dtype=np.int64),
         np.arange(len(sizes)).reshape(-1, 1),
         np.frombuffer(seq_lengths, dtype=np.int64),
     )
@@ -361,9 +360,7 @@ def log_partition(model: CrfModel, attrs) -> float:
     """
     enc = _encode_one(model, attrs)
     e = cell_order_emissions(enc, model.state)
-    log_z, _, _ = _forward_backward(
-        e, enc, model.transition, model.start, model.end, _steps(enc)
-    )
+    log_z, _, _ = _forward_backward(e, enc, model.transition, model.start, model.end)
     return log_z
 
 
@@ -460,6 +457,11 @@ def entry_values(enc):
     return np.ones(enc.ids.size) if enc.vals is None else enc.vals
 
 
+def entry_cells(enc):
+    """The cell of every entry of `enc`, in its cell-major order."""
+    return np.repeat(np.arange(enc.n_cells), enc.sizes)
+
+
 def expand_encoding(enc):
     """(ids, vals, token) of every token's entries, token by token.
 
@@ -467,7 +469,7 @@ def expand_encoding(enc):
     each cell's in entry order: the flat layout `encode_attributes`
     gives windowed attribute vectors.
     """
-    starts = np.searchsorted(enc.cell, np.arange(enc.n_cells + 1))
+    starts = np.concatenate([[0], np.cumsum(enc.sizes)])
     values = entry_values(enc)
     ids, vals, token = [], [], []
     for t, row in enumerate(enc.visits.tolist()):
@@ -491,7 +493,7 @@ def cell_order_emissions(enc, state):
     of every token in ascending slot order.
     """
     per_cell = np.zeros((enc.n_cells, state.shape[1]))
-    np.add.at(per_cell, enc.cell, entry_values(enc)[:, None] * state[enc.ids])
+    np.add.at(per_cell, entry_cells(enc), entry_values(enc)[:, None] * state[enc.ids])
     e = np.zeros((enc.n_tokens, state.shape[1]))
     for k in range(enc.visits.shape[1]):
         e += per_cell[enc.visits[:, k]]
@@ -509,7 +511,7 @@ def cell_order_state_gradient(enc, residual, n_features):
     for k in range(enc.visits.shape[1]):
         np.add.at(per_cell, enc.visits[:, k], residual)
     g_state = np.zeros((n_features, residual.shape[1]))
-    np.add.at(g_state, enc.ids, entry_values(enc)[:, None] * per_cell[enc.cell])
+    np.add.at(g_state, enc.ids, entry_values(enc)[:, None] * per_cell[entry_cells(enc)])
     return g_state
 
 

@@ -606,8 +606,8 @@ RAW_VALUES = {
     "str | None": st.sampled_from(("none", "a.tsv", "runs/b.crf")),
 }
 # What a subcommand needs besides the flag under test: `tag` requires a
-# model, which `-m none` gives without setting the `model` key.
-REQUIRED_ARGV = {"tag": ["-m", "none", "apply.tsv", "-o", "pred.tsv"]}
+# corpus and an output path.
+REQUIRED_ARGV = {"tag": ["apply.tsv", "-o", "pred.tsv"]}
 TYPED_KEY_FLAGS = [
     (command, action)
     for command, parser in subcommand_parsers(cli.build_parser()).items()
@@ -681,6 +681,52 @@ class TestFlagsAndConfigFileAgree:
         argv = ["tag", "-m", "none", str(corpora / "apply.tsv"), "-o", str(pred)]
         assert run(argv) == 1
         assert "error: model file is required" in capsys.readouterr().err
+
+
+class TestTagModelKey:
+    """`tag` takes its model from `-m` or from the config file's `model`
+    key, as `train` takes the path it writes."""
+
+    @pytest.fixture(scope="class")
+    def model(self, corpora, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tag-model") / "model.crf"
+        argv = ["train", "--train", str(corpora / "train.tsv"), "-o", str(path),
+                "--max-iterations", "20"]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run(argv) == 0
+        return path
+
+    def tag(self, corpora, out, *flags):
+        return run(["tag", *flags, str(corpora / "apply.tsv"), "-o", str(out)])
+
+    def test_the_model_key_tags_as_m_does(self, corpora, model, tmp_path, capsys):
+        config = tmp_path / "tag.cfg"
+        config.write_text(f"model = {model}\n", encoding="utf-8")
+        by_flag, by_file = tmp_path / "flag.tsv", tmp_path / "file.tsv"
+        assert self.tag(corpora, by_flag, "-m", str(model)) == 0
+        assert self.tag(corpora, by_file, "-c", str(config)) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    def test_m_overrides_the_model_key(self, corpora, model, tmp_path, capsys):
+        config = tmp_path / "tag.cfg"
+        config.write_text(f"model = {tmp_path / 'absent.crf'}\n", encoding="utf-8")
+        by_flag, both = tmp_path / "flag.tsv", tmp_path / "both.tsv"
+        assert self.tag(corpora, by_flag, "-m", str(model)) == 0
+        capsys.readouterr()
+        assert self.tag(corpora, both, "-c", str(config), "-m", str(model)) == 0
+        err = capsys.readouterr().err
+        assert "warning: flag value for model overrides the config file" in err
+        assert both.read_bytes() == by_flag.read_bytes()
+
+    def test_no_model_is_a_configuration_error(self, corpora, tmp_path, capsys):
+        config = tmp_path / "tag.cfg"
+        config.write_text("window_radius = 1\n", encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        for flags in ((), ("-c", str(config))):
+            assert self.tag(corpora, pred, *flags) == 1
+            assert "error: model file is required" in capsys.readouterr().err
+        assert not pred.exists()
 
 
 class TestNonFiniteSettings:

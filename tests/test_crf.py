@@ -392,15 +392,25 @@ class TestFlatEncoding:
         assert enc.ids.tolist() == [0, 1, 1, 0]
         assert enc.vals.tolist() == [1.0, 2.0, 3.0, 4.0]
         # One cell per token, the empty ones included.
-        assert enc.cell.tolist() == [0, 1, 3, 4]
+        assert enc.sizes.tolist() == [1, 1, 0, 1, 1]
         assert enc.visits.tolist() == [[0], [1], [2], [3], [4]]
         assert enc.n_cells == 5
         assert enc.offsets.tolist() == [0, 2, 3, 5]
         assert enc.n_tokens == 5
+        # Rank-major: cells by descending entry count, ties in cell
+        # order, so cells 0, 1, 3, 4, 2 become cells 0 to 4.
+        assert enc.ranks.tolist() == [0, 4]
+        assert enc.ranked_ids.tolist() == [0, 1, 1, 0]
+        assert enc.ranked_vals.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert enc.ranked_visits.tolist() == [[0], [1], [4], [2], [3]]
         # Step-major, sequences by descending length; equal lengths keep
         # input order, so the ranks are sequences 0, 2, 1.
         assert enc.order.tolist() == [0, 3, 2, 1, 4]
         assert enc.steps.tolist() == [0, 3, 5]
+        # Rows 3 and 4 (tokens 1 and 4) follow rows 0 and 1 (tokens 0
+        # and 3); the sequences end at rows 3, 2 and 4.
+        assert enc.prev.tolist() == [0, 1]
+        assert enc.last.tolist() == [2, 3, 4]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 6), max_size=60))
@@ -427,10 +437,9 @@ class TestFlatEncoding:
         # b at 2, b at 1, b at 0, EOS at 2.
         assert enc.visits.tolist() == [[0, 1, 2], [3, 1, 4], [3, 5, 2], [6, 1, 7]]
         assert enc.n_cells == 8
-        assert np.all(np.diff(enc.cell) >= 0)
-        assert np.array_equal(np.unique(enc.cell), np.arange(8))
+        entries = enc.sizes
+        assert np.all(entries > 0)
         visited = np.bincount(enc.visits.ravel(), minlength=8)
-        entries = np.bincount(enc.cell, minlength=8)
         ids, _, _ = expand_encoding(enc)
         assert enc.ids.size == entries.sum() < ids.size == (visited * entries).sum()
 
@@ -442,11 +451,8 @@ class TestFlatEncoding:
     def test_rank_major_emissions_sum_cells_then_slots_exactly(self, case):
         sequences, n_features, n_labels, weights = case
         enc = encode_attributes(sequences, indexed_lookup(n_features))
-        dataset = TrainingSet(
-            enc, np.zeros(enc.n_tokens, dtype=np.int64), n_features, n_labels
-        )
         state = np.resize(np.array(weights), (n_features, n_labels))
-        got = crf._rank_major_emissions(dataset._rank_major, state)
+        got = crf._rank_major_emissions(enc, state)
         assert got.tobytes() == cell_order_emissions(enc, state).tobytes()
 
     @pytest.mark.parametrize("embedding", [False, True])
@@ -459,14 +465,14 @@ class TestFlatEncoding:
         # Cells are shared across tokens and hold different numbers of
         # entries, so cells and entries are both reordered.
         assert enc.visits.shape[1] == 5
-        assert len(dataset._rank_major.bounds) > 2
-        assert (dataset.encoding.vals is None) is not embedding
-        assert (dataset._rank_major.vals is None) is not embedding
+        assert enc.ranks.size > 2
+        assert (enc.vals is None) is not embedding
+        assert (enc.ranked_vals is None) is not embedding
         rng = np.random.default_rng(30)
         state = rng.normal(size=(dataset.n_features, dataset.n_labels))
         state[rng.random(state.shape) < 0.3] = -0.0
         state[rng.random(state.shape) < 0.3] = 0.0
-        got = crf._rank_major_emissions(dataset._rank_major, state)
+        got = crf._rank_major_emissions(enc, state)
         assert got.tobytes() == cell_order_emissions(enc, state).tobytes()
 
     def test_state_scatter_sums_visits_then_entries_exactly(self):
@@ -485,12 +491,18 @@ class TestFlatEncoding:
         enc = dataset.encoding
         assert enc.vals is None
         ones = TrainingSet(
-            dataclasses.replace(enc, vals=np.ones(enc.ids.size)),
+            crf._flat_encoding(
+                enc.ids,
+                np.ones(enc.ids.size),
+                enc.sizes,
+                enc.visits,
+                np.diff(enc.offsets),
+            ),
             dataset.gold,
             dataset.n_features,
             dataset.n_labels,
         )
-        assert ones._rank_major.vals is not None
+        assert ones.encoding.ranked_vals is not None
         rng = np.random.default_rng(24)
         weights = rng.normal(size=dataset.n_parameters)
         weights[rng.random(weights.size) < 0.3] = -0.0
@@ -835,16 +847,12 @@ class TestPackedSteps:
         model, seqs, e, enc = packed_case(lengths, seed)
         t, s, end = model.transition, model.start, model.end
         paths = crf._decode(model, enc)
-        log_z, marginal, pair = crf._forward_backward(
-            e, enc, t, s, end, crf._steps(enc)
-        )
+        log_z, marginal, pair = crf._forward_backward(e, enc, t, s, end)
         ref_log_z, ref_pair = 0.0, np.zeros_like(t)
         for seq, lo, hi in zip(seqs, enc.offsets[:-1], enc.offsets[1:]):
             alone = encode_attributes([seq], name_lookup(model.index))
             assert paths[lo:hi].tolist() == crf._decode(model, alone).tolist()
-            _, own, _ = crf._forward_backward(
-                e[lo:hi], alone, t, s, end, crf._steps(alone)
-            )
+            _, own, _ = crf._forward_backward(e[lo:hi], alone, t, s, end)
             assert marginal[lo:hi].tobytes() == own.tobytes()
             seq_log_z, seq_pair = reference_partition_and_pairs(e[lo:hi], t, s, end)
             ref_log_z += seq_log_z
@@ -865,7 +873,6 @@ class TestPackedSteps:
             model.transition,
             model.start,
             model.end,
-            crf._steps(enc),
         )
         assert log_z == 0.0
         assert marginal.shape == (0, n_labels)

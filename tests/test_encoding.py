@@ -10,6 +10,7 @@ when tagging, and the dict view must equal the oracle's dicts.
 
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from conftest import (
     FirstSeenIds,
     cell_order_emissions,
     encode_attributes,
+    entry_cells,
     entry_values,
     expand_encoding,
     name_lookup,
@@ -103,7 +105,8 @@ def oracle(corpus, config, table, lookup):
 
 
 def assert_same_encoding(got, expected):
-    """Equal per-token entries, offsets and packed time steps.
+    """Equal per-token entries, offsets and packed time steps, and
+    `got`'s rank-major entries and step links are those it spells out.
 
     Each token's entries are those of the cells it visits, in slot
     order; cell numbering and sharing may differ.
@@ -112,7 +115,7 @@ def assert_same_encoding(got, expected):
         expand_encoding(got), expand_encoding(expected), ("ids", "vals", "token")
     ):
         assert a.tobytes() == b.tobytes(), field
-    for field in ("ids", "cell", "visits"):
+    for field in ("ids", "sizes", "visits"):
         assert getattr(got, field).dtype == getattr(expected, field).dtype, field
     assert entry_values(got).dtype == expected.vals.dtype
     assert got.visits.shape[0] == got.n_tokens
@@ -120,6 +123,47 @@ def assert_same_encoding(got, expected):
     for field in ("order", "steps"):
         a, b = getattr(got, field), getattr(expected, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert_laid_out_once(got)
+
+
+def assert_laid_out_once(enc):
+    """The rank-major entries and the packed-step links of `enc` equal
+    those read off its cell-major entries and its packed order.
+
+    Entry r of every cell is read rank by rank, the cells ranked by
+    descending entry count, ties in cell order; row k of the packed
+    steps holds token `order[k]`.
+    """
+    sizes = enc.sizes.tolist()
+    assert sum(sizes) == enc.ids.size
+    starts = [0, *itertools.accumulate(sizes)]
+    # Python's sort is stable: equal counts keep cell order.
+    by_size = sorted(range(len(sizes)), key=lambda c: -sizes[c])
+    at, ranks = [], [0]
+    for r in range(max(sizes, default=0)):
+        at += [starts[c] + r for c in by_size if sizes[c] > r]
+        ranks.append(len(at))
+    ids, values = enc.ids.tolist(), entry_values(enc).tolist()
+    assert enc.ranks.tolist() == ranks
+    assert enc.ranked_ids.tolist() == [ids[k] for k in at]
+    if enc.vals is None:
+        assert enc.ranked_vals is None
+    else:
+        ranked_vals = np.array([values[k] for k in at], dtype=float)
+        assert enc.ranked_vals.tobytes() == ranked_vals.tobytes()
+    renumber = {c: new for new, c in enumerate(by_size)}
+    visits = [[renumber[c] for c in row] for row in enc.visits.tolist()]
+    assert enc.ranked_visits.tolist() == visits
+    order = enc.order.tolist()
+    row = {t: k for k, t in enumerate(order)}
+    offsets = enc.offsets.tolist()
+    firsts = set(offsets[:-1])
+    assert enc.prev.tolist() == [row[t - 1] for t in order if t not in firsts]
+    assert enc.last.tolist() == sorted(
+        row[hi - 1] for lo, hi in zip(offsets, offsets[1:]) if hi > lo
+    )
+    for field in ("ranked_ids", "ranks", "ranked_visits", "prev", "last"):
+        assert getattr(enc, field).dtype == np.int64, field
 
 
 def split_names(text, pos, config):
@@ -239,14 +283,22 @@ class TestTaggingEncoding:
         configs(),
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        st.booleans(),
     )
-    def test_matches_oracle(self, corpus, feed, config_and_table, seed, zero_share):
+    def test_matches_oracle(
+        self, corpus, feed, config_and_table, seed, zero_share, sparse
+    ):
         config, table = config_and_table
         model = random_model(corpus, config, table, seed, zero_share)
+        if sparse:
+            # The index keeps only the weighted attributes, as an L1
+            # fit's does, so that many cells keep no entry.
+            index, state = crf._active(model.index, model.state)
+            model = dataclasses.replace(model, index=index, state=state)
         expected = oracle(feed, config, table, name_lookup(model.index))
         got, _ = crf._encode_windows(feed.headlines, config, table, model.index)
         assert_same_encoding(got, expected)
-        e_got = crf._rank_major_emissions(crf._rank_major(got), model.state)
+        e_got = crf._rank_major_emissions(got, model.state)
         assert e_got.tobytes() == cell_order_emissions(got, model.state).tobytes()
         # The oracle sums each token's entries in one run; relative to
         # the summed magnitudes, the two orders agree to rounding.
@@ -265,18 +317,24 @@ class TestTaggingEncoding:
             assert headline.spans == tuple(bio_to_spans(tags[lo:hi]))
 
 
+# The arrays the digests were recorded over: the cell-major entries, the
+# visits and the packed order.  The rank-major entries and the step links
+# are derived from these (`assert_laid_out_once`).
+DIGEST_FIELDS = ("ids", "vals", "cell", "visits", "offsets", "order", "steps")
+
+
 def encoding_digest(enc, names):
-    """sha256 of an encoding's arrays (values, dtypes, shapes, memory
-    order) and of the index names.  Values of None are hashed as the
-    1.0 they stand for, so an encoding keeps the digest it had when the
-    encoder kept an array of them."""
+    """sha256 of an encoding's `DIGEST_FIELDS` (values, dtypes, shapes,
+    memory order) and of the index names.  Values of None are hashed as
+    the 1.0 they stand for, and each entry's cell as the number it has
+    from the cell sizes, so an encoding keeps the digest it had when the
+    encoder kept an array of each."""
+    derived = {"vals": entry_values(enc), "cell": entry_cells(enc)}
     h = hashlib.sha256()
-    for field in dataclasses.fields(enc):
-        a = getattr(enc, field.name)
-        if a is None:
-            a = entry_values(enc)
+    for name in DIGEST_FIELDS:
+        a = derived[name] if name in derived else getattr(enc, name)
         h.update(
-            f"{field.name} {a.dtype.str} {a.shape} "
+            f"{name} {a.dtype.str} {a.shape} "
             f"{a.flags.c_contiguous} {a.flags.f_contiguous}\n".encode()
         )
         h.update(a.tobytes(order="A"))
