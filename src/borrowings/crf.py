@@ -67,7 +67,7 @@ gathered from its type's base ids and keyed by (slot, base id).  No
 key becomes a prefixed name.  Training numbers the distinct keys by
 first appearance, so ids are exactly those of numbering the windowed
 names one by one as the tokens list them, and the index holds them as
-a table of ids by base name and slot (`features.BaseTable`); tagging
+a table of ids by base name and slot (`features.FeatureIndex`); tagging
 looks each distinct base name of a batch up once in the model's table
 and drops the entries it has no id for.  Without embeddings every
 entry's value is 1.0, and none is kept or multiplied.
@@ -128,7 +128,6 @@ from .features import (
     BOS,
     EOS,
     QUOTATION,
-    BaseTable,
     FeatureConfig,
     FeatureIndex,
     embedding_names,
@@ -602,20 +601,19 @@ def _encode_windows(
         ids[base_id, slot] = np.arange(distinct.size)
         names = map(types.base_names.__getitem__, bases.tolist())
         rows = dict(zip(names, itertools.count()))
-        index = FeatureIndex(BaseTable(rows, ids))
+        index = FeatureIndex(rows, ids)
     else:
         # Each base name of the batch is looked up once, and its row of
         # the model's table gives its ids at every slot.
-        table = index.table
-        _check_window(table.ids.shape[1], radius)
+        _check_window(index.ids.shape[1], radius)
         row = np.fromiter(
-            map(table.rows.get, types.base_names, itertools.repeat(-1)),
+            map(index.rows.get, types.base_names, itertools.repeat(-1)),
             np.int64,
             n_base,
         )
         known = row >= 0
         by_key = np.full((width, n_base), -1, dtype=np.int64)
-        by_key[:, known] = table.ids[row[known]].T
+        by_key[:, known] = index.ids[row[known]].T
         np.take(by_key.ravel(), keys, out=keys, mode="clip")
         known = keys >= 0
         if not known.all():
@@ -1095,30 +1093,18 @@ def _active(
 
     A dropped attribute adds only ±0.0 to an emission sum, so the kept
     ones decode exactly as all of them do.  Bases are numbered in order
-    of their first kept id, and a base with none is dropped, so the
-    table is the one `load_model(save_model(...))` gives.
+    of their first kept id, and a base with none is dropped
+    (`FeatureIndex.in_first_id_order`), so the table is the one
+    `load_model(save_model(...))` gives.
     """
     active = np.any(state != 0, axis=1)
     if active.all():
         return index, state
-    table = index.table
     # New id by old id; the last entry maps the table's -1 to -1.
     new_id = np.full(active.size + 1, -1, dtype=np.int64)
     new_id[np.flatnonzero(active)] = np.arange(np.count_nonzero(active))
-    ids = new_id[table.ids]
-    order = _bases_by_first_id(ids)
-    bases = list(table.rows)
-    rows = dict(zip(map(bases.__getitem__, order.tolist()), itertools.count()))
-    return FeatureIndex(BaseTable(rows, ids[order])), state[active]
-
-
-def _bases_by_first_id(ids: np.ndarray) -> np.ndarray:
-    """The rows of the `BaseTable` ids `ids` in order of their first
-    (lowest) id, without the rows that have none."""
-    # No id of a table reaches its size.
-    first = np.where(ids >= 0, ids, ids.size).min(axis=1)
-    kept = np.flatnonzero(first < ids.size)
-    return kept[np.argsort(first[kept])]
+    kept = FeatureIndex(index.rows, new_id[index.ids]).in_first_id_order()
+    return kept, state[active]
 
 
 def tag(
@@ -1210,10 +1196,8 @@ def save_model(model: CrfModel, stream: IO[str]) -> None:
     Raises ValidationError if the index's window is not the model's,
     which the format cannot hold.
     """
-    table = model.index.table
-    _check_window(table.ids.shape[1], model.feature_config.window_radius)
-    order = _bases_by_first_id(table.ids)
-    bases = list(table.rows)
+    _check_window(model.index.ids.shape[1], model.feature_config.window_radius)
+    index = model.index.in_first_id_order()
     lines = [
         f"{_FORMAT_MAGIC} {_FORMAT_VERSION}",
         "labels\t" + "\t".join(model.alphabet.tags),
@@ -1224,10 +1208,10 @@ def save_model(model: CrfModel, stream: IO[str]) -> None:
         "end\t" + "\t".join(_format_float(x) for x in model.end),
         "transitions",
         *("\t".join(_format_float(x) for x in row) for row in model.transition),
-        f"base_names\t{order.size}",
-        *map(bases.__getitem__, order.tolist()),
+        f"base_names\t{len(index.rows)}",
+        *index.rows,
         "attribute_ids",
-        _block(table.ids[order], np.int64),
+        _block(index.ids, np.int64),
         "state_weights",
         # Adding +0.0 turns -0.0 into +0.0 and keeps every other bit.
         _block(model.state + 0.0, np.float64),
@@ -1322,14 +1306,14 @@ def _read_names(
     by_name = dict(zip(names, itertools.count()))
     if len(by_name) != n_features:
         raise ModelFormatError("duplicate attribute names")
-    table = window_table(names, radius)
-    if np.count_nonzero(table.ids >= 0) < n_features:
+    index = window_table(names, radius)
+    if len(index) < n_features:
         # The first name the table leaves out.
-        name = names[np.setdiff1d(np.arange(n_features), table.ids)[0]]
+        name = names[np.setdiff1d(np.arange(n_features), index.ids)[0]]
         raise ModelFormatError(
             f"attribute name {name!r} is not [k]base with |k| <= {radius}"
         )
-    return FeatureIndex(table), by_name
+    return index, by_name
 
 
 def _read_block(reader: _Reader, context: str, dtype: type) -> np.ndarray:
@@ -1431,7 +1415,7 @@ def _read_table(
             )
     if np.count_nonzero(ids >= 0) != n_features:
         raise ModelFormatError(f"{not_permutation}: ids are missing")
-    return FeatureIndex(BaseTable(rows, ids.reshape(n_bases, width)))
+    return FeatureIndex(rows, ids.reshape(n_bases, width))
 
 
 def _parse_count(raw: str, context: str) -> int:

@@ -17,11 +17,11 @@ originating offset (`[-2]`, `[-1]`, `[0]`, `[+1]`, `[+2]`).  Offsets
 outside the headline contribute a single `[o]BOS` or `[o]EOS`
 attribute.  The CRF encodes corpora from the base names directly,
 without building any prefixed name (`crf._encode_windows`), and a
-`FeatureIndex` holds the ids it assigns as a table by base name and
-window slot (`BaseTable`).  `windowed_attributes` and `build_index`
-are views of that one encoding: the first gives each token's
-attributes as an ordered mapping from attribute name to a finite
-value, the second the index of a corpus.
+`FeatureIndex` is the table of the ids it assigns, by base name and
+window slot.  `windowed_attributes` and `build_index` are views of
+that one encoding: the first gives each token's attributes as an
+ordered mapping from attribute name to a finite value, the second the
+index of a corpus.
 """
 
 from __future__ import annotations
@@ -65,8 +65,10 @@ class FeatureConfig:
     embedding_scaling: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.window_radius < 0:
-            raise ConfigError("window_radius must be >= 0")
+        # Id tables and the (token, slot) visit table are 2 * radius + 1
+        # wide, so the radius alone must not size an allocation.
+        if not 0 <= self.window_radius <= 16:
+            raise ConfigError("window_radius must be between 0 and 16")
         if not 0 < self.embedding_scaling < math.inf:
             raise ConfigError("embedding_scaling must be finite and positive")
         if not self.enabled_families():
@@ -373,25 +375,8 @@ def windowed_attributes(
     return out
 
 
-class BaseTable(NamedTuple):
-    """Attribute ids by base name and window slot.
-
-    Windowed attribute names are `offset_prefix(k) + base`.  Row
-    `rows[base]` of the (bases, 2 * radius + 1) array `ids` holds the id
-    of that name at column `k + radius`, and -1 where the base has no
-    attribute at offset k.  Rows are numbered in the order of `rows`.
-    """
-
-    rows: dict[str, int]
-    ids: np.ndarray
-
-    @property
-    def radius(self) -> int:
-        return self.ids.shape[1] // 2
-
-
-def window_table(names: Sequence[str], radius: int) -> BaseTable:
-    """The `BaseTable` of the distinct attribute names `names`, ids by
+def window_table(names: Sequence[str], radius: int) -> FeatureIndex:
+    """The index of the distinct attribute names `names`, ids by
     position, for a window of `radius`.  A name that is not
     `offset_prefix(k) + base` with |k| <= radius is left out.
 
@@ -408,36 +393,57 @@ def window_table(names: Sequence[str], radius: int) -> BaseTable:
             ids_by_cell[rows.setdefault(base, len(rows)) * width + slot] = i
     ids = np.full(len(rows) * width, -1, dtype=np.int64)
     ids[list(ids_by_cell)] = list(ids_by_cell.values())
-    return BaseTable(rows, ids.reshape(len(rows), width))
+    return FeatureIndex(rows, ids.reshape(len(rows), width))
 
 
 class FeatureIndex:
-    """Dense, immutable attribute-name-to-id mapping, held as the
-    `BaseTable` `table`, whose ids are a permutation of range(n) for
-    some n, with -1 elsewhere.  Training, tagging and model files read
-    the table; `names` spells the windowed names out on first use.
+    """Dense, immutable attribute-name-to-id mapping, held as attribute
+    ids by base name and window slot.
+
+    Windowed attribute names are `offset_prefix(k) + base`.  Row
+    `rows[base]` of the (bases, 2 * radius + 1) array `ids` holds the id
+    of that name at column `k + radius`, and -1 where the base has no
+    attribute at offset k; rows are numbered in the order of `rows`, and
+    the ids are a permutation of range(n) for some n.  Training, tagging
+    and model files read the table; `names` spells the windowed names
+    out on first use.
     """
 
-    def __init__(self, table: BaseTable) -> None:
-        self.table = table
-        self._size = int(np.count_nonzero(table.ids >= 0))
+    def __init__(self, rows: dict[str, int], ids: np.ndarray) -> None:
+        self.rows = rows
+        self.ids = ids
+        self._size = int(np.count_nonzero(ids >= 0))
         self._names: tuple[str, ...] | None = None
+
+    @property
+    def radius(self) -> int:
+        return self.ids.shape[1] // 2
 
     def __len__(self) -> int:
         return self._size
 
+    def in_first_id_order(self) -> FeatureIndex:
+        """This index with its bases in order of their first (lowest)
+        id, and without the bases that have none."""
+        # No id of a table reaches its size.
+        first = np.where(self.ids >= 0, self.ids, self.ids.size).min(axis=1)
+        kept = np.flatnonzero(first < self.ids.size)
+        order = kept[np.argsort(first[kept])]
+        bases = list(self.rows)
+        rows = dict(zip(map(bases.__getitem__, order.tolist()), itertools.count()))
+        return FeatureIndex(rows, self.ids[order])
+
     def names(self) -> tuple[str, ...]:
         """The windowed names, by id."""
         if self._names is None:
-            table = self.table
-            radius = table.radius
+            radius = self.radius
             prefixes = np.array(
                 [offset_prefix(k) for k in range(-radius, radius + 1)], dtype=object
             )
-            bases = np.array(list(table.rows), dtype=object)
-            row, slot = np.nonzero(table.ids >= 0)
+            bases = np.array(list(self.rows), dtype=object)
+            row, slot = np.nonzero(self.ids >= 0)
             names = np.empty(self._size, dtype=object)
-            names[table.ids[row, slot]] = prefixes[slot] + bases[row]
+            names[self.ids[row, slot]] = prefixes[slot] + bases[row]
             self._names = tuple(names.tolist())
         return self._names
 

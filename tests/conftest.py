@@ -48,7 +48,6 @@ from borrowings.crf import (
     CrfModel,
     Encoding,
     TrainConfig,
-    _bases_by_first_id,
     _config_echo,
     _flat_encoding,
     _format_float,
@@ -749,18 +748,17 @@ def save_model_v2(model: CrfModel, stream) -> None:
     `id<TAB>tag<TAB>weight` line per nonzero state weight.  Its digests
     pin the weights bit for bit across format changes."""
     n_features = model.n_features
-    table = model.index.table
+    width = model.index.ids.shape[1]
     radius = model.feature_config.window_radius
-    if table.ids.shape[1] != 2 * radius + 1:
+    if width != 2 * radius + 1:
         raise ValidationError(
-            f"cannot save an index of window width {table.ids.shape[1]} with a "
+            f"cannot save an index of window width {width} with a "
             f"model of window_radius {radius}"
         )
-    order = _bases_by_first_id(table.ids)
-    bases = list(table.rows)
+    index = model.index.in_first_id_order()
     # The id rows as one block, formatted in one call.
-    row = "\t".join(["%d"] * table.ids.shape[1])
-    id_rows = "\n".join([row] * order.size) % tuple(table.ids[order].ravel().tolist())
+    row = "\t".join(["%d"] * width)
+    id_rows = "\n".join([row] * len(index.rows)) % tuple(index.ids.ravel().tolist())
     tags = model.alphabet.tags
     rows, cols = np.nonzero(model.state)
     weights = model.state[rows, cols]
@@ -774,10 +772,10 @@ def save_model_v2(model: CrfModel, stream) -> None:
         "end\t" + "\t".join(_format_float(x) for x in model.end),
         "transitions",
         *("\t".join(_format_float(x) for x in row) for row in model.transition),
-        f"base_names\t{order.size}",
-        *map(bases.__getitem__, order.tolist()),
+        f"base_names\t{len(index.rows)}",
+        *index.rows,
         "attribute_ids",
-        *([id_rows] if order.size else []),
+        *([id_rows] if index.rows else []),
         f"state_weights\t{len(rows)}",
         *(
             f"{r}\t{tags[c]}\t{_format_float(w)}"
@@ -973,7 +971,7 @@ def model_from_matrices(e, transition, start, end) -> tuple[CrfModel, list[dict]
     n, n_labels = e.shape
     config = FeatureConfig()
     names = [f"[0]p{t}" for t in range(n)]
-    index = FeatureIndex(window_table(names, config.window_radius))
+    index = window_table(names, config.window_radius)
     model = CrfModel(
         alphabet=alphabet_of_size(n_labels),
         index=index,

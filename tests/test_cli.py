@@ -28,6 +28,7 @@ from conftest import (
 )
 
 DATA = Path(__file__).parent / "data"
+CANARY = Path(__file__).resolve().parent.parent / "benchmarks" / "canary.crf"
 
 
 def write_corpus_file(corpus, path):
@@ -726,6 +727,38 @@ class TestTagModelKey:
         for flags in ((), ("-c", str(config))):
             assert self.tag(corpora, pred, *flags) == 1
             assert "error: model file is required" in capsys.readouterr().err
+        assert not pred.exists()
+
+
+class TestWindowRadiusBound:
+    """A radius above 16 is refused wherever it is set, before any table
+    as wide as the window is built."""
+
+    @pytest.mark.parametrize("in_config_file", [False, True])
+    def test_train(self, corpora, tmp_path, capsys, in_config_file):
+        out = tmp_path / "m.crf"
+        argv = ["train", "--train", str(corpora / "train.tsv"), "-o", str(out)]
+        if in_config_file:
+            config = tmp_path / "wide.cfg"
+            config.write_text("window_radius = 17\n", encoding="utf-8")
+            argv += ["-c", str(config)]
+        else:
+            argv += ["--window-radius", "17"]
+        assert run(argv) == 1
+        assert "window_radius must be between 0 and 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_file(self, corpora, tmp_path, capsys):
+        text = CANARY.read_text(encoding="utf-8")
+        model = tmp_path / "wide.crf"
+        model.write_text(
+            text.replace("window_radius=2", "window_radius=17", 1),
+            encoding="utf-8",
+        )
+        pred = tmp_path / "pred.tsv"
+        argv = ["tag", "-m", str(model), str(corpora / "apply.tsv"), "-o", str(pred)]
+        assert run(argv) == 1
+        assert "bad feature_config: window_radius" in capsys.readouterr().err
         assert not pred.exists()
 
 

@@ -1,10 +1,12 @@
 import base64
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import itertools
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from borrowings.corpus import (
     TagAlphabet,
     Token,
     bio_to_spans,
+    read_corpus,
     write_corpus,
 )
 from borrowings.crf import (
@@ -995,6 +998,19 @@ class TestTrain:
         assert np.array_equal(again.transition, trained.transition)
         assert again.diagnostics.trace == trained.diagnostics.trace
 
+    def test_the_widest_window_trains_and_tags(self, small_corpus_module):
+        config = FeatureConfig(window_radius=16)
+        model = train(
+            small_corpus_module, config, None, TrainConfig(max_iterations=3)
+        )
+        assert model.index.radius == 16
+        text = saved_text(save_model, model)
+        assert "window_radius=16" in text
+        loaded = load_model(io.StringIO(text))
+        assert tagged_text(loaded, small_corpus_module) == tagged_text(
+            model, small_corpus_module
+        )
+
     def test_single_iteration_cap(self, small_corpus_module):
         model = train(
             small_corpus_module, FeatureConfig(), None, TrainConfig(max_iterations=1)
@@ -1262,10 +1278,9 @@ class TestActiveAttributes:
             itertools.compress(full.index.names(), active.tolist())
         )
         assert np.array_equal(model.state, full.state[active])
-        table = model.index.table
         loaded = load_model(io.StringIO(saved_text(save_model, model)))
-        assert list(table.rows.items()) == list(loaded.index.table.rows.items())
-        assert np.array_equal(table.ids, loaded.index.table.ids)
+        assert list(model.index.rows.items()) == list(loaded.index.rows.items())
+        assert np.array_equal(model.index.ids, loaded.index.ids)
         for weights in (model.transition, model.start, model.end):
             assert weights.base is model.diagnostics.x
         feed = open_vocabulary_corpus(20, seed=seed + 1)
@@ -1442,7 +1457,7 @@ class TestPersistence:
 
     def test_a_model_without_attributes_round_trips(self, trained):
         empty = dataclasses.replace(
-            trained, index=FeatureIndex(window_table([], 2)), state=np.zeros((0, 5))
+            trained, index=window_table([], 2), state=np.zeros((0, 5))
         )
         text, loaded = self.roundtrip(empty)
         assert "base_names\t0\nattribute_ids\n\nstate_weights\n\nend_of_model\n" in text
@@ -1831,7 +1846,7 @@ def random_models(draw):
     weights = np.array(square).reshape(n_labels + 2, n_labels)
     return CrfModel(
         alphabet=alphabet,
-        index=FeatureIndex(window_table(names, radius)),
+        index=window_table(names, radius),
         state=np.array(rows, dtype=float).reshape(len(names), n_labels),
         transition=weights[:n_labels],
         start=weights[n_labels],
@@ -1900,8 +1915,8 @@ class TestVersion3Blocks:
         assert state.tobytes() == trained.state.tobytes()
         ids = decoded(lines[ids_at], "<i8").reshape(-1, 5)
         bases = lines[lines.index(f"base_names\t{len(ids)}") + 1 : ids_at - 1]
-        table = trained.index.table
-        assert np.array_equal(ids, table.ids[[table.rows[base] for base in bases]])
+        index = trained.index
+        assert np.array_equal(ids, index.ids[[index.rows[base] for base in bases]])
 
     @settings(max_examples=150, deadline=None)
     @given(model=random_models())
@@ -1913,7 +1928,7 @@ class TestVersion3Blocks:
         for field in ("transition", "start", "end"):
             assert getattr(loaded, field).tobytes() == getattr(model, field).tobytes()
         assert loaded.index.names() == model.index.names()
-        assert loaded.state.flags.writeable and loaded.index.table.ids.flags.writeable
+        assert loaded.state.flags.writeable and loaded.index.ids.flags.writeable
         assert saved_text(save_model, loaded) == text
         # The version-2 file of the model loads to the same arrays.
         v2 = load_model(io.StringIO(saved_text(save_model_v2, model)))
@@ -1931,7 +1946,7 @@ class TestVersion3Blocks:
         names = ["[0]a", "[-1]b", "[2]c"]
         model = dataclasses.replace(
             trained,
-            index=FeatureIndex(window_table(names, 2)),
+            index=window_table(names, 2),
             state=np.ones((3, trained.n_labels)),
         )
         text = saved_text(save_model, model)
@@ -2028,7 +2043,8 @@ class TestVersion3Blocks:
             assert "state weight" in str(raised.value)
 
 
-CANARY = Path(__file__).resolve().parent.parent / "benchmarks" / "canary.crf"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+CANARY = BENCHMARKS / "canary.crf"
 
 
 def test_canary_v1_file_loads_to_the_model_of_its_v2_resave():
@@ -2075,6 +2091,28 @@ KINDS = ["sparse", "dense", "sparse-v1", "dense-v1", "sparse-v2", "dense-v2"]
 JUNK_FIELDS = ("junk", "nan", "inf", "-inf", "")
 
 
+@pytest.fixture(scope="module")
+def benchmark_feeds(tmp_path_factory):
+    """The first 10 feeds of the benchmark's seed-3 `tag-feeds` inputs,
+    written by `benchmarks/generate.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_generate", BENCHMARKS / "generate.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    out = tmp_path_factory.mktemp("tag-feeds")
+    paths = module.generate("tag-feeds", 3, out)["paths"]["feeds"][:10]
+    return [
+        read_corpus(io.StringIO(Path(path).read_text(encoding="utf-8")))
+        for path in paths
+    ]
+
+
 class TestCorruptedModelFiles:
     @pytest.mark.parametrize("kind", KINDS)
     def test_unmutated_files_round_trip_byte_for_byte(self, saved_models, kind):
@@ -2094,6 +2132,37 @@ class TestCorruptedModelFiles:
         assert_same_model(v1, v3)
         feed = open_vocabulary_corpus(40, seed=8)
         assert tagged_text(v1, feed) == tagged_text(v2, feed) == tagged_text(v3, feed)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("radius", [17, 1000])
+    def test_an_oversized_window_radius_is_a_format_error(
+        self, saved_models, kind, radius
+    ):
+        # Refused at the feature_config line, before any id table is
+        # built: a wide radius would size the table by itself.
+        text = saved_models[kind]
+        wide = text.replace("window_radius=2", f"window_radius={radius}", 1)
+        assert wide != text
+        with pytest.raises(ModelFormatError, match="bad feature_config: window_radius"):
+            load_model(io.StringIO(wide))
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_save_orders_bases_by_first_id(self, saved_models, benchmark_feeds, kind):
+        """A loaded index with two base rows swapped and a base without
+        an id saves as the trained file, and tags alike."""
+        text = saved_models[kind]
+        trained = load_model(io.StringIO(text))
+        bases = list(trained.index.rows)
+        swapped = [1, 0, *range(2, len(bases))]
+        ids = np.insert(trained.index.ids[swapped], 1, -1, axis=0)
+        names = [bases[1], "w=no-attribute", bases[0], *bases[2:]]
+        index = FeatureIndex(dict(zip(names, itertools.count())), ids)
+        assert list(index.rows) != list(trained.index.rows)
+        model = dataclasses.replace(trained, index=index)
+        assert saved_text(save_model, model) == text
+        assert model.index.names() == trained.index.names()
+        for feed in benchmark_feeds:
+            assert tagged_text(model, feed) == tagged_text(trained, feed)
 
     def test_the_dense_model_has_tens_of_thousands_of_weight_lines(self, saved_models):
         declared = re.search(r"^state_weights\t(\d+)$", saved_models["dense-v2"], re.M)

@@ -29,7 +29,6 @@ from borrowings.errors import ConfigError
 from borrowings.features import (
     FAMILIES,
     FeatureConfig,
-    FeatureIndex,
     build_index,
     type_attributes,
     window_table,
@@ -124,6 +123,13 @@ def assert_same_encoding(got, expected):
         a, b = getattr(got, field), getattr(expected, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
     assert_laid_out_once(got)
+
+
+def assert_same_index(got, expected):
+    """The same bases in the same rows, and the same ids, dtype too."""
+    assert list(got.rows.items()) == list(expected.rows.items())
+    assert got.ids.dtype == expected.ids.dtype
+    assert np.array_equal(got.ids, expected.ids)
 
 
 def assert_laid_out_once(enc):
@@ -238,6 +244,11 @@ class TestTrainingEncoding:
         assert got_index.names() == index.names()
         assert_same_encoding(dataset.encoding, expected)
         assert build_index(corpus, config, table).names() == index.names()
+        # The one ordering rule: the encoder's table is the table of its
+        # names, and its bases are already in order of their first id.
+        radius = config.window_radius
+        assert_same_index(window_table(got_index.names(), radius), got_index)
+        assert_same_index(got_index.in_first_id_order(), got_index)
 
     @pytest.mark.parametrize("embedding", [False, True])
     def test_matches_oracle_on_a_corpus(self, embedding):
@@ -461,7 +472,7 @@ class TestEdgeCases:
         feed = synthetic_corpus(8, seed=2)
         # BOS is a base name of every batch, but never at offset 0.
         names = ["[0]w=absent", "[0]BOS"]
-        index = FeatureIndex(window_table(names, config.window_radius))
+        index = window_table(names, config.window_radius)
         got = tag_encoding(feed.headlines, config, table, index)
         assert_same_encoding(got, oracle(feed, config, table, name_lookup(index)))
         assert got.ids.size == 0 and got.n_tokens == sum(map(len, feed))

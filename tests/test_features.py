@@ -360,8 +360,10 @@ class TestFamilyAblation:
 
 class TestFeatureConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            FeatureConfig(window_radius=-1)
+        for radius in (-1, 17, 10**6):
+            with pytest.raises(ConfigError, match="window_radius"):
+                FeatureConfig(window_radius=radius)
+        assert FeatureConfig(window_radius=16).window_radius == 16
         with pytest.raises(ConfigError):
             FeatureConfig(embedding_scaling=0.0)
         for scaling in (float("nan"), float("inf")):
@@ -385,17 +387,34 @@ class TestFeatureConfig:
 class TestFeatureIndex:
     def test_dense_first_seen_ids(self):
         names = ("[0]a", "[-1]a", "[+1]b")
-        index = FeatureIndex(window_table(names, 1))
+        index = window_table(names, 1)
         assert len(index) == 3
         assert index.names() == names
-        assert index.table.radius == 1
-        assert index.table.rows == {"a": 0, "b": 1}
-        assert index.table.ids.tolist() == [[1, 0, -1], [-1, -1, 2]]
+        assert index.radius == 1
+        assert index.rows == {"a": 0, "b": 1}
+        assert index.ids.tolist() == [[1, 0, -1], [-1, -1, 2]]
+
+    def test_in_first_id_order(self):
+        """Bases are ordered by their lowest id, and one without an id
+        is dropped; the ids and names are unchanged."""
+        ids = np.array([[-1, -1, -1], [2, -1, -1], [-1, 0, 1], [3, -1, -1]])
+        index = FeatureIndex({"x": 0, "a": 1, "b": 2, "c": 3}, ids)
+        ordered = index.in_first_id_order()
+        assert ordered.rows == {"b": 0, "a": 1, "c": 2}
+        assert ordered.ids.tolist() == [[-1, 0, 1], [2, -1, -1], [3, -1, -1]]
+        assert ordered.radius == 1
+        assert len(ordered) == len(index) == 4
+        assert ordered.names() == index.names() == ("[0]b", "[+1]b", "[-1]a", "[-1]c")
+        again = ordered.in_first_id_order()
+        assert again.rows == ordered.rows
+        assert np.array_equal(again.ids, ordered.ids)
+        empty = FeatureIndex({"x": 0}, np.full((1, 3), -1)).in_first_id_order()
+        assert empty.rows == {} and empty.ids.shape == (0, 3)
 
     def test_freeze_contract(self):
         """An index is made whole and never grows: a name it lacks has no
         id, and there is no way to give it one."""
-        index = FeatureIndex(window_table(["[0]a", "[0]b"], 0))
+        index = window_table(["[0]a", "[0]b"], 0)
         assert index.names() == ("[0]a", "[0]b")
         assert len(index) == 2
         for method in ("add", "freeze", "frozen", "get", "from_names"):
