@@ -64,8 +64,8 @@ class TagAlphabet:
 
 FULL_ALPHABET = TagAlphabet(("O", "B-ENG", "I-ENG", "B-OTHER", "I-OTHER"))
 ENG_ALPHABET = TagAlphabet(("O", "B-ENG", "I-ENG"))
-# The corpus tags, for the tag checks of the reader, of `with_tags` and
-# of `repair_bio`: set lookups, not `TagAlphabet.__contains__` calls.
+# The corpus tags, for the tag checks of the reader and of `_check_tags`:
+# set lookups, not `TagAlphabet.__contains__` calls.
 _CORPUS_TAGS = frozenset(FULL_ALPHABET.tags)
 
 
@@ -231,35 +231,19 @@ def spans_to_bio(spans: Iterable[LabeledSpan], length: int) -> list[str]:
     return tags
 
 
-def repair_bio(tags: Iterable[str]) -> list[str]:
-    """Rewrite I-X tags lacking a compatible predecessor as B-X."""
-    repaired: list[str] = []
-    prev_label = None
-    for tag in tags:
-        if tag not in _CORPUS_TAGS:
-            raise ValidationError(f"unknown tag {tag!r}")
-        if tag.startswith("I-") and prev_label != tag[2:]:
-            tag = "B-" + tag[2:]
-        prev_label = None if tag == "O" else tag[2:]
-        repaired.append(tag)
-    return repaired
+def _check_tags(tags: Sequence[str]) -> None:
+    """Raise ValidationError naming the first tag that is not a corpus tag."""
+    if not _CORPUS_TAGS.issuperset(tags):
+        unknown = next(tag for tag in tags if tag not in _CORPUS_TAGS)
+        raise ValidationError(f"unknown tag {unknown!r}")
 
 
 def bio_to_spans(tags: Iterable[str]) -> list[LabeledSpan]:
-    """Decode BIO tags into labeled spans, repairing stray I tags first."""
-    spans: list[LabeledSpan] = []
-    start = None
-    label = None
-    for i, tag in enumerate(repair_bio(tags)):
-        if start is not None and (tag == "O" or tag.startswith("B-")):
-            spans.append(LabeledSpan(start, i, label))
-            start = None
-        if tag.startswith("B-"):
-            start = i
-            label = tag[2:]
-    if start is not None:
-        spans.append(LabeledSpan(start, i + 1, label))
-    return spans
+    """Decode BIO tags into labeled spans; an I-X tag that continues no
+    X span starts one."""
+    tags = list(tags)
+    _check_tags(tags)
+    return list(_decode_spans(tags))
 
 
 # Objects whose fields the reader or the tagger has already checked are
@@ -301,10 +285,10 @@ def _span(start: int, end: int, label: str) -> LabeledSpan:
 
 
 def _decode_spans(tags: Sequence[str]) -> tuple[LabeledSpan, ...]:
-    """`bio_to_spans(tags)` in one pass, for tags known to be corpus tags.
+    """The spans of `tags`, known to be corpus tags, in one pass.
 
     An I-X tag continues a span only while an X span is open; otherwise
-    it starts one, as `repair_bio` would have rewritten it to B-X.
+    it starts one, as a B-X tag would.
     """
     if tags.count("O") == len(tags):
         return ()
@@ -346,9 +330,7 @@ def with_tags(
 ) -> list[Headline]:
     """`headlines` with their spans replaced by `bio_to_spans` of their
     slices `tags[bounds[i]:bounds[i + 1]]`; nothing else is checked again."""
-    if not _CORPUS_TAGS.issuperset(tags):
-        unknown = next(tag for tag in tags if tag not in _CORPUS_TAGS)
-        raise ValidationError(f"unknown tag {unknown!r}")
+    _check_tags(tags)
     return _headlines(
         [h.id for h in headlines],
         [h.tokens for h in headlines],

@@ -88,18 +88,18 @@ base64 over its little-endian int64 or float64 bytes, with every zero
 weight written as +0.0.  `load_model` hashes only the base names,
 decodes each block with one `base64` call and one `np.frombuffer`, and
 checks whole arrays: the block sizes, the ids (a permutation of the
-attributes) and the weights (finite).  It also reads format 2, which
-writes each id row as a line of integers and one `id<TAB>tag<TAB>weight`
-line per nonzero state weight, and format 1, which lists the windowed
-names one per line in id order and keys each state weight line by
-name; it derives the table from those names, and rejects a name that
-is not `[k]base` within the model's window.  These text sections are
-read line by line, with one loop per section, and a fault is reported
-for the first faulty line in file order; only the checks that need a
-whole section (a repeated name, the declared line count, non-finite
-weights, a repeated weight line) wait for it.  Loading keeps every
-attribute a file lists, weighted or not, so every valid file reads and
-saves back as it is, a version-3 file byte for byte.
+attributes) and the weights (finite).  It also reads format 1, which
+lists the windowed names one per line in id order and writes one
+`name<TAB>tag<TAB>weight` line per nonzero state weight; it derives the
+table from those names, and rejects a name that is not `[k]base` within
+the model's window.  These text sections are read line by line, with
+one loop per section, and a fault is reported for the first faulty
+line in file order; only the checks that need a whole section (a
+repeated name, the declared line count, non-finite weights, a repeated
+weight line) wait for it.  Any other version, 2 among them, raises
+`ModelVersionError`.  Loading keeps every attribute a file lists,
+weighted or not, so every valid file reads and saves back as it is, a
+version-3 file byte for byte.
 """
 
 from __future__ import annotations
@@ -1286,13 +1286,6 @@ def _parse_config_echo(line: str, prefix: str, cls: type) -> object:
         raise ModelFormatError(f"bad {prefix}: {exc}") from None
 
 
-def _integer(field: str) -> int | None:
-    """The value of `field` if it is an optional minus then digits, 18
-    chars at most (so that it fits in an int64), else None."""
-    digits = len(field) <= 18 and field.isascii() and field.removeprefix("-").isdigit()
-    return int(field) if digits else None
-
-
 def _read_names(
     reader: _Reader, n_features: int, radius: int
 ) -> tuple[FeatureIndex, dict[str, int]]:
@@ -1338,21 +1331,17 @@ def _read_block(reader: _Reader, context: str, dtype: type) -> np.ndarray:
     return np.frombuffer(raw, dtype=stored).astype(dtype)
 
 
-def _read_table(
-    reader: _Reader, n_features: int, radius: int, version: str
-) -> FeatureIndex:
-    """The index of a version-2 or version-3 file: the base names, one
-    per line, then each one's row of ids at the 2 * radius + 1 window
-    slots, -1 where it has none.  Version 2 writes each row as a line of
-    tab-separated integers; version 3 writes the whole table as one
-    base64 block of little-endian int64.
+def _read_table(reader: _Reader, n_features: int, radius: int) -> FeatureIndex:
+    """The index of a version-3 file: the base names, one per line, then
+    each one's row of ids at the 2 * radius + 1 window slots, -1 where
+    it has none, the whole table as one base64 block of little-endian
+    int64.
 
     Faults are reported for the first one in file order: more attributes
     than the table has cells (ModelDimensionError), a repeated base name,
-    then a row without its fields or a block without its size
-    (ModelDimensionError), a field that is not an integer (`_integer`)
-    or a block that is not base64, or an id out of range or repeating
-    one before it; then ids missing from range(n_features).
+    then a block that is not base64 or without its size
+    (ModelDimensionError), or an id out of range or repeating one before
+    it; then ids missing from range(n_features).
     """
     width = 2 * radius + 1
     count = reader.next_line("base name count").split("\t")
@@ -1372,47 +1361,25 @@ def _read_table(
     if reader.next_line("attribute ids") != "attribute_ids":
         raise ModelFormatError("missing attribute_ids section")
     not_permutation = f"attribute ids are not a permutation of range({n_features})"
-    if version == "2":
-        # One line per row, each id checked as it is read.
-        ids = np.empty(n_bases * width, dtype=np.int64)
-        # One flag per id, and a spare last one that the -1 cells set.
-        seen = bytearray(n_features + 1)
-        for row, line in enumerate(reader.next_lines(n_bases, "attribute ids")):
-            fields = line.split("\t")
-            if len(fields) != width:
-                raise ModelDimensionError(
-                    f"attribute id row {row}: expected {width} ids, got {len(fields)}"
-                )
-            for cell, field in enumerate(fields, row * width):
-                i = _integer(field)
-                if i is None:
-                    raise ModelFormatError(f"non-integer attribute id {field!r}")
-                if not -1 <= i < n_features or i >= 0 and seen[i]:
-                    raise ModelFormatError(f"{not_permutation}: {i} in row {row}")
-                seen[i] = 1
-                ids[cell] = i
-    else:
-        ids = _read_block(reader, "attribute ids", np.int64)
-        # The block holds one row per base name, as wide as the window.
-        found = ids.size // n_bases if n_bases else width
-        if found * n_bases != ids.size:
-            raise ModelDimensionError(
-                f"attribute ids: {ids.size} ids are not {n_bases} rows"
-            )
-        _check_window(found, radius, ModelDimensionError)
-        # Each id at most once: faulty where out of range, or where it
-        # repeats an id before it.
-        faulty = (ids < -1) | (ids >= n_features)
-        at = np.flatnonzero(~faulty & (ids >= 0))
-        if np.bincount(ids[at], minlength=n_features).max(initial=0) > 1:
-            first = np.full(n_features, ids.size)
-            np.minimum.at(first, ids[at], at)
-            faulty[at] = first[ids[at]] != at
-        if faulty.any():
-            bad = int(np.argmax(faulty))
-            raise ModelFormatError(
-                f"{not_permutation}: {ids[bad]} in row {bad // width}"
-            )
+    ids = _read_block(reader, "attribute ids", np.int64)
+    # The block holds one row per base name, as wide as the window.
+    found = ids.size // n_bases if n_bases else width
+    if found * n_bases != ids.size:
+        raise ModelDimensionError(
+            f"attribute ids: {ids.size} ids are not {n_bases} rows"
+        )
+    _check_window(found, radius, ModelDimensionError)
+    # Each id at most once: faulty where out of range, or where it
+    # repeats an id before it.
+    faulty = (ids < -1) | (ids >= n_features)
+    at = np.flatnonzero(~faulty & (ids >= 0))
+    if np.bincount(ids[at], minlength=n_features).max(initial=0) > 1:
+        first = np.full(n_features, ids.size)
+        np.minimum.at(first, ids[at], at)
+        faulty[at] = first[ids[at]] != at
+    if faulty.any():
+        bad = int(np.argmax(faulty))
+        raise ModelFormatError(f"{not_permutation}: {ids[bad]} in row {bad // width}")
     if np.count_nonzero(ids >= 0) != n_features:
         raise ModelFormatError(f"{not_permutation}: ids are missing")
     return FeatureIndex(rows, ids.reshape(n_bases, width))
@@ -1432,12 +1399,11 @@ def _read_weight_lines(
     reader: _Reader,
     alphabet: TagAlphabet,
     n_features: int,
-    by_name: dict[str, int] | None,
+    by_name: dict[str, int],
 ) -> np.ndarray:
-    """The state weights of a version-1 or version-2 file, and its
-    trailer: a count, then one `key<TAB>tag<TAB>weight` line per nonzero
-    weight, keyed by attribute name through `by_name` (version 1) or by
-    attribute id (version 2)."""
+    """The state weights of a version-1 file, and its trailer: a count,
+    then one `name<TAB>tag<TAB>weight` line per nonzero weight, keyed by
+    attribute name through `by_name`."""
     n_labels = len(alphabet)
     sw_parts = reader.next_line("state weight count").split("\t")
     if sw_parts[0] != "state_weights" or len(sw_parts) != 2:
@@ -1463,11 +1429,10 @@ def _read_weight_lines(
             if line == "end_of_model":
                 raise ModelDimensionError(f"fewer {than_declared}")
             raise ModelFormatError("state weight line needs name, tag, weight")
-        key, tag_name, weight = fields
-        # A version-1 line names its attribute, a version-2 line gives its id.
-        row = by_name.get(key) if by_name is not None else _integer(key)
-        if row is None or not 0 <= row < n_features:
-            raise ModelDimensionError(f"state weight for unknown attribute {key!r}")
+        name, tag_name, weight = fields
+        row = by_name.get(name)
+        if row is None:
+            raise ModelDimensionError(f"state weight for unknown attribute {name!r}")
         col = tag_ids.get(tag_name)
         if col is None:
             raise ModelDimensionError(f"state weight for unknown tag {tag_name!r}")
@@ -1516,23 +1481,24 @@ def _read_state_block(reader: _Reader, n_features: int, n_labels: int) -> np.nda
 
 
 def load_model(stream: IO[str]) -> CrfModel:
-    """Parse a model file written by save_model, in format 1, 2 or 3.
+    """Parse a model file written by save_model (format 3), or a legacy
+    format-1 file.
 
-    Raises ModelVersionError on a bad header, ModelTruncatedError when
-    the file ends early, and ModelDimensionError when any section
-    disagrees with the declared label or attribute counts.  Any other
-    malformed content raises ModelFormatError, among it a weight that
-    is `nan` or infinite, a block that is not base64, and two state
-    weight lines for the same (attribute, tag) pair.  The text sections
-    of formats 1 and 2 are read line by line, and the error is that of
-    the first fault in file order.
+    Raises ModelVersionError on a bad header or any other version (2
+    among them), ModelTruncatedError when the file ends early, and
+    ModelDimensionError when any section disagrees with the declared
+    label or attribute counts.  Any other malformed content raises
+    ModelFormatError, among it a weight that is `nan` or infinite, a
+    block that is not base64, and two state weight lines for the same
+    (attribute, tag) pair.  The text sections of format 1 are read line
+    by line, and the error is that of the first fault in file order.
     """
     reader = _Reader(stream)
     header = reader.next_line("header").split(" ")
     if len(header) != 2 or header[0] != _FORMAT_MAGIC:
         raise ModelVersionError("not a recognized model file")
     version = header[1]
-    if version not in ("1", "2", "3"):
+    if version not in ("1", "3"):
         raise ModelVersionError(f"unsupported model format version {version!r}")
     label_parts = reader.next_line("label list").split("\t")
     if label_parts[0] != "labels" or len(label_parts) < 2:
@@ -1568,12 +1534,10 @@ def load_model(stream: IO[str]) -> CrfModel:
     radius = feature_config.window_radius
     if version == "1":
         index, by_name = _read_names(reader, n_features, radius)
-    else:
-        index, by_name = _read_table(reader, n_features, radius, version), None
-    if version == "3":
-        state = _read_state_block(reader, n_features, n_labels)
-    else:
         state = _read_weight_lines(reader, alphabet, n_features, by_name)
+    else:
+        index = _read_table(reader, n_features, radius)
+        state = _read_state_block(reader, n_features, n_labels)
     return CrfModel(
         alphabet=alphabet,
         index=index,

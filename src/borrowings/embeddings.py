@@ -1,9 +1,10 @@
 """Word embedding tables in the word2vec text format.
 
 Each line holds a word followed by its vector components, whitespace
-separated.  An optional first line giving `count dimension` is
-recognized and skipped.  Lookups fall back from the exact surface form
-to its lowercase form, and to a zero vector for unknown words.
+separated, at most `MAX_DIM` of them.  An optional first line giving
+`count dimension` is recognized and skipped.  Lookups fall back from
+the exact surface form to its lowercase form, and to a zero vector for
+unknown words.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ import numpy as np
 
 from .errors import ValidationError
 
+# The most components a vector may have.  The dimension sets how many
+# attribute entries the encoder builds for every centre cell, so one
+# long line would size every encoding: with a one-line table of 2,000
+# components, encoding a training corpus of 257 token types peaked at
+# 29 MB under tracemalloc, growing linearly with the dimension.
+MAX_DIM = 1024
 
 @dataclass(eq=False)
 class EmbeddingTable:
@@ -44,16 +51,12 @@ class EmbeddingTable:
         return vec if vec is not None else self._zero
 
 
-def load_embeddings(
-    stream: IO[str],
-    name: str = "embeddings",
-    expected_dim: int | None = None,
-) -> EmbeddingTable:
+def load_embeddings(stream: IO[str], name: str = "embeddings") -> EmbeddingTable:
     """Read a word2vec-text table, dropping repeats of an earlier word.
 
-    The dimension is fixed by the first vector line; ragged lines,
-    non-numeric or non-finite components, and a mismatch against
-    `expected_dim` all raise ValidationError with the line number.
+    The dimension is fixed by the first vector line; more than `MAX_DIM`
+    components on it, ragged lines, and non-numeric or non-finite
+    components all raise ValidationError with the line number.
     Components are parsed line by line into one flat buffer, and the
     vectors are read-only rows of one matrix.
     """
@@ -82,9 +85,9 @@ def load_embeddings(
             fail(lineno, "expected word and vector")
         word = parts[0]
         if dim is None:
+            if len(parts) - 1 > MAX_DIM:
+                fail(lineno, f"{len(parts) - 1} components, more than {MAX_DIM}")
             dim = len(parts) - 1
-            if expected_dim is not None and dim != expected_dim:
-                fail(lineno, f"dimension {dim} does not match expected {expected_dim}")
         elif len(parts) - 1 != dim:
             fail(lineno, f"expected {dim} components, got {len(parts) - 1}")
         if word in words:

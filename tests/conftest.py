@@ -8,10 +8,12 @@ the one-cell-per-token encoding of attribute dicts
 (`encode_attributes`), and scoring, log Z and Viterbi of one attribute
 sequence (`score_sequence`, `log_partition`, `viterbi`).  The writers
 of model formats 1 and 2 (`save_model_v1`, `save_model_v2`), which
-`save_model` no longer writes, make the old files the loader still
-reads.  `reference_minimize` is the OWL-QN loop that built Andrew and
-Gao's orthant vector and kept a spare curvature pair, which
-`optim.minimize` must match bit for bit.
+`save_model` no longer writes, make the format-1 files the loader still
+reads, and the format-2 text that pinned digests hash and no reader
+loads.  `repair_bio` rewrites a tag sequence tag by tag into the one
+`bio_to_spans` decodes.  `reference_minimize` is the OWL-QN loop that
+built Andrew and Gao's orthant vector and kept a spare curvature pair,
+which `optim.minimize` must match bit for bit.
 
 The synthetic corpus is deterministic given a seed and perfectly
 separable: every borrowing-initial token ends in the sentinel suffix
@@ -746,7 +748,8 @@ def save_model_v2(model: CrfModel, stream) -> None:
     """The version-2 model file writer, kept as an oracle: each base
     name's row of ids as a line of tab-separated integers, and one
     `id<TAB>tag<TAB>weight` line per nonzero state weight.  Its digests
-    pin the weights bit for bit across format changes."""
+    pin the weights bit for bit across format changes; `load_model` no
+    longer reads its files."""
     n_features = model.n_features
     width = model.index.ids.shape[1]
     radius = model.feature_config.window_radius
@@ -784,6 +787,22 @@ def save_model_v2(model: CrfModel, stream) -> None:
         "end_of_model",
     ]
     stream.write("\n".join(lines) + "\n")
+
+
+def repair_bio(tags) -> list[str]:
+    """The tag-by-tag BIO repair, kept as an oracle for `bio_to_spans`:
+    each I-X tag lacking an X predecessor is rewritten as B-X, so the
+    result is `spans_to_bio` of the spans `bio_to_spans` decodes."""
+    repaired: list[str] = []
+    prev_label = None
+    for tag in tags:
+        if tag not in FULL_ALPHABET.tags:
+            raise ValidationError(f"unknown tag {tag!r}")
+        if tag.startswith("I-") and prev_label != tag[2:]:
+            tag = "B-" + tag[2:]
+        prev_label = None if tag == "O" else tag[2:]
+        repaired.append(tag)
+    return repaired
 
 
 def full_model(model: CrfModel, corpus: Corpus) -> CrfModel:

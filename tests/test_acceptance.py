@@ -23,7 +23,6 @@ from borrowings.corpus import (
     bio_to_spans,
     corpus_stats,
     read_corpus,
-    repair_bio,
     spans_to_bio,
     write_corpus,
 )
@@ -45,6 +44,7 @@ from conftest import (
     dp_best_path_min_index,
     log_partition,
     model_from_matrices,
+    repair_bio,
     synthetic_corpus,
     viterbi,
 )

@@ -16,6 +16,7 @@ from borrowings import cli
 from borrowings.cli import RunConfig, run
 from borrowings.corpus import read_corpus, write_corpus
 from borrowings.crf import TrainConfig
+from borrowings.embeddings import MAX_DIM
 from borrowings.errors import ConfigError, ValidationError
 from borrowings.features import FeatureConfig
 from conftest import (
@@ -826,6 +827,31 @@ class TestEmbeddingsFlow:
         assert run([*argv, "--embeddings", str(table_file)]) == 0
         assert pred.is_file()
         capsys.readouterr()
+
+    def test_a_table_wider_than_the_bound_is_refused(
+        self, corpora, tmp_path, capsys, table_file
+    ):
+        wide = tmp_path / "wide.vec"
+        wide.write_text("casa" + " 0.5" * (MAX_DIM + 1) + "\n", encoding="utf-8")
+        refused = f"line 1: {MAX_DIM + 1} components, more than {MAX_DIM}"
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(
+            f"train_corpus = {corpora / 'train.tsv'}\n"
+            f"embedding = true\n"
+            f"max_iterations = 15\n",
+            encoding="utf-8",
+        )
+        model = tmp_path / "emb.crf"
+        train = ["train", "-c", str(cfg), "-o", str(model), "--embeddings"]
+        assert run([*train, str(wide)]) == 1
+        assert refused in capsys.readouterr().err
+        assert not model.exists()
+        assert run([*train, str(table_file)]) == 0
+        pred = tmp_path / "pred.tsv"
+        argv = ["tag", "-m", str(model), str(corpora / "apply.tsv"), "-o", str(pred)]
+        assert run([*argv, "--embeddings", str(wide)]) == 1
+        assert refused in capsys.readouterr().err
+        assert not pred.exists()
 
 
 FEED = """<?xml version='1.0' encoding='utf-8'?>

@@ -21,7 +21,6 @@ from borrowings.corpus import (
     corpus_stats,
     read_corpus,
     render_stats,
-    repair_bio,
     spans_to_bio,
     tokenize,
     validate_spans,
@@ -29,7 +28,13 @@ from borrowings.corpus import (
     write_corpus,
 )
 from borrowings.errors import ValidationError
-from conftest import line_mutations, mutate, open_vocabulary_corpus, read_corpus_oracle
+from conftest import (
+    line_mutations,
+    mutate,
+    open_vocabulary_corpus,
+    read_corpus_oracle,
+    repair_bio,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -110,8 +115,8 @@ class TestBioCodec:
             bio_to_spans(["O", "B-FRA"])
 
     def test_repair_rejects_unknown_tag(self):
-        with pytest.raises(ValidationError, match="unknown tag"):
-            repair_bio(["X"])
+        with pytest.raises(ValidationError, match="unknown tag 'X'"):
+            bio_to_spans(["X"])
 
 
 def span_sets(max_length=12, max_spans=5):

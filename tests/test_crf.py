@@ -1207,11 +1207,12 @@ def test_pinned_model_bytes(c1, c2):
     assert sha256_of_text(save_model_v2, model) == PINNED_ACTIVE_MODEL_DIGESTS[c1, c2]
     assert sha256_of_text(save_model, full) == PINNED_V3_MODEL_DIGESTS[c1, c2]
     assert sha256_of_text(save_model, model) == PINNED_V3_ACTIVE_MODEL_DIGESTS[c1, c2]
-    # The three files of a model load to the same arrays, bit for bit.
+    # The version-1 and version-3 files of a model load to the same
+    # arrays, bit for bit.
     for kept in (full, model):
         v3 = load_model(io.StringIO(saved_text(save_model, kept)))
-        for write in (save_model_v1, save_model_v2):
-            assert_same_model(load_model(io.StringIO(saved_text(write, kept))), v3)
+        v1 = load_model(io.StringIO(saved_text(save_model_v1, kept)))
+        assert_same_model(v1, v3)
 
 
 # sha256 of the version-2 text of a fit whose entry values are not all
@@ -1324,18 +1325,11 @@ class TestActiveAttributes:
         assert saved_text(save_model, loaded) == text
 
 
-# The writers of the two text formats: state weight lines keyed by
-# attribute name (version 1) and by attribute id (version 2).
-LEGACY_WRITERS = (save_model_v1, save_model_v2)
-
-
 class TestPersistence:
     """Round trips through `save_model` (version 3), and faults in the
-    sections every version shares, in its files and in version-2 files
-    (`save_model_v2`).  Faults in state weight lines are checked in
-    version-1 and version-2 files (`LEGACY_WRITERS`), whose lines are
-    keyed by attribute name and by attribute id, and faults in blocks in
-    `TestVersion3Blocks`."""
+    sections both versions share.  Faults in state weight lines are
+    checked in version-1 files (`save_model_v1`), whose lines are keyed
+    by attribute name, and faults in blocks in `TestVersion3Blocks`."""
 
     def roundtrip(self, model, write=save_model):
         text = saved_text(write, model)
@@ -1370,15 +1364,20 @@ class TestPersistence:
 
     def test_unsupported_version(self, trained):
         text, _ = self.roundtrip(trained)
-        bumped = text.replace("borrowings-crf 3", "borrowings-crf 4", 1)
-        assert bumped != text
-        with pytest.raises(ModelVersionError, match="version"):
-            load_model(io.StringIO(bumped))
+        for version in ("2", "4"):
+            bumped = text.replace("borrowings-crf 3", f"borrowings-crf {version}", 1)
+            assert bumped != text
+            unsupported = f"unsupported model format version '{version}'"
+            with pytest.raises(ModelVersionError, match=unsupported):
+                load_model(io.StringIO(bumped))
+        # Nor does the version-2 writer's own text load.
+        with pytest.raises(ModelVersionError, match="version '2'"):
+            load_model(io.StringIO(saved_text(save_model_v2, trained)))
 
     def test_truncated_file(self, trained):
         # Dropping whole trailing lines leaves every remaining line
         # intact, so the loader must report a clean early EOF.
-        for write in (save_model, *LEGACY_WRITERS):
+        for write in (save_model, save_model_v1):
             text, _ = self.roundtrip(trained, write)
             lines = text.splitlines(keepends=True)
             for keep in (2, len(lines) // 4, len(lines) // 2, len(lines) - 1):
@@ -1386,15 +1385,14 @@ class TestPersistence:
                     load_model(io.StringIO("".join(lines[:keep])))
 
     def test_midline_cut_is_a_format_error(self, trained):
-        for write in LEGACY_WRITERS:
-            text, _ = self.roundtrip(trained, write)
-            lines = text.splitlines(keepends=True)
-            header_at = next(
-                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-            )
-            half = lines[header_at + 1][: len(lines[header_at + 1]) // 2]
-            with pytest.raises(ModelFormatError):
-                load_model(io.StringIO("".join(lines[: header_at + 1]) + half))
+        text = saved_text(save_model_v1, trained)
+        lines = text.splitlines(keepends=True)
+        header_at = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        )
+        half = lines[header_at + 1][: len(lines[header_at + 1]) // 2]
+        with pytest.raises(ModelFormatError):
+            load_model(io.StringIO("".join(lines[: header_at + 1]) + half))
 
     def test_end_inside_attribute_names_is_truncation(self, trained):
         text = saved_text(save_model_v1, trained)
@@ -1445,15 +1443,13 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="duplicate attribute names"):
             load_model(io.StringIO("\n".join(lines)))
 
-    def test_v1_file_loads_to_the_model_of_its_v2_resave(self, trained):
-        v1 = load_model(io.StringIO(saved_text(save_model_v1, trained)))
-        v2_text, v2 = self.roundtrip(trained, save_model_v2)
+    def test_v1_file_loads_to_the_model_of_its_v3_resave(self, trained):
+        v1_text, v1 = self.roundtrip(trained, save_model_v1)
         text, v3 = self.roundtrip(trained)
-        assert_same_model(v1, v2)
         assert_same_model(v1, v3)
-        # Every version saves as version 3.
-        assert saved_text(save_model, v1) == saved_text(save_model, v2) == text
-        assert saved_text(save_model_v2, v1) == v2_text
+        # A version-1 file saves as version 3.
+        assert saved_text(save_model, v1) == text
+        assert saved_text(save_model_v1, v3) == v1_text
 
     def test_a_model_without_attributes_round_trips(self, trained):
         empty = dataclasses.replace(
@@ -1463,8 +1459,8 @@ class TestPersistence:
         assert "base_names\t0\nattribute_ids\n\nstate_weights\n\nend_of_model\n" in text
         assert loaded.n_features == 0
         assert self.roundtrip(loaded)[0] == text
-        v2_text, loaded = self.roundtrip(empty, save_model_v2)
-        assert "base_names\t0\nattribute_ids\nstate_weights\t0\n" in v2_text
+        v1_text, loaded = self.roundtrip(empty, save_model_v1)
+        assert "attribute_names\nstate_weights\t0\n" in v1_text
         assert saved_text(save_model, loaded) == text
 
     def test_a_window_mismatch_cannot_be_saved(self, trained):
@@ -1476,72 +1472,68 @@ class TestPersistence:
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section", ["start", "end", "transitions", "state"])
     def test_non_finite_weights_rejected(self, trained, section, weight):
-        for write in LEGACY_WRITERS:
-            text, _ = self.roundtrip(trained, write)
-            lines = text.splitlines(keepends=True)
-            if section == "state":
-                at = next(
-                    i for i, line in enumerate(lines)
-                    if line.startswith("state_weights\t")
-                ) + 1
-            elif section == "transitions":
-                at = lines.index("transitions\n") + 1
-            else:
-                at = next(
-                    i for i, line in enumerate(lines) if line.startswith(section + "\t")
-                )
-            fields = lines[at].rstrip("\n").split("\t")
-            fields[-1] = weight
-            lines[at] = "\t".join(fields) + "\n"
-            with pytest.raises(ModelFormatError, match="non-finite"):
-                load_model(io.StringIO("".join(lines)))
+        text = saved_text(save_model_v1, trained)
+        lines = text.splitlines(keepends=True)
+        if section == "state":
+            at = next(
+                i for i, line in enumerate(lines)
+                if line.startswith("state_weights\t")
+            ) + 1
+        elif section == "transitions":
+            at = lines.index("transitions\n") + 1
+        else:
+            at = next(
+                i for i, line in enumerate(lines) if line.startswith(section + "\t")
+            )
+        fields = lines[at].rstrip("\n").split("\t")
+        fields[-1] = weight
+        lines[at] = "\t".join(fields) + "\n"
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load_model(io.StringIO("".join(lines)))
 
     def test_repeated_state_weight_line_rejected(self, trained):
-        for write in LEGACY_WRITERS:
-            text, _ = self.roundtrip(trained, write)
-            lines = text.splitlines(keepends=True)
-            first = next(
-                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-            ) + 1
-            name, tag_name, _ = lines[first].split("\t")
-            # The count still matches: the second line now repeats the first
-            # line's (attribute, tag) pair with another weight.
-            lines[first + 1] = f"{name}\t{tag_name}\t0.5\n"
-            with pytest.raises(ModelFormatError, match="repeated state weight"):
-                load_model(io.StringIO("".join(lines)))
+        text = saved_text(save_model_v1, trained)
+        lines = text.splitlines(keepends=True)
+        first = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        ) + 1
+        name, tag_name, _ = lines[first].split("\t")
+        # The count still matches: the second line now repeats the first
+        # line's (attribute, tag) pair with another weight.
+        lines[first + 1] = f"{name}\t{tag_name}\t0.5\n"
+        with pytest.raises(ModelFormatError, match="repeated state weight"):
+            load_model(io.StringIO("".join(lines)))
 
     def test_missing_trailer_is_truncation(self, trained):
-        for write in (save_model, *LEGACY_WRITERS):
+        for write in (save_model, save_model_v1):
             text, _ = self.roundtrip(trained, write)
             trimmed = text[: text.rindex("end_of_model")]
             with pytest.raises(ModelTruncatedError):
                 load_model(io.StringIO(trimmed))
 
     def test_fewer_state_weights_than_declared(self, trained):
-        for write in LEGACY_WRITERS:
-            text, _ = self.roundtrip(trained, write)
-            lines = text.splitlines(keepends=True)
-            header_at = next(
-                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-            )
-            # With two lines missing the file also ends early; the missing
-            # lines are still reported first, as end_of_model comes before EOF.
-            for missing in (1, 2):
-                cut = lines[: header_at + 1] + lines[header_at + 1 + missing :]
-                with pytest.raises(ModelDimensionError, match="fewer state weight"):
-                    load_model(io.StringIO("".join(cut)))
+        text = saved_text(save_model_v1, trained)
+        lines = text.splitlines(keepends=True)
+        header_at = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        )
+        # With two lines missing the file also ends early; the missing
+        # lines are still reported first, as end_of_model comes before EOF.
+        for missing in (1, 2):
+            cut = lines[: header_at + 1] + lines[header_at + 1 + missing :]
+            with pytest.raises(ModelDimensionError, match="fewer state weight"):
+                load_model(io.StringIO("".join(cut)))
 
     def test_extra_state_weights_rejected(self, trained):
-        for write in LEGACY_WRITERS:
-            text, _ = self.roundtrip(trained, write)
-            lines = text.splitlines(keepends=True)
-            header_at = next(
-                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-            )
-            # The surplus line repeats the next one: the surplus is reported.
-            lines.insert(header_at + 1, lines[header_at + 1])
-            with pytest.raises(ModelDimensionError, match="more state weight"):
-                load_model(io.StringIO("".join(lines)))
+        text = saved_text(save_model_v1, trained)
+        lines = text.splitlines(keepends=True)
+        header_at = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        )
+        # The surplus line repeats the next one: the surplus is reported.
+        lines.insert(header_at + 1, lines[header_at + 1])
+        with pytest.raises(ModelDimensionError, match="more state weight"):
+            load_model(io.StringIO("".join(lines)))
 
     def test_transition_row_dimension_error(self, trained):
         text, _ = self.roundtrip(trained)
@@ -1552,29 +1544,27 @@ class TestPersistence:
             load_model(io.StringIO("".join(lines)))
 
     def test_unknown_attribute_in_weights(self, trained):
-        for write in LEGACY_WRITERS:
-            text, _ = self.roundtrip(trained, write)
-            lines = text.splitlines(keepends=True)
-            header_at = next(
-                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-            )
-            weight = lines[header_at + 1].split("\t")
-            weight[0] = "no-such-attribute"
-            lines[header_at + 1] = "\t".join(weight)
-            with pytest.raises(ModelDimensionError, match="unknown attribute"):
-                load_model(io.StringIO("".join(lines)))
+        text = saved_text(save_model_v1, trained)
+        lines = text.splitlines(keepends=True)
+        header_at = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        )
+        weight = lines[header_at + 1].split("\t")
+        weight[0] = "no-such-attribute"
+        lines[header_at + 1] = "\t".join(weight)
+        with pytest.raises(ModelDimensionError, match="unknown attribute"):
+            load_model(io.StringIO("".join(lines)))
 
     def test_unknown_tag_in_weights(self, trained):
-        for write in LEGACY_WRITERS:
-            text, _ = self.roundtrip(trained, write)
-            lines = text.splitlines(keepends=True)
-            first = next(
-                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-            ) + 1
-            name, _, weight = lines[first].split("\t")
-            lines[first] = f"{name}\tB-XYZ\t{weight}"
-            with pytest.raises(ModelDimensionError, match="unknown tag 'B-XYZ'"):
-                load_model(io.StringIO("".join(lines)))
+        text = saved_text(save_model_v1, trained)
+        lines = text.splitlines(keepends=True)
+        first = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        ) + 1
+        name, _, weight = lines[first].split("\t")
+        lines[first] = f"{name}\tB-XYZ\t{weight}"
+        with pytest.raises(ModelDimensionError, match="unknown tag 'B-XYZ'"):
+            load_model(io.StringIO("".join(lines)))
 
     @pytest.mark.parametrize(
         "faults, error",
@@ -1594,21 +1584,20 @@ class TestPersistence:
     def test_state_weight_faults_are_reported_in_file_order(
         self, trained, faults, error
     ):
-        for write in LEGACY_WRITERS:
-            text, _ = self.roundtrip(trained, write)
-            lines = text.split("\n")
-            header_at = next(
-                i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-            )
-            for offset, field, value in faults:
-                fields = lines[header_at + offset].split("\t")
-                if field is None:
-                    fields = [value]
-                else:
-                    fields[field] = value
-                lines[header_at + offset] = "\t".join(fields)
-            with pytest.raises(ModelFormatError, match=error):
-                load_model(io.StringIO("\n".join(lines)))
+        text = saved_text(save_model_v1, trained)
+        lines = text.split("\n")
+        header_at = next(
+            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
+        )
+        for offset, field, value in faults:
+            fields = lines[header_at + offset].split("\t")
+            if field is None:
+                fields = [value]
+            else:
+                fields[field] = value
+            lines[header_at + offset] = "\t".join(fields)
+        with pytest.raises(ModelFormatError, match=error):
+            load_model(io.StringIO("\n".join(lines)))
 
     @pytest.mark.parametrize(
         "field, corrupted",
@@ -1645,13 +1634,13 @@ class TestPersistence:
             load_model(io.StringIO("\n".join(lines)))
 
     def test_l1_model_files_stay_small(self, small_corpus_module):
-        # Sparse models persist only their nonzero weights in version 2,
+        # Sparse models persist only their nonzero weights in version 1,
         # and only the rows of their active attributes in version 3.
         sparse = train(
             small_corpus_module, FeatureConfig(), None,
             TrainConfig(c1=1.0, max_iterations=60),
         )
-        text = saved_text(save_model_v2, sparse)
+        text = saved_text(save_model_v1, sparse)
         declared = next(
             line for line in text.splitlines() if line.startswith("state_weights\t")
         )
@@ -1672,29 +1661,19 @@ def assert_same_model(a, b):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
-def v2_sections(text):
-    """The file's lines, and where its base names and its id rows start."""
-    lines = text.split("\n")
-    at = next(i for i, line in enumerate(lines) if line.startswith("base_names\t"))
-    n_bases = int(lines[at].split("\t")[1])
-    assert lines[at + n_bases + 1] == "attribute_ids"
-    return lines, at + 1, at + n_bases + 2
+class TestVersion2Text:
+    """The version-2 writer (`save_model_v2`), whose text pinned digests
+    hash and no reader loads: each base name's row of ids as a line of
+    integers."""
 
-
-class TestVersion2Faults:
-    """Faults in the base-name table of a version-2 file raise their
-    documented error, for the first fault in file order."""
-
-    @pytest.fixture
-    def text(self, trained):
-        return saved_text(save_model_v2, trained)
-
-    def test_layout(self, text, trained):
-        lines, bases_at, rows_at = v2_sections(text)
+    def test_layout(self, trained):
+        lines = saved_text(save_model_v2, trained).split("\n")
         assert lines[0] == "borrowings-crf 2"
         assert f"attributes\t{trained.n_features}" in lines
-        n_bases = rows_at - bases_at - 1
-        rows = lines[rows_at : rows_at + n_bases]
+        at = next(i for i, line in enumerate(lines) if line.startswith("base_names\t"))
+        n_bases = int(lines[at].split("\t")[1])
+        assert lines[at + n_bases + 1] == "attribute_ids"
+        rows = lines[at + n_bases + 2 : at + 2 * n_bases + 2]
         ids = np.array([row.split("\t") for row in rows], dtype=np.int64)
         assert ids.shape == (n_bases, 5)
         assert np.array_equal(np.sort(ids[ids >= 0]), np.arange(trained.n_features))
@@ -1702,88 +1681,40 @@ class TestVersion2Faults:
         first = np.where(ids >= 0, ids, trained.n_features).min(axis=1)
         assert np.all(np.diff(first) > 0)
         names = trained.index.names()
-        for base, row in zip(lines[bases_at:rows_at - 1], ids.tolist()):
+        for base, row in zip(lines[at + 1 : at + n_bases + 1], ids.tolist()):
             for slot, i in enumerate(row):
                 if i >= 0:
                     assert names[i] == offset_prefix(slot - 2) + base
 
-    @pytest.mark.parametrize("section", ["bases", "rows"])
-    def test_end_inside_a_section_is_truncation(self, text, section):
-        lines, bases_at, rows_at = v2_sections(text)
-        start = bases_at if section == "bases" else rows_at
-        for keep in (start, start + 1):
+
+class TestBaseNames:
+    """Faults in the base-name section of a version-3 file raise their
+    documented error."""
+
+    @pytest.fixture
+    def sections(self, trained):
+        """The file's lines, and where its base names start."""
+        lines = saved_text(save_model, trained).split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("base_names\t"))
+        return lines, at + 1
+
+    def test_end_inside_the_base_names_is_truncation(self, sections):
+        lines, bases_at = sections
+        for keep in (bases_at, bases_at + 1):
             with pytest.raises(ModelTruncatedError):
                 load_model(io.StringIO("\n".join(lines[:keep])))
 
     @pytest.mark.parametrize("count", ["100000", str(10**20)])
-    def test_more_attributes_than_table_cells(self, text, count):
-        lines = text.split("\n")
+    def test_more_attributes_than_table_cells(self, sections, count):
+        lines, _ = sections
         lines[2] = f"attributes\t{count}"
         with pytest.raises(ModelDimensionError, match="do not fit"):
             load_model(io.StringIO("\n".join(lines)))
 
-    def test_repeated_base_name(self, text):
-        lines, bases_at, _ = v2_sections(text)
+    def test_repeated_base_name(self, sections):
+        lines, bases_at = sections
         lines[bases_at + 3] = lines[bases_at + 1]
         with pytest.raises(ModelFormatError, match="repeated base name"):
-            load_model(io.StringIO("\n".join(lines)))
-
-    @pytest.mark.parametrize(
-        "edits, error",
-        [
-            # (row, field, value) edits of the id rows; field None
-            # replaces the whole row.
-            ([(1, None, "0\t-1\t-1\t-1")], "expected 5 ids, got 4"),
-            ([(1, None, "0\t-1\t-1\t-1\t-1\t-1")], "expected 5 ids, got 6"),
-            ([(2, 1, "x")], "non-integer attribute id 'x'"),
-            ([(2, 1, "1.0")], "non-integer attribute id"),
-            ([(2, 1, "+1")], "non-integer attribute id"),
-            ([(2, 1, " 1")], "non-integer attribute id"),
-            ([(2, 1, "")], "non-integer attribute id"),
-            ([(2, 1, "-")], "non-integer attribute id"),
-            ([(2, 1, "1-2")], "non-integer attribute id"),
-            ([(2, 1, "9" * 19)], "non-integer attribute id"),
-            ([(2, 1, "N_FEATURES")], "not a permutation"),
-            ([(2, 1, "-2")], "not a permutation"),
-            ([(2, 4, "FIRST_ID")], "not a permutation"),
-            ([(0, 0, "-1")], "not a permutation.*missing"),
-            # The first fault in file order wins.
-            ([(1, 2, "x"), (3, None, "0")], "non-integer attribute id"),
-            ([(1, None, "0"), (3, 2, "x")], "expected 5 ids"),
-            ([(1, 1, "N_FEATURES"), (3, 2, "x")], "not a permutation"),
-            ([(1, 1, "x"), (3, 1, "N_FEATURES")], "non-integer attribute id"),
-            ([(2, 0, "N_FEATURES"), (2, 2, "x")], "not a permutation"),
-            ([(2, 0, "x"), (2, 2, "N_FEATURES")], "non-integer attribute id"),
-        ],
-    )
-    def test_id_table_faults(self, text, trained, edits, error):
-        lines, bases_at, rows_at = v2_sections(text)
-        first_id = lines[rows_at].split("\t")[0]
-        for row, field, value in edits:
-            value = value.replace("N_FEATURES", str(trained.n_features))
-            value = value.replace("FIRST_ID", first_id)
-            if field is None:
-                lines[rows_at + row] = value
-            else:
-                fields = lines[rows_at + row].split("\t")
-                fields[field] = value
-                lines[rows_at + row] = "\t".join(fields)
-        shape_fault = "expected 5 ids" in error
-        with pytest.raises(
-            ModelDimensionError if shape_fault else ModelFormatError, match=error
-        ):
-            load_model(io.StringIO("\n".join(lines)))
-
-    @pytest.mark.parametrize("key", ["N_FEATURES", "-1", "x", "1.5", ""])
-    def test_weight_line_for_an_id_out_of_range(self, text, trained, key):
-        lines = text.split("\n")
-        at = next(
-            i for i, line in enumerate(lines) if line.startswith("state_weights\t")
-        )
-        fields = lines[at + 2].split("\t")
-        fields[0] = key.replace("N_FEATURES", str(trained.n_features))
-        lines[at + 2] = "\t".join(fields)
-        with pytest.raises(ModelDimensionError, match="unknown attribute"):
             load_model(io.StringIO("\n".join(lines)))
 
 
@@ -1930,9 +1861,9 @@ class TestVersion3Blocks:
         assert loaded.index.names() == model.index.names()
         assert loaded.state.flags.writeable and loaded.index.ids.flags.writeable
         assert saved_text(save_model, loaded) == text
-        # The version-2 file of the model loads to the same arrays.
-        v2 = load_model(io.StringIO(saved_text(save_model_v2, model)))
-        assert_same_model(v2, loaded)
+        # The version-1 file of the model loads to the same arrays.
+        v1 = load_model(io.StringIO(saved_text(save_model_v1, model)))
+        assert_same_model(v1, loaded)
 
     def test_negative_zero_is_written_as_positive_zero(self, trained):
         model = dataclasses.replace(trained, state=trained.state.copy())
@@ -2028,7 +1959,7 @@ class TestVersion3Blocks:
         if id_fault is weight_fault is None and not swapped:
             assert_same_model(
                 load_model(io.StringIO("\n".join(lines))),
-                load_model(io.StringIO(saved_models[f"{kind}-v2"])),
+                load_model(io.StringIO(saved_models[f"{kind}-v1"])),
             )
             return
         with pytest.raises(ModelFormatError) as raised:
@@ -2047,28 +1978,25 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 CANARY = BENCHMARKS / "canary.crf"
 
 
-def test_canary_v1_file_loads_to_the_model_of_its_v2_resave():
+def test_canary_v1_file_loads_to_the_model_of_its_v3_resave():
     text = CANARY.read_text(encoding="utf-8")
     assert text.startswith("borrowings-crf 1\n")
     v1 = load_model(io.StringIO(text))
-    v2 = load_model(io.StringIO(saved_text(save_model_v2, v1)))
     v3_text = saved_text(save_model, v1)
     assert v3_text.startswith("borrowings-crf 3\n")
     v3 = load_model(io.StringIO(v3_text))
-    assert_same_model(v1, v2)
     assert_same_model(v1, v3)
     # The version-1 oracle writes the canary back byte for byte.
-    assert saved_text(save_model_v1, v2) == text
     assert saved_text(save_model_v1, v3) == text
     feed = open_vocabulary_corpus(60, seed=17)
-    assert tag(v1, feed) == tag(v2, feed) == tag(v3, feed)
+    assert tag(v1, feed) == tag(v3, feed)
 
 
 @pytest.fixture(scope="module")
 def saved_models():
     """`save_model` (version-3) text of a sparse (c1 = 0.05) and a dense
-    (c1 = 0) fit to an open-vocabulary corpus, and their version-1 and
-    version-2 renderings (`sparse-v1`, `dense-v2`, ...)."""
+    (c1 = 0) fit to an open-vocabulary corpus, and their version-1
+    renderings (`sparse-v1`, `dense-v1`)."""
     corpus = open_vocabulary_corpus(30, seed=4)
     texts = {}
     for kind, c1 in (("sparse", 0.05), ("dense", 0.0)):
@@ -2080,11 +2008,10 @@ def saved_models():
         )
         texts[kind] = saved_text(save_model, model)
         texts[f"{kind}-v1"] = saved_text(save_model_v1, model)
-        texts[f"{kind}-v2"] = saved_text(save_model_v2, model)
     return texts
 
 
-KINDS = ["sparse", "dense", "sparse-v1", "dense-v1", "sparse-v2", "dense-v2"]
+KINDS = ["sparse", "dense", "sparse-v1", "dense-v1"]
 
 
 # Field values a corrupted model file may hold.
@@ -2116,22 +2043,19 @@ def benchmark_feeds(tmp_path_factory):
 class TestCorruptedModelFiles:
     @pytest.mark.parametrize("kind", KINDS)
     def test_unmutated_files_round_trip_byte_for_byte(self, saved_models, kind):
-        # A version-1 or version-2 file saves as the version-3 file of
-        # its model.
+        # A version-1 file saves as the version-3 file of its model.
         text = saved_models[kind]
         again = io.StringIO()
         save_model(load_model(io.StringIO(text)), again)
         assert again.getvalue() == saved_models[kind.split("-")[0]]
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    def test_v1_renderings_load_and_tag_as_their_v2_files(self, saved_models, kind):
+    def test_v1_renderings_load_and_tag_as_their_v3_files(self, saved_models, kind):
         v1 = load_model(io.StringIO(saved_models[f"{kind}-v1"]))
-        v2 = load_model(io.StringIO(saved_models[f"{kind}-v2"]))
         v3 = load_model(io.StringIO(saved_models[kind]))
-        assert_same_model(v1, v2)
         assert_same_model(v1, v3)
         feed = open_vocabulary_corpus(40, seed=8)
-        assert tagged_text(v1, feed) == tagged_text(v2, feed) == tagged_text(v3, feed)
+        assert tagged_text(v1, feed) == tagged_text(v3, feed)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("radius", [17, 1000])
@@ -2165,7 +2089,7 @@ class TestCorruptedModelFiles:
             assert tagged_text(model, feed) == tagged_text(trained, feed)
 
     def test_the_dense_model_has_tens_of_thousands_of_weight_lines(self, saved_models):
-        declared = re.search(r"^state_weights\t(\d+)$", saved_models["dense-v2"], re.M)
+        declared = re.search(r"^state_weights\t(\d+)$", saved_models["dense-v1"], re.M)
         assert int(declared[1]) >= 20_000
 
     @pytest.mark.parametrize("kind", KINDS)

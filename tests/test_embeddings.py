@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from borrowings.corpus import Headline, Token
-from borrowings.embeddings import EmbeddingTable, load_embeddings
+from borrowings.embeddings import MAX_DIM, EmbeddingTable, load_embeddings
 from borrowings.errors import ValidationError
 from borrowings.features import FeatureConfig, windowed_attributes
 from conftest import line_mutations, mutate
 
 
-def load(text, **kwargs):
-    return load_embeddings(io.StringIO(text), **kwargs)
+def load(text):
+    return load_embeddings(io.StringIO(text))
 
 
 class TestLoad:
@@ -58,12 +58,22 @@ class TestLoad:
         table = load("casa 0.1 0.2\nperro 0.3 0.4\n")
         assert not any(vec.flags.writeable for vec in table.vectors.values())
 
-    def test_expected_dim_mismatch(self):
-        with pytest.raises(ValidationError, match="does not match expected 3"):
-            load("casa 0.1 0.2\n", expected_dim=3)
+    def test_the_dimension_is_bounded(self):
+        def line(word, dim):
+            return word + " 0.5" * dim + "\n"
 
-    def test_expected_dim_accepts_match(self):
-        assert load("casa 0.1 0.2\n", expected_dim=2).dim == 2
+        table = load(line("casa", MAX_DIM) + line("perro", MAX_DIM))
+        assert table.dim == MAX_DIM and len(table) == 2
+        # Refused at the first vector line, whichever line that is.
+        for text, lineno in (
+            (line("casa", MAX_DIM + 1), 1),
+            (f"\n2 {MAX_DIM + 1}\n" + line("casa", MAX_DIM + 1) + line("perro", 1), 3),
+        ):
+            with pytest.raises(
+                ValidationError,
+                match=f"line {lineno}: {MAX_DIM + 1} components, more than {MAX_DIM}",
+            ):
+                load(text)
 
     def test_duplicates_keep_first(self):
         table = load("casa 1 1\ncasa 2 2\n")
@@ -147,14 +157,13 @@ class TestCorruptedTables:
             min_size=1,
             max_size=3,
         ),
-        expected_dim=st.sampled_from([None, 3]),
     )
-    def test_only_validation_errors_are_raised(self, mutations, expected_dim):
+    def test_only_validation_errors_are_raised(self, mutations):
         text = TABLE_TEXT
         for mutation in mutations:
             text = mutate(text, mutation, sep=" ")
         try:
-            table = load(text, expected_dim=expected_dim)
+            table = load(text)
         except ValidationError:
             return
         assert table.dim >= 1 and len(table) >= 1
