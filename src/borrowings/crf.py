@@ -22,55 +22,24 @@ scale becomes 0 or subnormal, and the objective raises
 `DivergenceError` rather than return an inaccurate value.
 Decoding stays in log space (max-plus Viterbi).
 
-A batch of sequences (a training corpus, or the headlines being
-tagged) is encoded once into flat arrays (`Encoding`), as in CRFsuite,
-but factored by window cell: a cell is the list of (attribute id,
-value) entries one token type contributes at one window slot, inside
-a quotation or outside one.  Each distinct cell is stored once, as its
-entry count and its entries, and a (token, slot) table of cell numbers
-records which cells every token visits, plus the token offset of every
-sequence.  The encoder lays it out once for every pass that reads it
-(`_flat_encoding`), so neither training nor tagging re-derives a layout.
-Training and tagging sum emissions the same way
-(`_rank_major_emissions`): each cell sums its entries in entry order,
-starting from 0.0, and each token its cells' scores in ascending slot
-order.  The entries are visited cell-interleaved, from a rank-major
-copy: entry 0 of every cell, then entry 1 of every cell that has one,
-and so on, with the cells ranked by descending entry count, as the
-sequences are below (`_packed` lays out both).  Each rank adds one
-weight row onto each of the first cells, as one block for every label
-at once, and consecutive adds never go to the same cell.  The state
-gradient, which sums by attribute id, keeps the stored order: it sums
-the residuals of each cell's visits first, repeats each cell's sum
-over its entries, and takes one `np.bincount` per label over them.
-Forward-backward and Viterbi then loop once over time steps for the
-whole batch, as packed sequences do in cuDNN: step t takes token t of
-every sequence longer than t, with the sequences ranked by descending
-length, so each step is one contiguous block of rows that continues
-the first rows of the step before, and the encoding links every row
-to its predecessor's.  No sequence is padded, and each token's
+The windowed attributes come encoded as one batch
+(`features.Encoding`): cells of (attribute id, value) entries, the
+tokens' visits to them, and packed time steps.  Training and tagging
+sum emissions the same way (`_rank_major_emissions`): each cell sums
+its entries in entry order, starting from 0.0, and each token its
+cells' scores in ascending slot order.  The entries are visited
+cell-interleaved, from the encoding's rank-major copy.  Each rank adds
+one weight row onto each of the first cells, as one block for every
+label at once, and consecutive adds never go to the same cell.  The
+state gradient, which sums by attribute id, keeps the stored order: it
+sums the residuals of each cell's visits first, repeats each cell's
+sum over its entries, and takes one `np.bincount` per label over them.
+Forward-backward and Viterbi then loop once over the packed time steps
+for the whole batch.  No sequence is padded, and each token's
 marginals and best label are those of its sequence decoded alone, bit
 for bit.  Sums over tokens and sequences (log Z, pair marginals) run
 in packed row order, which the sequence lengths and their input order
 fix.
-
-Corpora are encoded without building any windowed attribute name per
-token, and with Python work that grows with the token types and the
-distinct names rather than with the entries.  The base names of all
-the types of a batch are built at once, family by family
-(`features.type_attributes`), and each distinct base name gets a base
-id; character trigrams are keyed as integers, so only the distinct
-ones are spelled out.  Everything else is array work:
-every (token, window slot) visit is keyed by its cell, (type, slot,
-quoted), and cells are numbered by first visit; each cell's entries are
-gathered from its type's base ids and keyed by (slot, base id).  No
-key becomes a prefixed name.  Training numbers the distinct keys by
-first appearance, so ids are exactly those of numbering the windowed
-names one by one as the tokens list them, and the index holds them as
-a table of ids by base name and slot (`features.FeatureIndex`); tagging
-looks each distinct base name of a batch up once in the model's table
-and drops the entries it has no id for.  Without embeddings every
-entry's value is 1.0, and none is kept or multiplied.
 
 A trained model keeps only the attributes with a nonzero state weight,
 as CRFsuite's models do: with an L1 penalty most end at exactly zero,
@@ -109,7 +78,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, NamedTuple, Sequence
+from typing import IO, Callable
 
 import numpy as np
 
@@ -118,6 +87,7 @@ from .corpus import (
     Corpus,
     Headline,
     TagAlphabet,
+    _check_tags,
     alphabet_for,
     spans_to_bio,
     with_tags,
@@ -125,15 +95,11 @@ from .corpus import (
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, ValidationError
 from .features import (
-    BOS,
-    EOS,
-    QUOTATION,
+    Encoding,
     FeatureConfig,
     FeatureIndex,
-    embedding_names,
-    embedding_rows,
-    quotation_flags,
-    type_attributes,
+    _check_window,
+    _encode_windows,
     window_table,
 )
 
@@ -254,405 +220,7 @@ def n_parameters(n_features: int, n_labels: int) -> int:
     return n_features * n_labels + n_labels * n_labels + 2 * n_labels
 
 
-# --- flat encoding -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Encoding:
-    """A batch of sequences as window cells and the tokens' visits to
-    them, laid out once for every pass that reads it.
-
-    A cell is a list of attribute entries: entry k gives attribute
-    `ids[k]` the value `vals[k]`; `vals` is None when every value is
-    1.0, as in an encoding of windowed attributes without embedding
-    entries.  Entries are stored cell by cell, cell c holding the next
-    `sizes[c]` of them, and each cell once, however many tokens visit
-    it.  Row t of the (n_tokens, width) table `visits` lists the cells
-    token t visits, one per window slot in ascending slot order; its
-    entries are those of all these cells, in that order.  `visits` is
-    column-major, so each slot's column is contiguous.  Every cell is
-    visited at least once.
-
-    The emissions read the same entries rank-major: with the cells
-    renumbered by descending entry count, ties in cell order,
-    `ranked_ids[ranks[r]:ranks[r + 1]]` are the attribute ids of entry r
-    of cells 0, 1, 2, ... (new numbers), that is, of every cell with
-    more than r entries, which by the renumbering come first.
-    `ranked_vals` are their values, None when `vals` is, and
-    `ranked_visits` is `visits` in the new numbers.
-
-    Sequence i covers the tokens `offsets[i]:offsets[i + 1]`.  `order`
-    lists the token indices step-major, as packed sequences do: rank the
-    sequences by descending length, ties in input order; then
-    `order[steps[t]:steps[t + 1]]` holds token t of every sequence
-    longer than t, by rank.  The sequences alive at step t + 1 are so
-    the first ones alive at step t.  `prev` is the packed row of the
-    predecessor of every row after step 0, in row order, and `last` the
-    last row of every sequence, ascending.
-    """
-
-    ids: np.ndarray
-    vals: np.ndarray | None
-    sizes: np.ndarray
-    visits: np.ndarray
-    offsets: np.ndarray
-    order: np.ndarray
-    steps: np.ndarray
-    prev: np.ndarray
-    last: np.ndarray
-    ranked_ids: np.ndarray
-    ranked_vals: np.ndarray | None
-    ranks: np.ndarray
-    ranked_visits: np.ndarray
-
-    @property
-    def n_tokens(self) -> int:
-        return int(self.offsets[-1])
-
-    @property
-    def n_cells(self) -> int:
-        return self.sizes.size
-
-
-def _flat_encoding(
-    ids: np.ndarray,
-    vals: np.ndarray | None,
-    sizes: np.ndarray,
-    visits: np.ndarray,
-    seq_lengths: np.ndarray,
-) -> Encoding:
-    """Encoding of the given cells, visits and sequence lengths.
-
-    Entries and sequences are laid out by one rule: entry r of every
-    cell is packed as token r of every sequence is (`_packed`).
-    """
-    offsets = np.concatenate([[0], np.cumsum(seq_lengths)])
-    _, order, steps = _packed(offsets)
-    # Row k of step t > 0 continues row k - alive[t - 1] of step t - 1.
-    alive = np.diff(steps)
-    n_rows = int(steps[-1])
-    prev = np.arange(n_rows - alive[1:].sum(), n_rows) - np.repeat(
-        alive[:-1], alive[1:]
-    )
-    is_last = np.ones(n_rows, dtype=bool)
-    is_last[prev] = False
-    by_size, at, ranks = _packed(np.concatenate([[0], np.cumsum(sizes)]))
-    renumber = np.empty_like(by_size)
-    renumber[by_size] = np.arange(by_size.size)
-    return Encoding(
-        ids=ids,
-        vals=vals,
-        sizes=sizes,
-        visits=visits,
-        offsets=offsets,
-        order=order,
-        steps=steps,
-        prev=prev,
-        last=np.flatnonzero(is_last),
-        ranked_ids=ids[at],
-        ranked_vals=None if vals is None else vals[at],
-        ranks=ranks,
-        ranked_visits=renumber[visits],
-    )
-
-
-def _packed(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The runs at `offsets`, packed.
-
-    Returns the runs ranked by descending length, ties in input order;
-    the position of every item step-major, item t of every run longer
-    than t, by rank, for t = 0, 1, ...; and the bounds of each step.
-    Of sequences these give `Encoding.order` and `Encoding.steps`, of
-    cells the renumbering and the rank-major entries and `ranks`.
-    """
-    lengths = np.diff(offsets)
-    by_length = _descending(lengths)
-    ranked = offsets[:-1][by_length]
-    # alive[t] counts the runs longer than t.
-    alive = np.cumsum(np.bincount(lengths, minlength=1)[::-1])[-2::-1]
-    steps = np.concatenate([[0], np.cumsum(alive)])
-    order = np.empty(steps[-1], dtype=np.int64)
-    bounds = steps.tolist()
-    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        np.add(ranked[: hi - lo], t, out=order[lo:hi])
-    return by_length, order, steps
-
-
-def _descending(counts: np.ndarray) -> np.ndarray:
-    """The stable `np.argsort(-counts)` of nonnegative `counts`.
-
-    It sorts `counts.max() - counts` in the narrowest unsigned dtype
-    that holds it: numpy radix-sorts 8- and 16-bit keys stably, about
-    four times faster than it sorts int64 ones.
-    """
-    top = int(counts.max(initial=0))
-    return np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
-
-
-# --- interned window encoding ------------------------------------------------
-
-_BOS_TYPE, _EOS_TYPE = 0, 1
-
-
-class _Types(NamedTuple):
-    """The token types of a batch of headlines, and its tokens.
-
-    Type 0 is BOS and type 1 EOS, the markers outside a headline.  Row t
-    of the CSR table `src`, `src[rows[t]:rows[t + 1]]`, holds type t's
-    base ids: its `n_before[t]` names before `quot=1`, the rest of its
-    `n_names[t]` names, then its embedding names, with their values in
-    `src_vals`, which is None when there are no embedding names and every
-    value is 1.0.  `src[0]` is `quot=1` itself.  `base_names` lists the
-    base names by base id.  Token i has type `token_types[i]` and is
-    quoted if `quoted[i]`.
-    """
-
-    base_names: list[str]
-    src: np.ndarray
-    src_vals: np.ndarray | None
-    rows: np.ndarray
-    n_before: np.ndarray
-    n_names: np.ndarray
-    token_types: np.ndarray
-    quoted: np.ndarray
-    lengths: np.ndarray
-
-
-def _intern_types(
-    headlines: Sequence[Headline],
-    config: FeatureConfig,
-    embeddings: EmbeddingTable | None,
-) -> _Types:
-    """Base ids of every token type, built once per type.
-
-    Types are numbered by first appearance after BOS and EOS, and their
-    names are built in one batch (`features.type_attributes`).  Base
-    ids 0, 1 and 2 are `quot=1`, BOS and EOS, then come the embedding
-    names and the types' names, which no family can spell the same.
-    """
-    keys = [
-        (token.text, token.pos) for headline in headlines for token in headline.tokens
-    ]
-    types = dict(zip(dict.fromkeys(keys), itertools.count(2)))
-    attrs = type_attributes(list(types), config)
-    dim = embeddings.dim if config.embedding and embeddings is not None else 0
-    fixed = (QUOTATION, BOS, EOS, *embedding_names(dim))
-    n_names = np.concatenate([[1, 1], np.diff(attrs.rows)])
-    # Each type's row holds its names, then its embedding names; BOS's
-    # and EOS's hold their own name only.  Row 0 starts after `quot=1`.
-    row_lengths = n_names + dim
-    row_lengths[:2] = 1
-    rows = np.concatenate([[1], 1 + np.cumsum(row_lengths)])
-    src = np.empty(rows[-1], dtype=np.int64)
-    src_vals = np.ones(rows[-1]) if dim else None
-    src[:3] = (0, 1, 2)
-    src[_ranges(rows[2:-1], n_names[2:])] = attrs.ids + len(fixed)
-    if config.embedding and types:
-        # Raises ConfigError when the family is on but no table was given.
-        values = embedding_rows([text for text, _ in types], config, embeddings)
-        if dim:
-            at = _ranges(rows[2:-1] + n_names[2:], np.full(len(types), dim))
-            src[at] = np.tile(np.arange(3, 3 + dim), len(types))
-            src_vals[at] = values.ravel()
-    return _Types(
-        base_names=[*fixed, *attrs.names],
-        src=src,
-        src_vals=src_vals,
-        rows=rows,
-        n_before=np.concatenate([[1, 1], attrs.n_before]),
-        n_names=n_names,
-        token_types=np.fromiter(map(types.__getitem__, keys), np.int64, len(keys)),
-        quoted=np.fromiter(
-            itertools.chain.from_iterable(map(quotation_flags, headlines)),
-            dtype=np.int8,
-            count=len(keys),
-        ),
-        lengths=np.fromiter(map(len, headlines), np.int64, len(headlines)),
-    )
-
-
-def _visit_cells(types: _Types, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell keys in order of first visit, and the (n_tokens, width)
-    column-major table of the cell number every token visits per slot.
-
-    A cell's key is (type * width + slot) * 2 + quoted.  Visits are
-    numbered token-major, and each headline is padded with `radius` BOS
-    and EOS types.
-    """
-    width = 2 * radius + 1
-    lengths = types.lengths
-    n_tokens = types.token_types.size
-    headline_of = np.repeat(np.arange(lengths.size), lengths)
-    at = np.arange(n_tokens) + radius * (2 * headline_of + 1)
-    padded_type = np.full(n_tokens + 2 * radius * lengths.size, _EOS_TYPE)
-    padded_quoted = np.zeros(padded_type.size, dtype=np.int64)
-    padded_type[at] = types.token_types
-    padded_quoted[at] = types.quoted
-    first_at = np.cumsum(lengths) - lengths
-    first_at += 2 * radius * np.arange(lengths.size)
-    padded_type[(first_at[:, None] + np.arange(radius)).ravel()] = _BOS_TYPE
-    window = (at - radius)[:, None] + np.arange(width)
-    keys = padded_type[window] * width + np.arange(width)
-    keys *= 2
-    keys += padded_quoted[window]
-    cells = _number_by_first_appearance(keys.ravel(), 2 * width * types.n_names.size)
-    return cells, np.asfortranarray(keys)
-
-
-def _cell_entries(
-    types: _Types, cells: np.ndarray, radius: int, quotation: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where in `types.src` each entry of `cells` comes from, its (slot,
-    base id) key, and every cell's number of entries.
-
-    A cell's entries are four runs of its type's row: the names before
-    `quot=1`, `quot=1` if the cell is quoted and the family on, the
-    names after it, and at the centre slot the embedding names.  A key
-    is slot * len(base_names) + base id.
-    """
-    width = 2 * radius + 1
-    cell_type, cell_slot = np.divmod(cells // 2, width)
-    row = types.rows[cell_type]
-    n_before = types.n_before[cell_type]
-    n_names = types.n_names[cell_type]
-    run_start = np.stack(
-        [row, np.zeros_like(row), row + n_before, row + n_names], axis=1
-    )
-    run_length = np.stack(
-        [
-            n_before,
-            cells % 2 if quotation else np.zeros_like(cells),
-            n_names - n_before,
-            (types.rows[cell_type + 1] - row - n_names) * (cell_slot == radius),
-        ],
-        axis=1,
-    )
-    at = _ranges(run_start.ravel(), run_length.ravel())
-    sizes = run_length.sum(axis=1)
-    keys = types.src[at]
-    keys += np.repeat(cell_slot * len(types.base_names), sizes)
-    return at, keys, sizes
-
-
-def _check_window(
-    width: int, radius: int, error: type[ValidationError] = ValidationError
-) -> None:
-    """Raise `error` unless an attribute id table of `width` window
-    slots fits `window_radius` `radius`, which has 2 * radius + 1."""
-    if width != 2 * radius + 1:
-        raise error(
-            f"an attribute id table of window width {width} does not fit "
-            f"window_radius {radius}, which needs width {2 * radius + 1}"
-        )
-
-
-def _encode_windows(
-    headlines: Sequence[Headline],
-    config: FeatureConfig,
-    embeddings: EmbeddingTable | None,
-    index: FeatureIndex | None = None,
-) -> tuple[Encoding, FeatureIndex]:
-    """Cell encoding of the windowed attributes of `headlines`, and its index.
-
-    Each token visits one cell per window slot: the entries its type
-    contributes there, quoted or not.  Laid out visit by visit, a
-    token's entries are its windowed attributes in order, which
-    `features.windowed_attributes` names: slot by slot from offset
-    -radius, BOS or EOS outside the headline, and otherwise the
-    neighbor's names before `quot=1`, `quot=1` if the family is on and
-    the neighbor quoted, the names after it, and at the centre the
-    embedding components.  Cells are numbered in order of first visit,
-    and each is stored once.  Without `index`, every name gets an id,
-    in order of first appearance, and a new index of them is returned;
-    with one, names are looked up in it, those it lacks are dropped, and
-    `index` itself is returned; its table must have one column per
-    window slot (ValidationError).  Either way no prefixed name is built.
-    The values are None unless the embedding family adds entries.
-
-    Python work grows with the token types and the distinct names, not
-    with the tokens or the entries.  Each type's base names and
-    embedding values are built once, and each base name gets a base id
-    (`_intern_types`).  The rest is array work: every (token, slot)
-    visit is keyed by its cell (`_visit_cells`), each cell's entries are
-    gathered from its type's base ids and keyed by (slot, base id)
-    (`_cell_entries`).  The distinct keys become the new index's table
-    of ids by base name and slot, or each distinct base name is looked
-    up once in the given index's table.
-
-    Cells are keyed by `quotation_flags` whether or not the quotation
-    family is on; without it a type's quoted and unquoted cells hold
-    the same entries.  Merging them would change the order in which
-    emissions and gradients are summed, and so the bytes of models
-    trained without the family, at rounding level; keeping the key
-    keeps those bytes stable.
-    """
-    radius = config.window_radius
-    width = 2 * radius + 1
-    types = _intern_types(headlines, config, embeddings)
-    cells, visits = _visit_cells(types, radius)
-    at, keys, sizes = _cell_entries(types, cells, radius, config.quotation)
-    n_base = len(types.base_names)
-    # The keys are replaced by their ids in place.
-    if index is None:
-        distinct = _number_by_first_appearance(keys, width * n_base)
-        slot, base_id = np.divmod(distinct, n_base)
-        # Bases in order of their first id; `base_id` becomes their row.
-        bases = _number_by_first_appearance(base_id, n_base)
-        ids = np.full((bases.size, width), -1, dtype=np.int64)
-        ids[base_id, slot] = np.arange(distinct.size)
-        names = map(types.base_names.__getitem__, bases.tolist())
-        rows = dict(zip(names, itertools.count()))
-        index = FeatureIndex(rows, ids)
-    else:
-        # Each base name of the batch is looked up once, and its row of
-        # the model's table gives its ids at every slot.
-        _check_window(index.ids.shape[1], radius)
-        row = np.fromiter(
-            map(index.rows.get, types.base_names, itertools.repeat(-1)),
-            np.int64,
-            n_base,
-        )
-        known = row >= 0
-        by_key = np.full((width, n_base), -1, dtype=np.int64)
-        by_key[:, known] = index.ids[row[known]].T
-        np.take(by_key.ravel(), keys, out=keys, mode="clip")
-        known = keys >= 0
-        if not known.all():
-            # Entries kept before each cell's end, and so in each cell.
-            kept = np.concatenate([[0], np.cumsum(known)])[np.cumsum(sizes)]
-            sizes = np.diff(kept, prepend=0)
-            keys, at = keys[known], at[known]
-    vals = None if types.src_vals is None else types.src_vals[at]
-    del at
-    return _flat_encoding(keys, vals, sizes, visits, types.lengths), index
-
-
-def _number_by_first_appearance(
-    keys: np.ndarray, space: int
-) -> np.ndarray:
-    """The distinct `keys` in order of first appearance; each key is
-    replaced by its number in that order.  Keys lie in range(space)."""
-    first = np.full(space, keys.size)
-    np.minimum.at(first, keys, np.arange(keys.size))
-    seen = np.flatnonzero(first < keys.size)
-    distinct = seen[np.argsort(first[seen])]
-    first[distinct] = np.arange(distinct.size)
-    # Each key is read before its slot is written, and all are in range.
-    np.take(first, keys, out=keys, mode="clip")
-    return distinct
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges `starts[i] : starts[i] + lengths[i]`, concatenated."""
-    kept = lengths > 0
-    starts, lengths = starts[kept], lengths[kept]
-    # Steps of 1 within a range, and a jump to the next range's start.
-    out = np.ones(int(lengths.sum()), dtype=np.int64)
-    if out.size:
-        out[0] = starts[0]
-        out[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-        np.cumsum(out, out=out)
-    return out
-
+# --- emissions and the state gradient ----------------------------------------
 
 def _rank_major_emissions(enc: Encoding, state: np.ndarray) -> np.ndarray:
     """(n_tokens, L) emission scores, for training and tagging alike.
@@ -1488,10 +1056,11 @@ def load_model(stream: IO[str]) -> CrfModel:
     among them), ModelTruncatedError when the file ends early, and
     ModelDimensionError when any section disagrees with the declared
     label or attribute counts.  Any other malformed content raises
-    ModelFormatError, among it a weight that is `nan` or infinite, a
-    block that is not base64, and two state weight lines for the same
-    (attribute, tag) pair.  The text sections of format 1 are read line
-    by line, and the error is that of the first fault in file order.
+    ModelFormatError, among it a label that is not a corpus tag, a
+    weight that is `nan` or infinite, a block that is not base64, and
+    two state weight lines for the same (attribute, tag) pair.  The
+    text sections of format 1 are read line by line, and the error is
+    that of the first fault in file order.
     """
     reader = _Reader(stream)
     header = reader.next_line("header").split(" ")
@@ -1505,6 +1074,8 @@ def load_model(stream: IO[str]) -> CrfModel:
         raise ModelFormatError("missing label list")
     try:
         alphabet = TagAlphabet(tuple(label_parts[1:]))
+        # The tagger writes every label into a corpus.
+        _check_tags(alphabet.tags)
     except ValidationError as exc:
         raise ModelFormatError(f"bad label list: {exc}") from None
     n_labels = len(alphabet)

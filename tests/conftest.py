@@ -48,10 +48,8 @@ from borrowings.corpus import (
 )
 from borrowings.crf import (
     CrfModel,
-    Encoding,
     TrainConfig,
     _config_echo,
-    _flat_encoding,
     _format_float,
     _forward_backward,
     _path_counts,
@@ -65,8 +63,10 @@ from borrowings.features import (
     BOS,
     EOS,
     QUOTATION,
+    Encoding,
     FeatureConfig,
     FeatureIndex,
+    _flat_encoding,
     embedding_names,
     offset_prefix,
     quotation_flags,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from borrowings import crf
+from borrowings import crf, features
 from borrowings.corpus import (
     ENG_ALPHABET,
     FULL_ALPHABET,
@@ -494,7 +494,7 @@ class TestFlatEncoding:
         enc = dataset.encoding
         assert enc.vals is None
         ones = TrainingSet(
-            crf._flat_encoding(
+            features._flat_encoding(
                 enc.ids,
                 np.ones(enc.ids.size),
                 enc.sizes,
@@ -535,7 +535,7 @@ class TestFlatEncoding:
         # radix-sorts; larger ones give 32- and 64-bit keys, which it does not.
         counts = np.array(counts, dtype=np.int64)
         expected = np.argsort(-counts, kind="stable")
-        assert np.array_equal(crf._descending(counts), expected)
+        assert np.array_equal(features._descending(counts), expected)
 
 
 class TestBatchedObjective:
@@ -1623,15 +1623,24 @@ class TestPersistence:
             load_model(io.StringIO(bad))
 
     @pytest.mark.parametrize(
-        "labels", ["labels\tB-ENG\tO\tI-ENG", "labels\tO\tO\tI-ENG"]
+        "labels",
+        [
+            "labels\tB-ENG\tO\tI-ENG",
+            "labels\tO\tO\tI-ENG",
+            # A tag the tagger could not write into a corpus.
+            "labels\tO\tB-ENG\tI-ENG\tB-FRA\tI-OTHER",
+        ],
     )
     def test_bad_label_list_is_a_format_error(self, trained, labels):
-        text, _ = self.roundtrip(trained)
-        lines = text.split("\n")
-        assert lines[1].startswith("labels\t")
-        lines[1] = labels
-        with pytest.raises(ModelFormatError, match="bad label list"):
-            load_model(io.StringIO("\n".join(lines)))
+        assert trained.alphabet.tags[3] == "B-OTHER"
+        for write in (save_model, save_model_v1):
+            # Version-1 weight lines name their tag, renamed alike.
+            text = saved_text(write, trained).replace("\tB-OTHER\t", "\tB-FRA\t")
+            lines = text.split("\n")
+            assert lines[1].startswith("labels\t")
+            lines[1] = labels
+            with pytest.raises(ModelFormatError, match="bad label list"):
+                load_model(io.StringIO("\n".join(lines)))
 
     def test_l1_model_files_stay_small(self, small_corpus_module):
         # Sparse models persist only their nonzero weights in version 1,

@@ -368,10 +368,12 @@ PINNED_CONFIGS = {
     "radius-3": FeatureConfig(window_radius=3),
     "embedding": FeatureConfig(embedding=True, embedding_scaling=0.5),
 }
-# `encoding_digest` of each encoding, as the per-entry encoder gave them.
+# `encoding_digest` of each encoding, as the per-entry encoder gave them;
+# quotation-off as recorded once cells were keyed by quotation only with
+# the family on, which merges a type's quoted and unquoted cells.
 PINNED_DIGESTS = {
     "default": "8a1f37a875bf0f1e46ead1ccb7ff3a68a9bbe7717224ec03e87f363b11a789c7",
-    "quotation-off": "9a0be8847e23b516c1a7559a5af05c6b14eb2afcf2ecb6a370af6bc044317948",
+    "quotation-off": "1662fa0ab33d0a3c087a8a2a96208cf535c764af571cbbd1eb74e1bb7a37397f",
     "radius-0": "6a5f8d79379cf13bfa2c3db58072257ff66b776238ef82b5082733b970ad1213",
     "radius-3": "b0071e05108c991089473a733c5929ad860f666351d0222d3ff2637462015e69",
     "embedding": "433d07a79b9f8843d439120827ab77e69bbbca37c43ea407a5ab3d298e660c83",
