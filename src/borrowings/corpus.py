@@ -430,10 +430,12 @@ def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
     loses its first `\\` (see `write_corpus`).
     """
     text = stream.read()
+    crlf, escaped = "\r" in text, "\\#" in text
     lines = text.split("\n")
+    del text
     if lines[-1] == "":
         lines.pop()
-    if "\r" in text:
+    if crlf:
         lines = [line.rstrip("\r") for line in lines]
     edges = [-1]
     edges += [i for i, line in enumerate(lines) if not line.strip()]
@@ -468,10 +470,11 @@ def read_corpus(stream: IO[str], name: str = "corpus") -> Corpus:
         dates.append(date)
         sections.append(meta.get("section"))
         bounds.append(bounds[-1] + end - row)
+    del lines, rows
     # A faulty token line was raised above, in file order.
     assert fields is not None
     texts = fields[0::3]
-    if "\\#" in text:
+    if escaped:
         texts = [t[1:] if _ESCAPED.match(t) else t for t in texts]
     tokens = _build(
         Token,

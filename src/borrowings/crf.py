@@ -567,7 +567,7 @@ class TrainingSet:
             part += values
         marginal[self._tokens, self.gold] -= 1.0
         _scatter_state(enc, marginal, g_state)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(value) or not optim.all_finite(grad):
             raise DivergenceError("objective diverged to a non-finite value")
         return value, grad
 

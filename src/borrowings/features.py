@@ -45,9 +45,10 @@ both).
 Corpora are encoded without building any windowed attribute name per
 token, and with Python work that grows with the token types and the
 distinct names rather than with the entries.  The base names of all
-the types of a batch are built at once, family by family
-(`type_attributes`), and each distinct base name gets a base id;
-character trigrams are keyed as integers, so only the distinct ones
+the types of a batch are built at once, family by family, and each
+distinct base name gets a base id; one stable sort by type lays the
+ids out type by type (`type_attributes`).  Character trigrams are
+keyed as integers and ranked by `np.unique`, so only the distinct ones
 are spelled out.  Everything else is array work: every (token, window
 slot) visit is keyed by its cell, (type, slot, quoted), and cells are
 numbered by first visit; each cell's entries are gathered from its
@@ -249,10 +250,12 @@ def type_attributes(
     """Binary attribute names of each (text, POS) token type of `types`.
 
     Each family is built for all types at once and gives every type
-    zero or more names, interned to base ids as they come; the ids are
-    then laid out type by type.  The types share one set of character
-    class tables, and trigrams are keyed as integers, so that only the
-    distinct ones become names.
+    zero or more names, interned to base ids as they come.  One stable
+    sort by type over the families' ids, taken family by family, then
+    lays the ids out type by type in family order.  The types share one
+    set of character class tables, and trigrams are keyed as integers
+    and ranked by `np.unique`, so that only the distinct ones become
+    names.
     """
     texts = [text for text, _ in types]
     n = len(texts)
@@ -282,7 +285,7 @@ def type_attributes(
     if config.char_trigram:
         counts, trigrams, trigram_names = _trigram_ids(texts)
         families.append((counts, trigrams))
-    n_before = sum((counts for counts, _ in families), np.zeros(n, dtype=np.int64))
+    n_first = len(families)  # the families before quot=1
     if config.suffix3:
         families.append(every(map("suf3=".__add__, map(_SUFFIX3, texts))))
     if config.pos:
@@ -298,16 +301,16 @@ def type_attributes(
         # Trigram names are distinct, and no other family spells one.
         trigrams += len(names)
         names += trigram_names
-    n_names = sum((counts for counts, _ in families), np.zeros(n, dtype=np.int64))
+    # Row f of `counts` is family f's names per type.  Each family lists
+    # its ids type by type, so a stable sort by type lays all of them
+    # out type by type, in family order.
+    counts = np.array([c for c, _ in families], np.int64).reshape(len(families), n)
+    type_of = np.repeat(np.tile(np.arange(n), len(families)), counts.ravel())
+    ids = np.concatenate([np.empty(0, np.int64), *(i for _, i in families)])
+    ids = ids[np.argsort(type_of, kind="stable")]
     rows = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_names, out=rows[1:])
-    ids = np.empty(rows[-1], dtype=np.int64)
-    at = rows[:-1].copy()
-    for counts, family_ids in families:
-        first = np.cumsum(counts) - counts
-        ids[np.repeat(at - first, counts) + np.arange(family_ids.size)] = family_ids
-        at += counts
-    return TypeAttributes(names, ids, rows, n_before)
+    np.cumsum(counts.sum(axis=0), out=rows[1:])
+    return TypeAttributes(names, ids, rows, counts[:n_first].sum(axis=0))
 
 
 _SUFFIX3 = operator.itemgetter(slice(-3, None))
@@ -326,14 +329,11 @@ def _trigram_ids(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str
     grams = code[start[:, None] + np.arange(3)].astype(np.int64)
     # Code points are below 2**21, so three fit one key.
     key = (grams[:, 0] * 2**21 + grams[:, 1]) * 2**21 + grams[:, 2]
-    gram, distinct = _ranks(key)
+    distinct, gram = np.unique(key, return_inverse=True)
     # A trigram that recurs in a text is kept at its first occurrence.
-    pair, _ = _ranks(text_of * distinct.size + gram)
-    first = np.full(pair.size, pair.size)
-    np.minimum.at(first, pair, np.arange(pair.size))
-    kept = np.zeros(pair.size, dtype=bool)
-    kept[first[first < pair.size]] = True
-    text_of, gram = text_of[kept], gram[kept]
+    _, first = np.unique(text_of * distinct.size + gram, return_index=True)
+    first.sort()
+    text_of, gram = text_of[first], gram[first]
     # The names, as one UCS-4 string of 7 code points per trigram.  A
     # final `$` keeps numpy from stripping trailing NULs.
     block = np.empty(7 * distinct.size + 1, dtype=np.uint32)
@@ -344,18 +344,6 @@ def _trigram_ids(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str
     block[-1] = ord("$")
     names = _SEVEN.findall(str(block.view(f"<U{block.size}")[0]))
     return np.bincount(text_of, minlength=len(texts)), gram, names
-
-
-def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each key's index among the distinct `keys`, and the distinct keys
-    in ascending order."""
-    order = np.argsort(keys)
-    ranked = keys[order]
-    new = np.ones(keys.size, dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    ranks = np.empty_like(order)
-    ranks[order] = np.cumsum(new) - 1
-    return ranks, ranked[new]
 
 
 _TRI = np.array([ord(ch) for ch in "tri="], dtype=np.uint32)
@@ -598,14 +586,15 @@ def _flat_encoding(
 def _packed(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The runs at `offsets`, packed.
 
-    Returns the runs ranked by descending length, ties in input order;
-    the position of every item step-major, item t of every run longer
-    than t, by rank, for t = 0, 1, ...; and the bounds of each step.
+    Returns the runs ranked by descending length, ties in input order
+    (the stable argsort of the negated lengths); the position of every
+    item step-major, item t of every run longer than t, by rank, for
+    t = 0, 1, ...; and the bounds of each step.
     Of sequences these give `Encoding.order` and `Encoding.steps`, of
     cells the renumbering and the rank-major entries and `ranks`.
     """
     lengths = np.diff(offsets)
-    by_length = _descending(lengths)
+    by_length = np.argsort(-lengths, kind="stable")
     ranked = offsets[:-1][by_length]
     # alive[t] counts the runs longer than t.
     alive = np.cumsum(np.bincount(lengths, minlength=1)[::-1])[-2::-1]
@@ -615,17 +604,6 @@ def _packed(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         np.add(ranked[: hi - lo], t, out=order[lo:hi])
     return by_length, order, steps
-
-
-def _descending(counts: np.ndarray) -> np.ndarray:
-    """The stable `np.argsort(-counts)` of nonnegative `counts`.
-
-    It sorts `counts.max() - counts` in the narrowest unsigned dtype
-    that holds it: numpy radix-sorts 8- and 16-bit keys stably, about
-    four times faster than it sorts int64 ones.
-    """
-    top = int(counts.max(initial=0))
-    return np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
 
 
 # --- interned window encoding ------------------------------------------------

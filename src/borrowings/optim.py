@@ -106,6 +106,15 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite, checked without an array
+    of `a`'s size: a sum is non-finite whenever an entry is, so the
+    entries are checked one by one only when the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(a)
+    return math.isfinite(total) or bool(np.isfinite(a).all())
+
+
 def _norm(a: np.ndarray) -> float:
     return math.sqrt(dot(a, a))
 
@@ -309,6 +318,6 @@ def minimize(
 
 def _evaluate(fun: Objective, x: np.ndarray) -> tuple[float, np.ndarray]:
     value, grad = fun(x)
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+    if not math.isfinite(value) or not all_finite(grad):
         raise DivergenceError("objective is not finite")
     return float(value), grad

@@ -519,24 +519,6 @@ class TestFlatEncoding:
         with pytest.raises(ValidationError, match="gold tags"):
             TrainingSet(enc, np.zeros(3, dtype=np.int64), 1, 3)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        counts=st.lists(
-            st.integers(0, 300)
-            | st.sampled_from([0, 255, 256, 65_535, 65_536, 70_000, 2**40]),
-            max_size=80,
-        )
-    )
-    @example(counts=[])
-    @example(counts=[0, 0, 0])
-    @example(counts=[70_000, 3, 0, 70_000, 3, 65_536, 0])
-    def test_descending_is_the_stable_argsort_of_negated_counts(self, counts):
-        # Maxima up to 255 and 65,535 give 8- and 16-bit keys, which numpy
-        # radix-sorts; larger ones give 32- and 64-bit keys, which it does not.
-        counts = np.array(counts, dtype=np.int64)
-        expected = np.argsort(-counts, kind="stable")
-        assert np.array_equal(features._descending(counts), expected)
-
 
 class TestBatchedObjective:
     @settings(max_examples=80, deadline=None)

@@ -137,11 +137,18 @@ class TestCharacterClasses:
         ),
         st.sets(st.sampled_from(BASE_FAMILIES)),
     )
+    # An empty batch, and no family that `type_attributes` builds.
+    @example([], set())
+    @example([("a", None), ("b", "X")], set(BASE_FAMILIES))
+    @example([], set(BASE_FAMILIES))
     def test_a_batch_of_types_matches_the_oracle_type_by_type(self, types, off):
         config = FeatureConfig(**{family: False for family in off})
         attrs = type_attributes(types, config)
         assert len(set(attrs.names)) == len(attrs.names)
         assert attrs.rows.size == len(types) + 1
+        assert attrs.n_before.size == len(types)
+        assert attrs.rows[-1] == attrs.ids.size
+        assert attrs.ids.dtype == attrs.rows.dtype == attrs.n_before.dtype == np.int64
         for t, (text, pos) in enumerate(types):
             row = attrs.ids[attrs.rows[t] : attrs.rows[t + 1]].tolist()
             before, after = base_attributes_oracle(text, pos, config)

@@ -386,8 +386,8 @@ class TestWorkVectors:
     @pytest.mark.parametrize("l1, fixed", [(0.0, 5), (0.1, 7)])
     def test_peak_is_the_pairs_and_the_fixed_vectors(self, l1, fixed, memory):
         # x, trial, gradient, direction and scratch, plus pg and sign(x)
-        # with l1 > 0.  The bool mask and the finiteness check each add
-        # an eighth of a vector, under the one the floor division drops.
+        # with l1 > 0.  The bool mask adds an eighth of a vector, under
+        # the one the floor division drops; the finiteness check adds none.
         n = 100_000
         a = np.geomspace(1.0, 1e3, n)
         b = np.random.default_rng(16).normal(size=n)
@@ -411,6 +411,44 @@ class TestWorkVectors:
             tracemalloc.stop()
         assert result.iterations == iterations
         assert peak // (8 * n) == 2 * memory + fixed
+
+    def test_the_finiteness_check_allocates_no_vector(self):
+        n = 100_000
+        grad = np.random.default_rng(17).normal(size=n)
+        x = np.zeros(n)
+        tracemalloc.start()
+        try:
+            optim._evaluate(lambda _: (1.0, grad), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Less than one byte per parameter: no bool array of the gradient.
+        assert peak < n
+
+
+class TestFinitenessCheck:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 7, 99])
+    def test_any_non_finite_entry_diverges(self, bad, at):
+        grad = np.ones(100)
+        grad[at] = bad
+        assert not optim.all_finite(grad)
+        with pytest.raises(DivergenceError):
+            optim._evaluate(lambda _: (0.0, grad), np.zeros(100))
+
+    def test_a_sum_that_overflows_is_still_finite(self):
+        grad = np.full(4, 1e308)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(np.add.reduce(grad))
+        assert optim.all_finite(grad)
+        value, got = optim._evaluate(lambda _: (2.0, grad), np.zeros(4))
+        assert value == 2.0 and got is grad
+        grad[2] = -math.inf
+        assert not optim.all_finite(grad)
+
+    def test_empty_and_plain(self):
+        assert optim.all_finite(np.empty(0))
+        assert optim.all_finite(np.array([-0.0, 5e-324, -1e308]))
 
 
 def reusing(fun):
